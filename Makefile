@@ -46,12 +46,13 @@ test-allocs:
 
 # test-faults runs the whole fault-tolerance surface under the race
 # detector: fault injection, panic containment, retry/backoff, context
-# cancellation, the crash-safe journal and the SIGKILL crash-resume
-# integration tests.  Recovery paths are exercised, never trusted.
+# cancellation, and the SIGKILL crash-resume and SIGINT shutdown
+# integration tests over -cache.  Recovery paths are exercised, never
+# trusted.
 test-faults:
 	$(GO) test -race -count 1 ./internal/faultinject
 	$(GO) test -race -count 1 \
-		-run 'Fault|Panic|Retry|Journal|Resume|Context|Backoff|Transient|TraceBenchmark|TraceFile|FailsBeforeSimulating' \
+		-run 'Fault|Panic|Retry|Sigint|Resume|Context|Backoff|Transient|TraceBenchmark|TraceFile|FailsBeforeSimulating' \
 		./internal/experiment ./internal/trace ./internal/scenario ./cmd/leaksweep
 
 # test-service runs the sweep-service surface under the race detector: the
@@ -85,7 +86,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzDinImport -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzScenario -fuzztime $(FUZZTIME) ./internal/scenario
-	$(GO) test -run '^$$' -fuzz FuzzJournal -fuzztime $(FUZZTIME) ./internal/experiment
 	$(GO) test -run '^$$' -fuzz FuzzCacheRecord -fuzztime $(FUZZTIME) ./internal/resultcache
 	$(GO) test -run '^$$' -fuzz FuzzServeScenario -fuzztime $(FUZZTIME) ./internal/service
 

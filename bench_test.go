@@ -13,6 +13,7 @@ package cmpleak
 // `go test -bench .` both regenerates the figures and exposes their key
 // numbers.  For full-scale figure regeneration use cmd/leaksweep.
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
@@ -56,7 +57,11 @@ func figureSweep(b *testing.B) *Sweep {
 		for _, dt := range benchDecayTimes() {
 			opts.Techniques = append(opts.Techniques, SelectiveDecay(dt))
 		}
-		benchSweep, benchSweepErr = RunSweep(opts)
+		var sweeps []*Sweep
+		sweeps, benchSweepErr = RunSweeps(context.Background(), []NamedSweepOptions{{Options: opts}}, SweepParallelism{})
+		if benchSweepErr == nil {
+			benchSweep = sweeps[0]
+		}
 	})
 	if benchSweepErr != nil {
 		b.Fatal(benchSweepErr)

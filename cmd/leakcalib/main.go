@@ -13,8 +13,8 @@
 //	leakcalib -trace water05.trc -technique sel_decay:64K -l2mb 8 -best 5
 //	leakcalib -trace water05.trc -sweep-jobs 8   # aggregate pool throughput
 //
-// With -best N (or the older -runs alias) every run is timed separately and
-// both the best and the median run are summarised — the ROADMAP's
+// With -best N (default 3) every run is timed separately and both the best
+// and the median run are summarised — the ROADMAP's
 // "best-of-N on a noisy box" calibration protocol: the first run pays the
 // page-cache and verify cost of the trace file, the best run is the
 // steady-state number capacity planning needs, and the median quantifies
@@ -52,8 +52,7 @@ func main() {
 		traceFile  = flag.String("trace", "", "recorded trace file to replay (required)")
 		technique  = flag.String("technique", "decay:512K", "technique spec (baseline, protocol, decay:512K, sel_decay:64K, adaptive:128K)")
 		l2MB       = flag.Int("l2mb", 4, "total L2 capacity in MB")
-		best       = flag.Int("best", 0, "timed replay runs; best and median are reported (0 = use -runs)")
-		runs       = flag.Int("runs", 3, "deprecated alias of -best")
+		best       = flag.Int("best", 3, "timed replay runs; best and median are reported")
 		sweepJobs  = flag.Int("sweep-jobs", 0, "also run the paper technique set through the worker pool with N workers and report aggregate throughput (0 = skip)")
 		noThermal  = flag.Bool("no-thermal-feedback", false, "disable the leakage-temperature loop")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the timed runs to this file")
@@ -64,12 +63,9 @@ func main() {
 	if *traceFile == "" {
 		fatalf("-trace is required (record one with tracegen)")
 	}
-	repeats := *runs
-	if *best > 0 {
-		repeats = *best
-	}
+	repeats := *best
 	if repeats < 1 {
-		fatalf("-best (or -runs) must be at least 1")
+		fatalf("-best must be at least 1")
 	}
 	spec, err := cmpleak.ParseTechnique(*technique)
 	if err != nil {
@@ -202,10 +198,11 @@ func sweepThroughput(traceFile string, l2MB, cores int, thermal bool, workers in
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	start := time.Now()
-	sweep, err := cmpleak.RunSweepParallelContext(ctx, opts, cmpleak.SweepParallelism{Workers: workers})
+	sweeps, err := cmpleak.RunSweeps(ctx, []cmpleak.NamedSweepOptions{{Options: opts}}, cmpleak.SweepParallelism{Workers: workers})
 	if err != nil {
 		fatalf("sweep: %v", err)
 	}
+	sweep := sweeps[0]
 	wall := time.Since(start)
 	var simCycles uint64
 	for _, k := range sweep.Keys() {

@@ -10,6 +10,7 @@
 //	leaksweep -benchmarks WATER-NS,FMM -sizes 2,4 -csv
 //	leaksweep -jobs 8              # exactly 8 concurrent simulation workers
 //	leaksweep -scenario scenarios/paper.json        # declarative matrix
+//	leaksweep -cache results/   # persist every job; rerun the command to resume
 //	leaksweep -shard 0/4 -out shard0.json   # this process runs shard 0 of 4
 //	leaksweep -merge 'shard*.json'          # join the shards into one figure set
 //
@@ -21,7 +22,8 @@
 // -out shard files and merges never depend on the worker count.
 //
 // -scenario runs a declarative experiment matrix instead of the flag-driven
-// sweep: the JSON file names the benchmark, size, technique, core-count and
+// sweep (which is itself run as a one-cell batch through the same path):
+// the JSON file names the benchmark, size, technique, core-count and
 // seed axes (plus per-axis overrides) and expands deterministically into one
 // or more sweeps ("cells").  scenarios/paper.json is the paper's own figure
 // matrix.  A multi-cell scenario fans every cell's jobs through the one
@@ -43,19 +45,18 @@
 // Benchmarks may be recorded traces: -benchmarks trace:fmm.trc sweeps a
 // tracegen file through every size and technique like a synthetic name.
 //
-// Long runs survive interruption: -journal FILE appends every completed job
-// to a crash-safe journal (CRC-framed, torn tails self-heal), SIGINT/SIGTERM
-// cancel gracefully — in-flight jobs finish, the journal is flushed, and the
-// exact -resume invocation is printed — and -resume skips every journaled
-// job, producing output byte-identical to an uninterrupted run.  -retries N
-// replays jobs that fail transiently (host I/O) with deterministic backoff.
-//
-// -cache DIR reuses results across runs: completed jobs are written to a
-// persistent content-addressed store (keyed on the sweep's options digest
-// and the job key, stamped with the golden behaviour anchor), and any job
-// already in the store is served from it without simulating — the printed
-// report stays byte-identical either way.  The same directory backs the
-// leakserved service, so CLI runs and service runs share one cache.
+// -cache DIR is how a sweep persists and resumes: completed jobs are
+// written to a persistent content-addressed store (CRC-framed segments
+// whose torn tails self-heal, keyed on the sweep's options digest and the
+// job key, stamped with the golden behaviour anchor), and any job already in
+// the store is served from it without simulating — the printed report stays
+// byte-identical either way.  A sweep interrupted by SIGKILL, a crash or
+// SIGINT/SIGTERM therefore resumes when the same command is run again.
+// SIGINT/SIGTERM cancel gracefully: in-flight jobs finish, the store is
+// flushed, and the command to rerun is printed.  The same directory backs
+// the leakserved service, so CLI runs and service runs share one cache.
+// -retries N replays jobs that fail transiently (host I/O) with
+// deterministic backoff.
 package main
 
 import (
@@ -85,31 +86,17 @@ func main() {
 		fig        = flag.String("fig", "", "print only one figure: 3a, 3b, 4a, 4b, 5a, 5b, 6a, 6b")
 		csv        = flag.Bool("csv", false, "emit CSV instead of markdown")
 		jobs       = flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent simulation workers (one engine each)")
-		parallel   = flag.Int("parallel", 0, "deprecated alias of -jobs (0 = use -jobs)")
 		quiet      = flag.Bool("quiet", false, "suppress the live progress line")
 		shard      = flag.String("shard", "", "run shard i of n sweep jobs, as \"i/n\" (default: all jobs)")
 		out        = flag.String("out", "", "write the run's results as a shard JSON file (one per cell with -scenario)")
 		merge      = flag.String("merge", "", "merge shard JSON files matching this glob instead of running")
-		cache      = flag.String("cache", "", "reuse and record job results in this persistent content-addressed cache directory")
-		journal    = flag.String("journal", "", "append each completed job to this crash-safe journal file")
-		resume     = flag.Bool("resume", false, "skip jobs already recorded in the -journal file")
+		cache      = flag.String("cache", "", "reuse and record job results in this persistent content-addressed cache directory (rerun to resume)")
 		retries    = flag.Int("retries", 0, "extra attempts per job for transient failures (0 = fail on first error)")
 	)
 	flag.Parse()
 
-	if *resume && *journal == "" {
-		fatalf("-resume replays a -journal file; set -journal too")
-	}
 	if *retries < 0 {
 		fatalf("-retries must be >= 0")
-	}
-
-	workers := *jobs
-	if flagWasSet("parallel") {
-		if flagWasSet("jobs") {
-			fatalf("-parallel is a deprecated alias of -jobs; set only one")
-		}
-		workers = *parallel
 	}
 
 	if *merge != "" {
@@ -118,9 +105,6 @@ func main() {
 		}
 		if *scenario != "" {
 			fatalf("-merge joins completed shards; it cannot be combined with -scenario")
-		}
-		if *journal != "" {
-			fatalf("-merge runs nothing; it cannot be combined with -journal")
 		}
 		if *cache != "" {
 			fatalf("-merge runs nothing; it cannot be combined with -cache")
@@ -134,8 +118,8 @@ func main() {
 		return
 	}
 
-	// SIGINT/SIGTERM cancel the pool: in-flight jobs finish, the journal is
-	// flushed, and the resume invocation prints.  A second signal kills the
+	// SIGINT/SIGTERM cancel the pool: in-flight jobs finish, the cache is
+	// flushed, and the rerun command prints.  A second signal kills the
 	// process the usual way (stop() restores default handling after the
 	// first).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -150,10 +134,44 @@ func main() {
 		shardIndex, shardCount = i, n
 	}
 
-	rc := runConfig{
-		workers: workers, quiet: *quiet,
-		journal: *journal, resume: *resume, retries: *retries,
+	var source string
+	var named []cmpleak.NamedSweepOptions
+	if *scenario != "" {
+		for _, name := range []string{"benchmarks", "sizes", "scale", "seed"} {
+			if flagWasSet(name) {
+				fatalf("-scenario files declare the %s axis; drop -%s", name, name)
+			}
+		}
+		source = "scenario " + *scenario
+		named = loadScenario(*scenario)
+	} else {
+		opts := cmpleak.DefaultSweepOptions(*scale)
+		opts.Seed = *seed
+		if *benchmarks != "" {
+			opts.Benchmarks = splitList(*benchmarks)
+		}
+		if *sizes != "" {
+			var mbs []int
+			for _, s := range splitList(*sizes) {
+				mb, err := strconv.Atoi(s)
+				if err != nil {
+					fatalf("invalid -sizes entry %q", s)
+				}
+				mbs = append(mbs, mb)
+			}
+			opts.CacheSizesMB = mbs
+		}
+		source = fmt.Sprintf("sweep (scale=%.3g)", opts.Scale)
+		named = []cmpleak.NamedSweepOptions{{Options: opts}}
 	}
+	for i := range named {
+		named[i].Options.ShardIndex, named[i].Options.ShardCount = shardIndex, shardCount
+	}
+	if shardCount > 1 {
+		source += fmt.Sprintf(" (shard %d/%d)", shardIndex, shardCount)
+	}
+
+	rc := runConfig{workers: *jobs, quiet: *quiet, retries: *retries}
 	if *cache != "" {
 		store, err := cmpleak.OpenResultCache(*cache, cmpleak.ResultCacheOptions{})
 		if err != nil {
@@ -161,47 +179,26 @@ func main() {
 		}
 		rc.store = store
 	}
-
-	if *scenario != "" {
-		for _, name := range []string{"benchmarks", "sizes", "scale", "seed"} {
-			if flagWasSet(name) {
-				fatalf("-scenario files declare the %s axis; drop -%s", name, name)
+	sweeps := runSweeps(ctx, source, named, rc)
+	for i, cell := range named {
+		if len(named) > 1 {
+			// Cell banners separate the per-cell reports for humans; under
+			// -csv they go to stderr so stdout stays machine-parseable.
+			if *csv {
+				fmt.Fprintf(os.Stderr, "== %s ==\n", cell.Name)
+			} else {
+				fmt.Printf("== %s ==\n\n", cell.Name)
 			}
 		}
-		runScenario(ctx, *scenario, shardIndex, shardCount, rc, *out, *fig, *csv)
-		return
+		writeOut(cellOutPath(*out, cell.Name, len(named) > 1), sweeps[i])
+		emitReport(sweeps[i], *fig, *csv)
 	}
-
-	opts := cmpleak.DefaultSweepOptions(*scale)
-	opts.Seed = *seed
-	opts.ShardIndex, opts.ShardCount = shardIndex, shardCount
-	if *benchmarks != "" {
-		opts.Benchmarks = splitList(*benchmarks)
-	}
-	if *sizes != "" {
-		var mbs []int
-		for _, s := range splitList(*sizes) {
-			mb, err := strconv.Atoi(s)
-			if err != nil {
-				fatalf("invalid -sizes entry %q", s)
-			}
-			mbs = append(mbs, mb)
-		}
-		opts.CacheSizesMB = mbs
-	}
-
-	sweep := runSweep(ctx, opts, "", rc)
-	writeOut(*out, sweep)
-	emitReport(sweep, *fig, *csv)
 }
 
-// runConfig bundles the execution settings shared by the flag-driven and
-// scenario paths.
+// runConfig bundles the execution settings of a run.
 type runConfig struct {
 	workers int
 	quiet   bool
-	journal string
-	resume  bool
 	retries int
 	// store, when non-nil, is the persistent content-addressed result cache
 	// (-cache): jobs it holds are served without simulating, and every
@@ -209,76 +206,48 @@ type runConfig struct {
 	store *cmpleak.ResultCache
 }
 
-// parallelism builds the pool configuration: workers, live progress, the
-// retry policy (seeded so backoff schedules are reproducible), with
-// -journal the journal appender chained onto the progress callback plus the
-// resume lookup, and with -cache the persistent store chained after both —
-// resume-set hits win (no store lookup), store hits skip simulation, and
-// every simulated job is written through.  It returns the open journal (nil
-// without -journal) and how many jobs resume will skip.
-func (rc runConfig) parallelism(prefix string, named []cmpleak.NamedSweepOptions, seed uint64) (cmpleak.SweepParallelism, *cmpleak.SweepJournal, int) {
+// loadScenario reads and expands the scenario file into the pool's batch
+// input, one entry per cell.
+func loadScenario(path string) []cmpleak.NamedSweepOptions {
+	sc, err := cmpleak.LoadScenario(path)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	cells, err := sc.Expand(cmpleak.DefaultConfig())
+	if err != nil {
+		fatalf("%s: %v", path, err)
+	}
+	return cmpleak.ScenarioNamedOptions(cells)
+}
+
+// runSweeps fans every sweep's jobs out through one shared worker pool and
+// returns one Sweep per entry, in order.  With -cache the store's ReuseFor
+// serves the jobs it holds and every simulated job is written through.  On
+// exit it closes the store (printing its hit/write summary) and translates
+// a pool error into an exit: cancellation exits 130 (the SIGINT convention)
+// and, with -cache, prints the command that resumes the run; anything else
+// is fatal.
+func runSweeps(ctx context.Context, source string, named []cmpleak.NamedSweepOptions, rc runConfig) []*cmpleak.Sweep {
+	const prefix = "leaksweep"
+	totalJobs := 0
+	for i := range named {
+		totalJobs += len(named[i].Options.Jobs())
+	}
+	fmt.Fprintf(os.Stderr, "%s: %s: %d cell(s), %d jobs, %d worker(s)\n",
+		prefix, source, len(named), totalJobs, effectiveWorkers(rc.workers, totalJobs))
+
 	p := cmpleak.SweepParallelism{
 		Workers:  rc.workers,
 		Progress: progressLine(prefix, rc.quiet),
 	}
 	if rc.retries > 0 {
-		p.Retry = cmpleak.SweepRetryPolicy{MaxAttempts: rc.retries + 1, Seed: seed}
-	}
-	digests := make([]string, len(named))
-	for i := range named {
-		digests[i] = named[i].Options.Digest()
-	}
-	var j *cmpleak.SweepJournal
-	skipped := 0
-	if rc.journal != "" {
-		var recs []cmpleak.SweepJournalRecord
-		var err error
-		j, recs, err = cmpleak.OpenSweepJournal(rc.journal)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if len(recs) > 0 && !rc.resume {
-			fatalf("journal %s already holds %d records; pass -resume to continue that run or remove the file",
-				rc.journal, len(recs))
-		}
-		if rc.resume && len(recs) > 0 {
-			rs := cmpleak.BuildSweepResumeSet(named, recs)
-			if rs.Ignored() > 0 {
-				fmt.Fprintf(os.Stderr, "%s: journal %s: ignoring %d record(s) from other configurations\n",
-					prefix, rc.journal, rs.Ignored())
-			}
-			fmt.Fprintf(os.Stderr, "%s: resuming from %s: skipping %d journaled job(s)\n",
-				prefix, rc.journal, rs.Matched())
-			p.Reuse = rs.Lookup
-			skipped = rs.Matched()
-		}
-		inner := p.Progress
-		p.Progress = func(ev cmpleak.SweepJobEvent) {
-			if ev.Err == nil {
-				if aerr := j.Append(cmpleak.SweepJournalRecord{
-					Cell: ev.Cell, OptionsDigest: digests[ev.Sweep], Key: ev.Key, Result: ev.Result,
-				}); aerr != nil {
-					fmt.Fprintf(os.Stderr, "%s: journal append: %v\n", prefix, aerr)
-				}
-			}
-			if inner != nil {
-				inner(ev)
-			}
-		}
+		p.Retry = cmpleak.SweepRetryPolicy{MaxAttempts: rc.retries + 1}
 	}
 	if rc.store != nil {
-		byCell := make(map[string]string, len(named))
+		p.Reuse = rc.store.ReuseFor(named)
+		digests := make([]string, len(named))
 		for i := range named {
-			byCell[named[i].Name] = digests[i]
-		}
-		prevReuse := p.Reuse
-		p.Reuse = func(cell string, key cmpleak.SweepKey) (cmpleak.Result, bool) {
-			if prevReuse != nil {
-				if res, ok := prevReuse(cell, key); ok {
-					return res, true
-				}
-			}
-			return rc.store.Get(byCell[cell], key)
+			digests[i] = named[i].Options.Digest()
 		}
 		inner := p.Progress
 		p.Progress = func(ev cmpleak.SweepJobEvent) {
@@ -294,19 +263,9 @@ func (rc runConfig) parallelism(prefix string, named []cmpleak.NamedSweepOptions
 			}
 		}
 	}
-	return p, j, skipped
-}
 
-// finishRun closes the journal and the cache store (printing its hit/write
-// summary) and translates a pool error into an exit: cancellation prints
-// the exact resume invocation (exit 130, the SIGINT convention), anything
-// else is fatal.
-func finishRun(prefix string, err error, j *cmpleak.SweepJournal, rc runConfig) {
-	if j != nil {
-		if cerr := j.Close(); cerr != nil {
-			fmt.Fprintf(os.Stderr, "%s: closing journal: %v\n", prefix, cerr)
-		}
-	}
+	start := time.Now()
+	sweeps, err := cmpleak.RunSweeps(ctx, named, p)
 	if rc.store != nil {
 		st := rc.store.Stats()
 		fmt.Fprintf(os.Stderr, "%s: cache: %d job(s) reused, %d result(s) recorded\n",
@@ -315,67 +274,19 @@ func finishRun(prefix string, err error, j *cmpleak.SweepJournal, rc runConfig) 
 			fmt.Fprintf(os.Stderr, "%s: closing cache: %v\n", prefix, cerr)
 		}
 	}
-	if err == nil {
-		return
-	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", prefix, err)
-		if rc.journal != "" {
-			args := append([]string(nil), os.Args...)
-			if !rc.resume {
-				args = append(args, "-resume")
-			}
-			fmt.Fprintf(os.Stderr, "%s: completed jobs are journaled; resume with:\n  %s\n",
-				prefix, strings.Join(args, " "))
+		if rc.store != nil {
+			fmt.Fprintf(os.Stderr, "%s: completed jobs are cached; resume by rerunning:\n  %s\n",
+				prefix, strings.Join(os.Args, " "))
 		}
 		os.Exit(130)
 	}
-	fatalf("sweep failed: %v", err)
-}
-
-// runScenario expands the scenario file and fans every cell out through one
-// shared worker pool, then reports the cells in order.
-func runScenario(ctx context.Context, path string, shardIndex, shardCount int, rc runConfig, out, fig string, csv bool) {
-	sc, err := cmpleak.LoadScenario(path)
 	if err != nil {
-		fatalf("%v", err)
+		fatalf("sweep failed: %v", err)
 	}
-	cells, err := sc.Expand(cmpleak.DefaultConfig())
-	if err != nil {
-		fatalf("%s: %v", path, err)
-	}
-	totalJobs := 0
-	for i := range cells {
-		cells[i].Options.ShardIndex, cells[i].Options.ShardCount = shardIndex, shardCount
-		totalJobs += len(cells[i].Options.Jobs())
-	}
-	if shardCount > 1 {
-		fmt.Fprintf(os.Stderr, "leaksweep: scenario %s: %d cell(s), %d jobs (shard %d/%d), %d worker(s)\n",
-			path, len(cells), totalJobs, shardIndex, shardCount, effectiveWorkers(rc.workers, totalJobs))
-	} else {
-		fmt.Fprintf(os.Stderr, "leaksweep: scenario %s: %d cell(s), %d jobs, %d worker(s)\n",
-			path, len(cells), totalJobs, effectiveWorkers(rc.workers, totalJobs))
-	}
-
-	p, j, _ := rc.parallelism("leaksweep", cmpleak.ScenarioNamedOptions(cells), 0)
-	start := time.Now()
-	sweeps, err := cmpleak.RunScenarioCellsContext(ctx, cells, p)
-	finishRun("leaksweep", err, j, rc)
-	fmt.Fprintf(os.Stderr, "leaksweep: done in %s\n", time.Since(start).Round(time.Second))
-
-	for i, cell := range cells {
-		if len(cells) > 1 {
-			// Cell banners separate the per-cell reports for humans; under
-			// -csv they go to stderr so stdout stays machine-parseable.
-			if csv {
-				fmt.Fprintf(os.Stderr, "== %s ==\n", cell.Name)
-			} else {
-				fmt.Printf("== %s ==\n\n", cell.Name)
-			}
-		}
-		writeOut(cellOutPath(out, cell.Name, len(cells) > 1), sweeps[i])
-		emitReport(sweeps[i], fig, csv)
-	}
+	fmt.Fprintf(os.Stderr, "%s: done in %s\n", prefix, time.Since(start).Round(time.Second))
+	return sweeps
 }
 
 // effectiveWorkers mirrors the pool's clamping for the banner.
@@ -443,29 +354,6 @@ func cellOutPath(out, cellName string, multi bool) string {
 	safe := strings.NewReplacer("/", "-", " ", "_").Replace(cellName)
 	ext := filepath.Ext(out)
 	return strings.TrimSuffix(out, ext) + "." + safe + ext
-}
-
-// runSweep executes one sweep through the worker pool with live progress.
-func runSweep(ctx context.Context, opts cmpleak.SweepOptions, label string, rc runConfig) *cmpleak.Sweep {
-	runs := len(opts.Jobs())
-	prefix := "leaksweep"
-	if label != "" {
-		prefix = "leaksweep[" + label + "]"
-	}
-	if opts.ShardCount > 1 {
-		fmt.Fprintf(os.Stderr, "%s: running %d simulations (shard %d/%d, scale=%.3g, %d worker(s))...\n",
-			prefix, runs, opts.ShardIndex, opts.ShardCount, opts.Scale, effectiveWorkers(rc.workers, runs))
-	} else {
-		fmt.Fprintf(os.Stderr, "%s: running %d simulations (scale=%.3g, %d worker(s))...\n",
-			prefix, runs, opts.Scale, effectiveWorkers(rc.workers, runs))
-	}
-	named := []cmpleak.NamedSweepOptions{{Options: opts}}
-	p, j, _ := rc.parallelism(prefix, named, opts.Seed)
-	start := time.Now()
-	sweep, err := cmpleak.RunSweepParallelContext(ctx, opts, p)
-	finishRun(prefix, err, j, rc)
-	fmt.Fprintf(os.Stderr, "%s: done in %s\n", prefix, time.Since(start).Round(time.Second))
-	return sweep
 }
 
 // flagWasSet reports whether the named flag was given explicitly.

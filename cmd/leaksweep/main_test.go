@@ -1,16 +1,18 @@
 package main
 
 // Crash-resume integration tests: a real leaksweep subprocess is killed
-// (SIGKILL — no cleanup of any kind) mid-sweep with -journal, resumed with
-// -resume, and the resumed stdout must be byte-identical to an
-// uninterrupted run.  The subprocess is this test binary re-executed with
-// LEAKSWEEP_RUN_MAIN=1, so no separate build step is needed.
+// (SIGKILL — no cleanup of any kind) or interrupted (SIGINT) mid-sweep with
+// -cache, the same command is rerun, and its stdout must be byte-identical
+// to an uninterrupted run.  The subprocess is this test binary re-executed
+// with LEAKSWEEP_RUN_MAIN=1, so no separate build step is needed.
 
 import (
 	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -52,22 +54,39 @@ func runMain(t *testing.T, args []string) (stdout, stderr string, exitCode int) 
 	return outBuf.String(), errBuf.String(), code
 }
 
-// waitForRecords polls the journal until it holds at least n records.
-func waitForRecords(t *testing.T, path string, n int) {
+// waitForCacheRecord polls the cache directory until a segment holds more
+// than its 8-byte magic, i.e. at least part of one record has been written.
+func waitForCacheRecord(t *testing.T, dir string) {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		if recs, err := cmpleak.LoadSweepJournal(path); err == nil && len(recs) >= n {
-			return
+		segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.cas"))
+		for _, seg := range segs {
+			if fi, err := os.Stat(seg); err == nil && fi.Size() > 8 {
+				return
+			}
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("journal %s never reached %d records", path, n)
+	t.Fatalf("cache %s never received a record", dir)
 }
 
-// TestCrashResumeByteIdentical is the tentpole's end-to-end proof: SIGKILL
-// a journaling sweep mid-run, resume it, and compare stdout byte for byte
-// against an uninterrupted run.
+var reusedRE = regexp.MustCompile(`cache: (\d+) job\(s\) reused`)
+
+// reusedJobs parses the cache summary line of a run's stderr.
+func reusedJobs(t *testing.T, stderr string) int {
+	t.Helper()
+	m := reusedRE.FindStringSubmatch(stderr)
+	if m == nil {
+		t.Fatalf("no cache summary on stderr:\n%s", stderr)
+	}
+	n, _ := strconv.Atoi(m[1])
+	return n
+}
+
+// TestCrashResumeByteIdentical is the end-to-end resume proof: SIGKILL a
+// caching sweep mid-run, rerun the same command, and compare stdout byte
+// for byte against an uninterrupted run.
 func TestCrashResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
@@ -80,31 +99,39 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 		t.Fatalf("reference run produced no report:\n%s", wantOut)
 	}
 
-	jnl := filepath.Join(t.TempDir(), "crash.jnl")
-	cmd := exec.Command(os.Args[0], sweepArgs("-journal", jnl)...)
+	dir := filepath.Join(t.TempDir(), "cache")
+	args := sweepArgs("-cache", dir)
+	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "LEAKSWEEP_RUN_MAIN=1")
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Kill as soon as at least one job is journaled but (hopefully) before
-	// the sweep finishes.  If the process wins the race and completes, the
-	// resume below simply reuses everything — the assertion holds either way.
-	waitForRecords(t, jnl, 1)
+	// Kill as soon as a record is being written but (hopefully) before the
+	// sweep finishes.  If the process wins the race and completes, the
+	// rerun below simply reuses everything — the assertion holds either way.
+	waitForCacheRecord(t, dir)
 	cmd.Process.Kill() // SIGKILL: no flush, no handler, nothing
 	cmd.Wait()
 
-	recsBefore, err := cmpleak.LoadSweepJournal(jnl)
+	store, err := cmpleak.OpenResultCache(dir, cmpleak.ResultCacheOptions{})
 	if err != nil {
-		t.Fatalf("journal unreadable after SIGKILL: %v", err)
+		t.Fatalf("cache unreadable after SIGKILL: %v", err)
 	}
-	t.Logf("killed with %d of 8 jobs journaled", len(recsBefore))
+	cached := store.Stats().Entries
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if cached < 1 {
+		t.Fatalf("cache holds %d records after SIGKILL, want at least 1", cached)
+	}
+	t.Logf("killed with %d of 8 jobs cached", cached)
 
-	gotOut, gotErr, code := runMain(t, sweepArgs("-journal", jnl, "-resume"))
+	gotOut, gotErr, code := runMain(t, args)
 	if code != 0 {
-		t.Fatalf("resume run exited %d:\n%s", code, gotErr)
+		t.Fatalf("rerun exited %d:\n%s", code, gotErr)
 	}
-	if !strings.Contains(gotErr, "resuming from") {
-		t.Fatalf("resume run did not announce the resume:\n%s", gotErr)
+	if reused := reusedJobs(t, gotErr); reused < cached {
+		t.Fatalf("rerun reused %d job(s), want at least the %d cached before the kill:\n%s", reused, cached, gotErr)
 	}
 	if gotOut != wantOut {
 		t.Fatalf("resumed stdout diverged from the uninterrupted run\n--- want ---\n%s\n--- got ---\n%s", wantOut, gotOut)
@@ -152,27 +179,6 @@ func TestCacheWarmRunByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCacheComposesWithJournalResume runs -cache and -journal together.
-func TestCacheComposesWithJournalResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real simulations")
-	}
-	dir := t.TempDir()
-	cacheDir := filepath.Join(dir, "cache")
-	jnl := filepath.Join(dir, "run.jnl")
-	wantOut, _, code := runMain(t, sweepArgs())
-	if code != 0 {
-		t.Fatal("reference run failed")
-	}
-	gotOut, gotErr, code := runMain(t, sweepArgs("-cache", cacheDir, "-journal", jnl, "-resume"))
-	if code != 0 {
-		t.Fatalf("cache+journal run exited %d:\n%s", code, gotErr)
-	}
-	if gotOut != wantOut {
-		t.Fatal("cache+journal stdout diverged from plain run")
-	}
-}
-
 func TestCacheRefusedWithMerge(t *testing.T) {
 	_, stderr, code := runMain(t, []string{"-merge", "nope*.json", "-cache", "c"})
 	if code == 0 {
@@ -183,45 +189,16 @@ func TestCacheRefusedWithMerge(t *testing.T) {
 	}
 }
 
-// TestJournalRefusesStaleWithoutResume proves an existing journal is never
-// silently overwritten.
-func TestJournalRefusesStaleWithoutResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real simulations")
-	}
-	jnl := filepath.Join(t.TempDir(), "done.jnl")
-	if _, _, code := runMain(t, sweepArgs("-journal", jnl)); code != 0 {
-		t.Fatalf("journaled run exited %d", code)
-	}
-	_, stderr, code := runMain(t, sweepArgs("-journal", jnl))
-	if code == 0 {
-		t.Fatal("rerun over a populated journal succeeded without -resume")
-	}
-	if !strings.Contains(stderr, "-resume") {
-		t.Fatalf("refusal does not point at -resume:\n%s", stderr)
-	}
-}
-
-// TestResumeRequiresJournal pins the flag contract.
-func TestResumeRequiresJournal(t *testing.T) {
-	_, stderr, code := runMain(t, sweepArgs("-resume"))
-	if code == 0 {
-		t.Fatal("-resume without -journal accepted")
-	}
-	if !strings.Contains(stderr, "-journal") {
-		t.Fatalf("error does not mention -journal:\n%s", stderr)
-	}
-}
-
 // TestSigintGracefulShutdown sends SIGINT mid-sweep: the process must exit
-// 130, flush the journal, and print the exact resume invocation.
+// 130, flush the cache, and print the original command to rerun unchanged;
+// rerunning it completes the sweep from the cache.
 func TestSigintGracefulShutdown(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
-	jnl := filepath.Join(t.TempDir(), "int.jnl")
+	dir := filepath.Join(t.TempDir(), "cache")
 	// -jobs 1 stretches the run so the signal lands before completion.
-	args := sweepArgs("-journal", jnl)
+	args := sweepArgs("-cache", dir)
 	for i, a := range args {
 		if a == "-jobs" {
 			args[i+1] = "1"
@@ -234,7 +211,7 @@ func TestSigintGracefulShutdown(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	waitForRecords(t, jnl, 1)
+	waitForCacheRecord(t, dir)
 	cmd.Process.Signal(syscall.SIGINT)
 	err := cmd.Wait()
 	ee, ok := err.(*exec.ExitError)
@@ -244,17 +221,92 @@ func TestSigintGracefulShutdown(t *testing.T) {
 	if !ok || ee.ExitCode() != 130 {
 		t.Fatalf("interrupted run exited %v, want code 130\n%s", err, errBuf.String())
 	}
-	for _, want := range []string{"canceled", "resume with", "-resume"} {
+	rerun := "\n  " + strings.Join(append([]string{os.Args[0]}, args...), " ") + "\n"
+	for _, want := range []string{"canceled", "resume by rerunning", rerun} {
 		if !strings.Contains(errBuf.String(), want) {
 			t.Fatalf("shutdown message missing %q:\n%s", want, errBuf.String())
 		}
 	}
-	// The journal must be loadable and feed a clean resume.
-	gotOut, _, code := runMain(t, sweepArgs("-journal", jnl, "-resume"))
+	// The same command completes the sweep from the flushed cache.
+	gotOut, gotErr, code := runMain(t, args)
 	if code != 0 {
-		t.Fatalf("resume after SIGINT exited %d", code)
+		t.Fatalf("rerun after SIGINT exited %d:\n%s", code, gotErr)
+	}
+	if reusedJobs(t, gotErr) < 1 {
+		t.Fatalf("rerun after SIGINT reused nothing:\n%s", gotErr)
 	}
 	if !strings.Contains(gotOut, "Figure") {
-		t.Fatal("resume after SIGINT produced no report")
+		t.Fatal("rerun after SIGINT produced no report")
+	}
+}
+
+// twoCellScenario expands to two cells (2- and 4-core) of two jobs each.
+const twoCellScenario = `{
+  "version": 1,
+  "name": "tiny",
+  "benchmarks": ["FMM"],
+  "l2_sizes_mb": [1],
+  "techniques": ["decay:8K"],
+  "core_counts": [2, 4],
+  "scale": 0.005
+}`
+
+// TestScenarioCacheWarmRunByteIdentical runs a two-cell scenario cold and
+// then warm over one -cache: the warm run reuses every job, prints
+// byte-identical stdout, and rewrites identical per-cell -out files.
+func TestScenarioCacheWarmRunByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "tiny.json")
+	if err := os.WriteFile(path, []byte(twoCellScenario), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := cmpleak.ParseScenario([]byte(twoCellScenario))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := sc.Expand(cmpleak.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 2 {
+		t.Fatalf("scenario expands to %d cells, want 2", len(cells))
+	}
+	out := filepath.Join(dir, "res.json")
+	args := []string{"-scenario", path, "-cache", filepath.Join(dir, "cache"), "-out", out, "-jobs", "2", "-quiet"}
+
+	run := func(summary string) (string, map[string][]byte) {
+		stdout, stderr, code := runMain(t, args)
+		if code != 0 {
+			t.Fatalf("run exited %d:\n%s", code, stderr)
+		}
+		if !strings.Contains(stderr, summary) {
+			t.Fatalf("stderr lacks %q:\n%s", summary, stderr)
+		}
+		files := map[string][]byte{}
+		for _, c := range cells {
+			name := cellOutPath(out, c.Name, true)
+			data, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatalf("cell %s: %v", c.Name, err)
+			}
+			files[name] = data
+			if !strings.Contains(stdout, "== "+c.Name+" ==") {
+				t.Fatalf("stdout lacks the banner of cell %s", c.Name)
+			}
+		}
+		return stdout, files
+	}
+	coldOut, coldFiles := run("cache: 0 job(s) reused, 4 result(s) recorded")
+	warmOut, warmFiles := run("cache: 4 job(s) reused, 0 result(s) recorded")
+	if warmOut != coldOut {
+		t.Fatalf("warm stdout diverged from cold run\n--- cold ---\n%s\n--- warm ---\n%s", coldOut, warmOut)
+	}
+	for name, data := range coldFiles {
+		if !bytes.Equal(warmFiles[name], data) {
+			t.Fatalf("warm run rewrote %s with different bytes", name)
+		}
 	}
 }

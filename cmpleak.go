@@ -130,21 +130,17 @@ func DefaultSweepOptions(scale float64) SweepOptions {
 	return experiment.DefaultOptions(scale)
 }
 
-// RunSweep executes an experiment sweep (baselines plus every technique for
-// every benchmark and cache size) and returns the result set from which the
-// figures are generated.
-func RunSweep(opts SweepOptions) (*Sweep, error) { return experiment.Run(opts) }
-
-// SweepParallelism configures the in-process worker pool of
-// RunSweepParallel / RunScenarioCells: the worker count (one engine per
-// worker; 0 = GOMAXPROCS) and an optional per-job progress callback.
+// SweepParallelism configures the in-process worker pool of RunSweeps: the
+// worker count (one engine per worker; 0 = GOMAXPROCS), an optional per-job
+// progress callback, the retry policy and an optional Reuse lookup (a
+// ResultCache's ReuseFor).
 type SweepParallelism = experiment.Parallelism
 
 // SweepJobEvent is one pool progress notification: the job's key, its cell
 // label, success or failure, and completed/total counts.
 type SweepJobEvent = experiment.JobEvent
 
-// NamedSweepOptions labels one sweep of a RunSweepBatch batch.
+// NamedSweepOptions labels one sweep of a RunSweeps batch.
 type NamedSweepOptions = experiment.NamedOptions
 
 // SweepKey identifies one job of a sweep: (benchmark, size, technique).
@@ -159,74 +155,20 @@ type SweepRetryPolicy = experiment.RetryPolicy
 // pool drains cleanly and returns this instead of crashing the process.
 type SweepJobPanicError = experiment.JobPanicError
 
-// RunSweepParallel executes one sweep through the in-process worker pool;
-// the result is byte-identical (digest, figures, report) to RunSweep at any
-// worker count.
-func RunSweepParallel(opts SweepOptions, p SweepParallelism) (*Sweep, error) {
-	return experiment.RunParallel(opts, p)
-}
-
-// RunSweepParallelContext is RunSweepParallel with cancellation: when ctx
+// RunSweeps executes every sweep of the batch (baselines plus every
+// technique for every benchmark and cache size) through one shared
+// in-process worker pool and returns one Sweep per entry, in input order.
+// Each is byte-identical (digest, figures, report) to running that sweep
+// alone at any worker count; a single sweep is a one-entry batch.  When ctx
 // is canceled, in-flight jobs finish, queued jobs are skipped, and the pool
 // returns a cancellation error naming how far it got.
-func RunSweepParallelContext(ctx context.Context, opts SweepOptions, p SweepParallelism) (*Sweep, error) {
-	return experiment.RunParallelContext(ctx, opts, p)
+func RunSweeps(ctx context.Context, sweeps []NamedSweepOptions, p SweepParallelism) ([]*Sweep, error) {
+	return experiment.RunParallelAllContext(ctx, sweeps, p)
 }
 
-// RunSweepBatch executes several sweeps' jobs through one shared pool and
-// returns one Sweep per entry, in input order.
-func RunSweepBatch(cells []NamedSweepOptions, p SweepParallelism) ([]*Sweep, error) {
-	return experiment.RunParallelAll(cells, p)
-}
-
-// RunScenarioCells fans every expanded scenario cell out through one shared
-// worker pool and returns one Sweep per cell, in cell order, each
-// byte-identical to running the cell serially.
-func RunScenarioCells(cells []ScenarioCell, p SweepParallelism) ([]*Sweep, error) {
-	return scenario.RunCells(cells, p)
-}
-
-// RunScenarioCellsContext is RunScenarioCells with cancellation via ctx.
-func RunScenarioCellsContext(ctx context.Context, cells []ScenarioCell, p SweepParallelism) ([]*Sweep, error) {
-	return scenario.RunCellsContext(ctx, cells, p)
-}
-
-// ScenarioNamedOptions converts expanded cells to the pool's batch input
-// (used to build resume sets against exactly the sweeps that will run).
+// ScenarioNamedOptions converts expanded cells to RunSweeps' batch input.
 func ScenarioNamedOptions(cells []ScenarioCell) []NamedSweepOptions {
 	return scenario.NamedOptions(cells)
-}
-
-// SweepJournal is an open crash-safe cell journal: an append-only,
-// CRC-framed record file written as each job completes, so an interrupted
-// sweep resumes from its last completed job instead of restarting.
-type SweepJournal = experiment.Journal
-
-// SweepJournalRecord is one completed job in a journal: the sweep it
-// belongs to (cell name + options digest), the job key and the full result.
-type SweepJournalRecord = experiment.JournalRecord
-
-// SweepResumeSet indexes journal records for reuse by the pool; build it
-// with BuildSweepResumeSet and pass Lookup as SweepParallelism.Reuse.
-type SweepResumeSet = experiment.ResumeSet
-
-// OpenSweepJournal opens (creating if needed) the journal at path for
-// appending and returns the records already in it; a torn or corrupt tail
-// is truncated away first.
-func OpenSweepJournal(path string) (*SweepJournal, []SweepJournalRecord, error) {
-	return experiment.OpenJournal(path)
-}
-
-// LoadSweepJournal reads the records of the journal at path without opening
-// it for writing.
-func LoadSweepJournal(path string) ([]SweepJournalRecord, error) {
-	return experiment.LoadJournal(path)
-}
-
-// BuildSweepResumeSet filters journal records against the sweeps about to
-// run: only records whose cell name and options digest match are reused.
-func BuildSweepResumeSet(cells []NamedSweepOptions, recs []SweepJournalRecord) *SweepResumeSet {
-	return experiment.BuildResumeSet(cells, recs)
 }
 
 // SweepShard is the JSON-serialisable snapshot of one sweep invocation

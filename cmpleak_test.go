@@ -1,6 +1,7 @@
 package cmpleak
 
 import (
+	"context"
 	"testing"
 )
 
@@ -91,10 +92,11 @@ func TestRunSweepSmall(t *testing.T) {
 	opts.Benchmarks = []string{"facerec"}
 	opts.CacheSizesMB = []int{1}
 	opts.Techniques = []TechniqueSpec{Protocol(), Decay(8 * 1024)}
-	sweep, err := RunSweep(opts)
+	sweeps, err := RunSweeps(context.Background(), []NamedSweepOptions{{Options: opts}}, SweepParallelism{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sweep := sweeps[0]
 	fig := sweep.Figure5a()
 	if len(fig.Rows) != 2 {
 		t.Fatalf("figure rows %d, want 2", len(fig.Rows))

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -31,10 +32,12 @@ func main() {
 
 	fmt.Printf("Running %d benchmarks x %d techniques (+baselines) at %d MB...\n",
 		len(opts.Benchmarks), len(techniques), *sizeMB)
-	sweep, err := cmpleak.RunSweep(opts)
+	sweeps, err := cmpleak.RunSweeps(context.Background(),
+		[]cmpleak.NamedSweepOptions{{Options: opts}}, cmpleak.SweepParallelism{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	sweep := sweeps[0]
 
 	fmt.Println()
 	fmt.Println(sweep.HeadlineAt(*sizeMB).String())

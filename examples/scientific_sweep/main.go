@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -27,10 +28,12 @@ func main() {
 	}
 
 	fmt.Printf("Sweeping %v over %v MB...\n", opts.Benchmarks, opts.CacheSizesMB)
-	sweep, err := cmpleak.RunSweep(opts)
+	sweeps, err := cmpleak.RunSweeps(context.Background(),
+		[]cmpleak.NamedSweepOptions{{Options: opts}}, cmpleak.SweepParallelism{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	sweep := sweeps[0]
 
 	fmt.Println()
 	fmt.Println(sweep.Figure3a().Markdown()) // occupation

@@ -51,7 +51,7 @@ func benchSweep(b *testing.B, workers int) {
 	jobs := len(opts.Jobs())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunParallel(opts, Parallelism{Workers: workers}); err != nil {
+		if _, err := runSweep(opts, Parallelism{Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
 	}

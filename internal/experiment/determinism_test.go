@@ -36,11 +36,11 @@ func determinismOptions() Options {
 
 func TestSweepRunsAreBitForBitIdentical(t *testing.T) {
 	opts := determinismOptions()
-	first, err := Run(opts)
+	first, err := runSweep(opts, Parallelism{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := Run(opts)
+	second, err := runSweep(opts, Parallelism{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +114,10 @@ func TestRunCancelsRemainingJobsOnError(t *testing.T) {
 	}
 
 	opts := DefaultOptions(0.01) // full matrix: 6 benchmarks x 4 sizes x 8 runs
-	opts.Parallelism = 2
-	_, err := Run(opts)
+	const workers = 2
+	_, err := runSweep(opts, Parallelism{Workers: workers})
 	if err == nil {
-		t.Fatal("Run returned nil error despite a failing job")
+		t.Fatal("sweep returned nil error despite a failing job")
 	}
 	total := len(opts.Benchmarks) * len(opts.CacheSizesMB) * (len(opts.Techniques) + 1)
 	mu.Lock()
@@ -125,8 +125,8 @@ func TestRunCancelsRemainingJobsOnError(t *testing.T) {
 	mu.Unlock()
 	// Only jobs already in flight when the failure hit may still run: that
 	// is bounded by the worker count, not the sweep size.
-	if n > opts.Parallelism+1 {
+	if n > workers+1 {
 		t.Fatalf("%d of %d jobs simulated after the first failure; want at most %d in-flight",
-			n, total, opts.Parallelism+1)
+			n, total, workers+1)
 	}
 }

@@ -31,7 +31,7 @@ func getTinySweep(t *testing.T) *Sweep {
 	if tinySweep != nil {
 		return tinySweep
 	}
-	s, err := Run(tinyOptions())
+	s, err := runSweep(tinyOptions(), Parallelism{})
 	if err != nil {
 		t.Fatalf("sweep failed: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestOptionsValidation(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("zero cache size accepted")
 	}
-	if _, err := Run(bad); err == nil {
+	if _, err := runSweep(bad, Parallelism{}); err == nil {
 		t.Fatal("Run accepted invalid options")
 	}
 }

@@ -31,7 +31,7 @@ func TestJobPanicContained(t *testing.T) {
 		}}); err != nil {
 			t.Fatal(err)
 		}
-		_, err := RunParallelAll([]NamedOptions{{Name: "cellA", Options: opts}},
+		_, err := RunParallelAllContext(context.Background(), []NamedOptions{{Name: "cellA", Options: opts}},
 			Parallelism{Workers: workers})
 		faultinject.Disarm()
 		if err == nil {
@@ -66,7 +66,7 @@ func TestPanicErrorDeterministicAcrossWorkers(t *testing.T) {
 		}}); err != nil {
 			t.Fatal(err)
 		}
-		_, err := RunParallel(opts, Parallelism{Workers: workers})
+		_, err := runSweep(opts, Parallelism{Workers: workers})
 		faultinject.Disarm()
 		if err == nil {
 			t.Fatalf("workers=%d: no error", workers)
@@ -94,7 +94,7 @@ func TestPanicErrorDeterministicAcrossWorkers(t *testing.T) {
 func TestRetryTransientRecovers(t *testing.T) {
 	defer faultinject.Disarm()
 	opts := parallelOptions()
-	clean, err := RunParallel(opts, Parallelism{Workers: 2})
+	clean, err := runSweep(opts, Parallelism{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestRetryTransientRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var extraAttempts atomic.Int64
-	got, err := RunParallel(opts, Parallelism{
+	got, err := runSweep(opts, Parallelism{
 		Workers: 2,
 		Retry:   RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, Seed: 1},
 		Progress: func(ev JobEvent) {
@@ -136,7 +136,7 @@ func TestPermanentErrorFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sawAttempts int
-	_, err := RunParallel(parallelOptions(), Parallelism{
+	_, err := runSweep(parallelOptions(), Parallelism{
 		Workers: 2,
 		Retry:   RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond},
 		Progress: func(ev JobEvent) {
@@ -166,7 +166,7 @@ func TestRetryExhaustionReportsLastError(t *testing.T) {
 		t.Fatal(err)
 	}
 	var worst int
-	_, err := RunParallel(parallelOptions(), Parallelism{
+	_, err := runSweep(parallelOptions(), Parallelism{
 		Workers: 1,
 		Retry:   RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
 		Progress: func(ev JobEvent) {
@@ -194,7 +194,7 @@ func TestContextCancellation(t *testing.T) {
 	total := len(opts.Jobs())
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := 0
-	_, err := RunParallelContext(ctx, opts, Parallelism{
+	_, err := RunParallelAllContext(ctx, []NamedOptions{{Options: opts}}, Parallelism{
 		Workers: 1,
 		Progress: func(ev JobEvent) {
 			ran++
@@ -222,7 +222,7 @@ func TestContextTimeout(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	<-ctx.Done()
-	_, err := RunParallelContext(ctx, parallelOptions(), Parallelism{Workers: 2})
+	_, err := RunParallelAllContext(ctx, []NamedOptions{{Options: parallelOptions()}}, Parallelism{Workers: 2})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired context returned %v, want DeadlineExceeded", err)
 	}
@@ -260,7 +260,7 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 // must still produce the clean sweep.
 func TestRetryOnRealJobFailure(t *testing.T) {
 	opts := parallelOptions()
-	clean, err := RunParallel(opts, Parallelism{Workers: 2})
+	clean, err := runSweep(opts, Parallelism{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestRetryOnRealJobFailure(t *testing.T) {
 		}
 		return orig(cfg)
 	}
-	got, err := RunParallel(opts, Parallelism{
+	got, err := runSweep(opts, Parallelism{
 		Workers: 2,
 		Retry:   RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
 	})

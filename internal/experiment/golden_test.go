@@ -46,7 +46,7 @@ func goldenOptions() Options {
 }
 
 func TestGoldenSweepDigest(t *testing.T) {
-	sweep, err := Run(goldenOptions())
+	sweep, err := runSweep(goldenOptions(), Parallelism{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func coreCountOptions(cores int) Options {
 
 func TestGoldenCoreCountMatrix(t *testing.T) {
 	for cores, want := range goldenCoreCountDigests {
-		sweep, err := Run(coreCountOptions(cores))
+		sweep, err := runSweep(coreCountOptions(cores), Parallelism{})
 		if err != nil {
 			t.Fatalf("%d cores: %v", cores, err)
 		}

@@ -24,7 +24,7 @@ func runShards(t *testing.T, n int) []ShardFile {
 	for i := 0; i < n; i++ {
 		opts := shardOptions()
 		opts.ShardIndex, opts.ShardCount = i, n
-		sweep, err := Run(opts)
+		sweep, err := runSweep(opts, Parallelism{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func runShards(t *testing.T, n int) []ShardFile {
 }
 
 func TestMergeShardsReproducesFullSweep(t *testing.T) {
-	full, err := Run(shardOptions())
+	full, err := runSweep(shardOptions(), Parallelism{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestMergeShardsReproducesFullSweep(t *testing.T) {
 }
 
 func TestMergeShardsSingleUnshardedFile(t *testing.T) {
-	sweep, err := Run(shardOptions())
+	sweep, err := runSweep(shardOptions(), Parallelism{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestReadShardRejectsGarbage(t *testing.T) {
 // sweep.
 func TestMergeShardGlob(t *testing.T) {
 	dir := t.TempDir()
-	full, err := Run(shardOptions())
+	full, err := runSweep(shardOptions(), Parallelism{})
 	if err != nil {
 		t.Fatal(err)
 	}

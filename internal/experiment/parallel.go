@@ -41,7 +41,7 @@ import (
 	"cmpleak/internal/core"
 )
 
-// Parallelism configures the worker pool of RunParallel / RunParallelAll.
+// Parallelism configures the worker pool of RunParallelAllContext.
 type Parallelism struct {
 	// Workers is the number of concurrent simulation workers; each runs one
 	// core.System (its own engine) at a time.  Zero or negative means
@@ -58,15 +58,16 @@ type Parallelism struct {
 	Retry RetryPolicy
 	// Reuse, when non-nil, is consulted once per job before it is queued: a
 	// hit places the recorded result straight into the job's slot and the
-	// job never runs — the journal/resume layer skips already-completed
-	// cells this way.  Reused jobs are excluded from Done/Total.
+	// job never runs — the result cache (resultcache.Store.ReuseFor) serves
+	// already-completed jobs this way.  Reused jobs are excluded from
+	// Done/Total.
 	Reuse func(cell string, key Key) (core.Result, bool)
 }
 
 // JobEvent is one progress notification: a job finished (or failed).
 type JobEvent struct {
-	// Cell is the label of the sweep the job belongs to ("" for a plain
-	// RunParallel) and Sweep its index in the RunParallelAll batch.
+	// Cell is the label of the sweep the job belongs to ("" for an unnamed
+	// sweep) and Sweep its index in the batch.
 	Cell  string
 	Sweep int
 	// Key identifies the job; Index is its position in the sweep's feed
@@ -75,8 +76,8 @@ type JobEvent struct {
 	Index int
 	// Err is the job's failure, nil on success.
 	Err error
-	// Result is the job's result on success (zero on failure); the journal
-	// layer persists it from this event.
+	// Result is the job's result on success (zero on failure); callers
+	// write it through to the result cache from this event.
 	Result core.Result
 	// Done counts jobs completed across the whole batch, this one included;
 	// Total is the batch's job count, so Done == Total marks the last event.
@@ -89,41 +90,23 @@ type JobEvent struct {
 	Elapsed time.Duration
 }
 
-// NamedOptions labels one sweep of a RunParallelAll batch (scenario cells
-// carry their cell name here).
+// NamedOptions labels one sweep of a RunParallelAllContext batch (scenario
+// cells carry their cell name here).
 type NamedOptions struct {
 	Name    string
 	Options Options
 }
 
-// RunParallel executes one sweep through the worker pool and returns the
-// same Sweep a serial Run produces, byte for byte.
-func RunParallel(opts Options, p Parallelism) (*Sweep, error) {
-	return RunParallelContext(context.Background(), opts, p)
-}
-
-// RunParallelContext is RunParallel with cancellation: when ctx is
-// canceled, in-flight jobs finish, queued jobs are skipped, and the pool
-// returns a cancellation error.
-func RunParallelContext(ctx context.Context, opts Options, p Parallelism) (*Sweep, error) {
-	sweeps, err := RunParallelAllContext(ctx, []NamedOptions{{Options: opts}}, p)
-	if err != nil {
-		return nil, err
-	}
-	return sweeps[0], nil
-}
-
-// RunParallelAll executes several sweeps' jobs through one shared worker
-// pool and returns one Sweep per entry, in input order.  Flattening the
-// batch into a single queue keeps an N-core box saturated even when
-// individual sweeps hold fewer jobs than workers — the scenario layer fans
-// multi-cell scenarios out through exactly this path.  The first failing
-// job cancels the whole batch.
-func RunParallelAll(cells []NamedOptions, p Parallelism) ([]*Sweep, error) {
-	return RunParallelAllContext(context.Background(), cells, p)
-}
-
-// RunParallelAllContext is RunParallelAll with cancellation via ctx.
+// RunParallelAllContext is the one sweep entry point: it executes the jobs
+// of every sweep in cells through one shared worker pool and returns one
+// Sweep per entry, in input order, each byte-identical to running that
+// sweep alone with one worker.  Flattening the batch into a single queue
+// keeps an N-core box saturated even when individual sweeps hold fewer jobs
+// than workers — multi-cell scenarios fan out through exactly this path,
+// and a single sweep is a one-entry batch.  The first failing job cancels
+// the whole batch; when ctx is canceled, in-flight jobs finish, queued jobs
+// are skipped, and the pool returns a cancellation error naming how far it
+// got.
 func RunParallelAllContext(ctx context.Context, cells []NamedOptions, p Parallelism) ([]*Sweep, error) {
 	for i := range cells {
 		if err := cells[i].Options.Validate(); err != nil {

@@ -9,6 +9,7 @@ package experiment
 // detector real concurrent simulations to chew on via `make race`.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -19,6 +20,15 @@ import (
 	"cmpleak/internal/core"
 	"cmpleak/internal/decay"
 )
+
+// runSweep runs one unnamed sweep as a one-entry batch through the pool.
+func runSweep(opts Options, p Parallelism) (*Sweep, error) {
+	sweeps, err := RunParallelAllContext(context.Background(), []NamedOptions{{Options: opts}}, p)
+	if err != nil {
+		return nil, err
+	}
+	return sweeps[0], nil
+}
 
 // parallelOptions is a reduced matrix that still exercises two benchmarks,
 // a baseline per group and two technique families.
@@ -36,7 +46,7 @@ func parallelOptions() Options {
 
 func TestRunParallelByteIdenticalToSerial(t *testing.T) {
 	opts := parallelOptions()
-	serial, err := RunParallel(opts, Parallelism{Workers: 1})
+	serial, err := runSweep(opts, Parallelism{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +57,7 @@ func TestRunParallelByteIdenticalToSerial(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4, 7} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			sweep, err := RunParallel(opts, Parallelism{Workers: workers})
+			sweep, err := runSweep(opts, Parallelism{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,9 +86,9 @@ func TestRunParallelFailureDrainsAndReportsFirst(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		sweep, err := RunParallel(opts, Parallelism{Workers: workers})
+		sweep, err := runSweep(opts, Parallelism{Workers: workers})
 		if err == nil {
-			t.Fatalf("workers=%d: RunParallel returned nil error despite a failing job", workers)
+			t.Fatalf("workers=%d: the pool returned nil error despite a failing job", workers)
 		}
 		if sweep != nil {
 			t.Fatalf("workers=%d: failed run returned a partial sweep", workers)
@@ -102,9 +112,9 @@ func TestRunParallelFirstErrorIsFeedOrderDeterministic(t *testing.T) {
 	first := opts.Jobs()[0]
 	for _, workers := range []int{1, 3, 7} {
 		for rep := 0; rep < 3; rep++ {
-			_, err := RunParallel(opts, Parallelism{Workers: workers})
+			_, err := runSweep(opts, Parallelism{Workers: workers})
 			if err == nil {
-				t.Fatal("all jobs fail, yet RunParallel returned nil")
+				t.Fatal("all jobs fail, yet the pool returned nil")
 			}
 			if !strings.Contains(err.Error(), first.String()) {
 				t.Fatalf("workers=%d: got error %q, want the feed-order-first job %s",
@@ -125,7 +135,7 @@ func TestRunParallelProgressEvents(t *testing.T) {
 	var events []JobEvent
 	// The pool serialises Progress calls, so the plain append is the point:
 	// the race detector verifies the serialisation promise.
-	_, err := RunParallel(opts, Parallelism{
+	_, err := runSweep(opts, Parallelism{
 		Workers:  3,
 		Progress: func(ev JobEvent) { events = append(events, ev) },
 	})
@@ -177,7 +187,7 @@ func TestRunParallelAllSharesOnePool(t *testing.T) {
 	b := parallelOptions()
 	b.Benchmarks = []string{"FMM"}
 	var cells, totals []string
-	sweeps, err := RunParallelAll(
+	sweeps, err := RunParallelAllContext(context.Background(),
 		[]NamedOptions{{Name: "cell-a", Options: a}, {Name: "cell-b", Options: b}},
 		Parallelism{Workers: 4, Progress: func(ev JobEvent) {
 			cells = append(cells, ev.Cell)
@@ -224,13 +234,13 @@ func TestRunParallelAllSharesOnePool(t *testing.T) {
 func TestRunParallelRaceStress(t *testing.T) {
 	opts := parallelOptions()
 	opts.Scale = 0.002
-	serial, err := RunParallel(opts, Parallelism{Workers: 1})
+	serial, err := runSweep(opts, Parallelism{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := serial.Digest()
 	events := 0
-	sweep, err := RunParallel(opts, Parallelism{
+	sweep, err := runSweep(opts, Parallelism{
 		Workers:  16,
 		Progress: func(JobEvent) { events++ },
 	})

@@ -119,7 +119,7 @@ func TestShardValidation(t *testing.T) {
 func TestShardedRunExecutesOnlyItsJobs(t *testing.T) {
 	opts := shardOptions()
 	opts.ShardIndex, opts.ShardCount = 0, 2
-	sweep, err := Run(opts)
+	sweep, err := runSweep(opts, Parallelism{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,8 +30,6 @@ type Options struct {
 	Scale float64
 	// Seed drives workload generation.
 	Seed uint64
-	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
-	Parallelism int
 	// ShardIndex / ShardCount partition the sweep's job list across
 	// processes or machines: shard i of n runs the (benchmark, size)
 	// groups whose index in the canonical enumeration (benchmark-major,
@@ -151,17 +149,6 @@ func (o Options) Jobs() []Key {
 		keys[i] = j.key
 	}
 	return keys
-}
-
-// Run executes the sweep: every (benchmark, size) pair runs the baseline and
-// every requested technique (restricted to this shard when sharding is
-// enabled).  It is the serial-options entry point over the worker pool in
-// parallel.go: runs execute concurrently up to Options.Parallelism workers,
-// the first failing job cancels the rest of the sweep, and the result is
-// byte-identical at any worker count.  Callers that want progress events or
-// an explicit worker count use RunParallel directly.
-func Run(opts Options) (*Sweep, error) {
-	return RunParallel(opts, Parallelism{Workers: opts.Parallelism})
 }
 
 // Result returns the run identified by the key.

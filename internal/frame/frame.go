@@ -1,8 +1,7 @@
-// Package frame is the shared on-disk record framing of the crash-safe
-// stores: the sweep journal (internal/experiment) and the content-addressed
-// result cache segments (internal/resultcache) both write files of
-// length-prefixed, CRC-checked payloads behind a file-level magic, and this
-// package owns the frame layout so the two formats cannot drift apart.
+// Package frame is the on-disk record framing of the crash-safe result
+// cache (internal/resultcache): its segments are files of length-prefixed,
+// CRC-checked payloads behind a file-level magic, and this package owns the
+// frame layout.
 //
 // One frame is
 //
@@ -10,7 +9,7 @@
 //	crc32      uint32 little-endian   IEEE CRC of the payload
 //	payload    payloadLen bytes
 //
-// The contract both stores rely on: a file is a magic followed by whole
+// The contract the store relies on: a file is a magic followed by whole
 // frames, appends are one write each, and a reader walks frames until the
 // first torn or corrupt one — short header, absurd length, CRC mismatch, or
 // a payload the caller's decoder rejects — and reports the byte length of

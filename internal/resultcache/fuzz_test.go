@@ -22,7 +22,7 @@ func FuzzCacheRecord(f *testing.F) {
 	empty := []byte(segMagic)
 	f.Add([]byte{})
 	f.Add(empty)
-	f.Add([]byte("CMPLJNL1")) // journal magic is not a cache segment
+	f.Add([]byte("CMPLJNL1")) // the retired journal format is not a cache segment
 
 	rec := testRecord("seed-digest", 0)
 	rec.Anchor = "seed-anchor"

@@ -1,6 +1,8 @@
 // Package resultcache is the shared, persistent, content-addressed result
-// store: the promotion of the per-run sweep journal (experiment.Journal)
-// into a cache that outlives runs, processes and clients.
+// store: the one place a completed job's result is persisted, outliving
+// runs, processes and clients.  A sweep interrupted under `leaksweep -cache`
+// resumes by rerunning the same command: every job already in the store is
+// served from it without simulating.
 //
 // Every simulated cell result is stored under the pair
 //
@@ -21,9 +23,8 @@
 // A store is a directory of append-only segment files, seg-NNNNNNNN.cas,
 // each a "CMPLCAS1" magic followed by internal/frame frames whose payloads
 // are JSON Records.  Appends go to the highest-numbered segment, one write
-// per record with batched fsync (the journal's crash-safety discipline: a
-// torn tail is truncated on open, a kill loses at most the record in
-// flight).  Within and across segments, the last record for a key wins, so
+// per record with batched fsync: a kill loses at most the record in
+// flight, and a torn tail is truncated (durably) on open.  Within and across segments, the last record for a key wins, so
 // compaction can leave duplicates behind without ambiguity.
 //
 // # Eviction and compaction
@@ -75,8 +76,7 @@ const syncEvery = 8
 
 // ErrStore reports a directory or segment that cannot be used as a store at
 // all (not a directory, segment with a foreign magic).  Torn or corrupt
-// segment tails are not errors — they are truncated away, exactly like the
-// journal's.
+// segment tails are not errors — they are truncated away.
 var ErrStore = errors.New("resultcache: invalid store")
 
 // Record is one cached cell result.
@@ -162,7 +162,8 @@ type Store struct {
 	stats  Stats
 }
 
-// fileSync is the durability seam (shared discipline with the journal's).
+// fileSync is the durability seam: every fsync goes through it, so the
+// tests can count sync points.
 var fileSync = (*os.File).Sync
 
 func syncDir(dir string) error {
@@ -218,8 +219,8 @@ func decodeSegment(data []byte, fn func(rec Record, framedSize int64)) (int, err
 // Open opens (creating if needed) the store in dir.  Every segment is
 // loaded into the in-memory index — later records win over earlier ones for
 // the same (digest, key) — records under a foreign anchor are skipped, and
-// a torn tail on the active segment is truncated away before appends
-// resume.  Leftover .tmp files from an interrupted compaction are removed.
+// a torn tail on the active segment is truncated away, and synced, before
+// appends resume.  Leftover .tmp files from an interrupted compaction are removed.
 func Open(dir string, opt Options) (*Store, error) {
 	if opt.Anchor == "" {
 		opt.Anchor = experiment.GoldenAnchor
@@ -264,8 +265,10 @@ func Open(dir string, opt Options) (*Store, error) {
 		s.total += int64(len(segMagic))
 		if valid < len(data) && n == segs[len(segs)-1] {
 			// Heal the active segment's torn tail so appends land after the
-			// last whole record.
-			if err := os.Truncate(path, int64(valid)); err != nil {
+			// last whole record, and make the heal durable: a host crash
+			// after later appends but before their batched sync must not
+			// resurrect the torn bytes in front of them.
+			if err := truncateSync(path, int64(valid)); err != nil {
 				return nil, fmt.Errorf("%s: truncating torn tail: %w", path, err)
 			}
 		}
@@ -282,6 +285,22 @@ func Open(dir string, opt Options) (*Store, error) {
 	// under a smaller budget trims itself immediately.
 	s.evictOver()
 	return s, nil
+}
+
+// truncateSync cuts the file at path to size and fsyncs the cut.
+func truncateSync(path string, size int64) error {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return err
+	}
+	err = f.Truncate(size)
+	if err == nil {
+		err = fileSync(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // load installs one reloaded record (replay of the append path without the

@@ -3,10 +3,14 @@ package resultcache
 // Store tests: round-trips across reopen, anchor invalidation (the
 // acceptance rule — a record stamped under a different golden anchor is
 // never served), last-record-wins duplicates, LRU eviction under MaxBytes,
-// atomic compaction (including a simulated crash mid-compaction), and the
-// ReuseFor adapter feeding the worker pool byte-identical results.
+// atomic compaction (including a simulated crash mid-compaction), crash
+// safety (torn tails at every offset, corrupt CRCs, durable heals and
+// closes), and the ReuseFor adapter feeding the worker pool byte-identical
+// results.
 
 import (
+	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -69,6 +73,46 @@ func TestStoreRoundTripAcrossReopen(t *testing.T) {
 		res, ok := s.Get("d1", testKey(i))
 		if !ok || res.Cycles != sim.Cycle(1000+i) {
 			t.Fatalf("key %d = (%v, %v), want cycles %d", i, res.Cycles, ok, 1000+i)
+		}
+	}
+}
+
+// TestStoreAppendsAfterReopen writes many records, reopens the store and
+// appends one more: the reopened store continues after the existing
+// records, and a further reopen serves every one of them.
+func TestStoreAppendsAfterReopen(t *testing.T) {
+	dir := t.TempDir()
+	opt := Options{Anchor: "a", CompactMinBytes: noCompact}
+	const n = 20
+	s := mustOpen(t, dir, opt)
+	for i := 0; i < n; i++ {
+		if err := s.Put(testRecord("d1", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s = mustOpen(t, dir, opt)
+	if st := s.Stats(); st.Entries != n {
+		t.Fatalf("reopen saw %d entries, want %d", st.Entries, n)
+	}
+	if err := s.Put(testRecord("d1", n)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s = mustOpen(t, dir, opt)
+	defer s.Close()
+	if st := s.Stats(); st.Entries != n+1 {
+		t.Fatalf("after reopen + append: %d entries, want %d", st.Entries, n+1)
+	}
+	for i := 0; i <= n; i++ {
+		if res, ok := s.Get("d1", testKey(i)); !ok || res.Cycles != sim.Cycle(1000+i) || res.Label != "r" {
+			t.Fatalf("record %d = (%+v, %v), want cycles %d", i, res, ok, 1000+i)
 		}
 	}
 }
@@ -297,6 +341,190 @@ func TestStoreRejectsForeignFile(t *testing.T) {
 	}
 }
 
+// TestStoreLeavesRejectedFileUnchanged opens a directory whose segment is
+// some other file format: Open must fail and leave that file exactly as it
+// was — not truncated, not healed, not overwritten.
+func TestStoreLeavesRejectedFileUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	const foreign = "some other file format entirely"
+	path := filepath.Join(dir, segName(1))
+	if err := os.WriteFile(path, []byte(foreign), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{Anchor: "a"}); err == nil {
+		t.Fatal("Open accepted a segment of another file format")
+	}
+	if data, _ := os.ReadFile(path); string(data) != foreign {
+		t.Fatalf("Open modified the segment it rejected: %q", data)
+	}
+}
+
+// segmentImage writes n records through a store and returns the segment's
+// bytes and the end offset of each record within them.
+func segmentImage(t *testing.T, n int) ([]byte, []int) {
+	t.Helper()
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+	for i := 0; i < n; i++ {
+		if err := s.Put(testRecord("d1", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := len(segMagic)
+	var ends []int
+	if _, err := decodeSegment(img, func(_ Record, size int64) {
+		end += int(size)
+		ends = append(ends, end)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(ends) != n || end != len(img) {
+		t.Fatalf("segment image holds %d records to byte %d, want %d to %d", len(ends), end, n, len(img))
+	}
+	return img, ends
+}
+
+// TestStoreHealsTornTailAtEveryOffset cuts a valid segment at every byte
+// offset: reopening must index exactly the whole records before the cut,
+// never fail or panic, and leave the file healed to that prefix.
+func TestStoreHealsTornTailAtEveryOffset(t *testing.T) {
+	img, ends := segmentImage(t, 3)
+	// Durability is TestStoreTornTailHealIsSynced's concern; skipping the
+	// thousands of fsyncs keeps this sweep over every offset fast.
+	orig := fileSync
+	fileSync = func(*os.File) error { return nil }
+	defer func() { fileSync = orig }()
+	dir := t.TempDir()
+	path := filepath.Join(dir, segName(1))
+	for cut := len(segMagic); cut <= len(img); cut++ {
+		if err := os.WriteFile(path, img[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		whole, healed := 0, len(segMagic)
+		for _, e := range ends {
+			if e <= cut {
+				whole, healed = whole+1, e
+			}
+		}
+		if st := s.Stats(); st.Entries != whole {
+			t.Fatalf("cut at %d: %d entries, want the %d whole records", cut, st.Entries, whole)
+		}
+		for i := 0; i < whole; i++ {
+			if res, ok := s.Get("d1", testKey(i)); !ok || res.Cycles != sim.Cycle(1000+i) {
+				t.Fatalf("cut at %d: record %d = (%v, %v), not the expected prefix", cut, i, res.Cycles, ok)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if data, _ := os.ReadFile(path); !bytes.Equal(data, img[:healed]) {
+			t.Fatalf("cut at %d: file left at %d bytes, want healed to the %d-byte prefix", cut, len(data), healed)
+		}
+	}
+}
+
+// TestStoreCorruptCRCDropsOnlyLastRecord flips one byte of the last
+// record's CRC: reopening keeps every earlier record and drops that one.
+func TestStoreCorruptCRCDropsOnlyLastRecord(t *testing.T) {
+	img, ends := segmentImage(t, 3)
+	lastStart := ends[len(ends)-2]
+	img[lastStart+4] ^= 0x40 // first byte of the frame's CRC32
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+	defer s.Close()
+	if st := s.Stats(); st.Entries != 2 {
+		t.Fatalf("reopened past a corrupt CRC with %d entries, want 2", st.Entries)
+	}
+	if _, ok := s.Get("d1", testKey(2)); ok {
+		t.Fatal("record with a corrupt CRC was served")
+	}
+}
+
+// countSyncs routes the fileSync seam through a counter for the test.
+func countSyncs(t *testing.T) *int {
+	t.Helper()
+	var n int
+	orig := fileSync
+	fileSync = func(f *os.File) error { n++; return orig(f) }
+	t.Cleanup(func() { fileSync = orig })
+	return &n
+}
+
+// TestStoreTornTailHealIsSynced pins the durability of the heal: Open
+// fsyncs the active segment after truncating its torn tail, so a host crash
+// cannot bring the torn bytes back in front of later appends.
+func TestStoreTornTailHealIsSynced(t *testing.T) {
+	img, _ := segmentImage(t, 2)
+	dir := t.TempDir()
+	path := filepath.Join(dir, segName(1))
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	syncs := countSyncs(t)
+	s := mustOpen(t, dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+	s.Close()
+	clean := *syncs
+
+	if err := os.WriteFile(path, img[:len(img)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	*syncs = 0
+	s = mustOpen(t, dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+	s.Close()
+	if *syncs != clean+1 {
+		t.Fatalf("opening a torn segment synced %d time(s), a whole one %d; want exactly one more for the heal",
+			*syncs, clean)
+	}
+}
+
+// TestStoreCloseSyncsTail pins the durability of a clean close: up to
+// syncEvery-1 records sit unsynced under the batched cadence, and Close
+// must fsync that tail exactly once.
+func TestStoreCloseSyncsTail(t *testing.T) {
+	syncs := countSyncs(t)
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+	// Creation syncs the fresh magic and the directory entry.
+	created := *syncs
+	if created < 2 {
+		t.Fatalf("creating the store synced %d time(s); want the segment and its directory entry", created)
+	}
+	n := syncEvery - 1 // strictly inside one batch window
+	for i := 0; i < n; i++ {
+		if err := s.Put(testRecord("d1", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if *syncs != created {
+		t.Fatalf("%d puts inside the batch window triggered %d sync(s); want 0", n, *syncs-created)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if *syncs != created+1 {
+		t.Fatalf("Close performed %d sync(s); want exactly 1 flushing the %d pending record(s)", *syncs-created, n)
+	}
+	s = mustOpen(t, dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+	defer s.Close()
+	if st := s.Stats(); st.Entries != n {
+		t.Fatalf("reopen found %d records, want %d", st.Entries, n)
+	}
+}
+
 // TestReuseForFeedsPoolByteIdentical runs a tiny sweep cold (populating the
 // store through the progress callback), then warm through ReuseFor, and
 // asserts (a) zero jobs execute warm and (b) the merged sweep digests are
@@ -311,7 +539,7 @@ func TestReuseForFeedsPoolByteIdentical(t *testing.T) {
 
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{CompactMinBytes: noCompact}) // default anchor
-	cold, err := experiment.RunParallelAll(named, experiment.Parallelism{
+	cold, err := experiment.RunParallelAllContext(context.Background(), named, experiment.Parallelism{
 		Workers: 2,
 		Progress: func(ev experiment.JobEvent) {
 			if ev.Err != nil {
@@ -332,7 +560,7 @@ func TestReuseForFeedsPoolByteIdentical(t *testing.T) {
 	s = mustOpen(t, dir, Options{CompactMinBytes: noCompact})
 	defer s.Close()
 	ran := 0
-	warm, err := experiment.RunParallelAll(named, experiment.Parallelism{
+	warm, err := experiment.RunParallelAllContext(context.Background(), named, experiment.Parallelism{
 		Workers:  2,
 		Reuse:    s.ReuseFor(named),
 		Progress: func(experiment.JobEvent) { ran++ },
@@ -348,5 +576,46 @@ func TestReuseForFeedsPoolByteIdentical(t *testing.T) {
 	}
 	if st := s.Stats(); st.Hits != uint64(len(opts.Jobs())) {
 		t.Fatalf("warm run hit %d times, want %d", st.Hits, len(opts.Jobs()))
+	}
+}
+
+// TestReuseForRunsOnlyMissingJobs is resume: a store holding the first half
+// of a sweep's jobs (an interrupted run) makes the rerun simulate exactly
+// the missing half and assemble the uninterrupted run's digest.
+func TestReuseForRunsOnlyMissingJobs(t *testing.T) {
+	opts := experiment.DefaultOptions(0.005)
+	opts.Benchmarks = []string{"FMM"}
+	opts.CacheSizesMB = []int{1}
+	opts.Seed = 7
+	named := []experiment.NamedOptions{{Options: opts}}
+	full, err := experiment.RunParallelAllContext(context.Background(), named, experiment.Parallelism{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := mustOpen(t, t.TempDir(), Options{CompactMinBytes: noCompact})
+	defer s.Close()
+	jobs := opts.Jobs()
+	half := len(jobs) / 2
+	for _, k := range jobs[:half] {
+		res, _ := full[0].Result(k.Benchmark, k.SizeMB, k.Technique)
+		if err := s.Put(Record{OptionsDigest: opts.Digest(), Key: k, Result: res}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ran := 0
+	resumed, err := experiment.RunParallelAllContext(context.Background(), named, experiment.Parallelism{
+		Workers:  2,
+		Reuse:    s.ReuseFor(named),
+		Progress: func(experiment.JobEvent) { ran++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(jobs) - half; ran != want {
+		t.Fatalf("resumed run simulated %d jobs, want only the %d missing ones", ran, want)
+	}
+	if got, want := resumed[0].Digest(), full[0].Digest(); got != want {
+		t.Fatalf("resumed digest %s != uninterrupted %s", got, want)
 	}
 }

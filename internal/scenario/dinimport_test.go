@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"cmpleak/internal/config"
-	"cmpleak/internal/experiment"
 	"cmpleak/internal/trace"
 )
 
@@ -76,7 +75,7 @@ func TestDinImportedTraceSweepsToGoldenDigest(t *testing.T) {
 	if len(cells) != 1 {
 		t.Fatalf("expanded to %d cells, want 1 (seed axis must collapse): %v", len(cells), names(cells))
 	}
-	sweep, err := experiment.Run(cells[0].Options)
+	sweep, err := runSweep(cells[0].Options, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func runCellDigests(t *testing.T, file string, want map[string]string) {
 		if !ok {
 			t.Fatalf("%s: unexpected cell %q", file, c.Name)
 		}
-		sweep, err := experiment.Run(c.Options)
+		sweep, err := runSweep(c.Options, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
@@ -96,13 +96,13 @@ func TestStatScenarioPerCellGoldenDigests(t *testing.T) {
 func TestMixedScenarioDeterministicAcrossWorkers(t *testing.T) {
 	cells := loadShipped(t, "mixed.json")
 	opts := cells[0].Options
-	base, err := experiment.Run(opts)
+	base, err := runSweep(opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := base.Digest()
 	for _, workers := range []int{1, 2, 4, 7} {
-		sweep, err := experiment.RunParallel(opts, experiment.Parallelism{Workers: workers})
+		sweep, err := runSweep(opts, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -117,7 +117,7 @@ func TestMixedScenarioDeterministicAcrossWorkers(t *testing.T) {
 // merging reproduces the unsharded sweep bit for bit.
 func TestMixedScenarioShardsMergeByteIdentically(t *testing.T) {
 	cells := loadShipped(t, "mixed.json")
-	whole, err := experiment.Run(cells[0].Options)
+	whole, err := runSweep(cells[0].Options, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestMixedScenarioShardsMergeByteIdentically(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		opts := cells[0].Options
 		opts.ShardIndex, opts.ShardCount = i, 2
-		part, err := experiment.Run(opts)
+		part, err := runSweep(opts, 0)
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}

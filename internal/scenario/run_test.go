@@ -1,10 +1,11 @@
 package scenario
 
 // Scenario fan-out tests: a multi-cell scenario run through the shared pool
-// must produce, per cell, exactly the Sweep a serial experiment.Run of that
+// must produce, per cell, exactly the Sweep a serial one-worker run of that
 // cell's Options produces — the scenario layer adds routing, never results.
 
 import (
+	"context"
 	"testing"
 
 	"cmpleak/internal/config"
@@ -37,7 +38,7 @@ func TestRunCellsMatchesSerialPerCell(t *testing.T) {
 	}
 
 	var cellsSeen []string
-	sweeps, err := RunCells(cells, experiment.Parallelism{
+	sweeps, err := experiment.RunParallelAllContext(context.Background(), NamedOptions(cells), experiment.Parallelism{
 		Workers:  4,
 		Progress: func(ev experiment.JobEvent) { cellsSeen = append(cellsSeen, ev.Cell) },
 	})
@@ -45,12 +46,12 @@ func TestRunCellsMatchesSerialPerCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(sweeps) != len(cells) {
-		t.Fatalf("RunCells returned %d sweeps for %d cells", len(sweeps), len(cells))
+		t.Fatalf("the pool returned %d sweeps for %d cells", len(sweeps), len(cells))
 	}
 
 	totalJobs := 0
 	for i, cell := range cells {
-		serial, err := experiment.Run(cell.Options)
+		serial, err := runSweep(cell.Options, 1)
 		if err != nil {
 			t.Fatalf("%s: serial reference failed: %v", cell.Name, err)
 		}
@@ -76,4 +77,15 @@ func TestRunCellsMatchesSerialPerCell(t *testing.T) {
 			t.Errorf("no progress event carried cell %q", cell.Name)
 		}
 	}
+}
+
+// runSweep runs one unnamed sweep through the pool with the given worker
+// count (0 = GOMAXPROCS).
+func runSweep(opts experiment.Options, workers int) (*experiment.Sweep, error) {
+	sweeps, err := experiment.RunParallelAllContext(context.Background(),
+		[]experiment.NamedOptions{{Options: opts}}, experiment.Parallelism{Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	return sweeps[0], nil
 }

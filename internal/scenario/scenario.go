@@ -41,8 +41,8 @@
 // "stat:<spec>", but not mixes themselves.  Each mix expands into the
 // self-describing benchmark string "mix:<name>=<e1>|<e2>|..." alongside the
 // plain benchmarks of every cell, which is exactly what lands in
-// experiment.Options.Benchmarks — so result-cache keys, journal resume and
-// sweep digests distinguish mixes with no extra plumbing.  benchmarks may
+// experiment.Options.Benchmarks — so result-cache keys and sweep digests
+// distinguish mixes with no extra plumbing.  benchmarks may
 // be empty when mixes is not.
 //
 // An override applies to every cell matching its selectors (l2_mb and cores;
@@ -178,9 +178,20 @@ type Override struct {
 type Cell struct {
 	// Name identifies the cell within the scenario ("paper/c4-seed1").
 	Name string
-	// Options is ready for experiment.Run (sharding fields zero; the caller
-	// sets them to slice the cell across processes).
+	// Options is ready for experiment.RunParallelAllContext (sharding fields
+	// zero; the caller sets them to slice the cell across processes).
 	Options experiment.Options
+}
+
+// NamedOptions converts expanded cells to the pool's batch input: every
+// cell's jobs flatten into one queue, and progress events carry the cell
+// name in JobEvent.Cell.
+func NamedOptions(cells []Cell) []experiment.NamedOptions {
+	named := make([]experiment.NamedOptions, len(cells))
+	for i, c := range cells {
+		named[i] = experiment.NamedOptions{Name: c.Name, Options: c.Options}
+	}
+	return named
 }
 
 // Parse decodes and validates a scenario file.

@@ -344,7 +344,7 @@ func TestPerCellGoldenDigests(t *testing.T) {
 		if !ok {
 			t.Fatalf("unexpected cell %q", c.Name)
 		}
-		sweep, err := experiment.Run(c.Options)
+		sweep, err := runSweep(c.Options, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
@@ -381,7 +381,7 @@ func TestShardedScenarioMergesByteIdentically(t *testing.T) {
 		t.Fatalf("expanded %d cells, want 2", len(cells))
 	}
 	for _, c := range cells {
-		whole, err := experiment.Run(c.Options)
+		whole, err := runSweep(c.Options, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
@@ -389,7 +389,7 @@ func TestShardedScenarioMergesByteIdentically(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			opts := c.Options
 			opts.ShardIndex, opts.ShardCount = i, 2
-			part, err := experiment.Run(opts)
+			part, err := runSweep(opts, 0)
 			if err != nil {
 				t.Fatalf("%s shard %d: %v", c.Name, i, err)
 			}

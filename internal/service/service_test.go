@@ -180,12 +180,12 @@ func serialReference(t *testing.T, body []byte, fig string, csv bool) (string, [
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
+	sweeps, err := experiment.RunParallelAllContext(context.Background(), scenario.NamedOptions(cells), experiment.Parallelism{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	digests := make([]string, len(cells))
-	for i := range cells {
-		sweep, err := experiment.Run(cells[i].Options)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, sweep := range sweeps {
 		digests[i] = sweep.Digest()
 		if len(cells) > 1 && !csv {
 			fmt.Fprintf(&buf, "== %s ==\n\n", cells[i].Name)

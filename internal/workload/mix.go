@@ -9,8 +9,8 @@ package workload
 // count the pattern length divides.
 //
 // The spec string is the mix's whole identity — elements, order, name — so
-// everything keyed on benchmark strings (experiment.Options.Digest, the
-// result cache, journal resume) distinguishes mixes for free, with no
+// everything keyed on benchmark strings (experiment.Options.Digest and the
+// result cache keyed on it) distinguishes mixes for free, with no
 // registry of out-of-band definitions to drift from the key.
 
 import (
