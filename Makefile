@@ -36,13 +36,14 @@ test:
 
 # test-allocs re-runs the 0-allocs/op guards on the scheduler drain loop,
 # the steady-state load-hit, load-miss, decay-tick, victim-selection,
-# stream-refill, trace-replay and stats-observe paths explicitly, so an
+# stream-refill, trace-replay and stats-observe paths, and the
+# constant-allocation guard on the sweep digest, explicitly, so an
 # allocation regression fails CI with a focused message even when the main
 # test run is filtered.
 test-allocs:
 	$(GO) test -count 1 -run 'AllocationFree' \
 		./internal/sim ./internal/cache ./internal/core ./internal/decay \
-		./internal/workload ./internal/stats ./internal/trace
+		./internal/workload ./internal/stats ./internal/trace ./internal/experiment
 
 # test-faults runs the whole fault-tolerance surface under the race
 # detector: fault injection, panic containment, retry/backoff, context

@@ -310,3 +310,24 @@ func TestScenarioCacheWarmRunByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestDuplicateAxisValuesRefused: repeated -benchmarks or -sizes entries
+// used to multiply the simulated jobs and print duplicate report columns;
+// they are now a named error with exit status 1 and no report.
+func TestDuplicateAxisValuesRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"-benchmarks", "FMM,FMM", "-sizes", "1,1", "-scale", "0.005", "-quiet"},
+		{"-benchmarks", "FMM", "-sizes", "1,2,1", "-scale", "0.005", "-quiet"},
+	} {
+		stdout, stderr, code := runMain(t, args)
+		if code != 1 {
+			t.Errorf("%v: exit %d, want 1\nstderr:\n%s", args, code, stderr)
+		}
+		if !strings.Contains(stderr, "twice") {
+			t.Errorf("%v: stderr does not name the repeated value:\n%s", args, stderr)
+		}
+		if stdout != "" {
+			t.Errorf("%v: printed a report:\n%s", args, stdout)
+		}
+	}
+}

@@ -20,6 +20,7 @@ package decay
 
 import (
 	"fmt"
+	"strconv"
 
 	"cmpleak/internal/cache"
 	"cmpleak/internal/coherence"
@@ -127,7 +128,9 @@ type Spec struct {
 func (s Spec) Name() string {
 	switch s.Kind {
 	case KindDecay, KindSelectiveDecay, KindAdaptive:
-		return fmt.Sprintf("%s%s", s.Kind, cyclesLabel(s.DecayCycles))
+		var buf [32]byte
+		b := append(buf[:0], s.Kind.String()...)
+		return string(appendCyclesLabel(b, s.DecayCycles))
 	default:
 		return s.Kind.String()
 	}
@@ -136,13 +139,19 @@ func (s Spec) Name() string {
 // cyclesLabel formats a cycle count the way the paper labels decay times
 // (64K, 128K, 512K, 1M ...).
 func cyclesLabel(c sim.Cycle) string {
+	var buf [24]byte
+	return string(appendCyclesLabel(buf[:0], c))
+}
+
+// appendCyclesLabel appends cyclesLabel(c) to b.
+func appendCyclesLabel(b []byte, c sim.Cycle) []byte {
 	switch {
 	case c >= 1<<20 && c%(1<<20) == 0:
-		return fmt.Sprintf("%dM", c>>20)
+		return append(strconv.AppendUint(b, uint64(c>>20), 10), 'M')
 	case c >= 1<<10 && c%(1<<10) == 0:
-		return fmt.Sprintf("%dK", c>>10)
+		return append(strconv.AppendUint(b, uint64(c>>10), 10), 'K')
 	default:
-		return fmt.Sprintf("%d", c)
+		return strconv.AppendUint(b, uint64(c), 10)
 	}
 }
 

@@ -1,6 +1,7 @@
 package decay
 
 import (
+	"fmt"
 	"testing"
 
 	"cmpleak/internal/cache"
@@ -79,11 +80,48 @@ func TestSpecNames(t *testing.T) {
 		"decay1000":     {Kind: KindDecay, DecayCycles: 1000},
 		"sel_decay2M":   {Kind: KindSelectiveDecay, DecayCycles: 2048 * 1024},
 		"sel_decay96K":  {Kind: KindSelectiveDecay, DecayCycles: 96 * 1024},
+		"decay0":        {Kind: KindDecay},
+		"decay1K":       {Kind: KindDecay, DecayCycles: 1024},
+		"adaptive1536K": {Kind: KindAdaptive, DecayCycles: 1536 * 1024},
+		"sel_decay3M":   {Kind: KindSelectiveDecay, DecayCycles: 3 << 20},
+		"adaptive1000":  {Kind: KindAdaptive, DecayCycles: 1000},
+		"decay1023":     {Kind: KindDecay, DecayCycles: 1023},
+		"decay1025":     {Kind: KindDecay, DecayCycles: 1025},
 	}
 	for want, spec := range cases {
 		if got := spec.Name(); got != want {
 			t.Errorf("Spec%+v.Name() = %q, want %q", spec, got, want)
 		}
+		if got, old := spec.Name(), fmtSpecName(spec); got != old {
+			t.Errorf("Spec%+v.Name() = %q, the fmt-based label is %q", spec, got, old)
+		}
+	}
+}
+
+// fmtSpecName is the fmt-based Spec.Name the strconv one replaced; the
+// labels key the result cache and head every report row, so the two must
+// agree byte for byte.
+func fmtSpecName(s Spec) string {
+	switch s.Kind {
+	case KindDecay, KindSelectiveDecay, KindAdaptive:
+		c := s.DecayCycles
+		switch {
+		case c >= 1<<20 && c%(1<<20) == 0:
+			return fmt.Sprintf("%s%dM", s.Kind, c>>20)
+		case c >= 1<<10 && c%(1<<10) == 0:
+			return fmt.Sprintf("%s%dK", s.Kind, c>>10)
+		default:
+			return fmt.Sprintf("%s%d", s.Kind, c)
+		}
+	default:
+		return s.Kind.String()
+	}
+}
+
+func TestSpecNameAllocations(t *testing.T) {
+	spec := Spec{Kind: KindSelectiveDecay, DecayCycles: 512 * 1024}
+	if n := testing.AllocsPerRun(100, func() { _ = spec.Name() }); n > 1 {
+		t.Fatalf("Spec.Name allocates %.0f times, want at most 1 (the returned string)", n)
 	}
 }
 

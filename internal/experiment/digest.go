@@ -15,7 +15,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash"
 	"math"
 
 	"cmpleak/internal/config"
@@ -23,87 +22,101 @@ import (
 	"cmpleak/internal/decay"
 )
 
-// hashedResultFields is the number of core.Result struct fields hashResult
+// hashedResultFields is the number of core.Result struct fields appendResult
 // folds into the digest; TestGoldenDigestCoversAllResultFields fails when
 // Result grows past it, so the digest cannot silently lose coverage.
 const hashedResultFields = 28
 
-// hashU64 / hashF64 / hashStr write one field into the digest in a fixed
-// byte order; floats go in as IEEE-754 bits so the comparison is exact.
-func hashU64(h hash.Hash, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	h.Write(b[:])
+// appendU64 / appendF64 / appendStr append one field of the digest input in
+// a fixed byte order; floats go in as IEEE-754 bits so the comparison is
+// exact.
+func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
+
+func appendF64(b []byte, v float64) []byte { return appendU64(b, math.Float64bits(v)) }
+
+func appendStr(b []byte, s string) []byte {
+	return append(appendU64(b, uint64(len(s))), s...)
 }
 
-func hashF64(h hash.Hash, v float64) { hashU64(h, math.Float64bits(v)) }
-
-func hashStr(h hash.Hash, s string) {
-	hashU64(h, uint64(len(s)))
-	h.Write([]byte(s))
+// appendKey appends a run key as appendStr(k.String()) would, without
+// building the string.
+func appendKey(b []byte, k Key) []byte {
+	at := len(b)
+	b = k.appendTo(appendU64(b, 0))
+	binary.LittleEndian.PutUint64(b[at:], uint64(len(b)-at-8))
+	return b
 }
 
-// hashResult folds every field of a Result into the digest, in declaration
-// order.  New Result fields must be added here (and hashedResultFields
-// bumped).
-func hashResult(h hash.Hash, r core.Result) {
-	hashStr(h, r.Label)
-	hashStr(h, r.Benchmark)
-	hashStr(h, r.Technique)
-	hashU64(h, r.TotalL2Bytes)
-	hashU64(h, uint64(r.Cycles))
-	hashU64(h, r.Instructions)
-	hashF64(h, r.IPC)
-	hashU64(h, uint64(len(r.PerCoreIPC)))
+// appendResult appends every field of a Result to the digest input, in
+// declaration order.  New Result fields must be added here (and
+// hashedResultFields bumped).
+func appendResult(b []byte, r *core.Result) []byte {
+	b = appendStr(b, r.Label)
+	b = appendStr(b, r.Benchmark)
+	b = appendStr(b, r.Technique)
+	b = appendU64(b, r.TotalL2Bytes)
+	b = appendU64(b, uint64(r.Cycles))
+	b = appendU64(b, r.Instructions)
+	b = appendF64(b, r.IPC)
+	b = appendU64(b, uint64(len(r.PerCoreIPC)))
 	for _, v := range r.PerCoreIPC {
-		hashF64(h, v)
+		b = appendF64(b, v)
 	}
-	hashF64(h, r.L2OccupationRate)
-	hashF64(h, r.L2MissRate)
-	hashU64(h, r.L2Accesses)
-	hashU64(h, r.L2Misses)
-	hashF64(h, r.AMAT)
-	hashF64(h, r.L1MissRate)
-	hashU64(h, r.MemoryBytes)
-	hashF64(h, r.MemoryBandwidth)
-	hashF64(h, r.BusUtilization)
-	hashF64(h, r.Energy.CoreDynamic)
-	hashF64(h, r.Energy.CoreLeakage)
-	hashF64(h, r.Energy.L1Dynamic)
-	hashF64(h, r.Energy.L1Leakage)
-	hashF64(h, r.Energy.L2Dynamic)
-	hashF64(h, r.Energy.L2Leakage)
-	hashF64(h, r.Energy.Bus)
-	hashF64(h, r.Energy.DecayOverhead)
-	hashF64(h, r.EnergyJ)
+	b = appendF64(b, r.L2OccupationRate)
+	b = appendF64(b, r.L2MissRate)
+	b = appendU64(b, r.L2Accesses)
+	b = appendU64(b, r.L2Misses)
+	b = appendF64(b, r.AMAT)
+	b = appendF64(b, r.L1MissRate)
+	b = appendU64(b, r.MemoryBytes)
+	b = appendF64(b, r.MemoryBandwidth)
+	b = appendF64(b, r.BusUtilization)
+	b = appendF64(b, r.Energy.CoreDynamic)
+	b = appendF64(b, r.Energy.CoreLeakage)
+	b = appendF64(b, r.Energy.L1Dynamic)
+	b = appendF64(b, r.Energy.L1Leakage)
+	b = appendF64(b, r.Energy.L2Dynamic)
+	b = appendF64(b, r.Energy.L2Leakage)
+	b = appendF64(b, r.Energy.Bus)
+	b = appendF64(b, r.Energy.DecayOverhead)
+	b = appendF64(b, r.EnergyJ)
 	// Length-prefixed like PerCoreIPC: FinalTempsC is variable-length (the
 	// floorplan grows with the core count), and an unprefixed stream would
 	// let a value slide across the field boundary without changing the hash.
-	hashU64(h, uint64(len(r.FinalTempsC)))
+	b = appendU64(b, uint64(len(r.FinalTempsC)))
 	for _, t := range r.FinalTempsC {
-		hashF64(h, t)
+		b = appendF64(b, t)
 	}
-	hashF64(h, r.MaxTempC)
-	hashU64(h, r.TurnOffRequests)
-	hashU64(h, r.TurnOffsCompleted)
-	hashU64(h, r.TurnOffWritebacks)
-	hashU64(h, r.TurnOffL1Invalidations)
-	hashU64(h, r.ProtocolInvalidations)
-	hashU64(h, r.DecayInducedMisses)
-	hashU64(h, r.BackInvalidations)
+	b = appendF64(b, r.MaxTempC)
+	b = appendU64(b, r.TurnOffRequests)
+	b = appendU64(b, r.TurnOffsCompleted)
+	b = appendU64(b, r.TurnOffWritebacks)
+	b = appendU64(b, r.TurnOffL1Invalidations)
+	b = appendU64(b, r.ProtocolInvalidations)
+	b = appendU64(b, r.DecayInducedMisses)
+	return appendU64(b, r.BackInvalidations)
 }
+
+// digestBufSize is the initial capacity of Digest's per-run buffer: one
+// key plus one result of an 8-core run fit without growing it.
+const digestBufSize = 512
 
 // Digest hashes every run of the sweep in stable key order and returns the
 // hex SHA-256.  Two sweeps digest equal iff they hold bit-identical results
-// under the same keys.
+// under the same keys.  Each run — its length-prefixed key, then its
+// result — is appended to one reused buffer and written to the hash in one
+// call: the byte stream is the field-by-field one the recorded digests were
+// taken over, and the number of allocations does not grow with the sweep.
 func (s *Sweep) Digest() string {
 	h := sha256.New()
-	for _, k := range s.Keys() {
-		hashStr(h, k.String())
-		r, _ := s.Result(k.Benchmark, k.SizeMB, k.Technique)
-		hashResult(h, r)
+	buf := make([]byte, 0, digestBufSize)
+	for _, pos := range s.sorted {
+		buf = appendKey(buf[:0], s.keys[pos])
+		buf = appendResult(buf, &s.res[pos])
+		h.Write(buf)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }
 
 // Digest returns a hex SHA-256 identifying everything that determines this

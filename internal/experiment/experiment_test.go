@@ -1,9 +1,12 @@
 package experiment
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"cmpleak/internal/config"
+	"cmpleak/internal/core"
 	"cmpleak/internal/decay"
 )
 
@@ -60,6 +63,55 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if _, err := runSweep(bad, Parallelism{}); err == nil {
 		t.Fatal("Run accepted invalid options")
+	}
+}
+
+// TestOptionsRejectDuplicateAxisValues: a repeated benchmark, size or
+// technique label would run the same keyed jobs twice and print duplicate
+// report columns, so Validate refuses it before anything simulates.
+func TestOptionsRejectDuplicateAxisValues(t *testing.T) {
+	cases := map[string]func(*Options){
+		"benchmark": func(o *Options) { o.Benchmarks = []string{"FMM", "WATER-NS", "FMM"} },
+		"size":      func(o *Options) { o.CacheSizesMB = []int{1, 1} },
+		"technique": func(o *Options) {
+			o.Techniques = []decay.Spec{{Kind: decay.KindProtocol}, {Kind: decay.KindProtocol}}
+		},
+		// Different specs, same label: 65536 cycles is "decay64K".
+		"technique label": func(o *Options) {
+			o.Techniques = []decay.Spec{
+				{Kind: decay.KindDecay, DecayCycles: 64 * 1024},
+				{Kind: decay.KindDecay, DecayCycles: 65536, StrictInclusion: true},
+			}
+		},
+		"baseline technique": func(o *Options) {
+			o.Techniques = []decay.Spec{{Kind: decay.KindProtocol}, {Kind: decay.KindAlwaysOn}}
+		},
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			opts := DefaultOptions(0.01)
+			mutate(&opts)
+			err := opts.Validate()
+			if err == nil {
+				t.Fatal("duplicate axis value accepted")
+			}
+			if !strings.Contains(err.Error(), "twice") && !strings.Contains(err.Error(), "baseline") {
+				t.Errorf("error %q does not name the repeat", err)
+			}
+			ran := 0
+			restore := runJob
+			runJob = func(cfg config.System) (core.Result, error) {
+				ran++
+				return core.Result{}, nil
+			}
+			defer func() { runJob = restore }()
+			if _, err := runSweep(opts, Parallelism{Workers: 1}); err == nil {
+				t.Fatal("sweep ran with a duplicate axis value")
+			}
+			if ran != 0 {
+				t.Fatalf("%d jobs simulated before the duplicate was refused", ran)
+			}
+		})
 	}
 }
 
@@ -139,7 +191,7 @@ func TestSweepOrderingAcrossTechniques(t *testing.T) {
 	// Occupation: decay < sel_decay < protocol < 1.0, averaged over
 	// benchmarks at the smaller size.
 	occ := func(tech string) float64 {
-		v, ok := s.averageOverBenchmarks(1, tech, metricOccupation)
+		v, ok := averageByName(s, 1, tech, metricOccupation)
 		if !ok {
 			t.Fatalf("missing average for %s", tech)
 		}
@@ -151,7 +203,7 @@ func TestSweepOrderingAcrossTechniques(t *testing.T) {
 	}
 	// Bandwidth increase: protocol ~0, decay >= sel_decay.
 	bw := func(tech string) float64 {
-		v, _ := s.averageOverBenchmarks(1, tech, metricBandwidthIncrease)
+		v, _ := averageByName(s, 1, tech, metricBandwidthIncrease)
 		return v
 	}
 	if bw("protocol") > 0.01 {
@@ -163,7 +215,7 @@ func TestSweepOrderingAcrossTechniques(t *testing.T) {
 	}
 	// IPC loss: protocol <= sel_decay <= decay.
 	ipc := func(tech string) float64 {
-		v, _ := s.averageOverBenchmarks(1, tech, metricIPCLoss)
+		v, _ := averageByName(s, 1, tech, metricIPCLoss)
 		return v
 	}
 	if !(ipc("protocol") <= ipc("sel_decay8K")+0.01 && ipc("sel_decay8K") <= ipc("decay8K")+0.01) {
@@ -224,8 +276,8 @@ func TestFigure3aValues(t *testing.T) {
 
 func TestProtocolEnergySavingGrowsWithCacheSize(t *testing.T) {
 	s := getTinySweep(t)
-	small, _ := s.averageOverBenchmarks(1, "protocol", metricEnergyReduction)
-	large, _ := s.averageOverBenchmarks(2, "protocol", metricEnergyReduction)
+	small, _ := averageByName(s, 1, "protocol", metricEnergyReduction)
+	large, _ := averageByName(s, 2, "protocol", metricEnergyReduction)
 	if large <= small {
 		t.Fatalf("protocol energy saving should grow with cache size: 1MB=%v 2MB=%v", small, large)
 	}
@@ -270,4 +322,15 @@ func TestTechniqueNamesOrder(t *testing.T) {
 	if len(names) != 3 || names[0] != "protocol" {
 		t.Fatalf("technique names %v", names)
 	}
+}
+
+// averageByName is averageOverBenchmarks addressed by size and technique
+// label instead of axis index.
+func averageByName(s *Sweep, sizeMB int, technique string, metric metricFunc) (float64, bool) {
+	si := slices.Index(s.Options.CacheSizesMB, sizeMB)
+	t, ok := s.techIndex(technique)
+	if si < 0 || !ok {
+		return 0, false
+	}
+	return s.averageOverBenchmarks(si, t, metric)
 }

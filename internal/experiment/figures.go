@@ -2,7 +2,8 @@ package experiment
 
 import (
 	"fmt"
-	"strings"
+	"slices"
+	"strconv"
 
 	"cmpleak/internal/core"
 )
@@ -60,93 +61,128 @@ func (t Table) Row(label string) (TableRow, bool) {
 // Markdown renders the table as a GitHub-style markdown table with
 // percentage formatting.
 func (t Table) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "### %s\n\n", t.Title)
-	fmt.Fprintf(&b, "| config | %s |\n", strings.Join(t.Columns, " | "))
-	fmt.Fprintf(&b, "|---|%s\n", strings.Repeat("---|", len(t.Columns)))
-	for _, r := range t.Rows {
-		cells := make([]string, len(r.Values))
-		for i, v := range r.Values {
-			cells[i] = fmt.Sprintf("%.1f%%", v*100)
-		}
-		fmt.Fprintf(&b, "| %s | %s |\n", r.Label, strings.Join(cells, " | "))
+	b := make([]byte, 0, 64+32*len(t.Rows)*(1+len(t.Columns)))
+	b = append(b, "### "...)
+	b = append(b, t.Title...)
+	b = append(b, "\n\n| config |"...)
+	for _, c := range t.Columns {
+		b = append(b, ' ')
+		b = append(b, c...)
+		b = append(b, " |"...)
 	}
-	return b.String()
+	b = append(b, "\n|---|"...)
+	for range t.Columns {
+		b = append(b, "---|"...)
+	}
+	b = append(b, '\n')
+	for _, r := range t.Rows {
+		b = append(b, "| "...)
+		b = append(b, r.Label...)
+		b = append(b, " |"...)
+		for _, v := range r.Values {
+			b = append(b, ' ')
+			b = appendPercent(b, v)
+			b = append(b, " |"...)
+		}
+		b = append(b, '\n')
+	}
+	return string(b)
 }
 
 // CSV renders the table as comma-separated values (raw fractions).
 func (t Table) CSV() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "config,%s\n", strings.Join(t.Columns, ","))
-	for _, r := range t.Rows {
-		cells := make([]string, len(r.Values))
-		for i, v := range r.Values {
-			cells[i] = fmt.Sprintf("%.6f", v)
-		}
-		fmt.Fprintf(&b, "%s,%s\n", r.Label, strings.Join(cells, ","))
+	b := make([]byte, 0, 16+16*len(t.Rows)*(1+len(t.Columns)))
+	b = append(b, "config"...)
+	for _, c := range t.Columns {
+		b = append(b, ',')
+		b = append(b, c...)
 	}
-	return b.String()
+	b = append(b, '\n')
+	for _, r := range t.Rows {
+		b = append(b, r.Label...)
+		for _, v := range r.Values {
+			b = append(b, ',')
+			b = appendFraction(b, v)
+		}
+		b = append(b, '\n')
+	}
+	return string(b)
 }
+
+// appendPercent appends a Markdown cell, fmt's "%.1f%%" of v*100.
+func appendPercent(b []byte, v float64) []byte {
+	return append(appendFixed(b, v*100, 1), '%')
+}
+
+// appendFraction appends a CSV cell, fmt's "%.6f" of v.
+func appendFraction(b []byte, v float64) []byte {
+	return appendFixed(b, v, 6)
+}
+
+// metricFunc computes one figure value of run r against its baseline b.
+type metricFunc func(r, b *core.Result) float64
 
 // bySizeFigure builds a Figure 3-5 style table: columns are cache sizes,
 // rows are technique configurations, values are the benchmark-average of the
 // metric.
-func (s *Sweep) bySizeFigure(title, unit string, metric func(r, b core.Result) float64) Table {
-	t := Table{Title: title, Unit: unit}
-	for _, mb := range s.Options.CacheSizesMB {
-		t.Columns = append(t.Columns, fmt.Sprintf("%dMB", mb))
+func (s *Sweep) bySizeFigure(title, unit string, metric metricFunc) Table {
+	sizes := s.Options.CacheSizesMB
+	t := Table{Title: title, Unit: unit, Columns: make([]string, len(sizes)), Rows: make([]TableRow, len(s.names))}
+	for si, mb := range sizes {
+		t.Columns[si] = strconv.Itoa(mb) + "MB"
 	}
-	for _, tech := range s.TechniqueNames() {
-		row := TableRow{Label: tech}
-		for _, mb := range s.Options.CacheSizesMB {
-			v, _ := s.averageOverBenchmarks(mb, tech, metric)
-			row.Values = append(row.Values, v)
+	values := make([]float64, len(s.names)*len(sizes))
+	for ti, tech := range s.names {
+		row := values[ti*len(sizes) : (ti+1)*len(sizes) : (ti+1)*len(sizes)]
+		for si := range sizes {
+			row[si], _ = s.averageOverBenchmarks(si, ti, metric)
 		}
-		t.Rows = append(t.Rows, row)
+		t.Rows[ti] = TableRow{Label: tech, Values: row}
 	}
 	return t
 }
 
 // byBenchmarkFigure builds a Figure 6 style table at a fixed cache size:
 // columns are benchmarks, rows are technique configurations.
-func (s *Sweep) byBenchmarkFigure(title, unit string, sizeMB int, metric func(r, b core.Result) float64) Table {
-	t := Table{Title: title, Unit: unit, Columns: append([]string(nil), s.Options.Benchmarks...)}
-	for _, tech := range s.TechniqueNames() {
-		row := TableRow{Label: tech}
-		for _, bench := range s.Options.Benchmarks {
-			r, ok1 := s.Result(bench, sizeMB, tech)
-			b, ok2 := s.Baseline(bench, sizeMB)
-			v := 0.0
-			if ok1 && ok2 {
-				v = metric(r, b)
+func (s *Sweep) byBenchmarkFigure(title, unit string, sizeMB int, metric metricFunc) Table {
+	benches := s.Options.Benchmarks
+	t := Table{Title: title, Unit: unit, Columns: slices.Clone(benches), Rows: make([]TableRow, len(s.names))}
+	si := slices.Index(s.Options.CacheSizesMB, sizeMB)
+	values := make([]float64, len(s.names)*len(benches))
+	for ti, tech := range s.names {
+		row := values[ti*len(benches) : (ti+1)*len(benches) : (ti+1)*len(benches)]
+		if si >= 0 {
+			for bi := range benches {
+				if r := s.at(bi, si, ti); r != nil {
+					row[bi] = metric(r, s.at(bi, si, -1))
+				}
 			}
-			row.Values = append(row.Values, v)
 		}
-		t.Rows = append(t.Rows, row)
+		t.Rows[ti] = TableRow{Label: tech, Values: row}
 	}
 	return t
 }
 
 // Metric functions shared by the figures.
 
-func metricOccupation(r, _ core.Result) float64 { return r.L2OccupationRate }
+func metricOccupation(r, _ *core.Result) float64 { return r.L2OccupationRate }
 
-func metricMissRate(r, _ core.Result) float64 { return r.L2MissRate }
+func metricMissRate(r, _ *core.Result) float64 { return r.L2MissRate }
 
-func metricBandwidthIncrease(r, b core.Result) float64 {
-	return core.Compare(r, b).BandwidthIncrease
+func metricBandwidthIncrease(r, b *core.Result) float64 {
+	return core.Compare(*r, *b).BandwidthIncrease
 }
 
-func metricAMATIncrease(r, b core.Result) float64 {
-	return core.Compare(r, b).AMATIncrease
+func metricAMATIncrease(r, b *core.Result) float64 {
+	return core.Compare(*r, *b).AMATIncrease
 }
 
-func metricEnergyReduction(r, b core.Result) float64 {
-	return core.Compare(r, b).EnergyReduction
+func metricEnergyReduction(r, b *core.Result) float64 {
+	return core.Compare(*r, *b).EnergyReduction
 }
 
-func metricIPCLoss(r, b core.Result) float64 {
-	return core.Compare(r, b).IPCLoss
+func metricIPCLoss(r, b *core.Result) float64 {
+	return core.Compare(*r, *b).IPCLoss
 }
 
 // Figure3a reproduces the L2 occupation rate figure.
@@ -197,13 +233,7 @@ func (s *Sweep) Figure6b(sizeMB int) Table {
 // swept size).
 func (s *Sweep) AllFigures() []Table {
 	fig6Size := 4
-	found := false
-	for _, mb := range s.Options.CacheSizesMB {
-		if mb == 4 {
-			found = true
-		}
-	}
-	if !found && len(s.Options.CacheSizesMB) > 0 {
+	if !slices.Contains(s.Options.CacheSizesMB, 4) && len(s.Options.CacheSizesMB) > 0 {
 		fig6Size = s.Options.CacheSizesMB[len(s.Options.CacheSizesMB)-1]
 	}
 	return []Table{

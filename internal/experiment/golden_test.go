@@ -105,13 +105,13 @@ func TestGoldenCoreCountMatrix(t *testing.T) {
 }
 
 // TestGoldenDigestCoversAllResultFields fails when core.Result grows a field
-// hashResult does not cover, so the digest cannot silently lose coverage.
+// appendResult does not cover, so the digest cannot silently lose coverage.
 func TestGoldenDigestCoversAllResultFields(t *testing.T) {
-	// hashResult covers: 4 identity fields, Cycles, Instructions, IPC,
+	// appendResult covers: 4 identity fields, Cycles, Instructions, IPC,
 	// PerCoreIPC, 6 rate/count fields, 3 bandwidth fields, Energy, EnergyJ,
 	// FinalTempsC, MaxTempC and 7 technique counters = 28 struct fields.
 	if n := reflect.TypeOf(core.Result{}).NumField(); n != hashedResultFields {
-		t.Fatalf("core.Result has %d fields but hashResult covers %d; "+
-			"extend hashResult and update hashedResultFields", n, hashedResultFields)
+		t.Fatalf("core.Result has %d fields but appendResult covers %d; "+
+			"extend appendResult and update hashedResultFields", n, hashedResultFields)
 	}
 }

@@ -57,9 +57,11 @@ func (s *Sweep) Snapshot() ShardFile {
 		ShardIndex:   s.Options.ShardIndex,
 		ShardCount:   s.Options.ShardCount,
 	}
-	for _, k := range s.Keys() {
-		r, _ := s.Result(k.Benchmark, k.SizeMB, k.Technique)
-		sf.Results = append(sf.Results, KeyResult{Key: k, Result: r})
+	if len(s.sorted) > 0 { // an empty shard keeps encoding "results": null
+		sf.Results = make([]KeyResult, len(s.sorted))
+		for i, pos := range s.sorted {
+			sf.Results[i] = KeyResult{Key: s.keys[pos], Result: s.res[pos]}
+		}
 	}
 	return sf
 }
@@ -177,7 +179,8 @@ func MergeShards(shards ...ShardFile) (*Sweep, error) {
 	if err := merged.Validate(); err != nil {
 		return nil, err
 	}
-	sweep := &Sweep{Options: merged, results: make(map[Key]core.Result)}
+	sweep := newSweep(merged, merged.jobs())
+	filled := make([]bool, len(sweep.keys))
 	for _, sf := range ordered {
 		expect := sf.options().Jobs()
 		if len(sf.Results) != len(expect) {
@@ -192,16 +195,18 @@ func MergeShards(shards ...ShardFile) (*Sweep, error) {
 			if !expected[kr.Key] {
 				return nil, fmt.Errorf("experiment: shard %d holds out-of-shard result %s", sf.ShardIndex, kr.Key)
 			}
-			if _, dup := sweep.results[kr.Key]; dup {
+			i := sweep.position(kr.Key) // in the matrix: the shard expects it
+			if filled[i] {
 				return nil, fmt.Errorf("experiment: result %s appears in more than one shard", kr.Key)
 			}
-			sweep.results[kr.Key] = kr.Result
+			filled[i] = true
+			sweep.res[i] = kr.Result
 		}
 	}
 	// Covering: every job of the full matrix is present.
-	for _, k := range merged.Jobs() {
-		if _, ok := sweep.results[k]; !ok {
-			return nil, fmt.Errorf("experiment: merged shards do not cover job %s", k)
+	for i, ok := range filled {
+		if !ok {
+			return nil, fmt.Errorf("experiment: merged shards do not cover job %s", sweep.keys[i])
 		}
 	}
 	return sweep, nil

@@ -25,11 +25,14 @@ package experiment
 // the pool returns a cancellation error naming how far it got.
 //
 // Error handling preserves the cancel-on-first-failure contract of the
-// original serial pool (PR 1): the first failure stops the feed, workers
-// drain the queue without simulating, and the returned error is the failure
-// of the *earliest job in feed order* among those that failed — temporal
-// completion order never leaks into the API, so a failing sweep reports the
-// same error at any worker count.
+// original serial pool: the first failure stops the feed, workers
+// drain the queue without simulating the jobs fed after the earliest
+// failure, and the returned error is the failure of the *earliest job in
+// feed order* among those that failed — temporal completion order never
+// leaks into the API, so a failing sweep reports the same error at any
+// worker count.  Jobs fed before the earliest failure still run (they were
+// already handed to workers), so a failing job earlier in feed order is
+// never skipped in favour of a later one that happened to fail first.
 
 import (
 	"context"
@@ -118,24 +121,22 @@ func RunParallelAllContext(ctx context.Context, cells []NamedOptions, p Parallel
 	}
 
 	// Flatten every sweep's feed-order job list into one queue; results go
-	// back into per-sweep, per-index slots, so assembly below never depends
-	// on completion order.  Jobs the Reuse hook satisfies fill their slot
-	// here and never enter the queue.
+	// straight into their sweep's feed-order slot, so the assembled sweeps
+	// never depend on completion order.  Jobs the Reuse hook satisfies fill
+	// their slot here and never enter the queue.
 	type flatJob struct {
 		sweep, index int
 		job          job
 	}
 	var flat []flatJob
-	perSweep := make([][]job, len(cells))
-	results := make([][]core.Result, len(cells))
+	out := make([]*Sweep, len(cells))
 	for si := range cells {
 		js := cells[si].Options.jobs()
-		perSweep[si] = js
-		results[si] = make([]core.Result, len(js))
+		out[si] = newSweep(cells[si].Options, js)
 		for ji, j := range js {
 			if p.Reuse != nil {
 				if res, ok := p.Reuse(cells[si].Name, j.key); ok {
-					results[si][ji] = res
+					out[si].res[ji] = res
 					continue
 				}
 			}
@@ -157,6 +158,7 @@ func RunParallelAllContext(ctx context.Context, cells []NamedOptions, p Parallel
 		mu     sync.Mutex
 		wg     sync.WaitGroup
 		failed bool
+		first  int // feed index of the earliest failure, once failed
 		done   int
 	)
 	cancel := make(chan struct{}) // closed under mu on the first failure
@@ -167,12 +169,12 @@ func RunParallelAllContext(ctx context.Context, cells []NamedOptions, p Parallel
 			defer wg.Done()
 			for fi := range jobCh {
 				mu.Lock()
-				stop := failed
+				stop := failed && fi > first
 				mu.Unlock()
 				if stop || ctx.Err() != nil {
-					// Drain without simulating: the job may already have
-					// been fed when the failure closed the cancel channel
-					// (or the caller's context was canceled).
+					// Drain without simulating: the job was fed after a
+					// failure earlier in feed order closed the cancel
+					// channel (or the caller's context was canceled).
 					continue
 				}
 				fj := flat[fi]
@@ -192,11 +194,13 @@ func RunParallelAllContext(ctx context.Context, cells []NamedOptions, p Parallel
 				if err != nil {
 					jobErrs[fi] = fmt.Errorf("experiment: %s: %w", fj.job.key, err)
 					if !failed {
-						failed = true
+						failed, first = true, fi
 						close(cancel)
+					} else if fi < first {
+						first = fi
 					}
 				} else {
-					results[fj.sweep][fj.index] = res
+					out[fj.sweep].res[fj.index] = res
 				}
 				done++
 				if p.Progress != nil {
@@ -246,16 +250,5 @@ feed:
 		}
 	}
 
-	out := make([]*Sweep, len(cells))
-	for si := range cells {
-		s := &Sweep{
-			Options: cells[si].Options,
-			results: make(map[Key]core.Result, len(perSweep[si])),
-		}
-		for ji, j := range perSweep[si] {
-			s.results[j.key] = results[si][ji]
-		}
-		out[si] = s
-	}
 	return out, nil
 }

@@ -2,7 +2,10 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"cmpleak/internal/workload"
 )
@@ -24,29 +27,37 @@ type Headline struct {
 // HeadlineAt computes the headline comparison for one total cache size.
 func (s *Sweep) HeadlineAt(sizeMB int) Headline {
 	h := Headline{SizeMB: sizeMB}
-	pick := func(prefix string) string {
+	si := slices.Index(s.Options.CacheSizesMB, sizeMB)
+	pick := func(prefix string) int {
 		// Choose the first technique in configured order matching the
 		// family prefix (ties go to the least aggressive decay time, which
 		// is listed first in the paper's sweep).  "decay" must not match
 		// the "sel_decay" family.
-		for _, name := range s.TechniqueNames() {
+		for t, name := range s.names {
 			if !strings.HasPrefix(name, prefix) {
 				continue
 			}
 			if prefix == "decay" && strings.HasPrefix(name, "sel_") {
 				continue
 			}
-			return name
+			return t
 		}
-		return ""
+		return -1
 	}
-	for _, name := range []string{pick("protocol"), pick("decay"), pick("sel_decay")} {
-		if name == "" {
+	picked := [...]int{pick("protocol"), pick("decay"), pick("sel_decay")}
+	h.Techniques = make([]string, 0, len(picked))
+	h.EnergyReductions = make([]float64, 0, len(picked))
+	h.IPCLosses = make([]float64, 0, len(picked))
+	for _, t := range picked {
+		if t < 0 {
 			continue
 		}
-		h.Techniques = append(h.Techniques, name)
-		e, _ := s.averageOverBenchmarks(sizeMB, name, metricEnergyReduction)
-		i, _ := s.averageOverBenchmarks(sizeMB, name, metricIPCLoss)
+		var e, i float64
+		if si >= 0 {
+			e, _ = s.averageOverBenchmarks(si, t, metricEnergyReduction)
+			i, _ = s.averageOverBenchmarks(si, t, metricIPCLoss)
+		}
+		h.Techniques = append(h.Techniques, s.names[t])
 		h.EnergyReductions = append(h.EnergyReductions, e)
 		h.IPCLosses = append(h.IPCLosses, i)
 	}
@@ -55,13 +66,38 @@ func (s *Sweep) HeadlineAt(sizeMB int) Headline {
 
 // String renders the headline in the style of the paper's abstract.
 func (h Headline) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "For %d MB total L2 cache:\n", h.SizeMB)
+	b := make([]byte, 0, 32+64*len(h.Techniques))
+	b = append(b, "For "...)
+	b = strconv.AppendInt(b, int64(h.SizeMB), 10)
+	b = append(b, " MB total L2 cache:\n"...)
 	for i, tech := range h.Techniques {
-		fmt.Fprintf(&b, "  %-14s energy reduction %5.1f%%  at IPC loss %5.1f%%\n",
-			tech, h.EnergyReductions[i]*100, h.IPCLosses[i]*100)
+		// fmt: "  %-14s energy reduction %5.1f%%  at IPC loss %5.1f%%\n"
+		b = append(b, "  "...)
+		b = append(b, tech...)
+		b = appendSpaces(b, 14-utf8.RuneCountInString(tech))
+		b = append(b, " energy reduction "...)
+		b = appendPadded(b, h.EnergyReductions[i]*100)
+		b = append(b, "%  at IPC loss "...)
+		b = appendPadded(b, h.IPCLosses[i]*100)
+		b = append(b, "%\n"...)
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendPadded appends fmt's "%5.1f" of v: one decimal, right-aligned in
+// five columns.
+func appendPadded(b []byte, v float64) []byte {
+	var buf [32]byte
+	num := appendFixed(buf[:0], v, 1)
+	return append(appendSpaces(b, 5-len(num)), num...)
+}
+
+// appendSpaces appends n spaces (none when n <= 0).
+func appendSpaces(b []byte, n int) []byte {
+	for ; n > 0; n-- {
+		b = append(b, ' ')
+	}
+	return b
 }
 
 // ClassSummary aggregates a metric separately over scientific and multimedia

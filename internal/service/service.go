@@ -124,6 +124,7 @@ type run struct {
 	high          bool
 	cells         []scenario.Cell
 	digests       []string
+	cellJobs      []int // per cell, len(Options.Jobs()), counted once
 	jobs          int
 	state         State
 	cached        int
@@ -210,18 +211,7 @@ func (s *Server) Submit(body []byte, high bool) (RunStatus, error) {
 	if err != nil {
 		return RunStatus{}, err
 	}
-	r := &run{
-		name:    sc.Name,
-		high:    high,
-		cells:   cells,
-		digests: make([]string, len(cells)),
-		state:   StateQueued,
-		changed: make(chan struct{}),
-	}
-	for i := range cells {
-		r.digests[i] = cells[i].Options.Digest()
-		r.jobs += len(cells[i].Options.Jobs())
-	}
+	r := newRun(sc.Name, high, cells)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -246,6 +236,27 @@ func (s *Server) Submit(body []byte, high bool) (RunStatus, error) {
 	default:
 	}
 	return s.statusLocked(r), nil
+}
+
+// newRun builds a queued run over expanded cells, digesting and counting
+// each cell's jobs once: status reads, which the executor's callbacks wait
+// behind under s.mu, only copy the counts.
+func newRun(name string, high bool, cells []scenario.Cell) *run {
+	r := &run{
+		name:     name,
+		high:     high,
+		cells:    cells,
+		digests:  make([]string, len(cells)),
+		cellJobs: make([]int, len(cells)),
+		state:    StateQueued,
+		changed:  make(chan struct{}),
+	}
+	for i := range cells {
+		r.digests[i] = cells[i].Options.Digest()
+		r.cellJobs[i] = len(cells[i].Options.Jobs())
+		r.jobs += r.cellJobs[i]
+	}
+	return r
 }
 
 // Status returns a run's status snapshot; ok is false for an unknown ID.
@@ -307,7 +318,7 @@ func (s *Server) statusLocked(r *run) RunStatus {
 		st.Cells[i] = CellStatus{
 			Name:   r.cells[i].Name,
 			Digest: r.digests[i],
-			Jobs:   len(r.cells[i].Options.Jobs()),
+			Jobs:   r.cellJobs[i],
 		}
 	}
 	return st

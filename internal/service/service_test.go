@@ -665,3 +665,40 @@ func TestServiceSSEFraming(t *testing.T) {
 		}
 	}
 }
+
+// TestCellStatusJobsCountedAtSubmit checks the per-cell job counts a status
+// read reports — recorded once when the run is built, not re-expanded on
+// every read — against Options.Jobs(), for a multi-cell scenario with one
+// cell sharded.
+func TestCellStatusJobsCountedAtSubmit(t *testing.T) {
+	sc, err := scenario.Parse(tinyScenario("counts", 1, 2, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := sc.Expand(config.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 3 {
+		t.Fatalf("scenario expanded to %d cells, want 3", len(cells))
+	}
+	cells[1].Options.ShardIndex, cells[1].Options.ShardCount = 1, 2
+	r := newRun(sc.Name, false, cells)
+	s := &Server{}
+	st := s.statusLocked(r)
+	total := 0
+	for i, cs := range st.Cells {
+		want := len(cells[i].Options.Jobs())
+		if cs.Jobs != want {
+			t.Errorf("cell %s: CellStatus.Jobs = %d, Options.Jobs() has %d", cs.Name, cs.Jobs, want)
+		}
+		total += want
+	}
+	if st.Cells[1].Jobs >= st.Cells[0].Jobs {
+		t.Errorf("sharded cell reports %d jobs, the unsharded one %d: the shard filter was not counted",
+			st.Cells[1].Jobs, st.Cells[0].Jobs)
+	}
+	if st.JobsTotal != total {
+		t.Errorf("JobsTotal = %d, the cells hold %d", st.JobsTotal, total)
+	}
+}
