@@ -12,12 +12,12 @@ FUZZTIME ?= 5s
 # Minimum total statement coverage (percent) enforced by `make cover`.
 COVER_FLOOR ?= 70
 
-.PHONY: ci fmt vet build test test-allocs test-faults test-service race cover fuzz-smoke bench-smoke bench bench-sweep bench-baseline bench-compare
+.PHONY: ci fmt vet build test test-allocs test-faults test-service race cover fuzz-smoke bench-smoke bench-test bench bench-sweep bench-baseline bench-compare
 
 # cover runs the full test suite (instrumented) and fails on any test
 # failure, so ci does not also run the plain `test` target — that would
 # execute every test twice for no extra guarantee.
-ci: fmt vet build cover test-allocs test-faults test-service race fuzz-smoke bench-smoke
+ci: fmt vet build cover test-allocs test-faults test-service race fuzz-smoke bench-smoke bench-test
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -97,6 +97,12 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim
 	CMPLEAK_BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' \
 		-bench 'BenchmarkRun(Baseline|Protocol|Decay|SelectiveDecay)$$' -benchtime 1x .
+
+# bench-test vets and tests the benchmark driver.  bench/ is a Go module
+# of its own, so the root `go test ./...` never builds it; this catches an
+# API change that breaks leakbench.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the full figure-regeneration benchmarks at the default scale.
 bench:

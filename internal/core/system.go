@@ -12,6 +12,7 @@ import (
 	"cmpleak/internal/power"
 	"cmpleak/internal/sim"
 	"cmpleak/internal/thermal"
+	"cmpleak/internal/workload"
 )
 
 // System assembles the full CMP of Figure 1 — cores, write-through L1s with
@@ -27,6 +28,7 @@ type System struct {
 	l1s     []*coherence.L1Controller
 	l2s     []*Controller
 	cores   []*cpu.Core
+	streams []workload.Stream // per-core, as built; checked for decode errors after the run
 	tech    decay.Technique
 	thermal *thermal.Model
 
@@ -45,8 +47,18 @@ type System struct {
 	maxTempObserved float64
 }
 
-// NewSystem builds and wires the CMP described by the configuration.
+// NewSystem builds and wires the CMP described by the configuration, its
+// cores driven by cfg.Workload()'s streams.
 func NewSystem(cfg config.System) (*System, error) {
+	return NewSystemFrom(cfg, nil)
+}
+
+// NewSystemFrom is NewSystem with the cores driven by gen's streams instead
+// of cfg.Workload()'s; a nil gen means cfg.Workload().  gen must produce
+// exactly the streams cfg.Workload() would for cfg.Cores and cfg.Seed — the
+// sweep pool passes an in-memory replay of them — because the result still
+// names cfg's benchmark.
+func NewSystemFrom(cfg config.System, gen workload.Generator) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -54,9 +66,10 @@ func NewSystem(cfg config.System) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	gen, err := cfg.Workload()
-	if err != nil {
-		return nil, err
+	if gen == nil {
+		if gen, err = cfg.Workload(); err != nil {
+			return nil, err
+		}
 	}
 
 	s := &System{cfg: cfg, eng: sim.NewEngine(), tech: tech}
@@ -68,6 +81,7 @@ func NewSystem(cfg config.System) (*System, error) {
 	}
 
 	streams := gen.Streams(cfg.Cores, cfg.Seed)
+	s.streams = streams
 	coreCfg := cpu.Config{
 		IssueWidth:           cfg.Core.IssueWidth,
 		MaxOutstandingLoads:  cfg.Core.MaxOutstandingLoads,
@@ -185,6 +199,17 @@ func (s *System) Run() (Result, error) {
 				s.coresDone, len(s.cores))
 		case sim.RunLimited:
 			return Result{}, fmt.Errorf("core: simulation exceeded MaxCycles=%d", s.cfg.MaxCycles)
+		}
+	}
+	// A stream that fails mid-run (a trace chunk that does not decode)
+	// reads as exhausted to its core, so the run above ends early without
+	// complaint; fail it here instead of returning a truncated result.  The
+	// wrap keeps the chain, so a transient read fault is retried.
+	for i, st := range s.streams {
+		if e, ok := st.(interface{ Err() error }); ok {
+			if err := e.Err(); err != nil {
+				return Result{}, fmt.Errorf("core: stream of core %d: %w", i, err)
+			}
 		}
 	}
 	sampler.Stop()

@@ -16,6 +16,7 @@ import (
 	"cmpleak/internal/config"
 	"cmpleak/internal/core"
 	"cmpleak/internal/decay"
+	"cmpleak/internal/workload"
 )
 
 // determinismOptions is a reduced-scale slice of the paper sweep that still
@@ -98,11 +99,11 @@ func TestSystemRunDeterminism(t *testing.T) {
 }
 
 func TestRunCancelsRemainingJobsOnError(t *testing.T) {
-	defer func(old func(config.System) (core.Result, error)) { runJob = old }(runJob)
+	defer func(old func(config.System, workload.Generator) (core.Result, error)) { runJob = old }(runJob)
 
 	var mu sync.Mutex
 	calls := 0
-	runJob = func(cfg config.System) (core.Result, error) {
+	runJob = func(config.System, workload.Generator) (core.Result, error) {
 		mu.Lock()
 		calls++
 		n := calls

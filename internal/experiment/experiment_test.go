@@ -8,6 +8,7 @@ import (
 	"cmpleak/internal/config"
 	"cmpleak/internal/core"
 	"cmpleak/internal/decay"
+	"cmpleak/internal/workload"
 )
 
 // tinyOptions returns a sweep small enough for unit tests: two benchmarks,
@@ -100,7 +101,7 @@ func TestOptionsRejectDuplicateAxisValues(t *testing.T) {
 			}
 			ran := 0
 			restore := runJob
-			runJob = func(cfg config.System) (core.Result, error) {
+			runJob = func(cfg config.System, _ workload.Generator) (core.Result, error) {
 				ran++
 				return core.Result{}, nil
 			}

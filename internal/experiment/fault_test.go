@@ -17,6 +17,7 @@ import (
 	"cmpleak/internal/config"
 	"cmpleak/internal/core"
 	"cmpleak/internal/faultinject"
+	"cmpleak/internal/workload"
 )
 
 // TestJobPanicContained injects a panic at the job boundary of the third
@@ -268,11 +269,11 @@ func TestRetryOnRealJobFailure(t *testing.T) {
 	orig := runJob
 	defer func() { runJob = orig }()
 	var failures atomic.Int64
-	runJob = func(cfg config.System) (core.Result, error) {
+	runJob = func(cfg config.System, gen workload.Generator) (core.Result, error) {
 		if failures.Add(1) <= 2 {
 			return core.Result{}, transientTestError{}
 		}
-		return orig(cfg)
+		return orig(cfg, gen)
 	}
 	got, err := runSweep(opts, Parallelism{
 		Workers: 2,

@@ -9,7 +9,8 @@ package experiment
 // (benchmark, size, technique) simulation with its own core.System and
 // engine.  Jobs are independent: each builds its configuration from the
 // sweep's immutable Options, so N workers hold N engines and share nothing
-// but the job queue and the result collector.  Because every job is
+// but the job queue, the result collector and the read-only reference
+// streams of jobs with the same stream key (memo.go).  Because every job is
 // deterministic in isolation, the assembled Sweep — Digest(), figures,
 // rendered report — is byte-identical whatever the worker count or
 // completion order; the golden anchors pin that.
@@ -41,6 +42,7 @@ import (
 	"sync"
 	"time"
 
+	"cmpleak/internal/config"
 	"cmpleak/internal/core"
 )
 
@@ -126,13 +128,18 @@ func RunParallelAllContext(ctx context.Context, cells []NamedOptions, p Parallel
 	// their slot here and never enter the queue.
 	type flatJob struct {
 		sweep, index int
-		job          job
+		key          Key
+		shared       *sharedStreams // nil: no other queued job shares the streams
 	}
-	var flat []flatJob
+	var (
+		flat []flatJob
+		cfgs []config.System // flat[i]'s configuration
+	)
 	out := make([]*Sweep, len(cells))
 	for si := range cells {
-		js := cells[si].Options.jobs()
-		out[si] = newSweep(cells[si].Options, js)
+		opts := &cells[si].Options
+		js := opts.jobs()
+		out[si] = newSweep(*opts, js)
 		for ji, j := range js {
 			if p.Reuse != nil {
 				if res, ok := p.Reuse(cells[si].Name, j.key); ok {
@@ -140,8 +147,14 @@ func RunParallelAllContext(ctx context.Context, cells []NamedOptions, p Parallel
 					continue
 				}
 			}
-			flat = append(flat, flatJob{sweep: si, index: ji, job: j})
+			flat = append(flat, flatJob{sweep: si, index: ji, key: j.key})
+			cfgs = append(cfgs, opts.jobConfig(j))
 		}
+	}
+	// Jobs that read the same reference streams share one in-memory capture
+	// of them (memo.go).
+	for i, s := range shareStreams(cfgs) {
+		flat[i].shared = s
 	}
 
 	workers := p.Workers
@@ -178,21 +191,16 @@ func RunParallelAllContext(ctx context.Context, cells []NamedOptions, p Parallel
 					continue
 				}
 				fj := flat[fi]
-				opts := &cells[fj.sweep].Options
-				cfg := opts.Base.
-					WithBenchmark(fj.job.key.Benchmark).
-					WithTotalL2MB(fj.job.key.SizeMB).
-					WithTechnique(fj.job.spec)
-				cfg.WorkloadScale = opts.Scale
-				cfg.Seed = opts.Seed
 				start := time.Now()
+				gen := fj.shared.generator(cfgs[fi])
 				res, attempts, err := runAttempts(ctx.Done(), cancel,
-					cells[fj.sweep].Name, fj.job.key, fi, cfg, p.Retry)
+					cells[fj.sweep].Name, fj.key, fi, cfgs[fi], gen, p.Retry)
 				elapsed := time.Since(start)
 
 				mu.Lock()
+				fj.shared.release()
 				if err != nil {
-					jobErrs[fi] = fmt.Errorf("experiment: %s: %w", fj.job.key, err)
+					jobErrs[fi] = fmt.Errorf("experiment: %s: %w", fj.key, err)
 					if !failed {
 						failed, first = true, fi
 						close(cancel)
@@ -207,7 +215,7 @@ func RunParallelAllContext(ctx context.Context, cells []NamedOptions, p Parallel
 					ev := JobEvent{
 						Cell:     cells[fj.sweep].Name,
 						Sweep:    fj.sweep,
-						Key:      fj.job.key,
+						Key:      fj.key,
 						Index:    fj.index,
 						Err:      jobErrs[fi],
 						Done:     done,

@@ -13,12 +13,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-
 	"time"
 
 	"cmpleak/internal/config"
 	"cmpleak/internal/core"
 	"cmpleak/internal/faultinject"
+	"cmpleak/internal/workload"
 )
 
 // FaultPointJob is the fault-injection point at the worker job boundary:
@@ -132,7 +132,7 @@ func splitmix64(x uint64) uint64 {
 // net: the fault-injection hook fires first (so tests can fail or crash
 // exactly this boundary), and any panic — injected or real — is converted
 // into a JobPanicError instead of unwinding the pool.
-func runJobGuarded(cell string, key Key, cfg config.System) (res core.Result, err error) {
+func runJobGuarded(cell string, key Key, cfg config.System, gen workload.Generator) (res core.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &JobPanicError{Cell: cell, Key: key, Value: v, Stack: debug.Stack()}
@@ -143,7 +143,7 @@ func runJobGuarded(cell string, key Key, cfg config.System) (res core.Result, er
 			return core.Result{}, ferr
 		}
 	}
-	return runJob(cfg)
+	return runJob(cfg, gen)
 }
 
 // runAttempts drives one job through the retry policy: transient failures
@@ -152,10 +152,10 @@ func runJobGuarded(cell string, key Key, cfg config.System) (res core.Result, er
 // failure cancel channel — aborts the backoff and returns the last error.
 // It reports the result, the number of attempts made, and the final error.
 func runAttempts(done <-chan struct{}, cancel <-chan struct{}, cell string, key Key,
-	jobIndex int, cfg config.System, rp RetryPolicy) (core.Result, int, error) {
+	jobIndex int, cfg config.System, gen workload.Generator, rp RetryPolicy) (core.Result, int, error) {
 	attempts := 0
 	for {
-		res, err := runJobGuarded(cell, key, cfg)
+		res, err := runJobGuarded(cell, key, cfg, gen)
 		attempts++
 		if err == nil {
 			return res, attempts, nil

@@ -13,6 +13,7 @@ import (
 	"cmpleak/internal/config"
 	"cmpleak/internal/core"
 	"cmpleak/internal/decay"
+	"cmpleak/internal/workload"
 )
 
 // Options selects the portion of the paper's design space to run.
@@ -154,9 +155,16 @@ type Sweep struct {
 // baselineName is the technique label of the always-on runs.
 const baselineName = "baseline"
 
-// runJob executes one configuration; a variable so tests can observe and
-// fail individual jobs.
-var runJob = core.Run
+// runJob executes one configuration with its cores driven by gen's streams
+// (nil: cfg.Workload()'s); a variable so tests can observe and fail
+// individual jobs.
+var runJob = func(cfg config.System, gen workload.Generator) (core.Result, error) {
+	s, err := core.NewSystemFrom(cfg, gen)
+	if err != nil {
+		return core.Result{}, err
+	}
+	return s.Run()
+}
 
 // job is one simulation of the sweep.
 type job struct {
@@ -171,6 +179,17 @@ func (o Options) techniqueNames() []string {
 		names[i] = spec.Name()
 	}
 	return names
+}
+
+// jobConfig is the system configuration job j simulates.
+func (o Options) jobConfig(j job) config.System {
+	cfg := o.Base.
+		WithBenchmark(j.key.Benchmark).
+		WithTotalL2MB(j.key.SizeMB).
+		WithTechnique(j.spec)
+	cfg.WorkloadScale = o.Scale
+	cfg.Seed = o.Seed
+	return cfg
 }
 
 // takesGroup reports whether the shard filter keeps the (benchmark, size)

@@ -6,11 +6,15 @@ package trace_test
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"cmpleak/internal/config"
+	"cmpleak/internal/core"
 	"cmpleak/internal/faultinject"
 	"cmpleak/internal/trace"
 	"cmpleak/internal/workload"
@@ -170,5 +174,81 @@ func TestChunkFaultPoint(t *testing.T) {
 	}
 	if err := r.Err(); !errors.Is(err, faultinject.ErrInjected) || !strings.Contains(err.Error(), path) {
 		t.Fatalf("reader error %v, want injected fault naming %s", err, path)
+	}
+}
+
+// TestReplayChunkFaultFailsRun pins that a chunk failing mid-replay fails
+// the simulation instead of reading as a shorter stream: the run must
+// return the injected error, still classified transient so the sweep pool
+// retries it, and the same replay must match the live run once disarmed.
+func TestReplayChunkFaultFailsRun(t *testing.T) {
+	defer faultinject.Disarm()
+	cfg := config.Default().WithBenchmark("FMM")
+	cfg.WorkloadScale = 0.01
+	gen, err := cfg.Workload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := captureInMemory(t, gen, cfg.Cores, cfg.Seed)
+	run := func() (core.Result, error) {
+		s, err := core.NewSystemFrom(cfg, f.Generator())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Run()
+	}
+
+	if err := faultinject.Arm(faultinject.Plan{Specs: []faultinject.Spec{
+		{Point: trace.FaultPointChunk, Kind: faultinject.KindError, After: 2, Times: 1, Transient: true, Msg: "mid-run"},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := run()
+	faultinject.Disarm()
+	if err == nil {
+		t.Fatalf("faulted replay succeeded with %d instructions", res.Instructions)
+	}
+	if !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("run error %v lost the injected fault", err)
+	}
+	var tr interface{ Transient() bool }
+	if !errors.As(err, &tr) || !tr.Transient() {
+		t.Fatalf("run error %v lost its transient classification", err)
+	}
+
+	replayed, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(replayed, live) {
+		t.Fatalf("replay diverged from the live run:\n  live:   %+v\n  replay: %+v", live, replayed)
+	}
+}
+
+// TestCaptureFaultFailsCapture pins the same rule for recording: capturing
+// a replayed trace whose chunk fails must return the error, not record the
+// stream cut short.
+func TestCaptureFaultFailsCapture(t *testing.T) {
+	defer faultinject.Disarm()
+	gen, err := workload.ByName("WATER-NS", 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := captureInMemory(t, gen, 4, 1)
+	if err := faultinject.Arm(faultinject.Plan{Specs: []faultinject.Spec{
+		{Point: trace.FaultPointChunk, Kind: faultinject.KindError, After: 1, Times: 1, Msg: "mid-capture"},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	w, err := trace.NewWriter(io.Discard, trace.Header{Cores: 4}, trace.WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.Capture(src.Generator(), 4, 1, w, trace.CaptureOptions{}); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("Capture over a failing stream returned %v, want the injected fault", err)
 	}
 }

@@ -324,6 +324,14 @@ func Capture(gen workload.Generator, cores int, seed uint64, w *Writer, opts Cap
 				n = s.NextBatch(room)
 			}
 			if n == 0 {
+				// A stream that failed (a replayed trace whose chunk does
+				// not decode) reads as exhausted; refuse to record it as
+				// a shorter stream.
+				if e, ok := streams[i].(interface{ Err() error }); ok {
+					if err := e.Err(); err != nil {
+						return counts, fmt.Errorf("trace: capturing core %d: %w", i, err)
+					}
+				}
 				done[i] = true
 				live--
 				continue

@@ -209,6 +209,15 @@ func (o *offsetStream) NextBatch(buf []Entry) int {
 	return n
 }
 
+// Err passes through the wrapped stream's decode error (a trace element's
+// Reader), so consumers that check streams for Err() error still see it.
+func (o *offsetStream) Err() error {
+	if e, ok := o.s.(interface{ Err() error }); ok {
+		return e.Err()
+	}
+	return nil
+}
+
 // Next implements Stream as a batch of one.
 func (o *offsetStream) Next() (Entry, bool) {
 	var one [1]Entry

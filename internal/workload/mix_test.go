@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -191,5 +192,26 @@ func TestMixNextBatchAllocationFree(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("mix NextBatch allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// errStream is an exhausted stream that failed, like a trace Reader whose
+// chunk did not decode.
+type errStream struct{ err error }
+
+func (s errStream) NextBatch([]Entry) int { return 0 }
+func (s errStream) Err() error            { return s.err }
+
+// TestMixOffsetStreamPassesErr pins that displacing a mix element's
+// addresses does not hide its stream's decode error from the consumer.
+func TestMixOffsetStreamPassesErr(t *testing.T) {
+	want := errors.New("chunk 3: corrupt")
+	s := &offsetStream{s: errStream{want}, off: 1 << mixOffsetShift}
+	if err := s.Err(); err != want {
+		t.Fatalf("offset stream Err() = %v, want %v", err, want)
+	}
+	plain := &offsetStream{s: &sliceStream{}}
+	if err := plain.Err(); err != nil {
+		t.Fatalf("offset stream over an error-free stream reports %v", err)
 	}
 }
