@@ -4,15 +4,11 @@
 
 GO ?= go
 BENCH_SCALE ?= 0.005
-# Packages with the scheduler + data-plane + front-end + trace-I/O + sweep
-# microbenchmarks used by bench-baseline / bench-compare.
-BENCH_PKGS ?= ./internal/sim ./internal/cache ./internal/core ./internal/decay ./internal/workload ./internal/stats ./internal/trace ./internal/experiment
-BENCH_COUNT ?= 5
 FUZZTIME ?= 5s
 # Minimum total statement coverage (percent) enforced by `make cover`.
 COVER_FLOOR ?= 70
 
-.PHONY: ci fmt vet build test test-allocs test-faults test-service race cover fuzz-smoke bench-smoke bench-test bench bench-sweep bench-baseline bench-compare
+.PHONY: ci fmt vet build test test-allocs test-faults test-service race cover fuzz-smoke bench-smoke bench-test bench bench-sweep
 
 # cover runs the full test suite (instrumented) and fails on any test
 # failure, so ci does not also run the plain `test` target — that would
@@ -110,29 +106,8 @@ bench:
 
 # bench-sweep compares serial vs parallel sweep wall-clock on the
 # reduced-scale matrix (one worker vs GOMAXPROCS workers, same jobs): the
-# jobs/sec metric is the in-process pool's speedup on this box.  The same
-# benchmarks also run under bench-baseline / bench-compare via BENCH_PKGS.
+# jobs/sec metric is the in-process pool's speedup on this box.  To compare
+# two commits end to end, use `bash bench/run.sh compare`.
 bench-sweep:
 	CMPLEAK_BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' \
 		-bench 'BenchmarkSweep(Serial|Parallel)$$' -count 3 ./internal/experiment
-
-# bench-baseline records the microbenchmark numbers of the current tree
-# (run it on the commit you want to compare against); bench-compare reruns
-# them and reports old vs new — through benchstat when it is installed,
-# falling back to the raw numbers side by side.
-bench-baseline:
-	@mkdir -p .bench
-	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) $(BENCH_PKGS) | tee .bench/old.txt
-
-bench-compare:
-	@mkdir -p .bench
-	@test -f .bench/old.txt || { \
-		echo "no .bench/old.txt — run 'make bench-baseline' on the baseline commit first"; exit 1; }
-	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) $(BENCH_PKGS) | tee .bench/new.txt
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat .bench/old.txt .bench/new.txt; \
-	else \
-		echo "--- benchstat not installed; raw results ---"; \
-		echo "== old =="; grep '^Benchmark' .bench/old.txt; \
-		echo "== new =="; grep '^Benchmark' .bench/new.txt; \
-	fi

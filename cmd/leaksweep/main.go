@@ -11,15 +11,15 @@
 //	leaksweep -jobs 8              # exactly 8 concurrent simulation workers
 //	leaksweep -scenario scenarios/paper.json        # declarative matrix
 //	leaksweep -cache results/   # persist every job; rerun the command to resume
-//	leaksweep -shard 0/4 -out shard0.json   # this process runs shard 0 of 4
-//	leaksweep -merge 'shard*.json'          # join the shards into one figure set
+//	leaksweep -shard 0/4 -cache c0/   # this process runs shard 0 of 4 into c0/
+//	leaksweep -merge 'c*'             # join the shard caches into one figure set
 //
 // Every invocation runs its jobs through an in-process worker pool (one
 // simulation engine per worker): -jobs N sets the worker count, defaulting
 // to the number of CPUs, and a live progress line on stderr tracks
 // completed jobs, rate and ETA.  Results are byte-identical at any -jobs
 // value — the pool collects into deterministic feed order — so figures,
-// -out shard files and merges never depend on the worker count.
+// cached results and merges never depend on the worker count.
 //
 // -scenario runs a declarative experiment matrix instead of the flag-driven
 // sweep (which is itself run as a one-cell batch through the same path):
@@ -28,19 +28,21 @@
 // or more sweeps ("cells").  scenarios/paper.json is the paper's own figure
 // matrix.  A multi-cell scenario fans every cell's jobs through the one
 // shared pool — the workers never idle between cells — and the per-cell
-// reports print in cell order afterwards.  -shard and -out compose with it —
-// each cell is sharded identically, and a multi-cell scenario writes one
-// -out file per cell with the cell name spliced in before the extension —
-// so scenario shards merge byte-identically through -merge, exactly like
-// flag-driven ones.
+// reports print in cell order afterwards.  -shard, -cache and -merge
+// compose with it — each cell is sharded identically — so scenario shards
+// merge byte-identically, exactly like flag-driven ones.
 //
 // -shard i/n deterministically partitions the sweep's (benchmark, size)
 // groups by index — each group's baseline and technique runs stay together
 // — so n invocations that differ only in i (across processes or machines)
 // together run exactly the full matrix, each job exactly once.  Each
-// invocation snapshots its results with -out; -merge globs the snapshots,
-// validates they are a disjoint and covering partition of one sweep, and
-// prints the combined report and figures without running anything.
+// invocation records its results with -cache DIRi.  The merge is the
+// unsharded command plus -merge 'DIR*': it opens every cache directory the
+// glob matches, checks that their union holds every job of every cell and
+// never two different results for one job, and prints the combined report
+// and figures from the union without simulating anything.  The shard slice
+// is not part of a cache record's key, so a shard's cache also serves the
+// unsharded command directly.
 //
 // Benchmarks may be recorded traces: -benchmarks trace:fmm.trc sweeps a
 // tracegen file through every size and technique like a synthetic name.
@@ -66,7 +68,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -88,8 +89,7 @@ func main() {
 		jobs       = flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent simulation workers (one engine each)")
 		quiet      = flag.Bool("quiet", false, "suppress the live progress line")
 		shard      = flag.String("shard", "", "run shard i of n sweep jobs, as \"i/n\" (default: all jobs)")
-		out        = flag.String("out", "", "write the run's results as a shard JSON file (one per cell with -scenario)")
-		merge      = flag.String("merge", "", "merge shard JSON files matching this glob instead of running")
+		merge      = flag.String("merge", "", "serve every job from the union of the -cache directories matching this glob instead of running")
 		cache      = flag.String("cache", "", "reuse and record job results in this persistent content-addressed cache directory (rerun to resume)")
 		retries    = flag.Int("retries", 0, "extra attempts per job for transient failures (0 = fail on first error)")
 	)
@@ -103,19 +103,9 @@ func main() {
 		if *shard != "" {
 			fatalf("-merge joins completed shards; it cannot be combined with -shard")
 		}
-		if *scenario != "" {
-			fatalf("-merge joins completed shards; it cannot be combined with -scenario")
-		}
 		if *cache != "" {
 			fatalf("-merge runs nothing; it cannot be combined with -cache")
 		}
-		sweep, err := cmpleak.MergeSweepShardGlob(*merge)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		writeOut(*out, sweep)
-		emitReport(sweep, *fig, *csv)
-		return
 	}
 
 	// SIGINT/SIGTERM cancel the pool: in-flight jobs finish, the cache is
@@ -170,12 +160,22 @@ func main() {
 	if shardCount > 1 {
 		source += fmt.Sprintf(" (shard %d/%d)", shardIndex, shardCount)
 	}
+	if *merge != "" {
+		source += fmt.Sprintf(" (merged from %s)", *merge)
+	}
 
 	rc := runConfig{workers: *jobs, quiet: *quiet, retries: *retries}
 	if *cache != "" {
 		store, err := cmpleak.OpenResultCache(*cache, cmpleak.ResultCacheOptions{})
 		if err != nil {
 			fatalf("opening cache: %v", err)
+		}
+		rc.store = store
+	}
+	if *merge != "" {
+		store, err := cmpleak.MergeResultCaches(*merge, named)
+		if err != nil {
+			fatalf("%v", err)
 		}
 		rc.store = store
 	}
@@ -190,7 +190,6 @@ func main() {
 				fmt.Printf("== %s ==\n\n", cell.Name)
 			}
 		}
-		writeOut(cellOutPath(*out, cell.Name, len(named) > 1), sweeps[i])
 		emitReport(sweeps[i], *fig, *csv)
 	}
 }
@@ -201,8 +200,8 @@ type runConfig struct {
 	quiet   bool
 	retries int
 	// store, when non-nil, is the persistent content-addressed result cache
-	// (-cache): jobs it holds are served without simulating, and every
-	// completed job is written through to it.
+	// (-cache), or the union of the -merge caches: jobs it holds are served
+	// without simulating, and every completed job is written through to it.
 	store *cmpleak.ResultCache
 }
 
@@ -344,18 +343,6 @@ func progressLine(prefix string, quiet bool) func(cmpleak.SweepJobEvent) {
 	}
 }
 
-// cellOutPath derives the -out file of one cell: the path itself for a
-// single-cell scenario, the cell name spliced in before the extension
-// otherwise ("res.json" + "paper/c8-seed1" -> "res.paper-c8-seed1.json").
-func cellOutPath(out, cellName string, multi bool) string {
-	if out == "" || !multi {
-		return out
-	}
-	safe := strings.NewReplacer("/", "-", " ", "_").Replace(cellName)
-	ext := filepath.Ext(out)
-	return strings.TrimSuffix(out, ext) + "." + safe + ext
-}
-
 // flagWasSet reports whether the named flag was given explicitly.
 func flagWasSet(name string) bool {
 	set := false
@@ -365,25 +352,6 @@ func flagWasSet(name string) bool {
 		}
 	})
 	return set
-}
-
-// writeOut snapshots the sweep's results as a shard JSON file.
-func writeOut(path string, sweep *cmpleak.Sweep) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	err = cmpleak.WriteSweepShard(f, sweep)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fatalf("writing %s: %v", path, err)
-	}
-	fmt.Fprintf(os.Stderr, "leaksweep: wrote %s\n", path)
 }
 
 // emitReport prints one figure or the full report through the shared

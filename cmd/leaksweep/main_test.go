@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -252,17 +253,14 @@ const twoCellScenario = `{
 }`
 
 // TestScenarioCacheWarmRunByteIdentical runs a two-cell scenario cold and
-// then warm over one -cache: the warm run reuses every job, prints
-// byte-identical stdout, and rewrites identical per-cell -out files.
+// then warm over one -cache: the warm run reuses every job and prints
+// byte-identical stdout, with each cell's report under its banner.
 func TestScenarioCacheWarmRunByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
 	dir := t.TempDir()
-	path := filepath.Join(dir, "tiny.json")
-	if err := os.WriteFile(path, []byte(twoCellScenario), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := writeScenario(t, dir, twoCellScenario)
 	sc, err := cmpleak.ParseScenario([]byte(twoCellScenario))
 	if err != nil {
 		t.Fatal(err)
@@ -274,10 +272,9 @@ func TestScenarioCacheWarmRunByteIdentical(t *testing.T) {
 	if len(cells) != 2 {
 		t.Fatalf("scenario expands to %d cells, want 2", len(cells))
 	}
-	out := filepath.Join(dir, "res.json")
-	args := []string{"-scenario", path, "-cache", filepath.Join(dir, "cache"), "-out", out, "-jobs", "2", "-quiet"}
+	args := []string{"-scenario", path, "-cache", filepath.Join(dir, "cache"), "-jobs", "2", "-quiet"}
 
-	run := func(summary string) (string, map[string][]byte) {
+	run := func(summary string) string {
 		stdout, stderr, code := runMain(t, args)
 		if code != 0 {
 			t.Fatalf("run exited %d:\n%s", code, stderr)
@@ -285,29 +282,126 @@ func TestScenarioCacheWarmRunByteIdentical(t *testing.T) {
 		if !strings.Contains(stderr, summary) {
 			t.Fatalf("stderr lacks %q:\n%s", summary, stderr)
 		}
-		files := map[string][]byte{}
 		for _, c := range cells {
-			name := cellOutPath(out, c.Name, true)
-			data, err := os.ReadFile(name)
-			if err != nil {
-				t.Fatalf("cell %s: %v", c.Name, err)
-			}
-			files[name] = data
 			if !strings.Contains(stdout, "== "+c.Name+" ==") {
 				t.Fatalf("stdout lacks the banner of cell %s", c.Name)
 			}
 		}
-		return stdout, files
+		return stdout
 	}
-	coldOut, coldFiles := run("cache: 0 job(s) reused, 4 result(s) recorded")
-	warmOut, warmFiles := run("cache: 4 job(s) reused, 0 result(s) recorded")
+	coldOut := run("cache: 0 job(s) reused, 4 result(s) recorded")
+	warmOut := run("cache: 4 job(s) reused, 0 result(s) recorded")
 	if warmOut != coldOut {
 		t.Fatalf("warm stdout diverged from cold run\n--- cold ---\n%s\n--- warm ---\n%s", coldOut, warmOut)
 	}
-	for name, data := range coldFiles {
-		if !bytes.Equal(warmFiles[name], data) {
-			t.Fatalf("warm run rewrote %s with different bytes", name)
-		}
+}
+
+// writeScenario writes a scenario file into dir and returns its path.
+func writeScenario(t *testing.T, dir, body string) string {
+	t.Helper()
+	path := filepath.Join(dir, "scenario.json")
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// shardScenario expands to two cells (2- and 4-core) of two (benchmark,
+// size) groups each, so a 2-way shard split gives both shards work.
+const shardScenario = `{
+  "version": 1,
+  "name": "shards",
+  "benchmarks": ["FMM"],
+  "l2_sizes_mb": [1, 2],
+  "techniques": ["decay:8K"],
+  "core_counts": [2, 4],
+  "scale": 0.005
+}`
+
+// TestShardCachesMergeByteIdentical is the sharded workflow end to end:
+// `-shard 0/2 -cache d0` and `-shard 1/2 -cache d1`, then the unsharded
+// command plus `-merge 'd*'`, prints stdout byte-identical to the unsharded
+// run while serving every job from the two caches — for a flag sweep and
+// for a two-cell scenario.
+func TestShardCachesMergeByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		args []string
+		jobs int
+	}{
+		{"flags", sweepArgs("-sizes", "1,2"), 16},
+		{"scenario", []string{"-scenario", writeScenario(t, dir, shardScenario), "-jobs", "2", "-quiet"}, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			wantOut, wantErr, code := runMain(t, tc.args)
+			if code != 0 {
+				t.Fatalf("unsharded run exited %d:\n%s", code, wantErr)
+			}
+			for i := 0; i < 2; i++ {
+				args := append(append([]string(nil), tc.args...),
+					"-shard", fmt.Sprintf("%d/2", i), "-cache", filepath.Join(root, fmt.Sprintf("d%d", i)))
+				if _, stderr, code := runMain(t, args); code != 0 {
+					t.Fatalf("shard %d exited %d:\n%s", i, code, stderr)
+				}
+			}
+			mergeArgs := append(append([]string(nil), tc.args...), "-merge", filepath.Join(root, "d*"))
+			gotOut, gotErr, code := runMain(t, mergeArgs)
+			if code != 0 {
+				t.Fatalf("merge exited %d:\n%s", code, gotErr)
+			}
+			if want := fmt.Sprintf("cache: %d job(s) reused, 0 result(s) recorded", tc.jobs); !strings.Contains(gotErr, want) {
+				t.Fatalf("merge did not serve every job from the caches (want %q):\n%s", want, gotErr)
+			}
+			if gotOut != wantOut {
+				t.Fatalf("merged stdout diverged from the unsharded run\n--- want ---\n%s\n--- got ---\n%s", wantOut, gotOut)
+			}
+
+			// Without shard 1's cache the union misses its jobs: the merge
+			// fails and names one.
+			if err := os.RemoveAll(filepath.Join(root, "d1")); err != nil {
+				t.Fatal(err)
+			}
+			stdout, stderr, code := runMain(t, mergeArgs)
+			if code == 0 {
+				t.Fatal("merge without shard 1's cache succeeded")
+			}
+			if !regexp.MustCompile(`holds (\S+ )?[\w-]+/\dMB/\w+`).MatchString(stderr) {
+				t.Fatalf("uncovered-job error does not name a job:\n%s", stderr)
+			}
+			if stdout != "" {
+				t.Fatalf("failed merge printed a report:\n%s", stdout)
+			}
+		})
+	}
+}
+
+// TestShardCacheServesUnshardedRun: the shard slice is not part of the cache
+// key, so a shard's cache serves exactly that shard's jobs to the unsharded
+// command.
+func TestShardCacheServesUnshardedRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	dir := filepath.Join(t.TempDir(), "cache")
+	args := sweepArgs("-sizes", "1,2", "-cache", dir)
+	_, stderr, code := runMain(t, append(args, "-shard", "0/2"))
+	if code != 0 {
+		t.Fatalf("shard 0 exited %d:\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, "cache: 0 job(s) reused, 8 result(s) recorded") {
+		t.Fatalf("shard 0 did not record its 8 jobs:\n%s", stderr)
+	}
+	_, stderr, code = runMain(t, args)
+	if code != 0 {
+		t.Fatalf("unsharded run exited %d:\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, "cache: 8 job(s) reused, 8 result(s) recorded") {
+		t.Fatalf("unsharded run did not reuse exactly shard 0's 8 jobs:\n%s", stderr)
 	}
 }
 

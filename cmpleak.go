@@ -171,29 +171,6 @@ func ScenarioNamedOptions(cells []ScenarioCell) []NamedSweepOptions {
 	return scenario.NamedOptions(cells)
 }
 
-// SweepShard is the JSON-serialisable snapshot of one sweep invocation
-// (typically one `leaksweep -shard i/n` process).
-type SweepShard = experiment.ShardFile
-
-// WriteSweepShard snapshots a sweep's results as a shard JSON file.
-func WriteSweepShard(w io.Writer, s *Sweep) error { return experiment.WriteShard(w, s) }
-
-// ReadSweepShard reads one shard JSON file.
-func ReadSweepShard(r io.Reader) (SweepShard, error) { return experiment.ReadShard(r) }
-
-// MergeSweepShards validates that the shards form a disjoint, covering
-// partition of one sweep and joins them into the combined result set.
-func MergeSweepShards(shards ...SweepShard) (*Sweep, error) {
-	return experiment.MergeShards(shards...)
-}
-
-// MergeSweepShardGlob loads every shard file matching the glob and merges
-// them; a glob matching no files is an explicit error, never an empty
-// report.
-func MergeSweepShardGlob(glob string) (*Sweep, error) {
-	return experiment.MergeShardGlob(glob)
-}
-
 // WriteSweepReport renders a sweep's report — one figure (fig = "3a".."6b")
 // or, with fig == "", the per-size headlines plus every figure in paper
 // order — as markdown tables (or CSV with csv set).  It is the single
@@ -232,6 +209,16 @@ type ResultCacheStats = resultcache.Stats
 // store in dir.
 func OpenResultCache(dir string, opt ResultCacheOptions) (*ResultCache, error) {
 	return resultcache.Open(dir, opt)
+}
+
+// MergeResultCaches joins the result caches in every directory matching glob
+// (typically one per `leaksweep -shard i/n -cache DIRi` run) into an
+// in-memory ResultCache whose ReuseFor serves every job of the batch, so
+// RunSweeps simulates nothing.  It refuses a union that misses a job or
+// holds two different results for one, an empty glob, and any matched path
+// that is not a result cache directory.
+func MergeResultCaches(glob string, sweeps []NamedSweepOptions) (*ResultCache, error) {
+	return resultcache.Merge(glob, sweeps)
 }
 
 // ParseTechnique parses a textual technique specification ("baseline",

@@ -4,8 +4,7 @@ package experiment
 // measure the same reduced-scale matrix through one worker and through
 // GOMAXPROCS workers — the speedup the in-process pool buys on this box.
 // One op is one full sweep; jobs/sec is reported as a custom metric so
-// `make bench-sweep` (and bench-baseline / bench-compare) read directly as
-// sweep throughput.  CMPLEAK_BENCH_SCALE scales the workloads (default
+// `make bench-sweep` reads directly as sweep throughput.  CMPLEAK_BENCH_SCALE scales the workloads (default
 // 0.005, matching the Makefile's bench smoke).
 
 import (

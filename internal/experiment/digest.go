@@ -120,9 +120,13 @@ func (s *Sweep) Digest() string {
 }
 
 // Digest returns a hex SHA-256 identifying everything that determines this
-// Options' results: the full base system, the axes, scale, seed and shard
-// slice.  Two Options digest equal iff a job key means the same simulation
-// under both — the property the content-addressed result cache keys on.
+// Options' results: the full base system, the axes, scale and seed.  Two
+// Options digest equal iff a job key means the same simulation under both —
+// the property the content-addressed result cache keys on.  The shard slice
+// chooses which jobs run, not what a job computes, so it is encoded as zero:
+// a shard's records then serve the unsharded sweep (`leaksweep -merge`), and
+// the fields stay in the encoding so that no digest, and no key of an
+// existing store, changes.
 func (o Options) Digest() string {
 	h := sha256.New()
 	enc := json.NewEncoder(h)
@@ -135,9 +139,9 @@ func (o Options) Digest() string {
 		Techniques   []decay.Spec
 		Scale        float64
 		Seed         uint64
-		ShardIndex   int
-		ShardCount   int
-	}{o.Base, o.Benchmarks, o.CacheSizesMB, o.Techniques, o.Scale, o.Seed, o.ShardIndex, o.ShardCount})
+		ShardIndex   int // always 0: the shard slice is not hashed
+		ShardCount   int // always 0
+	}{o.Base, o.Benchmarks, o.CacheSizesMB, o.Techniques, o.Scale, o.Seed, 0, 0})
 	if err != nil {
 		// config.System is a plain data struct; encoding it cannot fail
 		// short of a programming error, which should not be silent.

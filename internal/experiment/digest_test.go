@@ -15,13 +15,27 @@ import (
 	"cmpleak/internal/core"
 )
 
+// defaultOptionsDigest is DefaultOptions(0.05).Digest() as every result
+// cache written so far keys it.  A change here cold-invalidates every store,
+// so it must be deliberate.
+const defaultOptionsDigest = "071d7da73cd742c7ef48009e114ae20f0718e32b3aa3f10ef5e10044ea931437"
+
 // TestOptionsDigest pins the cache key's input side: the digest is
-// deterministic, and changing any field that determines a job's result —
-// including the seed and the base system — changes it.
+// deterministic, changing any field that determines a job's result —
+// including the seed and the base system — changes it, and the shard slice,
+// which only chooses which jobs run, does not.
 func TestOptionsDigest(t *testing.T) {
+	if got := DefaultOptions(0.05).Digest(); got != defaultOptionsDigest {
+		t.Fatalf("DefaultOptions(0.05).Digest() = %s, want %s", got, defaultOptionsDigest)
+	}
 	a := parallelOptions()
 	if a.Digest() != a.Digest() {
 		t.Fatal("digest is not deterministic")
+	}
+	sharded := a
+	sharded.ShardIndex, sharded.ShardCount = 1, 2
+	if sharded.Digest() != a.Digest() {
+		t.Fatal("a sharded Options digests differently from its unsharded counterpart")
 	}
 	seen := map[string]string{a.Digest(): "base"}
 	mutate := map[string]func(*Options){
@@ -30,7 +44,6 @@ func TestOptionsDigest(t *testing.T) {
 		"benchmark": func(o *Options) { o.Benchmarks = []string{"FMM"} },
 		"sizes":     func(o *Options) { o.CacheSizesMB = []int{2} },
 		"technique": func(o *Options) { o.Techniques = o.Techniques[:1] },
-		"shard":     func(o *Options) { o.ShardCount = 2; o.ShardIndex = 1 },
 		"base":      func(o *Options) { o.Base.L2MSHREntries++ },
 	}
 	for name, f := range mutate {

@@ -111,9 +111,15 @@ type NamedOptions struct {
 // and a single sweep is a one-entry batch.  The first failing job cancels
 // the whole batch; when ctx is canceled, in-flight jobs finish, queued jobs
 // are skipped, and the pool returns a cancellation error naming how far it
-// got.
+// got.  Cell names must be distinct (two unnamed cells repeat ""): Reuse,
+// JobEvent.Cell and error labels identify a cell by its name.
 func RunParallelAllContext(ctx context.Context, cells []NamedOptions, p Parallelism) ([]*Sweep, error) {
+	names := make(map[string]bool, len(cells))
 	for i := range cells {
+		if names[cells[i].Name] {
+			return nil, fmt.Errorf("experiment: batch repeats cell name %q", cells[i].Name)
+		}
+		names[cells[i].Name] = true
 		if err := cells[i].Options.Validate(); err != nil {
 			if cells[i].Name != "" {
 				return nil, fmt.Errorf("%s: %w", cells[i].Name, err)

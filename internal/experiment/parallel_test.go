@@ -227,6 +227,32 @@ func TestRunParallelAllSharesOnePool(t *testing.T) {
 	}
 }
 
+// TestRunParallelRefusesRepeatedCellNames: Reuse, JobEvent.Cell and error
+// labels identify a cell by name, so a batch that repeats one — two unnamed
+// cells included — is refused before any job is fed or looked up.
+func TestRunParallelRefusesRepeatedCellNames(t *testing.T) {
+	a := parallelOptions()
+	b := parallelOptions()
+	b.Seed++
+	for _, name := range []string{"", "cell"} {
+		looked := 0
+		_, err := RunParallelAllContext(context.Background(),
+			[]NamedOptions{{Name: name, Options: a}, {Name: name, Options: b}},
+			Parallelism{
+				Reuse: func(string, Key) (core.Result, bool) { looked++; return core.Result{}, false },
+				Progress: func(JobEvent) {
+					t.Error("a refused batch ran a job")
+				},
+			})
+		if err == nil || !strings.Contains(err.Error(), "repeats cell name") {
+			t.Fatalf("name %q: err = %v, want a repeated-cell-name refusal", name, err)
+		}
+		if looked != 0 {
+			t.Fatalf("name %q: Reuse consulted %d times before the refusal", name, looked)
+		}
+	}
+}
+
 // TestRunParallelRaceStress drives real simulations through a pool with far
 // more workers than the matrix strictly needs, so `go test -race` (make
 // race, in CI) exercises the queue, the collector and the progress path

@@ -43,8 +43,10 @@ type Options struct {
 	// is deterministic, disjoint and covering, so n invocations that
 	// differ only in ShardIndex together produce exactly the full sweep.
 	// ShardCount 0 (or 1) disables sharding.  A sharded sweep's figures
-	// contain only the shard's own groups; merging is the caller's
-	// concern.
+	// contain only the shard's own groups.  The slice does not enter
+	// Digest, so shards that record into result caches are joined by
+	// serving the unsharded sweep from the union of those caches
+	// (`leaksweep -merge`).
 	ShardIndex int
 	ShardCount int
 }

@@ -9,9 +9,12 @@
 //	(Options.Digest(), job Key)
 //
 // — the options digest covers everything that determines the result (full
-// base system, axes, scale, seed, shard slice), so two runs that would
-// simulate the same job bit-identically share one record, whatever scenario
-// file, cell name or client produced it.  Each record is additionally
+// base system, axes, scale, seed), so two runs that would simulate the same
+// job bit-identically share one record, whatever scenario file, cell name,
+// shard slice or client produced it.  That is also how a sharded sweep is
+// joined: each `leaksweep -shard i/n -cache DIRi` fills its own store, and
+// `leaksweep -merge 'DIR*'` serves the unsharded sweep from the union of
+// those stores (Merge) without simulating.  Each record is additionally
 // stamped with the code/golden anchor (experiment.GoldenAnchor) it was
 // simulated under; a store opened under a different anchor never serves it,
 // so a model change that legitimately alters results — which re-records the
@@ -54,6 +57,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"sync"
 
@@ -78,6 +82,11 @@ const syncEvery = 8
 // all (not a directory, segment with a foreign magic).  Torn or corrupt
 // segment tails are not errors — they are truncated away.
 var ErrStore = errors.New("resultcache: invalid store")
+
+// ErrMerge reports a set of stores Merge cannot join into the
+// batch's results: the glob matches nothing, a job is held by no store, or
+// two stores hold different results for one job.
+var ErrMerge = errors.New("resultcache: merge")
 
 // Record is one cached cell result.
 type Record struct {
@@ -383,7 +392,7 @@ func (s *Store) Put(rec Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.active == nil {
-		return fmt.Errorf("resultcache: store is closed")
+		return fmt.Errorf("resultcache: store is closed or merged")
 	}
 	if _, err := s.active.Write(buf); err != nil {
 		return fmt.Errorf("resultcache: append: %w", err)
@@ -531,6 +540,78 @@ func (s *Store) ReuseFor(cells []experiment.NamedOptions) func(cell string, key 
 		}
 		return s.Get(d, key)
 	}
+}
+
+// Merge joins the stores in every directory matching glob — the -cache
+// directories of `leaksweep -shard i/n` runs — into an in-memory store
+// holding exactly the batch's results, whose ReuseFor serves every job of
+// the batch, so the pool simulates nothing.  It refuses, with ErrMerge, a
+// union that does not cover some job or that holds two different results
+// for one (digest, key); stores may overlap, because a re-run shard writes
+// the same content address.  A matched path that is not a directory holding
+// at least one segment is refused with ErrStore before it is opened, so a
+// stray directory is never written into.  The matched stores are
+// closed before Merge returns; the merged store has no files, and Put on it
+// fails.
+func Merge(glob string, cells []experiment.NamedOptions) (*Store, error) {
+	paths, err := filepath.Glob(glob)
+	if err != nil {
+		return nil, fmt.Errorf("%w: invalid glob %q: %v", ErrMerge, glob, err)
+	}
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("%w: glob %q matches no cache directories", ErrMerge, glob)
+	}
+	stores := make([]*Store, 0, len(paths))
+	defer func() {
+		for _, s := range stores {
+			s.Close()
+		}
+	}()
+	for _, path := range paths {
+		if segs, err := segments(path); err != nil || len(segs) == 0 {
+			return nil, fmt.Errorf("%w: %s is not a result cache directory (no seg-*.cas segments)", ErrStore, path)
+		}
+		s, err := Open(path, Options{CompactMinBytes: -1})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		stores = append(stores, s)
+	}
+
+	// The union is an in-memory store holding exactly the batch's jobs.
+	union := &Store{opt: Options{Anchor: experiment.GoldenAnchor}, index: make(map[ckey]*entry), lru: list.New()}
+	for _, cell := range cells {
+		d := cell.Options.Digest()
+		for _, key := range cell.Options.Jobs() {
+			var held *entry
+			from := ""
+			for i, s := range stores {
+				e, ok := s.index[ckey{digest: d, key: key}]
+				switch {
+				case !ok:
+				case held == nil:
+					held, from = e, paths[i]
+				case !reflect.DeepEqual(e.rec.Result, held.rec.Result):
+					return nil, fmt.Errorf("%w: %s and %s hold different results for %s",
+						ErrMerge, from, paths[i], jobLabel(cell.Name, key))
+				}
+			}
+			if held == nil {
+				return nil, fmt.Errorf("%w: no store matching %q holds %s", ErrMerge, glob, jobLabel(cell.Name, key))
+			}
+			union.load(held.rec, 0)
+		}
+	}
+	return union, nil
+}
+
+// jobLabel names one job of a batch as leaksweep's progress line does:
+// "cell key", or just the key in an unnamed cell.
+func jobLabel(cell string, key experiment.Key) string {
+	if cell == "" {
+		return key.String()
+	}
+	return cell + " " + key.String()
 }
 
 // Stats returns a snapshot of the store's counters.

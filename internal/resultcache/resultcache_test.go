@@ -619,3 +619,46 @@ func TestReuseForRunsOnlyMissingJobs(t *testing.T) {
 		t.Fatalf("resumed digest %s != uninterrupted %s", got, want)
 	}
 }
+
+// TestReuseForRefusesRepeatedCellNames reproduces a batch of two unnamed
+// cells (seeds 1 and 2) over a store holding only seed 2's results.
+// ReuseFor maps a cell name to one digest, so with both cells named "" the
+// seed-1 cell used to be served seed 2's results; the pool now refuses the
+// batch instead.
+func TestReuseForRefusesRepeatedCellNames(t *testing.T) {
+	opts := func(seed uint64) experiment.Options {
+		o := experiment.DefaultOptions(0.005)
+		o.Benchmarks = []string{"FMM"}
+		o.CacheSizesMB = []int{1}
+		o.Seed = seed
+		return o
+	}
+	s := mustOpen(t, t.TempDir(), Options{CompactMinBytes: noCompact})
+	defer s.Close()
+	seed2 := opts(2)
+	digest := seed2.Digest()
+	if _, err := experiment.RunParallelAllContext(context.Background(),
+		[]experiment.NamedOptions{{Options: seed2}}, experiment.Parallelism{
+			Progress: func(ev experiment.JobEvent) {
+				if err := s.Put(Record{OptionsDigest: digest, Key: ev.Key, Result: ev.Result}); err != nil {
+					t.Error(err)
+				}
+			},
+		}); err != nil {
+		t.Fatal(err)
+	}
+
+	named := []experiment.NamedOptions{{Options: opts(1)}, {Options: seed2}}
+	sweeps, err := experiment.RunParallelAllContext(context.Background(), named, experiment.Parallelism{
+		Reuse: s.ReuseFor(named),
+	})
+	if err == nil {
+		t.Fatalf("batch of two unnamed cells ran; seed-1 cell digest %s", sweeps[0].Digest())
+	}
+	if !strings.Contains(err.Error(), "repeats cell name") {
+		t.Fatalf("err = %v, want a repeated-cell-name refusal", err)
+	}
+	if st := s.Stats(); st.Hits != 0 {
+		t.Fatalf("refused batch was served %d cached job(s)", st.Hits)
+	}
+}

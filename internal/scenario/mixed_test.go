@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"cmpleak/internal/config"
-	"cmpleak/internal/experiment"
 )
 
 const (
@@ -113,32 +112,14 @@ func TestMixedScenarioDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestMixedScenarioShardsMergeByteIdentically extends the shard-merge
-// guarantee to mix cells: splitting a mixed-workload cell across shards and
-// merging reproduces the unsharded sweep bit for bit.
+// guarantee to mix cells: splitting a mixed-workload cell across shard
+// caches and merging them reproduces the unsharded sweep bit for bit.
 func TestMixedScenarioShardsMergeByteIdentically(t *testing.T) {
 	cells := loadShipped(t, "mixed.json")
 	whole, err := runSweep(cells[0].Options, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var shards []experiment.ShardFile
-	for i := 0; i < 2; i++ {
-		opts := cells[0].Options
-		opts.ShardIndex, opts.ShardCount = i, 2
-		part, err := runSweep(opts, 0)
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		shards = append(shards, part.Snapshot())
-	}
-	merged, err := experiment.MergeShards(shards...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := merged.Digest(), whole.Digest(); got != want {
-		t.Fatalf("merged digest %s != unsharded %s", got, want)
-	}
-	if got, want := merged.Figure5a().Markdown(), whole.Figure5a().Markdown(); got != want {
-		t.Fatalf("merged report differs from the unsharded report:\n%s\nvs\n%s", got, want)
-	}
+	merged := mergeShards(t, cells[:1], 2)
+	requireSameSweep(t, cells[0].Name, merged[0], whole)
 }

@@ -6,10 +6,13 @@ package scenario
 
 import (
 	"context"
+	"fmt"
+	"path/filepath"
 	"testing"
 
 	"cmpleak/internal/config"
 	"cmpleak/internal/experiment"
+	"cmpleak/internal/resultcache"
 )
 
 // fanoutScenario expands to two cells (2- and 4-core) of two jobs each
@@ -88,4 +91,52 @@ func runSweep(opts experiment.Options, workers int) (*experiment.Sweep, error) {
 		return nil, err
 	}
 	return sweeps[0], nil
+}
+
+// mergeShards runs every cell as shard i of n into the result cache
+// root/shard<i> for each i, as `leaksweep -scenario -shard i/n -cache` does,
+// then serves the unsharded batch from the union of those caches, as
+// `-merge` does, and returns the merged sweeps.  It fails the test if the
+// merge simulates any job.
+func mergeShards(t *testing.T, cells []Cell, n int) []*experiment.Sweep {
+	t.Helper()
+	root := t.TempDir()
+	named := NamedOptions(cells)
+	for i := 0; i < n; i++ {
+		store, err := resultcache.Open(filepath.Join(root, fmt.Sprintf("shard%d", i)), resultcache.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded := NamedOptions(cells)
+		for j := range sharded {
+			sharded[j].Options.ShardIndex, sharded[j].Options.ShardCount = i, n
+		}
+		_, err = experiment.RunParallelAllContext(context.Background(), sharded, experiment.Parallelism{
+			Progress: func(ev experiment.JobEvent) {
+				rec := resultcache.Record{Cell: ev.Cell, OptionsDigest: sharded[ev.Sweep].Options.Digest(),
+					Key: ev.Key, Result: ev.Result}
+				if err := store.Put(rec); err != nil {
+					t.Error(err)
+				}
+			},
+		})
+		if cerr := store.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatalf("shard %d/%d: %v", i, n, err)
+		}
+	}
+	union, err := resultcache.Merge(filepath.Join(root, "shard*"), named)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweeps, err := experiment.RunParallelAllContext(context.Background(), named, experiment.Parallelism{
+		Reuse:    union.ReuseFor(named),
+		Progress: func(ev experiment.JobEvent) { t.Errorf("merge simulated %s", ev.Key) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sweeps
 }

@@ -2,16 +2,17 @@
 // JSON file names a cross-product of axes — benchmarks (synthetic or
 // "trace:<path>"), total L2 sizes, decay techniques, core counts, seeds and
 // a workload scale — plus per-axis overrides, and expands deterministically
-// into experiment.Options cells the existing sweep/shard/merge machinery
-// runs unchanged.
+// into experiment.Options cells the existing sweep, shard and cache
+// machinery runs unchanged.
 //
 // A scenario file is the unit of reproduction: scenarios/paper.json is the
 // paper's own figure matrix, and new studies (heterogeneous core counts,
 // longer phases, recorded-trace variants of the benchmarks) are new files,
 // not new flag plumbing.  Expansion is pure — the same file and base system
 // always yield the same cells in the same order — so per-cell golden digests
-// and sharded runs compose: `leaksweep -scenario f.json -shard i/n -out ...`
-// invocations merge byte-identically to the unsharded run.
+// and sharded runs compose: `leaksweep -scenario f.json -shard i/n -cache
+// DIRi` invocations, joined by `leaksweep -scenario f.json -merge 'DIR*'`,
+// print byte-identically to the unsharded run.
 //
 // # Schema (version 2; version-1 files parse unchanged)
 //

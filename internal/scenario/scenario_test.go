@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -358,10 +359,11 @@ func TestPerCellGoldenDigests(t *testing.T) {
 }
 
 // TestShardedScenarioMergesByteIdentically runs every cell of a multi-cell
-// scenario twice — once unsharded, once as two shards joined by
-// experiment.MergeShards — and requires bit-identical results and an
-// identical rendered report, which is what makes `leaksweep -scenario
-// -shard/-out/-merge` a faithful distribution of the same experiment.
+// scenario twice — once unsharded, once as two shards recorded into their
+// own result caches and joined by serving the batch from their union — and
+// requires bit-identical results and identical rendered report bytes, which
+// is what makes `leaksweep -scenario -shard i/n -cache DIRi` followed by
+// `-merge 'DIR*'` a faithful distribution of the same experiment.
 func TestShardedScenarioMergesByteIdentically(t *testing.T) {
 	f := File{
 		Version:    1,
@@ -380,30 +382,31 @@ func TestShardedScenarioMergesByteIdentically(t *testing.T) {
 	if len(cells) != 2 {
 		t.Fatalf("expanded %d cells, want 2", len(cells))
 	}
-	for _, c := range cells {
+	merged := mergeShards(t, cells, 2)
+	for i, c := range cells {
 		whole, err := runSweep(c.Options, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
-		var shards []experiment.ShardFile
-		for i := 0; i < 2; i++ {
-			opts := c.Options
-			opts.ShardIndex, opts.ShardCount = i, 2
-			part, err := runSweep(opts, 0)
-			if err != nil {
-				t.Fatalf("%s shard %d: %v", c.Name, i, err)
-			}
-			shards = append(shards, part.Snapshot())
-		}
-		merged, err := experiment.MergeShards(shards...)
-		if err != nil {
-			t.Fatalf("%s: merge: %v", c.Name, err)
-		}
-		if got, want := merged.Digest(), whole.Digest(); got != want {
-			t.Fatalf("%s: merged digest %s != unsharded %s", c.Name, got, want)
-		}
-		if got, want := merged.Figure5a().Markdown(), whole.Figure5a().Markdown(); got != want {
-			t.Fatalf("%s: merged report differs from the unsharded report:\n%s\nvs\n%s", c.Name, got, want)
-		}
+		requireSameSweep(t, c.Name, merged[i], whole)
+	}
+}
+
+// requireSameSweep fails unless got digests and renders byte-identically to
+// want.
+func requireSameSweep(t *testing.T, name string, got, want *experiment.Sweep) {
+	t.Helper()
+	if g, w := got.Digest(), want.Digest(); g != w {
+		t.Fatalf("%s: merged digest %s != unsharded %s", name, g, w)
+	}
+	var g, w bytes.Buffer
+	if err := experiment.WriteReport(&g, got, "", false); err != nil {
+		t.Fatal(err)
+	}
+	if err := experiment.WriteReport(&w, want, "", false); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g.Bytes(), w.Bytes()) {
+		t.Fatalf("%s: merged report differs from the unsharded report:\n%s\nvs\n%s", name, g.Bytes(), w.Bytes())
 	}
 }
