@@ -1,8 +1,8 @@
 package cmpleak
 
 // The benchmark harness: one benchmark per table/figure of the paper's
-// evaluation plus ablation benches for the design choices called out in
-// DESIGN.md.
+// evaluation plus ablation benches for two design choices: Selective
+// Decay's arming rule and strict L1 inclusion on clean turn-offs.
 //
 // Figure benches share one reduced-scale sweep (built lazily, outside the
 // timed region) whose structure matches the paper's matrix: six benchmarks,
@@ -213,7 +213,7 @@ func BenchmarkRunDecay(b *testing.B) { benchmarkSingleRun(b, Decay(8*1024)) }
 
 func BenchmarkRunSelectiveDecay(b *testing.B) { benchmarkSingleRun(b, SelectiveDecay(8*1024)) }
 
-// --- Ablation benches (design choices called out in DESIGN.md) -----------
+// --- Ablation benches (arming rule, strict inclusion) ---------------------
 
 // BenchmarkAblationSelectiveRule compares plain decay against selective
 // decay at the same decay time: the arming rule is the only difference.

@@ -204,10 +204,7 @@ func (s System) Validate() error {
 	} else if err := s.Synthetic.Validate(); err != nil {
 		return err
 	}
-	if _, err := decay.New(s.Technique); err != nil {
-		return err
-	}
-	return nil
+	return s.Technique.Validate()
 }
 
 // Workload builds the generator selected by the configuration.

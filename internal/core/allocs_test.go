@@ -1,7 +1,8 @@
 package core
 
 // Allocation guards for the data plane: the steady-state L1 load-hit and
-// load-miss→bus→L2-fill paths must not allocate.  These tests are the CI
+// load-miss→bus→L2-fill paths must not allocate under any technique,
+// including the decay hooks and the global tick.  These tests are the CI
 // tripwire behind the pooled MSHR records, the pre-bound bus completions
 // and the flat cache arrays; `make ci` runs them explicitly (test-allocs).
 
@@ -15,9 +16,29 @@ import (
 	"cmpleak/internal/sim"
 )
 
-// newLoadPathRig wires one L1+L2 pair to a bus and memory under the
-// always-on technique — the minimal full-depth read path.
-func newLoadPathRig(tb testing.TB) (*sim.Engine, *coherence.L1Controller, *Controller) {
+// allocKinds names one technique per kind, so the guards cover every
+// technique's hooks and, for the decay family, its global tick.
+var allocKinds = []string{"baseline", "protocol", "decay:8K", "sel_decay:8K", "adaptive:8K"}
+
+// drainCycles bounds each guarded operation's drain.  Decay kinds keep a
+// recurring tick queued, so the queue never empties and the guards advance
+// the clock by a fixed window instead; one window covers a full L2 miss.
+const drainCycles = 1000
+
+// forEachKind runs fn as one subtest per technique in allocKinds.
+func forEachKind(t *testing.T, fn func(t *testing.T, spec decay.Spec)) {
+	for _, name := range allocKinds {
+		spec, err := decay.ParseSpec(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) { fn(t, spec) })
+	}
+}
+
+// newLoadPathRig wires one L1+L2 pair to a bus and memory under the given
+// technique: the minimal full-depth read path.
+func newLoadPathRig(tb testing.TB, tech decay.Spec) (*sim.Engine, *coherence.L1Controller, *Controller) {
 	tb.Helper()
 	eng := sim.NewEngine()
 	memory := mem.New(eng, mem.Config{LatencyCycles: 100, BandwidthBytesPerCycle: 16, BlockSize: 64})
@@ -30,13 +51,13 @@ func newLoadPathRig(tb testing.TB) (*sim.Engine, *coherence.L1Controller, *Contr
 		ID: 0,
 		Cache: cache.Config{
 			Name: "L2-alloc", SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4, LatencyCycles: 10,
+			ExtraLatency: tech.ExtraAccessLatency(),
 		},
 		MSHREntries: 16,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tech := decay.NewAlwaysOn()
 	l2.AttachL1(l1)
 	l2.AttachTechnique(tech)
 	l1.SetLowerLevel(l2)
@@ -53,45 +74,59 @@ const missStride = 16 * 1024
 // stream never hits.
 const missBlocks = 9
 
+// warmOps runs enough guarded operations before measuring to span several
+// decay ticks and an adaptive window, so every pool and scratch buffer has
+// reached its steady-state size.
+const warmOps = 64
+
 func TestSteadyStateLoadHitAllocationFree(t *testing.T) {
-	eng, l1, _ := newLoadPathRig(t)
-	const addr = mem.Addr(0x40) // set 1: disjoint from the miss stream's set 0
-	l1.Read(addr, nil)
-	eng.Run() // fill the line
-	hit := func() {
-		l1.Read(addr, nil)
-		eng.Run()
-	}
-	hit()
-	if allocs := testing.AllocsPerRun(200, hit); allocs != 0 {
-		t.Errorf("steady-state load hit allocates %.1f objects/op, want 0", allocs)
-	}
-	if l1.LoadHits.Value() == 0 || l1.LoadMisses.Value() != 1 {
-		t.Fatalf("fixture broken: hits=%d misses=%d", l1.LoadHits.Value(), l1.LoadMisses.Value())
-	}
+	forEachKind(t, func(t *testing.T, spec decay.Spec) {
+		eng, l1, l2 := newLoadPathRig(t, spec)
+		const addr = mem.Addr(0x40) // set 1: disjoint from the miss stream's set 0
+		hit := func() {
+			l1.Read(addr, nil)
+			eng.RunUntil(eng.Now() + drainCycles)
+		}
+		for j := 0; j < warmOps; j++ {
+			hit()
+		}
+		if allocs := testing.AllocsPerRun(200, hit); allocs != 0 {
+			t.Errorf("steady-state load hit allocates %.1f objects/op, want 0", allocs)
+		}
+		if l1.LoadHits.Value() == 0 || l1.LoadMisses.Value() != 1 {
+			t.Fatalf("fixture broken: hits=%d misses=%d", l1.LoadHits.Value(), l1.LoadMisses.Value())
+		}
+		// The L1 absorbs every hit, so a decay kind's L2 copy idles and its
+		// tick must have turned it off.
+		if spec.Decays() != (l2.TurnOffsCompleted.Value() > 0) {
+			t.Fatalf("fixture broken: %d turn-offs under %s", l2.TurnOffsCompleted.Value(), spec.Name())
+		}
+	})
 }
 
 func TestSteadyStateLoadMissAllocationFree(t *testing.T) {
-	eng, l1, l2 := newLoadPathRig(t)
-	i := 0
-	miss := func() {
-		l1.Read(mem.Addr(i%missBlocks)*missStride, nil)
-		i++
-		eng.Run()
-	}
-	// Warm up: populate the event, request, MSHR and bus-completion pools
-	// and bring the MSHR maps to steady state.
-	for j := 0; j < 4*missBlocks; j++ {
-		miss()
-	}
-	missesBefore := l1.LoadMisses.Value()
-	if allocs := testing.AllocsPerRun(200, miss); allocs != 0 {
-		t.Errorf("steady-state load miss→L2 fill allocates %.1f objects/op, want 0", allocs)
-	}
-	if l1.LoadMisses.Value() == missesBefore {
-		t.Fatal("fixture broken: the miss stream stopped missing")
-	}
-	if l2.ReadMisses.Value() == 0 {
-		t.Fatal("fixture broken: misses never reached the L2")
-	}
+	forEachKind(t, func(t *testing.T, spec decay.Spec) {
+		eng, l1, l2 := newLoadPathRig(t, spec)
+		i := 0
+		miss := func() {
+			l1.Read(mem.Addr(i%missBlocks)*missStride, nil)
+			i++
+			eng.RunUntil(eng.Now() + drainCycles)
+		}
+		// Warm up: populate the event, request, MSHR and bus-completion
+		// pools and bring the MSHR maps to steady state.
+		for j := 0; j < warmOps; j++ {
+			miss()
+		}
+		missesBefore := l1.LoadMisses.Value()
+		if allocs := testing.AllocsPerRun(200, miss); allocs != 0 {
+			t.Errorf("steady-state load miss→L2 fill allocates %.1f objects/op, want 0", allocs)
+		}
+		if l1.LoadMisses.Value() == missesBefore {
+			t.Fatal("fixture broken: the miss stream stopped missing")
+		}
+		if l2.ReadMisses.Value() == 0 {
+			t.Fatal("fixture broken: misses never reached the L2")
+		}
+	})
 }

@@ -7,11 +7,12 @@ package core
 import (
 	"testing"
 
+	"cmpleak/internal/decay"
 	"cmpleak/internal/mem"
 )
 
 func BenchmarkL1LoadHit(b *testing.B) {
-	eng, l1, _ := newLoadPathRig(b)
+	eng, l1, _ := newLoadPathRig(b, decay.Spec{})
 	const addr = mem.Addr(0x40)
 	l1.Read(addr, nil)
 	eng.Run()
@@ -24,7 +25,7 @@ func BenchmarkL1LoadHit(b *testing.B) {
 }
 
 func BenchmarkL1LoadMissL2Fill(b *testing.B) {
-	eng, l1, _ := newLoadPathRig(b)
+	eng, l1, _ := newLoadPathRig(b, decay.Spec{})
 	for j := 0; j < 4*missBlocks; j++ {
 		l1.Read(mem.Addr(j%missBlocks)*missStride, nil)
 		eng.Run()

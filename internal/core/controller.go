@@ -20,10 +20,6 @@ type ControllerConfig struct {
 	MSHREntries int
 	// RetryCycles is the back-off when the MSHR is full.
 	RetryCycles sim.Cycle
-	// StrictInclusion also back-invalidates the L1 when a clean line is
-	// turned off (ablation knob; the paper does not, as discussed in
-	// Section III).
-	StrictInclusion bool
 }
 
 // Controller is the leakage-aware, coherent, private L2 cache controller —
@@ -41,7 +37,9 @@ type Controller struct {
 	mshr *cache.MSHR
 	bus  *coherence.Bus
 	l1   *coherence.L1Controller
-	tech decay.Technique
+	// tech is the leakage technique observing this controller; the zero
+	// Spec is the always-on baseline.
+	tech decay.Spec
 
 	// decayedBlocks remembers blocks removed by a decay turn-off so that a
 	// subsequent miss to them can be attributed to the technique; it is a
@@ -144,7 +142,7 @@ type upgradeReq struct {
 func (c *Controller) AttachL1(l1 *coherence.L1Controller) { c.l1 = l1 }
 
 // AttachTechnique wires the leakage technique observing this controller.
-func (c *Controller) AttachTechnique(t decay.Technique) { c.tech = t }
+func (c *Controller) AttachTechnique(t decay.Spec) { c.tech = t }
 
 // ControllerID implements coherence.Snooper and decay.Controller.
 func (c *Controller) ControllerID() int { return c.cfg.ID }
@@ -170,8 +168,8 @@ func (c *Controller) setState(set, way int, newState coherence.State) {
 	ln := c.arr.Line(set, way)
 	old := coherence.State(ln.State)
 	ln.State = uint8(newState)
-	if old != newState && c.tech != nil && newState.Stable() && newState != coherence.Invalid {
-		c.tech.OnStateChange(c, set, way, old, newState)
+	if old != newState && newState.Stable() && newState != coherence.Invalid {
+		c.tech.OnStateChange(c, set, way, newState)
 	}
 }
 
@@ -201,9 +199,7 @@ func (c *Controller) Read(block mem.Addr, done cache.DoneFunc, arg any) {
 		c.ReadHits.Inc()
 		c.arr.Hits.Inc()
 		c.arr.Touch(set, way, c.eng.Now())
-		if c.tech != nil {
-			c.tech.OnHit(c, set, way, c.LineState(set, way))
-		}
+		c.tech.OnHit(c, set, way)
 		c.mshr.ScheduleDone(c.eng, c.cfg.Cache.Latency(), done, arg, block)
 		return
 	}
@@ -271,9 +267,7 @@ func (c *Controller) finishUpgrade(a any, txn coherence.Transaction, _ coherence
 	if still && c.LineState(s2, w2) == coherence.Shared {
 		c.arr.Line(s2, w2).Dirty = true
 		c.setState(s2, w2, coherence.Modified)
-		if c.tech != nil {
-			c.tech.OnHit(c, s2, w2, coherence.Modified)
-		}
+		c.tech.OnHit(c, s2, w2)
 		c.mshr.ScheduleDone(c.eng, c.cfg.Cache.Latency(), done, arg, block)
 		return
 	}
@@ -291,9 +285,7 @@ func (c *Controller) writeHit(block mem.Addr, set, way int, done cache.DoneFunc,
 	c.arr.Hits.Inc()
 	c.arr.Touch(set, way, c.eng.Now())
 	c.arr.Line(set, way).Dirty = true
-	if c.tech != nil {
-		c.tech.OnHit(c, set, way, coherence.Modified)
-	}
+	c.tech.OnHit(c, set, way)
 	c.mshr.ScheduleDone(c.eng, c.cfg.Cache.Latency(), done, arg, block)
 }
 
@@ -361,9 +353,7 @@ func (c *Controller) fill(block mem.Addr, res coherence.BusResult) {
 		st = coherence.Exclusive
 	}
 	ln.State = uint8(st)
-	if c.tech != nil {
-		c.tech.OnFill(c, set, way, st)
-	}
+	c.tech.OnFill(c, set, way, st)
 	c.mshr.CompleteDeliver(block, c.eng, c.cfg.Cache.Latency())
 }
 
@@ -449,9 +439,7 @@ func (c *Controller) invalidateByProtocol(set, way int) {
 	}
 	c.arr.Invalidate(set, way)
 	ln.State = uint8(coherence.Invalid)
-	if c.tech != nil {
-		c.tech.OnProtocolInvalidate(c, set, way)
-	}
+	c.tech.OnProtocolInvalidate(c, set, way)
 }
 
 // ---------------------------------------------------------------------------
@@ -482,7 +470,7 @@ func (c *Controller) RequestTurnOff(set, way int) {
 		if c.l1 != nil && c.l1.InvalidateBlock(block) {
 			c.TurnOffL1Invalidations.Inc()
 		}
-	} else if c.cfg.StrictInclusion && c.l1 != nil {
+	} else if c.tech.StrictInclusion && c.l1 != nil {
 		if c.l1.InvalidateBlock(block) {
 			c.TurnOffL1Invalidations.Inc()
 		}
@@ -527,7 +515,4 @@ func (c *Controller) completeTurnOff(set, way int, block mem.Addr) {
 	c.arr.PowerOff(set, way, c.eng.Now())
 	c.TurnOffsCompleted.Inc()
 	c.decayedBlocks.Add(block)
-	if c.tech != nil {
-		c.tech.OnTurnedOff(c, set, way)
-	}
 }

@@ -21,7 +21,7 @@ type testRig struct {
 	l2s    []*Controller
 }
 
-func newTestRig(t *testing.T, tech decay.Technique, strict bool) *testRig {
+func newTestRig(t *testing.T, tech decay.Spec) *testRig {
 	t.Helper()
 	eng := sim.NewEngine()
 	memory := mem.New(eng, mem.Config{LatencyCycles: 100, BandwidthBytesPerCycle: 16, BlockSize: 64})
@@ -38,8 +38,7 @@ func newTestRig(t *testing.T, tech decay.Technique, strict bool) *testRig {
 			Cache: cache.Config{
 				Name: "L2-rig", SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4, LatencyCycles: 10,
 			},
-			MSHREntries:     16,
-			StrictInclusion: strict,
+			MSHREntries: 16,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -47,14 +46,15 @@ func newTestRig(t *testing.T, tech decay.Technique, strict bool) *testRig {
 		l2.AttachL1(l1)
 		l2.AttachTechnique(tech)
 		l1.SetLowerLevel(l2)
-		if tech != nil {
-			tech.Start(eng, l2)
-		}
+		tech.Start(eng, l2)
 		rig.l1s = append(rig.l1s, l1)
 		rig.l2s = append(rig.l2s, l2)
 	}
 	return rig
 }
+
+// protocol is the technique most rig tests run under.
+var protocol = decay.Spec{Kind: decay.KindProtocol}
 
 // read issues a load from core id and runs the simulation until it drains.
 func (r *testRig) read(id int, a mem.Addr) {
@@ -78,7 +78,7 @@ func (r *testRig) l2state(id int, a mem.Addr) coherence.State {
 }
 
 func TestControllerReadMissInstallsExclusive(t *testing.T) {
-	rig := newTestRig(t, decay.NewProtocol(), false)
+	rig := newTestRig(t, protocol)
 	rig.read(0, 0x1000)
 	if st := rig.l2state(0, 0x1000); st != coherence.Exclusive {
 		t.Fatalf("state after lone read %v, want E", st)
@@ -97,7 +97,7 @@ func TestControllerReadMissInstallsExclusive(t *testing.T) {
 }
 
 func TestControllerSecondReaderGetsShared(t *testing.T) {
-	rig := newTestRig(t, decay.NewProtocol(), false)
+	rig := newTestRig(t, protocol)
 	rig.read(0, 0x2000)
 	rig.read(1, 0x2000)
 	if st := rig.l2state(1, 0x2000); st != coherence.Shared {
@@ -109,7 +109,7 @@ func TestControllerSecondReaderGetsShared(t *testing.T) {
 }
 
 func TestControllerWriteMissInstallsModified(t *testing.T) {
-	rig := newTestRig(t, decay.NewProtocol(), false)
+	rig := newTestRig(t, protocol)
 	rig.write(0, 0x3000)
 	if st := rig.l2state(0, 0x3000); st != coherence.Modified {
 		t.Fatalf("state after write miss %v, want M", st)
@@ -120,7 +120,7 @@ func TestControllerWriteMissInstallsModified(t *testing.T) {
 }
 
 func TestControllerSilentExclusiveToModified(t *testing.T) {
-	rig := newTestRig(t, decay.NewProtocol(), false)
+	rig := newTestRig(t, protocol)
 	rig.read(0, 0x4000)
 	before := rig.bus.Transactions.Value()
 	rig.write(0, 0x4000)
@@ -135,7 +135,7 @@ func TestControllerSilentExclusiveToModified(t *testing.T) {
 }
 
 func TestControllerSharedWriteUsesUpgrade(t *testing.T) {
-	rig := newTestRig(t, decay.NewProtocol(), false)
+	rig := newTestRig(t, protocol)
 	rig.read(0, 0x5000)
 	rig.read(1, 0x5000)
 	rig.write(0, 0x5000)
@@ -158,7 +158,7 @@ func TestControllerSharedWriteUsesUpgrade(t *testing.T) {
 }
 
 func TestControllerRemoteWriteInvalidatesReaderAndL1(t *testing.T) {
-	rig := newTestRig(t, decay.NewProtocol(), false)
+	rig := newTestRig(t, protocol)
 	rig.read(1, 0x6000) // core 1 holds the block in L1 and L2
 	rig.write(0, 0x6000)
 	if st := rig.l2state(1, 0x6000); st != coherence.Invalid {
@@ -170,7 +170,7 @@ func TestControllerRemoteWriteInvalidatesReaderAndL1(t *testing.T) {
 }
 
 func TestControllerDirtyRemoteReadFlushes(t *testing.T) {
-	rig := newTestRig(t, decay.NewProtocol(), false)
+	rig := newTestRig(t, protocol)
 	rig.write(0, 0x7000) // core 0 has the block Modified
 	memWrites := rig.memory.Writes.Value()
 	rig.read(1, 0x7000)
@@ -189,7 +189,7 @@ func TestControllerDirtyRemoteReadFlushes(t *testing.T) {
 }
 
 func TestControllerEvictionWritesBackAndMaintainsInclusion(t *testing.T) {
-	rig := newTestRig(t, decay.NewProtocol(), false)
+	rig := newTestRig(t, protocol)
 	// The rig L2 has 64KB/64B/4-way = 256 sets; conflicting blocks are
 	// 256*64 = 16KB apart.
 	stride := mem.Addr(64 * 1024 / 4)
@@ -217,7 +217,7 @@ func TestControllerEvictionWritesBackAndMaintainsInclusion(t *testing.T) {
 }
 
 func TestTurnOffCleanLineIsImmediate(t *testing.T) {
-	rig := newTestRig(t, decay.NewProtocol(), false)
+	rig := newTestRig(t, protocol)
 	rig.read(0, 0x9000)
 	set, way, _ := rig.l2s[0].Array().Lookup(0x9000)
 	memWrites := rig.memory.Writes.Value()
@@ -242,7 +242,7 @@ func TestTurnOffCleanLineIsImmediate(t *testing.T) {
 }
 
 func TestTurnOffCleanLineStrictInclusion(t *testing.T) {
-	rig := newTestRig(t, decay.NewProtocol(), true)
+	rig := newTestRig(t, decay.Spec{Kind: decay.KindProtocol, StrictInclusion: true})
 	rig.read(0, 0x9900)
 	set, way, _ := rig.l2s[0].Array().Lookup(0x9900)
 	rig.l2s[0].RequestTurnOff(set, way)
@@ -253,7 +253,7 @@ func TestTurnOffCleanLineStrictInclusion(t *testing.T) {
 }
 
 func TestTurnOffModifiedLineWritesBackAndInvalidatesL1(t *testing.T) {
-	rig := newTestRig(t, decay.NewProtocol(), false)
+	rig := newTestRig(t, protocol)
 	rig.write(0, 0xa000)
 	rig.read(0, 0xa000) // bring it into the L1 as well
 	set, way, _ := rig.l2s[0].Array().Lookup(0xa000)
@@ -288,7 +288,7 @@ func TestTurnOffDeferredWhilePendingWrite(t *testing.T) {
 	// A store sitting in the L1 write buffer must defer the turn-off
 	// (Table I "pending write" condition).  Use a second store behind a
 	// first one so the write buffer still holds it when we ask.
-	rig := newTestRig(t, decay.NewProtocol(), false)
+	rig := newTestRig(t, protocol)
 	rig.read(0, 0xb000)
 	set, way, _ := rig.l2s[0].Array().Lookup(0xb000)
 	// Two stores: the first occupies the drain path, the second (to our
@@ -306,7 +306,7 @@ func TestTurnOffDeferredWhilePendingWrite(t *testing.T) {
 }
 
 func TestTurnedOffLineCausesDecayInducedMiss(t *testing.T) {
-	rig := newTestRig(t, decay.NewProtocol(), false)
+	rig := newTestRig(t, protocol)
 	rig.read(0, 0xc000)
 	set, way, _ := rig.l2s[0].Array().Lookup(0xc000)
 	rig.l2s[0].RequestTurnOff(set, way)
@@ -323,7 +323,7 @@ func TestTurnedOffLineCausesDecayInducedMiss(t *testing.T) {
 }
 
 func TestTurnOffInvalidLineIsIgnored(t *testing.T) {
-	rig := newTestRig(t, decay.NewProtocol(), false)
+	rig := newTestRig(t, protocol)
 	rig.l2s[0].RequestTurnOff(0, 0)
 	if rig.l2s[0].TurnOffRequests.Value() != 0 {
 		t.Fatal("turn-off of an invalid line should be ignored entirely")
@@ -331,7 +331,7 @@ func TestTurnOffInvalidLineIsIgnored(t *testing.T) {
 }
 
 func TestControllerWithBaselineKeepsLinesPowered(t *testing.T) {
-	rig := newTestRig(t, decay.NewAlwaysOn(), false)
+	rig := newTestRig(t, decay.Spec{})
 	rig.read(0, 0xd000)
 	rig.write(1, 0xd000) // invalidates core 0's copy
 	arr := rig.l2s[0].Array()
@@ -341,7 +341,7 @@ func TestControllerWithBaselineKeepsLinesPowered(t *testing.T) {
 }
 
 func TestControllerStatsAccessors(t *testing.T) {
-	rig := newTestRig(t, decay.NewProtocol(), false)
+	rig := newTestRig(t, protocol)
 	rig.read(0, 0xe000)
 	rig.write(0, 0xe000)
 	c := rig.l2s[0]

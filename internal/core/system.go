@@ -7,7 +7,6 @@ import (
 	"cmpleak/internal/coherence"
 	"cmpleak/internal/config"
 	"cmpleak/internal/cpu"
-	"cmpleak/internal/decay"
 	"cmpleak/internal/mem"
 	"cmpleak/internal/power"
 	"cmpleak/internal/sim"
@@ -29,7 +28,6 @@ type System struct {
 	l2s     []*Controller
 	cores   []*cpu.Core
 	streams []workload.Stream // per-core, as built; checked for decode errors after the run
-	tech    decay.Technique
 	thermal *thermal.Model
 
 	coresDone int
@@ -62,17 +60,14 @@ func NewSystemFrom(cfg config.System, gen workload.Generator) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	tech, err := decay.New(cfg.Technique)
-	if err != nil {
-		return nil, err
-	}
+	var err error
 	if gen == nil {
 		if gen, err = cfg.Workload(); err != nil {
 			return nil, err
 		}
 	}
 
-	s := &System{cfg: cfg, eng: sim.NewEngine(), tech: tech}
+	s := &System{cfg: cfg, eng: sim.NewEngine()}
 	s.memory = mem.New(s.eng, cfg.Memory)
 	s.bus = coherence.NewBus(s.eng, s.memory, cfg.Bus)
 	s.thermal, err = thermal.New(cfg.Thermal, cfg.Cores)
@@ -101,18 +96,17 @@ func NewSystemFrom(cfg config.System, gen workload.Generator) (*System, error) {
 
 		l2cfg := cfg.L2
 		l2cfg.Name = fmt.Sprintf("L2-%d", i)
-		l2cfg.ExtraLatency = tech.ExtraAccessLatency()
+		l2cfg.ExtraLatency = cfg.Technique.ExtraAccessLatency()
 		ctrl, err := NewController(s.eng, s.bus, ControllerConfig{
-			ID:              i,
-			Cache:           l2cfg,
-			MSHREntries:     cfg.L2MSHREntries,
-			StrictInclusion: cfg.Technique.StrictInclusion,
+			ID:          i,
+			Cache:       l2cfg,
+			MSHREntries: cfg.L2MSHREntries,
 		})
 		if err != nil {
 			return nil, err
 		}
 		ctrl.AttachL1(l1)
-		ctrl.AttachTechnique(tech)
+		ctrl.AttachTechnique(cfg.Technique)
 		l1.SetLowerLevel(ctrl)
 
 		core, err := cpu.New(i, s.eng, coreCfg, l1, streams[i])
@@ -158,9 +152,6 @@ func (s *System) Bus() *coherence.Bus { return s.bus }
 // Memory exposes the off-chip memory model.
 func (s *System) Memory() *mem.Memory { return s.memory }
 
-// Technique exposes the leakage technique instance.
-func (s *System) Technique() decay.Technique { return s.tech }
-
 // allDone reports whether every core finished.
 func (s *System) allDone() bool { return s.coresDone >= len(s.cores) }
 
@@ -169,7 +160,7 @@ func (s *System) Run() (Result, error) {
 	// Start the technique (baseline powers everything; decay techniques
 	// start their global-tick scanners), then the cores.
 	for _, ctrl := range s.l2s {
-		s.tech.Start(s.eng, ctrl)
+		s.cfg.Technique.Start(s.eng, ctrl)
 	}
 	for _, c := range s.cores {
 		c.Start()
@@ -232,11 +223,14 @@ func (s *System) samplePowerAndThermal(now sim.Cycle) {
 	for i := range blockPower {
 		blockPower[i] = 0
 	}
-	counterLeak := 0.0
-	if s.tech.HasDecayCounters() {
+	tech := s.cfg.Technique
+	counterLeak, areaOverhead := 0.0, 0.0
+	if tech.Decays() {
 		counterLeak = p.DecayCounterLeakFraction
 	}
-	areaOverhead := s.tech.AreaOverhead()
+	if tech.Gates() {
+		areaOverhead = p.GatedVddAreaOverhead
+	}
 
 	for i := range s.cores {
 		coreTemp := s.thermal.Temp(s.thermal.CoreBlock(i))
@@ -280,7 +274,7 @@ func (s *System) samplePowerAndThermal(now sim.Cycle) {
 		l2Leak := power.CacheLeakageEnergy(p, l2cfgArr.Config(), dOn, dOff, l2Scale, areaOverhead, counterLeak)
 
 		decayDyn := 0.0
-		if s.tech.HasDecayCounters() {
+		if tech.Decays() {
 			decayDyn = power.DecayCounterDynamicEnergy(p, dL2)
 		}
 

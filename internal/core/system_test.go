@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"cmpleak/internal/config"
@@ -169,7 +170,7 @@ func TestSystemAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Engine() == nil || sys.Bus() == nil || sys.Memory() == nil || sys.Technique() == nil {
+	if sys.Engine() == nil || sys.Bus() == nil || sys.Memory() == nil {
 		t.Fatal("accessors returned nil")
 	}
 	if len(sys.Controllers()) != 4 || len(sys.L1s()) != 4 {
@@ -213,6 +214,30 @@ func TestStrictInclusionIncursBackInvalidations(t *testing.T) {
 	if r2.BackInvalidations < r1.BackInvalidations {
 		t.Fatalf("strict inclusion should not reduce back-invalidations: %d vs %d",
 			r2.BackInvalidations, r1.BackInvalidations)
+	}
+}
+
+// TestGatedVddAreaOverheadParam checks that the energy model reads the
+// Gated-Vdd area overhead from the power parameters: a gating technique
+// pays it on its powered lines, the baseline has no gating circuitry.
+func TestGatedVddAreaOverheadParam(t *testing.T) {
+	run := func(tech decay.Spec, overhead float64) Result {
+		t.Helper()
+		cfg := smallConfig(tech)
+		cfg.Power.GatedVddAreaOverhead = overhead
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	protocol := decay.Spec{Kind: decay.KindProtocol}
+	if lo, hi := run(protocol, 0.05), run(protocol, 0.10); hi.Energy.L2Leakage <= lo.Energy.L2Leakage {
+		t.Fatalf("protocol L2 leakage %v at 10%% overhead, not above %v at 5%%",
+			hi.Energy.L2Leakage, lo.Energy.L2Leakage)
+	}
+	if lo, hi := run(config.Baseline(), 0.05), run(config.Baseline(), 0.10); !reflect.DeepEqual(lo, hi) {
+		t.Fatalf("the area overhead changed the baseline's result:\n%+v\n%+v", lo, hi)
 	}
 }
 

@@ -1,137 +1,59 @@
 package decay
 
-import (
-	"cmpleak/internal/coherence"
-	"cmpleak/internal/sim"
-	"cmpleak/internal/stats"
+import "cmpleak/internal/sim"
+
+// Adaptive Mode Control, after Zhou et al. (related work, Section II): one
+// decay interval per cache, retuned from a sampled miss rate.  If misses in
+// a sampling window exceed the target, decay becomes less aggressive (the
+// interval doubles); if they fall well below it, decay becomes more
+// aggressive (the interval halves).  The interval stays within
+// adaptiveRange of its initial value in either direction.
+//
+// The paper itself evaluates only fixed decay intervals; the adaptive kind
+// exists in this reproduction for ablation studies.
+const (
+	// adaptiveTargetMisses is the per-window miss threshold.
+	adaptiveTargetMisses = 64
+	// adaptiveSampleWindows is how many decay intervals form one window.
+	adaptiveSampleWindows = 4
+	// adaptiveRange bounds the interval to [initial/8, initial*8].
+	adaptiveRange = 8
+	// adaptiveMinCycles keeps the global tick period at least one cycle.
+	adaptiveMinCycles = 4
 )
 
-// AdaptiveMode is an extension inspired by Zhou et al.'s Adaptive Mode
-// Control (related work, Section II): a single global decay interval is kept
-// for the whole cache, but it is periodically adjusted from a sampled miss
-// rate.  If misses in the sampling window exceed the target, decay becomes
-// less aggressive (interval doubles, bounded); if they fall well below the
-// target, it becomes more aggressive (interval halves, bounded).
-//
-// The paper itself evaluates only fixed decay intervals; AdaptiveMode exists
-// in this reproduction for the ablation benches called out in DESIGN.md.
-type AdaptiveMode struct {
-	initialCycles sim.Cycle
-	minCycles     sim.Cycle
-	maxCycles     sim.Cycle
-	// TargetMissesPerWindow is the sampling threshold.
-	TargetMissesPerWindow uint64
-	// SampleWindows is how many global ticks form one adaptation window.
-	SampleWindows uint64
+// startAdaptive launches an independently adapting scanner for one
+// controller.  Its adaptation state lives in the closure.  The scan is the
+// shared striped tickScanner; the window logic runs from its done hook,
+// after the last stripe of each tick, and then schedules the next tick one
+// (possibly retuned) period later.  Explicit self-scheduling, rather than a
+// recurring event, keeps the period change effective for the very next tick
+// even when the scan spans several stripes (a recurring event refires when
+// the first stripe's event returns, before the adaptation has run); engine
+// one-shot nodes are pooled, so this costs no allocations either.
+func startAdaptive(eng *sim.Engine, ctrl Controller, initial sim.Cycle) {
+	minCycles, maxCycles := initial/adaptiveRange, initial*adaptiveRange
+	interval := max(initial, adaptiveMinCycles)
+	missesAtWin := ctrl.Array().Misses.Value()
+	var ticksInWin uint64
 
-	// Adaptations counts interval changes (across all controllers).
-	Adaptations stats.Counter
-	// TurnOffRequests counts decay-induced turn-off requests.
-	TurnOffRequests stats.Counter
-}
-
-// NewAdaptiveMode builds the technique with the given initial interval.
-func NewAdaptiveMode(initial sim.Cycle) *AdaptiveMode {
-	return &AdaptiveMode{
-		initialCycles:         initial,
-		minCycles:             initial / 8,
-		maxCycles:             initial * 8,
-		TargetMissesPerWindow: 64,
-		SampleWindows:         4,
-	}
-}
-
-// Name implements Technique.
-func (d *AdaptiveMode) Name() string {
-	return "adaptive" + cyclesLabel(d.initialCycles)
-}
-
-// perControllerState carries the adaptation state for one cache.
-type amcState struct {
-	interval    sim.Cycle
-	ticksInWin  uint64
-	missesAtWin uint64
-}
-
-// Start launches an independently adapting scanner per controller.  The
-// scan is the shared striped tickScanner; the adaptation-window logic runs
-// from its done hook, after the last stripe of each tick, and then
-// schedules the next tick one (possibly retuned) period later.  Explicit
-// self-scheduling — rather than a Recurring with SetPeriod — keeps the
-// period change effective for the very next tick even when the scan spans
-// several stripes (a Recurring refires when the first stripe's event
-// returns, before the adaptation has run); engine one-shot nodes are
-// pooled, so this costs no allocations either.
-func (d *AdaptiveMode) Start(eng *sim.Engine, ctrl Controller) {
-	st := &amcState{interval: d.initialCycles, missesAtWin: ctrl.Array().Misses.Value()}
-	if st.interval < 4 {
-		st.interval = 4
-	}
-	sc := newTickScanner(eng, ctrl, false, &d.TurnOffRequests)
-	var tickFn sim.EventFunc
+	sc := newTickScanner(eng, ctrl, false)
+	tickFn := sc.tick
 	sc.done = func() {
-		d.adapt(ctrl, st)
-		eng.Schedule(st.interval/counterLevels, tickFn)
-	}
-	tickFn = sc.tick
-	eng.Schedule(st.interval/counterLevels, tickFn)
-}
-
-// adapt applies the Adaptive Mode Control window logic after a tick.
-func (d *AdaptiveMode) adapt(ctrl Controller, st *amcState) {
-	st.ticksInWin++
-	if st.ticksInWin < d.SampleWindows*counterLevels {
-		return
-	}
-	st.ticksInWin = 0
-	misses := ctrl.Array().Misses.Value()
-	windowMisses := misses - st.missesAtWin
-	st.missesAtWin = misses
-	switch {
-	case windowMisses > d.TargetMissesPerWindow && st.interval < d.maxCycles:
-		st.interval *= 2
-		d.Adaptations.Inc()
-	case windowMisses < d.TargetMissesPerWindow/2 && st.interval > d.minCycles:
-		st.interval /= 2
-		if st.interval < 4 {
-			st.interval = 4
+		ticksInWin++
+		if ticksInWin == adaptiveSampleWindows*counterLevels {
+			ticksInWin = 0
+			misses := ctrl.Array().Misses.Value()
+			windowMisses := misses - missesAtWin
+			missesAtWin = misses
+			switch {
+			case windowMisses > adaptiveTargetMisses && interval < maxCycles:
+				interval *= 2
+			case windowMisses < adaptiveTargetMisses/2 && interval > minCycles:
+				interval = max(interval/2, adaptiveMinCycles)
+			}
 		}
-		d.Adaptations.Inc()
+		eng.Schedule(interval/counterLevels, tickFn)
 	}
+	eng.Schedule(interval/counterLevels, tickFn)
 }
-
-// OnFill arms the line.
-func (d *AdaptiveMode) OnFill(ctrl Controller, set, way int, _ coherence.State) {
-	ln := ctrl.Array().Line(set, way)
-	ln.DecayCounter = 0
-	ln.DecayArmed = true
-}
-
-// OnHit resets the counter.
-func (d *AdaptiveMode) OnHit(ctrl Controller, set, way int, _ coherence.State) {
-	ctrl.Array().Line(set, way).DecayCounter = 0
-}
-
-// OnStateChange keeps the line armed.
-func (d *AdaptiveMode) OnStateChange(ctrl Controller, set, way int, _, _ coherence.State) {
-	ln := ctrl.Array().Line(set, way)
-	ln.DecayArmed = true
-	ln.DecayCounter = 0
-}
-
-// OnProtocolInvalidate gates the line.
-func (d *AdaptiveMode) OnProtocolInvalidate(ctrl Controller, set, way int) {
-	ctrl.Array().PowerOff(set, way, ctrl.Now())
-}
-
-// OnTurnedOff implements Technique.
-func (d *AdaptiveMode) OnTurnedOff(Controller, int, int) {}
-
-// ExtraAccessLatency implements Technique.
-func (d *AdaptiveMode) ExtraAccessLatency() sim.Cycle { return 1 }
-
-// HasDecayCounters implements Technique.
-func (d *AdaptiveMode) HasDecayCounters() bool { return true }
-
-// AreaOverhead implements Technique.
-func (d *AdaptiveMode) AreaOverhead() float64 { return 0.05 }

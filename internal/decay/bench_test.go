@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"cmpleak/internal/sim"
-	"cmpleak/internal/stats"
 )
 
 func BenchmarkDecayTick(b *testing.B) {
@@ -17,11 +16,10 @@ func BenchmarkDecayTick(b *testing.B) {
 	m := bigMockController(eng)
 	populate(m)
 	m.deferTurnOff = true // keep the array resident: every tick rescans it
-	var cnt stats.Counter
-	sc := newTickScanner(eng, m, false, &cnt)
+	sc := newTickScanner(eng, m, false)
 	tickFn := sc.tick
 	run := func() {
-		m.turnOffs = m.turnOffs[:0]
+		m.turnOffs, m.turnOffAt = m.turnOffs[:0], m.turnOffAt[:0]
 		eng.Schedule(1, tickFn)
 		eng.Run()
 	}

@@ -66,12 +66,6 @@ func ParseSpec(s string) (Spec, error) {
 		for _, k := range []Kind{KindDecay, KindSelectiveDecay, KindAdaptive} {
 			prefix := k.String()
 			if strings.HasPrefix(name, prefix) && len(name) > len(prefix) && !hasArg {
-				// "sel_decay..." also matches the "decay" test above when
-				// iterated naively; prefix order here tries decay first, so
-				// guard against splitting inside the longer family name.
-				if k == KindDecay && strings.HasPrefix(name, "sel_decay") {
-					continue
-				}
 				return parseSpecArg(k, name[len(prefix):], s)
 			}
 		}

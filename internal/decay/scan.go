@@ -3,7 +3,6 @@ package decay
 import (
 	"cmpleak/internal/coherence"
 	"cmpleak/internal/sim"
-	"cmpleak/internal/stats"
 )
 
 // stripeLines bounds how many lines one engine event touches during a
@@ -13,15 +12,14 @@ import (
 // small array.
 var stripeLines = 4096
 
-// tickScanner is the shared per-controller global-tick scan used by every
-// decay technique: advance the hierarchical counter of each armed, powered,
-// stable line and request turn-off for the ones that saturate.  It
-// deduplicates the previously copy-pasted loops of FixedDecay,
-// SelectiveDecay and AdaptiveMode and fixes two costs of the old scan:
+// tickScanner is the per-controller global-tick scan shared by the decay
+// family: advance the hierarchical counter of each armed, powered, stable
+// line and request turn-off for the ones that saturate.  Two properties keep
+// it cheap:
 //
-//   - the closure-per-line ForEachValid walk becomes a direct indexed loop
-//     over the cache's flat array, and the per-tick toTurnOff slice becomes
-//     a reused scratch buffer (zero allocations per tick in steady state);
+//   - it is a direct indexed loop over the cache's flat array, collecting
+//     saturated lines in a reused scratch buffer (zero allocations per tick
+//     in steady state);
 //   - the scan is striped: one engine event touches at most stripeLines
 //     lines, with the continuation front-scheduled at the same cycle
 //     (sim.Engine.ScheduleNextArg), so the full scan still executes
@@ -43,11 +41,8 @@ type tickScanner struct {
 	// skipModified implements Selective Decay: lines in Modified never
 	// advance toward turn-off.
 	skipModified bool
-	// turnOffs is the technique's request counter, shared across the
-	// technique's controllers.
-	turnOffs *stats.Counter
-	// done, when set, runs after the last stripe of each tick (AdaptiveMode
-	// hangs its window adaptation here).
+	// done, when set, runs after the last stripe of each tick (the adaptive
+	// kind hangs its window adaptation here).
 	done func()
 
 	numLines int
@@ -58,12 +53,11 @@ type tickScanner struct {
 }
 
 // newTickScanner builds the scan state for one controller.
-func newTickScanner(eng *sim.Engine, ctrl Controller, skipModified bool, turnOffs *stats.Counter) *tickScanner {
+func newTickScanner(eng *sim.Engine, ctrl Controller, skipModified bool) *tickScanner {
 	s := &tickScanner{
 		eng:          eng,
 		ctrl:         ctrl,
 		skipModified: skipModified,
-		turnOffs:     turnOffs,
 		numLines:     ctrl.Array().NumLines(),
 		assoc:        ctrl.Array().Assoc(),
 	}
@@ -113,7 +107,6 @@ func (s *tickScanner) runStripe() {
 	}
 	s.scratch = scratch
 	for _, idx := range scratch {
-		s.turnOffs.Inc()
 		s.ctrl.RequestTurnOff(idx/s.assoc, idx%s.assoc)
 	}
 	s.cursor = end

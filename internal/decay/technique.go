@@ -1,20 +1,26 @@
 // Package decay implements the leakage-saving techniques evaluated in the
-// paper (Section IV), all built on top of the coherence-safe turn-off
-// primitive provided by the L2 controller:
+// paper (Section IV).  Every technique is a policy layered on the one
+// coherence-safe turn-off primitive the L2 controller provides (Figure 2),
+// so a technique is data: a Spec whose Kind selects one row of this table.
 //
-//   - AlwaysOn       — the baseline: every line is powered for the whole run.
-//   - Protocol       — a line is gated whenever the coherence protocol
-//     invalidates it (and never-filled lines stay off).
-//   - Decay          — fixed-interval cache decay with hierarchical 2-bit
-//     counters; a line not accessed for the decay time is turned off.
-//   - SelectiveDecay — decay armed only on transitions leading to Shared or
-//     Exclusive; lines that become Modified do not decay.
-//   - AdaptiveMode   — a related-work extension (Zhou et al. Adaptive Mode
-//     Control) that adjusts a global decay interval from the observed
-//     decay-induced miss rate; used for ablation studies.
+//	kind       gates on invalidation  arms decay on  extra latency  counters  Gated-Vdd area
+//	baseline   no                     -              0              no        no
+//	protocol   yes                    -              0              no        yes
+//	decay      yes                    every fill     1 cycle        yes       yes
+//	sel_decay  yes                    fill/change    1 cycle        yes       yes
+//	                                  into S or E
+//	adaptive   yes                    every fill     1 cycle        yes       yes
 //
-// A technique observes the L2 controller through hook methods (fill, hit,
-// state change, protocol invalidation) and acts on it through the
+// The baseline powers every line for the whole run.  Protocol gates a line
+// whenever the coherence protocol invalidates it, and never-filled lines stay
+// off.  Decay adds hierarchical 2-bit per-line counters: a line not accessed
+// for the decay interval is turned off.  Selective Decay arms the counters
+// only on transitions into Shared or Exclusive, so Modified lines do not
+// decay.  Adaptive is a related-work extension (Zhou et al.'s Adaptive Mode
+// Control) that retunes the decay interval from the sampled miss rate.
+//
+// The L2 controller calls the Spec's hook methods (fill, hit, state change,
+// protocol invalidation); the Spec acts on the controller through the
 // Controller interface (power gating and the Figure 2 turn-off request).
 package decay
 
@@ -44,39 +50,6 @@ type Controller interface {
 	LineState(set, way int) coherence.State
 	// Now returns the current simulation cycle.
 	Now() sim.Cycle
-}
-
-// Technique is one leakage-management policy applied to every private L2 of
-// the CMP.  Hook methods are invoked by the L2 controllers; Start is called
-// once per controller after the system is wired.
-type Technique interface {
-	// Name returns the configuration name used in figures, e.g. "decay512K".
-	Name() string
-	// Start initialises the technique for one controller (powering lines,
-	// starting decay tickers, ...).
-	Start(eng *sim.Engine, ctrl Controller)
-	// OnFill is invoked when a line is installed with its initial state.
-	OnFill(ctrl Controller, set, way int, st coherence.State)
-	// OnHit is invoked on every access that hits the line.
-	OnHit(ctrl Controller, set, way int, st coherence.State)
-	// OnStateChange is invoked when a line transitions between coherence
-	// states (stationary states only).
-	OnStateChange(ctrl Controller, set, way int, old, new coherence.State)
-	// OnProtocolInvalidate is invoked when the coherence protocol
-	// invalidates the line (remote BusRdX/BusUpgr or replacement).
-	OnProtocolInvalidate(ctrl Controller, set, way int)
-	// OnTurnedOff is invoked when a turn-off requested by the technique has
-	// completed (the line reached Invalid and was gated).
-	OnTurnedOff(ctrl Controller, set, way int)
-	// ExtraAccessLatency is the per-access penalty of the technique's
-	// circuitry (one cycle for decay caches in the paper).
-	ExtraAccessLatency() sim.Cycle
-	// HasDecayCounters reports whether per-line counters exist, which adds
-	// dynamic and leakage overhead in the energy model.
-	HasDecayCounters() bool
-	// AreaOverhead is the fractional cache area added by the technique
-	// (Gated-Vdd costs 5%).
-	AreaOverhead() float64
 }
 
 // Kind enumerates the built-in techniques.
@@ -113,7 +86,14 @@ func (k Kind) String() string {
 	}
 }
 
-// Spec selects a technique and its parameters.
+// counterLevels is the saturation value of the per-line hierarchical decay
+// counter.  The paper follows Kaxiras et al.: a small (2-bit) counter per
+// line incremented by a cache-wide global tick, so that a line is turned off
+// after between (levels-1) and levels global ticks without an access.
+const counterLevels = 4
+
+// Spec is one leakage technique: the policy applied to every private L2 of
+// the CMP.  The zero Spec is the baseline.
 type Spec struct {
 	Kind Kind
 	// DecayCycles is the decay interval for decay-based techniques
@@ -126,24 +106,16 @@ type Spec struct {
 
 // Name returns the figure label for the spec (e.g. "decay512K").
 func (s Spec) Name() string {
-	switch s.Kind {
-	case KindDecay, KindSelectiveDecay, KindAdaptive:
+	if s.Decays() {
 		var buf [32]byte
 		b := append(buf[:0], s.Kind.String()...)
 		return string(appendCyclesLabel(b, s.DecayCycles))
-	default:
-		return s.Kind.String()
 	}
+	return s.Kind.String()
 }
 
-// cyclesLabel formats a cycle count the way the paper labels decay times
-// (64K, 128K, 512K, 1M ...).
-func cyclesLabel(c sim.Cycle) string {
-	var buf [24]byte
-	return string(appendCyclesLabel(buf[:0], c))
-}
-
-// appendCyclesLabel appends cyclesLabel(c) to b.
+// appendCyclesLabel appends a cycle count the way the paper labels decay
+// times (64K, 128K, 512K, 1M ...) to b.
 func appendCyclesLabel(b []byte, c sim.Cycle) []byte {
 	switch {
 	case c >= 1<<20 && c%(1<<20) == 0:
@@ -155,38 +127,93 @@ func appendCyclesLabel(b []byte, c sim.Cycle) []byte {
 	}
 }
 
-// New builds the technique described by the spec.
-func New(s Spec) (Technique, error) {
+// Validate rejects an unknown kind and a decay-family spec without an
+// interval.
+func (s Spec) Validate() error {
+	if s.Kind > KindAdaptive {
+		return fmt.Errorf("decay: unknown technique kind %d", s.Kind)
+	}
+	if s.Decays() && s.DecayCycles == 0 {
+		return fmt.Errorf("decay: DecayCycles must be set for %v", s.Kind)
+	}
+	return nil
+}
+
+// Gates reports whether the technique adds Gated-Vdd circuitry: lines are
+// gated on protocol invalidation (and on decay), at the cost of the
+// Gated-Vdd area overhead.  Every technique but the baseline gates.
+func (s Spec) Gates() bool { return s.Kind != KindAlwaysOn }
+
+// Decays reports whether the technique keeps per-line decay counters, which
+// cost an access cycle and dynamic and leakage overhead in the energy model.
+func (s Spec) Decays() bool {
+	return s.Kind == KindDecay || s.Kind == KindSelectiveDecay || s.Kind == KindAdaptive
+}
+
+// ExtraAccessLatency is the per-access penalty of the technique's circuitry:
+// the paper charges one cycle for decay caches.
+func (s Spec) ExtraAccessLatency() sim.Cycle {
+	if s.Decays() {
+		return 1
+	}
+	return 0
+}
+
+// Start initialises the technique for one controller: the baseline powers
+// the whole array, protocol starts fully gated (lines power on as they are
+// filled), and the decay family starts its global-tick scanner.
+func (s Spec) Start(eng *sim.Engine, ctrl Controller) {
 	switch s.Kind {
 	case KindAlwaysOn:
-		return NewAlwaysOn(), nil
-	case KindProtocol:
-		return NewProtocol(), nil
-	case KindDecay:
-		if s.DecayCycles == 0 {
-			return nil, fmt.Errorf("decay: DecayCycles must be set for %v", s.Kind)
-		}
-		return NewFixedDecay(s.DecayCycles), nil
-	case KindSelectiveDecay:
-		if s.DecayCycles == 0 {
-			return nil, fmt.Errorf("decay: DecayCycles must be set for %v", s.Kind)
-		}
-		return NewSelectiveDecay(s.DecayCycles), nil
+		ctrl.Array().PowerOnAll(eng.Now())
+	case KindDecay, KindSelectiveDecay:
+		// A recurring engine event: one pooled node, no rescheduling churn.
+		// Selective Decay's scan skips Modified lines even if one became
+		// Modified without the arming hook firing.
+		sc := newTickScanner(eng, ctrl, s.Kind == KindSelectiveDecay)
+		period := max(s.DecayCycles/counterLevels, 1)
+		eng.ScheduleRecurring(period, func(sim.Cycle) bool {
+			sc.tick()
+			return true
+		})
 	case KindAdaptive:
-		if s.DecayCycles == 0 {
-			return nil, fmt.Errorf("decay: DecayCycles must be set for %v", s.Kind)
-		}
-		return NewAdaptiveMode(s.DecayCycles), nil
-	default:
-		return nil, fmt.Errorf("decay: unknown technique kind %d", s.Kind)
+		startAdaptive(eng, ctrl, s.DecayCycles)
 	}
 }
 
-// MustNew is New but panics on error; for presets known to be valid.
-func MustNew(s Spec) Technique {
-	t, err := New(s)
-	if err != nil {
-		panic(err)
+// OnFill is invoked when a line is installed with its initial state; it arms
+// the line exactly as a transition into that state does.
+func (s Spec) OnFill(ctrl Controller, set, way int, st coherence.State) {
+	s.OnStateChange(ctrl, set, way, st)
+}
+
+// OnStateChange is invoked when a line enters the stationary state st.  A
+// decay-family technique resets the line's counter and arms it, except that
+// Selective Decay arms only on transitions into Shared or Exclusive: turning
+// off a Modified line forces an upper-level invalidation and a write-back,
+// which directly hurts performance.
+func (s Spec) OnStateChange(ctrl Controller, set, way int, st coherence.State) {
+	if !s.Decays() {
+		return
 	}
-	return t
+	ln := ctrl.Array().Line(set, way)
+	ln.DecayCounter = 0
+	ln.DecayArmed = s.Kind != KindSelectiveDecay || st == coherence.Shared || st == coherence.Exclusive
+}
+
+// OnHit is invoked on every access that hits the line: the line proved
+// itself alive, so its decay counter resets.
+func (s Spec) OnHit(ctrl Controller, set, way int) {
+	if s.Decays() {
+		ctrl.Array().Line(set, way).DecayCounter = 0
+	}
+}
+
+// OnProtocolInvalidate is invoked after the coherence protocol invalidated
+// the line (remote BusRdX/BusUpgr); a gating technique gates it.  The line
+// is already Invalid, so gating is safe.
+func (s Spec) OnProtocolInvalidate(ctrl Controller, set, way int) {
+	if s.Gates() {
+		ctrl.Array().PowerOff(set, way, ctrl.Now())
+	}
 }

@@ -19,8 +19,10 @@ type mockController struct {
 	eng    *sim.Engine
 	arr    *cache.Cache
 	states map[[2]int]coherence.State
-	// turnOffs records every (set, way) the technique asked to turn off.
-	turnOffs [][2]int
+	// turnOffs records every (set, way) the technique asked to turn off,
+	// and turnOffAt the cycle of each request.
+	turnOffs  [][2]int
+	turnOffAt []sim.Cycle
 	// deferTurnOff leaves the line untouched, simulating a transient line.
 	deferTurnOff bool
 }
@@ -47,6 +49,7 @@ func (m *mockController) LineState(set, way int) coherence.State {
 
 func (m *mockController) RequestTurnOff(set, way int) {
 	m.turnOffs = append(m.turnOffs, [2]int{set, way})
+	m.turnOffAt = append(m.turnOffAt, m.eng.Now())
 	if m.deferTurnOff {
 		return
 	}
@@ -57,7 +60,7 @@ func (m *mockController) RequestTurnOff(set, way int) {
 
 // install places a block in the mock L2 with the given state, driving the
 // technique hooks the way the real controller does.
-func (m *mockController) install(t Technique, a mem.Addr, st coherence.State) (set, way int) {
+func (m *mockController) install(t Spec, a mem.Addr, st coherence.State) (set, way int) {
 	set, way, hit := m.arr.Lookup(a)
 	if !hit {
 		way = m.arr.Victim(set)
@@ -136,15 +139,11 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestNewValidation(t *testing.T) {
-	if _, err := New(Spec{Kind: KindDecay}); err == nil {
-		t.Fatal("decay without interval should be rejected")
-	}
-	if _, err := New(Spec{Kind: KindSelectiveDecay}); err == nil {
-		t.Fatal("sel_decay without interval should be rejected")
-	}
-	if _, err := New(Spec{Kind: Kind(77)}); err == nil {
-		t.Fatal("unknown kind should be rejected")
+func TestSpecValidate(t *testing.T) {
+	for _, s := range []Spec{{Kind: KindDecay}, {Kind: KindSelectiveDecay}, {Kind: KindAdaptive}, {Kind: Kind(77)}} {
+		if err := s.Validate(); err == nil {
+			t.Errorf("Spec%+v.Validate() accepted it", s)
+		}
 	}
 	for _, s := range []Spec{
 		{Kind: KindAlwaysOn},
@@ -153,26 +152,64 @@ func TestNewValidation(t *testing.T) {
 		{Kind: KindSelectiveDecay, DecayCycles: 1024},
 		{Kind: KindAdaptive, DecayCycles: 1024},
 	} {
-		tech, err := New(s)
-		if err != nil || tech == nil {
-			t.Fatalf("New(%+v) failed: %v", s, err)
+		if err := s.Validate(); err != nil {
+			t.Errorf("Spec%+v.Validate(): %v", s, err)
 		}
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNew did not panic on invalid spec")
+// TestPolicyTable pins the per-kind overheads the energy model and the L2
+// latency read: Gated-Vdd area, decay counters and the access penalty.
+func TestPolicyTable(t *testing.T) {
+	cases := []struct {
+		kind          Kind
+		gates, decays bool
+		extraLatency  sim.Cycle
+	}{
+		{KindAlwaysOn, false, false, 0},
+		{KindProtocol, true, false, 0},
+		{KindDecay, true, true, 1},
+		{KindSelectiveDecay, true, true, 1},
+		{KindAdaptive, true, true, 1},
+	}
+	for _, c := range cases {
+		s := Spec{Kind: c.kind, DecayCycles: 1024}
+		if s.Gates() != c.gates || s.Decays() != c.decays || s.ExtraAccessLatency() != c.extraLatency {
+			t.Errorf("%v: Gates=%v Decays=%v ExtraAccessLatency=%d, want %v %v %d", c.kind,
+				s.Gates(), s.Decays(), s.ExtraAccessLatency(), c.gates, c.decays, c.extraLatency)
 		}
-	}()
-	MustNew(Spec{Kind: KindDecay})
+	}
+}
+
+// TestArmingByKind pins the arming rule on fills and state changes: the
+// decay family arms every stationary state except that Selective Decay arms
+// only Shared and Exclusive; the other kinds never touch the line.
+func TestArmingByKind(t *testing.T) {
+	states := []coherence.State{coherence.Shared, coherence.Exclusive, coherence.Modified}
+	for _, kind := range []Kind{KindAlwaysOn, KindProtocol, KindDecay, KindSelectiveDecay, KindAdaptive} {
+		spec := Spec{Kind: kind, DecayCycles: 1000}
+		for _, st := range states {
+			ctrl := newMockController(sim.NewEngine())
+			set, way := ctrl.install(spec, 0x1000, coherence.Exclusive)
+			ln := ctrl.arr.Line(set, way)
+			ln.DecayCounter = 3
+			spec.OnStateChange(ctrl, set, way, st)
+			want := kind == KindDecay || kind == KindAdaptive ||
+				kind == KindSelectiveDecay && st != coherence.Modified
+			if ln.DecayArmed != want {
+				t.Errorf("%v into %v: armed=%v, want %v", kind, st, ln.DecayArmed, want)
+			}
+			if spec.Decays() != (ln.DecayCounter == 0) {
+				t.Errorf("%v into %v: counter %d after the transition", kind, st, ln.DecayCounter)
+			}
+		}
+	}
 }
 
 func TestAlwaysOnPowersEverything(t *testing.T) {
 	eng := sim.NewEngine()
 	ctrl := newMockController(eng)
-	tech := NewAlwaysOn()
+	var tech Spec // the zero Spec is the baseline
 	tech.Start(eng, ctrl)
 	if ctrl.arr.PoweredLines() != ctrl.arr.Config().NumLines() {
 		t.Fatal("baseline did not power the full array")
@@ -183,18 +220,18 @@ func TestAlwaysOnPowersEverything(t *testing.T) {
 	if ctrl.arr.PoweredLines() != ctrl.arr.Config().NumLines() {
 		t.Fatal("baseline gated a line on invalidation")
 	}
-	if tech.ExtraAccessLatency() != 0 || tech.HasDecayCounters() || tech.AreaOverhead() != 0 {
-		t.Fatal("baseline overhead should be zero")
-	}
 	if tech.Name() != "baseline" {
 		t.Fatal("baseline name wrong")
+	}
+	if eng.Pending() != 0 {
+		t.Fatal("baseline scheduled events")
 	}
 }
 
 func TestProtocolGatesOnInvalidation(t *testing.T) {
 	eng := sim.NewEngine()
 	ctrl := newMockController(eng)
-	tech := NewProtocol()
+	tech := Spec{Kind: KindProtocol}
 	tech.Start(eng, ctrl)
 	if ctrl.arr.PoweredLines() != 0 {
 		t.Fatal("protocol technique should start fully gated")
@@ -203,28 +240,28 @@ func TestProtocolGatesOnInvalidation(t *testing.T) {
 	if ctrl.arr.PoweredLines() != 1 {
 		t.Fatal("filled line should be powered")
 	}
+	if ctrl.arr.Line(set, way).DecayArmed {
+		t.Fatal("protocol technique armed decay")
+	}
 	eng.Advance(100)
 	tech.OnProtocolInvalidate(ctrl, set, way)
 	if ctrl.arr.PoweredLines() != 0 {
 		t.Fatal("protocol invalidation did not gate the line")
 	}
-	if tech.ExtraAccessLatency() != 0 {
-		t.Fatal("protocol technique has no access penalty")
-	}
-	if tech.AreaOverhead() != 0.05 {
-		t.Fatal("Gated-Vdd area overhead missing")
-	}
-	if tech.HasDecayCounters() {
-		t.Fatal("protocol technique has no counters")
+	if eng.Pending() != 0 {
+		t.Fatal("protocol technique scheduled events")
 	}
 }
 
 func TestFixedDecayTurnsOffIdleLines(t *testing.T) {
 	eng := sim.NewEngine()
 	ctrl := newMockController(eng)
-	tech := NewFixedDecay(1000)
+	tech := Spec{Kind: KindDecay, DecayCycles: 1000}
 	tech.Start(eng, ctrl)
 	set, way := ctrl.install(tech, 0x3000, coherence.Exclusive)
+	if !ctrl.arr.Line(set, way).DecayArmed {
+		t.Fatal("fill did not arm decay")
+	}
 	// After the full decay interval with no access the line must be off.
 	eng.RunUntil(2000)
 	if len(ctrl.turnOffs) == 0 {
@@ -233,25 +270,23 @@ func TestFixedDecayTurnsOffIdleLines(t *testing.T) {
 	if ctrl.arr.Line(set, way).Powered {
 		t.Fatal("idle line still powered after decay interval")
 	}
-	if tech.ExtraAccessLatency() != 1 || !tech.HasDecayCounters() {
-		t.Fatal("decay overheads not reported")
-	}
-	if tech.DecayCycles() != 1000 {
-		t.Fatal("DecayCycles accessor wrong")
+	// Four ticks of 250 cycles saturate the counter.
+	if ctrl.turnOffAt[0] != 1000 {
+		t.Fatalf("first turn-off requested at cycle %d, want 1000", ctrl.turnOffAt[0])
 	}
 }
 
 func TestFixedDecayAccessResetsCounter(t *testing.T) {
 	eng := sim.NewEngine()
 	ctrl := newMockController(eng)
-	tech := NewFixedDecay(1000)
+	tech := Spec{Kind: KindDecay, DecayCycles: 1000}
 	tech.Start(eng, ctrl)
 	set, way := ctrl.install(tech, 0x4000, coherence.Exclusive)
 	// Touch the line every 400 cycles: it must never decay even after many
 	// intervals.
 	for i := 1; i <= 10; i++ {
 		eng.RunUntil(sim.Cycle(i * 400))
-		tech.OnHit(ctrl, set, way, coherence.Exclusive)
+		tech.OnHit(ctrl, set, way)
 	}
 	if len(ctrl.turnOffs) != 0 {
 		t.Fatal("frequently accessed line decayed")
@@ -264,7 +299,7 @@ func TestFixedDecayAccessResetsCounter(t *testing.T) {
 func TestFixedDecaySkipsTransientLines(t *testing.T) {
 	eng := sim.NewEngine()
 	ctrl := newMockController(eng)
-	tech := NewFixedDecay(1000)
+	tech := Spec{Kind: KindDecay, DecayCycles: 1000}
 	tech.Start(eng, ctrl)
 	set, way := ctrl.install(tech, 0x5000, coherence.TransientDirty)
 	eng.RunUntil(3000)
@@ -279,10 +314,15 @@ func TestFixedDecaySkipsTransientLines(t *testing.T) {
 func TestSelectiveDecayDoesNotDecayModified(t *testing.T) {
 	eng := sim.NewEngine()
 	ctrl := newMockController(eng)
-	tech := NewSelectiveDecay(1000)
+	tech := Spec{Kind: KindSelectiveDecay, DecayCycles: 1000}
 	tech.Start(eng, ctrl)
-	_, _ = ctrl.install(tech, 0x6000, coherence.Modified)
+	setM, wayM := ctrl.install(tech, 0x6000, coherence.Modified)
 	setE, wayE := ctrl.install(tech, 0x7000, coherence.Exclusive)
+	if ctrl.arr.Line(setM, wayM).DecayArmed || !ctrl.arr.Line(setE, wayE).DecayArmed {
+		t.Fatal("selective decay must arm the Exclusive fill and not the Modified one")
+	}
+	// The scan skips Modified lines even when armed.
+	ctrl.arr.Line(setM, wayM).DecayArmed = true
 	eng.RunUntil(3000)
 	// Only the Exclusive line may decay.
 	for _, sw := range ctrl.turnOffs {
@@ -293,15 +333,12 @@ func TestSelectiveDecayDoesNotDecayModified(t *testing.T) {
 	if len(ctrl.turnOffs) == 0 {
 		t.Fatal("exclusive line never decayed")
 	}
-	if tech.DisarmedTransitions.Value() != 0 && tech.ArmedTransitions.Value() == 0 {
-		t.Fatal("arming statistics inconsistent")
-	}
 }
 
 func TestSelectiveDecayRearmsOnStateChange(t *testing.T) {
 	eng := sim.NewEngine()
 	ctrl := newMockController(eng)
-	tech := NewSelectiveDecay(1000)
+	tech := Spec{Kind: KindSelectiveDecay, DecayCycles: 1000}
 	tech.Start(eng, ctrl)
 	set, way := ctrl.install(tech, 0x8000, coherence.Modified)
 	if ctrl.arr.Line(set, way).DecayArmed {
@@ -309,18 +346,15 @@ func TestSelectiveDecayRearmsOnStateChange(t *testing.T) {
 	}
 	// Remote BusRd downgrades M -> S: decay must arm.
 	ctrl.states[[2]int{set, way}] = coherence.Shared
-	tech.OnStateChange(ctrl, set, way, coherence.Modified, coherence.Shared)
+	tech.OnStateChange(ctrl, set, way, coherence.Shared)
 	if !ctrl.arr.Line(set, way).DecayArmed {
 		t.Fatal("downgrade to Shared did not arm decay")
 	}
 	// A store upgrades back to M: decay must disarm.
 	ctrl.states[[2]int{set, way}] = coherence.Modified
-	tech.OnStateChange(ctrl, set, way, coherence.Shared, coherence.Modified)
+	tech.OnStateChange(ctrl, set, way, coherence.Modified)
 	if ctrl.arr.Line(set, way).DecayArmed {
 		t.Fatal("upgrade to Modified did not disarm decay")
-	}
-	if tech.ArmedTransitions.Value() == 0 || tech.DisarmedTransitions.Value() == 0 {
-		t.Fatal("transition counters not updated")
 	}
 }
 
@@ -329,7 +363,7 @@ func TestSelectiveDecayOccupationBetweenProtocolAndDecay(t *testing.T) {
 	// E lines left idle, plain decay turns off more lines than selective
 	// decay, which turns off more than protocol (which turns off none
 	// without invalidations).
-	run := func(tech Technique) int {
+	run := func(tech Spec) int {
 		eng := sim.NewEngine()
 		ctrl := newMockController(eng)
 		tech.Start(eng, ctrl)
@@ -341,40 +375,50 @@ func TestSelectiveDecayOccupationBetweenProtocolAndDecay(t *testing.T) {
 			ctrl.install(tech, mem.Addr(0x10000+i*64), st)
 		}
 		eng.RunUntil(4000)
-		off := 0
-		ctrl.arr.ForEachLine(func(_, _ int, ln *cache.Line) {
-			if ln.Valid == false && !ln.Powered {
-				off++
-			}
-		})
 		return len(ctrl.turnOffs)
 	}
-	offDecay := run(NewFixedDecay(1000))
-	offSel := run(NewSelectiveDecay(1000))
-	offProto := run(NewProtocol())
+	offDecay := run(Spec{Kind: KindDecay, DecayCycles: 1000})
+	offSel := run(Spec{Kind: KindSelectiveDecay, DecayCycles: 1000})
+	offProto := run(Spec{Kind: KindProtocol})
 	if !(offDecay > offSel && offSel > offProto) {
 		t.Fatalf("turn-off ordering violated: decay=%d sel=%d protocol=%d", offDecay, offSel, offProto)
 	}
 }
 
+// TestAdaptiveModeDecaysAndAdapts keeps one idle line resident (its
+// turn-offs are deferred), so every global tick re-requests its turn-off and
+// the spacing of the requests is the tick period: a quarter of the current
+// interval.
 func TestAdaptiveModeDecaysAndAdapts(t *testing.T) {
-	eng := sim.NewEngine()
-	ctrl := newMockController(eng)
-	tech := NewAdaptiveMode(1000)
-	tech.Start(eng, ctrl)
-	ctrl.install(tech, 0x9000, coherence.Exclusive)
-	eng.RunUntil(3000)
-	if tech.TurnOffRequests.Value() == 0 {
-		t.Fatal("adaptive mode never requested a turn-off")
+	gaps := func(missesPerTick uint64) (first, last sim.Cycle) {
+		t.Helper()
+		eng := sim.NewEngine()
+		ctrl := newMockController(eng)
+		ctrl.deferTurnOff = true
+		tech := Spec{Kind: KindAdaptive, DecayCycles: 1000}
+		tech.Start(eng, ctrl)
+		ctrl.install(tech, 0x9000, coherence.Exclusive)
+		for now := sim.Cycle(0); now < 60000; now += 50 {
+			ctrl.arr.Misses.Add(missesPerTick)
+			eng.RunUntil(now + 50)
+		}
+		at := ctrl.turnOffAt
+		if len(at) < 3 {
+			t.Fatalf("adaptive mode requested %d turn-offs, want a steady stream", len(at))
+		}
+		if at[0] != 1000 {
+			t.Fatalf("first turn-off requested at cycle %d, want 1000", at[0])
+		}
+		return at[1] - at[0], at[len(at)-1] - at[len(at)-2]
 	}
-	// With zero misses in every window the interval should shrink
-	// (aggressive mode), which counts as adaptations.
-	eng.RunUntil(40000)
-	if tech.Adaptations.Value() == 0 {
-		t.Fatal("adaptive mode never adapted its interval")
+	// No misses: each window halves the interval down to initial/8 = 125,
+	// a 31-cycle tick.
+	if first, last := gaps(0); first != 250 || last != 31 {
+		t.Fatalf("miss-free run: request spacing %d then %d, want 250 then 31", first, last)
 	}
-	if tech.Name() == "" || !tech.HasDecayCounters() {
-		t.Fatal("adaptive mode metadata wrong")
+	// A high miss rate doubles it up to initial*8 = 8000, a 2000-cycle tick.
+	if first, last := gaps(100); first != 250 || last != 2000 {
+		t.Fatalf("miss-heavy run: request spacing %d then %d, want 250 then 2000", first, last)
 	}
 }
 
@@ -382,7 +426,7 @@ func TestDeferredTurnOffLeavesLineOn(t *testing.T) {
 	eng := sim.NewEngine()
 	ctrl := newMockController(eng)
 	ctrl.deferTurnOff = true
-	tech := NewFixedDecay(1000)
+	tech := Spec{Kind: KindDecay, DecayCycles: 1000}
 	tech.Start(eng, ctrl)
 	set, way := ctrl.install(tech, 0xa000, coherence.Exclusive)
 	eng.RunUntil(5000)
@@ -398,7 +442,7 @@ func TestDecayCounterNeverExceedsLevels(t *testing.T) {
 	eng := sim.NewEngine()
 	ctrl := newMockController(eng)
 	ctrl.deferTurnOff = true // keep the line alive so ticks keep running
-	tech := NewFixedDecay(400)
+	tech := Spec{Kind: KindDecay, DecayCycles: 400}
 	tech.Start(eng, ctrl)
 	set, way := ctrl.install(tech, 0xb000, coherence.Exclusive)
 	eng.RunUntil(10000)

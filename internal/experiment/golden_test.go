@@ -37,7 +37,7 @@ import (
 const goldenSweepDigest = GoldenAnchor
 
 // goldenOptions is determinismOptions plus the adaptive technique, so the
-// digest also pins AdaptiveMode's tick and adaptation behaviour.
+// digest also pins the adaptive kind's tick and adaptation behaviour.
 func goldenOptions() Options {
 	opts := determinismOptions()
 	opts.Techniques = append(opts.Techniques,

@@ -6,10 +6,11 @@
 // increase, the residual leakage of gated lines, and the dynamic/leakage
 // cost of the hierarchical decay counters.
 //
-// Absolute Joule values are calibrated (see DESIGN.md §4) so that the L2
-// leakage share of system energy grows with cache size the way the paper's
-// results require (roughly 10% of system energy at 1 MB up to ~45% at 8 MB);
-// within that calibration the model is fully analytical and deterministic.
+// Absolute Joule values (the constants of DefaultParams) are calibrated so
+// that the L2 leakage share of system energy grows with cache size the way
+// the paper's results require (roughly 10% of system energy at 1 MB up to
+// ~45% at 8 MB); within that calibration the model is fully analytical and
+// deterministic.
 package power
 
 import "fmt"
@@ -49,6 +50,7 @@ type Params struct {
 
 	// GatedVddAreaOverhead is the fractional area (hence leakage) increase
 	// of Gated-Vdd circuitry applied to powered lines (the paper uses 5%).
+	// Every technique that gates lines pays it; the baseline does not.
 	GatedVddAreaOverhead float64
 	// GatedOffResidual is the residual leakage of a gated line as a
 	// fraction of its powered leakage ("virtually zero" in the paper; a
