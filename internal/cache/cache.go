@@ -13,7 +13,7 @@
 // Storage is a single flat backing array indexed by set*assoc+way (sets are
 // a power of two, so the set index is a shift and mask of the address): no
 // per-set slice headers, no pointer chasing on the access path, and the
-// decay techniques can stripe their scans over plain integer indices.
+// decay bookkeeping keys its bitmaps by plain integer indices.
 package cache
 
 import (
@@ -84,11 +84,11 @@ type Line struct {
 	// Powered reports whether the SRAM cells of this line are connected to
 	// the supply rail (Gated-Vdd on = powered).
 	Powered bool
+	// ArmTick is the bank's global decay tick count when the line's
+	// hierarchical decay counter last reset (see DecayCounter).
+	ArmTick uint32
 	// LastTouch is the cycle of the last access (used by decay).
 	LastTouch sim.Cycle
-	// DecayCounter is the per-line hierarchical counter (2-bit in the
-	// paper's implementation).
-	DecayCounter uint8
 	// DecayArmed reports whether the decay logic is allowed to turn this
 	// line off (always true for plain Decay, selectively set for SD).
 	DecayArmed bool
@@ -108,7 +108,7 @@ type Cache struct {
 	lines []Line
 	// tags mirrors lines[...].Tag in a dense array so the Lookup tag scan
 	// reads one 8-byte word per way (an 8-way set is one cache line)
-	// instead of striding over the 48-byte Line structs.  Invalid ways hold
+	// instead of striding over the 32-byte Line structs.  Invalid ways hold
 	// invalidTag — not block-aligned, so it can never match a looked-up
 	// block — which folds the valid check into the tag compare and keeps
 	// the hit path to a single replacement-state load.  nil when LineBytes
@@ -141,6 +141,18 @@ type Cache struct {
 	onCycles     uint64
 	poweredLines int
 	lastPowerAdv sim.Cycle
+
+	// Decay bookkeeping, allocated by EnableDecay on banks a decaying
+	// technique runs on (nil elsewhere).  Line counters are not stored but
+	// derived from decayTicks and each line's ArmTick.  Bitmaps over line
+	// indices track the only lines a tick can saturate: decayDue[k] holds
+	// the armed lines reset while decayTicks%DecayLevels == k, which
+	// saturate DecayLevels ticks later unless reset again; decaySat holds
+	// saturated lines that survived their turn-off request (deferred, or
+	// writing back), which every tick requests again.
+	decayTicks uint32
+	decayDue   [DecayLevels][]uint64
+	decaySat   []uint64
 
 	// Statistics.
 	Hits       stats.Counter
@@ -223,13 +235,6 @@ func (c *Cache) NumLines() int { return len(c.lines) }
 func (c *Cache) SetIndex(a mem.Addr) int {
 	return int((uint64(a) >> c.lineShift) & c.setMask)
 }
-
-// LineIndex returns the flat-array index of (set, way).
-func (c *Cache) LineIndex(set, way int) int { return set*c.assoc + way }
-
-// LineAt returns a pointer to the line at a flat index (see LineIndex);
-// the decay scanners iterate the array directly through it.
-func (c *Cache) LineAt(idx int) *Line { return &c.lines[idx] }
 
 // blockAddr returns the block-aligned address.
 func (c *Cache) blockAddr(a mem.Addr) mem.Addr {
@@ -349,7 +354,6 @@ func (c *Cache) Install(a mem.Addr, set, way int, now sim.Cycle) *Line {
 	}
 	ln.Valid = true
 	ln.Dirty = false
-	ln.DecayCounter = 0
 	ln.DecayArmed = false
 	ln.LastTouch = now
 	if c.validBits != nil {
@@ -366,7 +370,6 @@ func (c *Cache) Invalidate(set, way int) {
 	ln := &c.lines[set*c.assoc+way]
 	ln.Valid = false
 	ln.Dirty = false
-	ln.DecayCounter = 0
 	ln.DecayArmed = false
 	if c.tags != nil {
 		c.tags[set*c.assoc+way] = invalidTag
@@ -416,6 +419,86 @@ func (c *Cache) PowerOnAll(now sim.Cycle) {
 			c.lines[i].Powered = true
 			c.poweredLines++
 		}
+	}
+}
+
+// DecayLevels is the saturation value of the per-line hierarchical decay
+// counter.  The paper follows Kaxiras et al.: a small (2-bit) counter per
+// line incremented by a cache-wide global tick, so that a line is turned off
+// after between (levels-1) and levels global ticks without an access.
+const DecayLevels = 4
+
+// EnableDecay allocates the bank's decay bookkeeping, which ResetDecay,
+// DecayTick and KeepSaturated use; a decaying technique calls it once when
+// it starts.
+func (c *Cache) EnableDecay() {
+	words := (len(c.lines) + 63) / 64
+	for k := range c.decayDue {
+		c.decayDue[k] = make([]uint64, words)
+	}
+	c.decaySat = make([]uint64, words)
+}
+
+// ResetDecay resets the decay counter of (set, way) to zero.  An armed line
+// becomes due DecayLevels ticks from now; a line that had saturated leaves
+// the saturated set either way.  Set DecayArmed before calling it.
+func (c *Cache) ResetDecay(set, way int) {
+	idx := set*c.assoc + way
+	ln := &c.lines[idx]
+	ln.ArmTick = c.decayTicks
+	w, bit := idx>>6, uint64(1)<<(uint(idx)&63)
+	c.decaySat[w] &^= bit
+	if ln.DecayArmed {
+		c.decayDue[c.decayTicks%DecayLevels][w] |= bit
+	}
+}
+
+// DecayCounter returns the hierarchical decay counter of (set, way): the
+// ticks since its last reset, saturating at DecayLevels.
+func (c *Cache) DecayCounter(set, way int) int {
+	return int(min(c.decayTicks-c.lines[set*c.assoc+way].ArmTick, DecayLevels))
+}
+
+// DecayTick advances the bank's global decay tick and appends to dst, in
+// index order, every valid, powered, armed line whose counter is saturated
+// after it and that was due this tick or is in the saturated set.  Both sets
+// are cleared as they are read: the caller returns the lines its turn-off
+// requests leave in place with KeepSaturated.  A due bit left behind by an
+// earlier reset of a line reset again since is stale and skipped; entries of
+// the saturated set are taken without reading ArmTick, so saturation never
+// depends on 32-bit wrap-around.
+func (c *Cache) DecayTick(dst []int) []int {
+	c.decayTicks++
+	t := c.decayTicks
+	due := c.decayDue[t%DecayLevels]
+	for w, d := range due {
+		sat := c.decaySat[w]
+		cand := d | sat
+		if cand == 0 {
+			continue
+		}
+		due[w], c.decaySat[w] = 0, 0
+		for ; cand != 0; cand &= cand - 1 {
+			b := bits.TrailingZeros64(cand)
+			idx := w<<6 | b
+			ln := &c.lines[idx]
+			if !ln.Valid || !ln.Powered || !ln.DecayArmed {
+				continue
+			}
+			if sat&(1<<uint(b)) == 0 && t-ln.ArmTick < DecayLevels {
+				continue
+			}
+			dst = append(dst, idx)
+		}
+	}
+	return dst
+}
+
+// KeepSaturated returns the line at idx to the saturated set if it is still
+// valid, powered and armed, so the next tick requests its turn-off again.
+func (c *Cache) KeepSaturated(idx int) {
+	if ln := &c.lines[idx]; ln.Valid && ln.Powered && ln.DecayArmed {
+		c.decaySat[idx>>6] |= 1 << (uint(idx) & 63)
 	}
 }
 

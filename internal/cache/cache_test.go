@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"cmpleak/internal/mem"
 	"cmpleak/internal/sim"
@@ -135,6 +136,15 @@ func TestVictimLRU(t *testing.T) {
 	}
 }
 
+// TestLineSize pins the 32-byte line metadata: the decay arm tick fills what
+// was padding, so the array still packs two lines per 64-byte host cache
+// line.
+func TestLineSize(t *testing.T) {
+	if n := unsafe.Sizeof(Line{}); n != 32 {
+		t.Fatalf("sizeof(Line) = %d, want 32", n)
+	}
+}
+
 func TestInvalidate(t *testing.T) {
 	c := MustNew(smallConfig())
 	a := mem.Addr(0x40)
@@ -144,7 +154,7 @@ func TestInvalidate(t *testing.T) {
 	ln.Dirty = true
 	ln.DecayArmed = true
 	c.Invalidate(set, way)
-	if ln.Valid || ln.Dirty || ln.DecayArmed || ln.DecayCounter != 0 {
+	if ln.Valid || ln.Dirty || ln.DecayArmed {
 		t.Fatal("invalidate did not clear line metadata")
 	}
 	if _, _, found := c.Lookup(a); found {

@@ -1,6 +1,9 @@
 package decay
 
-import "cmpleak/internal/sim"
+import (
+	"cmpleak/internal/cache"
+	"cmpleak/internal/sim"
+)
 
 // Adaptive Mode Control, after Zhou et al. (related work, Section II): one
 // decay interval per cache, retuned from a sampled miss rate.  If misses in
@@ -22,26 +25,23 @@ const (
 	adaptiveMinCycles = 4
 )
 
-// startAdaptive launches an independently adapting scanner for one
-// controller.  Its adaptation state lives in the closure.  The scan is the
-// shared striped tickScanner; the window logic runs from its done hook,
-// after the last stripe of each tick, and then schedules the next tick one
-// (possibly retuned) period later.  Explicit self-scheduling, rather than a
-// recurring event, keeps the period change effective for the very next tick
-// even when the scan spans several stripes (a recurring event refires when
-// the first stripe's event returns, before the adaptation has run); engine
-// one-shot nodes are pooled, so this costs no allocations either.
+// startAdaptive launches an independently adapting tick for one
+// controller.  Its adaptation state lives in the closure: each tick runs the
+// shared tickScanner, then the window logic, and then schedules the next
+// tick one (possibly retuned) period later.  Engine one-shot nodes are
+// pooled, so the self-scheduling costs no allocations.
 func startAdaptive(eng *sim.Engine, ctrl Controller, initial sim.Cycle) {
 	minCycles, maxCycles := initial/adaptiveRange, initial*adaptiveRange
 	interval := max(initial, adaptiveMinCycles)
 	missesAtWin := ctrl.Array().Misses.Value()
 	var ticksInWin uint64
 
-	sc := newTickScanner(eng, ctrl, false)
-	tickFn := sc.tick
-	sc.done = func() {
+	sc := newTickScanner(ctrl, false)
+	var tickFn func()
+	tickFn = func() {
+		sc.tick()
 		ticksInWin++
-		if ticksInWin == adaptiveSampleWindows*counterLevels {
+		if ticksInWin == adaptiveSampleWindows*cache.DecayLevels {
 			ticksInWin = 0
 			misses := ctrl.Array().Misses.Value()
 			windowMisses := misses - missesAtWin
@@ -53,7 +53,7 @@ func startAdaptive(eng *sim.Engine, ctrl Controller, initial sim.Cycle) {
 				interval = max(interval/2, adaptiveMinCycles)
 			}
 		}
-		eng.Schedule(interval/counterLevels, tickFn)
+		eng.Schedule(interval/cache.DecayLevels, tickFn)
 	}
-	eng.Schedule(interval/counterLevels, tickFn)
+	eng.Schedule(interval/cache.DecayLevels, tickFn)
 }

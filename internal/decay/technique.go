@@ -86,12 +86,6 @@ func (k Kind) String() string {
 	}
 }
 
-// counterLevels is the saturation value of the per-line hierarchical decay
-// counter.  The paper follows Kaxiras et al.: a small (2-bit) counter per
-// line incremented by a cache-wide global tick, so that a line is turned off
-// after between (levels-1) and levels global ticks without an access.
-const counterLevels = 4
-
 // Spec is one leakage technique: the policy applied to every private L2 of
 // the CMP.  The zero Spec is the baseline.
 type Spec struct {
@@ -170,8 +164,8 @@ func (s Spec) Start(eng *sim.Engine, ctrl Controller) {
 		// A recurring engine event: one pooled node, no rescheduling churn.
 		// Selective Decay's scan skips Modified lines even if one became
 		// Modified without the arming hook firing.
-		sc := newTickScanner(eng, ctrl, s.Kind == KindSelectiveDecay)
-		period := max(s.DecayCycles/counterLevels, 1)
+		sc := newTickScanner(ctrl, s.Kind == KindSelectiveDecay)
+		period := max(s.DecayCycles/cache.DecayLevels, 1)
 		eng.ScheduleRecurring(period, func(sim.Cycle) bool {
 			sc.tick()
 			return true
@@ -196,16 +190,16 @@ func (s Spec) OnStateChange(ctrl Controller, set, way int, st coherence.State) {
 	if !s.Decays() {
 		return
 	}
-	ln := ctrl.Array().Line(set, way)
-	ln.DecayCounter = 0
-	ln.DecayArmed = s.Kind != KindSelectiveDecay || st == coherence.Shared || st == coherence.Exclusive
+	arr := ctrl.Array()
+	arr.Line(set, way).DecayArmed = s.Kind != KindSelectiveDecay || st == coherence.Shared || st == coherence.Exclusive
+	arr.ResetDecay(set, way)
 }
 
 // OnHit is invoked on every access that hits the line: the line proved
 // itself alive, so its decay counter resets.
 func (s Spec) OnHit(ctrl Controller, set, way int) {
 	if s.Decays() {
-		ctrl.Array().Line(set, way).DecayCounter = 0
+		ctrl.Array().ResetDecay(set, way)
 	}
 }
 

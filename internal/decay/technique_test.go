@@ -25,14 +25,29 @@ type mockController struct {
 	turnOffAt []sim.Cycle
 	// deferTurnOff leaves the line untouched, simulating a transient line.
 	deferTurnOff bool
+	// pending marks blocks with a write pending in the L1 write buffer:
+	// their turn-off requests are deferred (Table I).
+	pending map[mem.Addr]bool
+	// writeBacks sends a requested Modified line to TD, as Figure 2 does,
+	// until its write-back completes; otherwise every request gates at once.
+	writeBacks bool
+	// deferred and tdEntries count the requests that deferred and that
+	// started a write-back; tdFills and tdSnoops the history operations
+	// that found a line in TD.
+	deferred, tdEntries, tdFills, tdSnoops int
 }
 
 func newMockController(eng *sim.Engine) *mockController {
-	cfg := cache.Config{Name: "mockL2", SizeBytes: 16 * 1024, LineBytes: 64, Assoc: 4, LatencyCycles: 6}
+	return mockControllerSized(eng, 16*1024)
+}
+
+func mockControllerSized(eng *sim.Engine, sizeBytes uint64) *mockController {
+	cfg := cache.Config{Name: "mockL2", SizeBytes: sizeBytes, LineBytes: 64, Assoc: 4, LatencyCycles: 6}
 	return &mockController{
-		eng:    eng,
-		arr:    cache.MustNew(cfg),
-		states: make(map[[2]int]coherence.State),
+		eng:     eng,
+		arr:     cache.MustNew(cfg),
+		states:  make(map[[2]int]coherence.State),
+		pending: make(map[mem.Addr]bool),
 	}
 }
 
@@ -50,12 +65,19 @@ func (m *mockController) LineState(set, way int) coherence.State {
 func (m *mockController) RequestTurnOff(set, way int) {
 	m.turnOffs = append(m.turnOffs, [2]int{set, way})
 	m.turnOffAt = append(m.turnOffAt, m.eng.Now())
-	if m.deferTurnOff {
+	key := [2]int{set, way}
+	if m.deferTurnOff || m.pending[m.arr.Line(set, way).Tag] {
+		m.deferred++
+		return
+	}
+	if m.writeBacks && m.states[key] == coherence.Modified {
+		m.states[key] = coherence.TransientDirty
+		m.tdEntries++
 		return
 	}
 	m.arr.Invalidate(set, way)
 	m.arr.PowerOff(set, way, m.eng.Now())
-	m.states[[2]int{set, way}] = coherence.Invalid
+	m.states[key] = coherence.Invalid
 }
 
 // install places a block in the mock L2 with the given state, driving the
@@ -183,24 +205,30 @@ func TestPolicyTable(t *testing.T) {
 
 // TestArmingByKind pins the arming rule on fills and state changes: the
 // decay family arms every stationary state except that Selective Decay arms
-// only Shared and Exclusive; the other kinds never touch the line.
+// only Shared and Exclusive, and resets the counter; the other kinds never
+// touch the line (their banks carry no decay bookkeeping to touch).
 func TestArmingByKind(t *testing.T) {
 	states := []coherence.State{coherence.Shared, coherence.Exclusive, coherence.Modified}
 	for _, kind := range []Kind{KindAlwaysOn, KindProtocol, KindDecay, KindSelectiveDecay, KindAdaptive} {
 		spec := Spec{Kind: kind, DecayCycles: 1000}
 		for _, st := range states {
-			ctrl := newMockController(sim.NewEngine())
+			eng := sim.NewEngine()
+			ctrl := newMockController(eng)
+			spec.Start(eng, ctrl)
 			set, way := ctrl.install(spec, 0x1000, coherence.Exclusive)
-			ln := ctrl.arr.Line(set, way)
-			ln.DecayCounter = 3
+			eng.RunUntil(750) // three 250-cycle ticks
+			if spec.Decays() && ctrl.arr.DecayCounter(set, way) != 3 {
+				t.Fatalf("%v: counter %d after three ticks, want 3", kind, ctrl.arr.DecayCounter(set, way))
+			}
 			spec.OnStateChange(ctrl, set, way, st)
+			ln := ctrl.arr.Line(set, way)
 			want := kind == KindDecay || kind == KindAdaptive ||
 				kind == KindSelectiveDecay && st != coherence.Modified
 			if ln.DecayArmed != want {
 				t.Errorf("%v into %v: armed=%v, want %v", kind, st, ln.DecayArmed, want)
 			}
-			if spec.Decays() != (ln.DecayCounter == 0) {
-				t.Errorf("%v into %v: counter %d after the transition", kind, st, ln.DecayCounter)
+			if spec.Decays() && ctrl.arr.DecayCounter(set, way) != 0 {
+				t.Errorf("%v into %v: counter %d after the transition", kind, st, ctrl.arr.DecayCounter(set, way))
 			}
 		}
 	}
@@ -321,8 +349,10 @@ func TestSelectiveDecayDoesNotDecayModified(t *testing.T) {
 	if ctrl.arr.Line(setM, wayM).DecayArmed || !ctrl.arr.Line(setE, wayE).DecayArmed {
 		t.Fatal("selective decay must arm the Exclusive fill and not the Modified one")
 	}
-	// The scan skips Modified lines even when armed.
+	// The scan skips Modified lines even when armed: arming by hand and
+	// resetting the counter makes the line due, so the tick must filter it.
 	ctrl.arr.Line(setM, wayM).DecayArmed = true
+	ctrl.arr.ResetDecay(setM, wayM)
 	eng.RunUntil(3000)
 	// Only the Exclusive line may decay.
 	for _, sw := range ctrl.turnOffs {
@@ -438,6 +468,9 @@ func TestDeferredTurnOffLeavesLineOn(t *testing.T) {
 	}
 }
 
+// TestDecayCounterNeverExceedsLevels keeps an idle line resident for 100
+// ticks: its counter saturates at cache.DecayLevels, and from the saturating
+// tick on every tick requests its turn-off again.
 func TestDecayCounterNeverExceedsLevels(t *testing.T) {
 	eng := sim.NewEngine()
 	ctrl := newMockController(eng)
@@ -446,7 +479,14 @@ func TestDecayCounterNeverExceedsLevels(t *testing.T) {
 	tech.Start(eng, ctrl)
 	set, way := ctrl.install(tech, 0xb000, coherence.Exclusive)
 	eng.RunUntil(10000)
-	if c := ctrl.arr.Line(set, way).DecayCounter; c > counterLevels {
-		t.Fatalf("decay counter %d exceeds saturation %d", c, counterLevels)
+	// The tick is the engine's only event.
+	if ticks := eng.Executed; ticks != 100 {
+		t.Fatalf("%d ticks ran, want 100", ticks)
+	}
+	if c := ctrl.arr.DecayCounter(set, way); c != cache.DecayLevels {
+		t.Fatalf("decay counter %d after 100 idle ticks, want saturation at %d", c, cache.DecayLevels)
+	}
+	if n := len(ctrl.turnOffs); n != 100-cache.DecayLevels+1 {
+		t.Fatalf("%d turn-off requests, want one per tick from tick %d: %d", n, cache.DecayLevels, 100-cache.DecayLevels+1)
 	}
 }

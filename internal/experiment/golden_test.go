@@ -115,3 +115,35 @@ func TestGoldenDigestCoversAllResultFields(t *testing.T) {
 			"extend appendResult and update hashedResultFields", n, hashedResultFields)
 	}
 }
+
+// goldenDeferralDigest pins a deferral-heavy corner the main golden sweep
+// barely reaches: 2K decay intervals on a 1 MB L2 at scale 0.05.  WATER-NS
+// decay:2K alone re-requests 358 deferred turn-offs and starts 9 213 TD
+// write-backs, so the decay tick's re-request of deferred lines and its
+// handling of lines in TD are both on the digest.
+const goldenDeferralDigest = "f4ea21b03074efc56e2fb36078a4d7dbe08396e984bf0b8991784200e55621af"
+
+func deferralOptions() Options {
+	opts := DefaultOptions(0.05)
+	opts.Benchmarks = []string{"WATER-NS", "mpeg2enc"}
+	opts.CacheSizesMB = []int{1}
+	opts.Techniques = []decay.Spec{
+		{Kind: decay.KindDecay, DecayCycles: 2 * 1024},
+		{Kind: decay.KindSelectiveDecay, DecayCycles: 2 * 1024},
+		{Kind: decay.KindAdaptive, DecayCycles: 2 * 1024},
+	}
+	return opts
+}
+
+func TestGoldenDeferralDigest(t *testing.T) {
+	sweep, err := runSweep(deferralOptions(), Parallelism{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sweep.Digest()
+	t.Logf("deferral digest: %s", got)
+	if got != goldenDeferralDigest {
+		t.Fatalf("deferral-heavy digest changed:\n  got:  %s\n  want: %s\n"+
+			"If the change is intentional, update goldenDeferralDigest.", got, goldenDeferralDigest)
+	}
+}

@@ -2,12 +2,11 @@ package sim
 
 // Order-equivalence property test for the bucket-drain run loop.  The drain
 // loop (Run/RunLimit/RunUntil) claims to execute events in exactly the order
-// a per-event Step loop would: same-cycle appends in FIFO order, same-cycle
-// ScheduleNextArg prepends immediately after their scheduler, recurring
+// a per-event Step loop would: same-cycle appends in FIFO order, recurring
 // refires in (cycle, sequence) position.  This file checks that claim on
 // randomized schedules: the same pseudo-random event web — callbacks that
-// spawn children with near/zero/far delays, prepend continuations mid-drain,
-// start and stop recurring events, and halt the loop mid-bucket — is driven
+// spawn children with near/zero/far delays, start and stop recurring
+// events, and halt the loop mid-bucket — is driven
 // once by Step, once by RunLimit (resuming across halts), and once by
 // RunUntil in small limit increments, and all three must produce identical
 // (id, cycle) firing logs.
@@ -65,15 +64,13 @@ func (w *drainWeb) fire(id int) {
 func (w *drainWeb) spawn() {
 	id := w.nextID
 	w.nextID++
-	switch w.rng.Intn(6) {
+	switch w.rng.Intn(5) {
 	case 0, 1: // plain function, near or far delay
 		w.e.Schedule(drainDelays[w.rng.Intn(len(drainDelays))], func() { w.fire(id) })
 	case 2: // pre-bound argument event
 		w.e.ScheduleArg(drainDelays[w.rng.Intn(len(drainDelays))],
 			func(a any) { w.fire(a.(int)) }, id)
-	case 3: // same-cycle continuation, prepended ahead of queued events
-		w.e.ScheduleNextArg(func(a any) { w.fire(a.(int)) }, id)
-	case 4: // recurring, stops itself after a few firings
+	case 3: // recurring, stops itself after a few firings
 		left := 1 + w.rng.Intn(3)
 		w.e.ScheduleRecurring(1+Cycle(w.rng.Intn(5)), func(Cycle) bool {
 			w.fire(id)

@@ -24,10 +24,9 @@
 // locates the next non-empty cycle once (one occupancy-bitmap scan plus
 // one far-heap horizon compare), jumps the clock over the empty range in
 // a single advance, then drains the whole bucket chain inline.  Same-cycle
-// appends (Schedule with delay 0) land at the bucket tail and same-cycle
-// prepends (ScheduleNextArg) land at the head while the drain is walking
-// the chain, so exact FIFO/continuation semantics are preserved — the
-// drain order is event-for-event identical to a per-event Step loop
+// appends (Schedule with delay 0) land at the bucket tail while the drain
+// is walking the chain, so exact FIFO semantics are preserved — the drain
+// order is event-for-event identical to a per-event Step loop
 // (property-tested in drain_test.go).  Dispatch is monomorphic on a kind
 // tag: pre-bound argument events — the dominant kind on the simulation hot
 // path — branch directly to their callback without walking a nil-check
@@ -242,22 +241,6 @@ func (e *Engine) wheelInsert(ev *event) {
 	e.wheelCount++
 }
 
-// wheelPrepend pushes ev to the front of its horizon bucket, ahead of every
-// event already queued for that cycle.  Only used for current-cycle
-// continuations (ScheduleNextArg), so the one-cycle-per-bucket invariant of
-// wheelInsert is preserved.
-func (e *Engine) wheelPrepend(ev *event) {
-	idx := int(ev.when) & wheelMask
-	b := &e.buckets[idx]
-	ev.next = b.head
-	b.head = ev
-	if b.tail == nil {
-		b.tail = ev
-		e.occ[idx>>6] |= 1 << (uint(idx) & 63)
-	}
-	e.wheelCount++
-}
-
 // insert routes ev to the wheel or the far heap.
 func (e *Engine) insert(ev *event) {
 	if ev.when-e.now < wheelSize {
@@ -374,26 +357,6 @@ func (e *Engine) ScheduleArgAt(when Cycle, fn ArgFunc, arg any) {
 	e.insert(ev)
 }
 
-// ScheduleNextArg registers fn to run at the current cycle ahead of every
-// event already queued for it.  A callback that schedules a continuation
-// with ScheduleNextArg is therefore guaranteed the continuation runs
-// immediately after it, with no foreign same-cycle event interleaving —
-// the primitive that lets a long scan be split across several events while
-// remaining observably atomic (the striped decay ticks rely on this).  The
-// drain loop picks the prepended node up on its very next pop, because it
-// re-reads the bucket head after every dispatch.
-func (e *Engine) ScheduleNextArg(fn ArgFunc, arg any) {
-	if fn == nil {
-		panic("sim: ScheduleNextArg called with nil ArgFunc")
-	}
-	ev := e.alloc()
-	ev.when = e.now
-	ev.afn = fn
-	ev.arg = arg
-	ev.kind = kindArg
-	e.wheelPrepend(ev)
-}
-
 func (e *Engine) checkFuture(when Cycle) {
 	if when < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: now=%d when=%d", e.now, when))
@@ -496,8 +459,7 @@ func (e *Engine) Step() bool {
 // occupancy-bitmap scan, one far-horizon compare and one clock jump over
 // the preceding empty range, then drains the bucket chain inline —
 // re-reading the head after every dispatch, so same-cycle appends run in
-// FIFO order and ScheduleNextArg prepends run immediately next, exactly as
-// a per-event Step loop would execute them.
+// FIFO order, exactly as a per-event Step loop would execute them.
 func (e *Engine) RunLimit(limit Cycle) RunStatus {
 	if e.halted {
 		e.halted = false
@@ -542,7 +504,7 @@ func (e *Engine) RunLimit(limit Cycle) RunStatus {
 			case kindArg:
 				// Monomorphic fast path: the pre-bound argument events that
 				// dominate the simulation (cache completions, bus phases,
-				// stripe continuations) dispatch with one tag compare.
+				// MSHR retries) dispatch with one tag compare.
 				afn, arg := ev.afn, ev.arg
 				e.release(ev)
 				afn(arg)

@@ -46,17 +46,3 @@ func (r *Recurring) Stop() { r.stopped = true }
 // Stopped reports whether Stop has been called or the callback returned
 // false.
 func (r *Recurring) Stopped() bool { return r.stopped }
-
-// Period returns the current firing period.
-func (r *Recurring) Period() Cycle { return r.period }
-
-// SetPeriod changes the interval applied from the next re-insertion on; the
-// already-queued firing keeps its cycle.  Adaptive services (e.g. Adaptive
-// Mode Control) retune their tick rate with this instead of cancelling and
-// recreating the event.
-func (r *Recurring) SetPeriod(period Cycle) {
-	if period == 0 {
-		panic("sim: recurring period must be non-zero")
-	}
-	r.period = period
-}

@@ -177,32 +177,6 @@ func TestEventPoolReuse(t *testing.T) {
 	}
 }
 
-func TestRecurringSetPeriod(t *testing.T) {
-	e := NewEngine()
-	var times []Cycle
-	var r *Recurring
-	r = e.ScheduleRecurring(10, func(now Cycle) bool {
-		times = append(times, now)
-		if len(times) == 2 {
-			r.SetPeriod(100)
-		}
-		return len(times) < 4
-	})
-	e.Run()
-	want := []Cycle{10, 20, 120, 220}
-	if len(times) != len(want) {
-		t.Fatalf("fired %d times, want %d (%v)", len(times), len(want), times)
-	}
-	for i := range want {
-		if times[i] != want[i] {
-			t.Fatalf("firing times %v, want %v", times, want)
-		}
-	}
-	if r.Period() != 100 {
-		t.Fatalf("Period() = %d, want 100", r.Period())
-	}
-}
-
 func TestRecurringStopReclaimsNode(t *testing.T) {
 	e := NewEngine()
 	r := e.ScheduleRecurring(5, func(Cycle) bool { return true })
