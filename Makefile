@@ -87,10 +87,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzServeScenario -fuzztime $(FUZZTIME) ./internal/service
 
 # bench-smoke proves the benchmark harness still runs end to end: one
-# iteration of the scheduler microbenchmarks and one reduced-scale
-# simulation per technique.
+# iteration of the scheduler, cache-table and stream-ingest
+# microbenchmarks and one reduced-scale simulation per technique.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/cache ./internal/workload
 	CMPLEAK_BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' \
 		-bench 'BenchmarkRun(Baseline|Protocol|Decay|SelectiveDecay)$$' -benchtime 1x .
 

@@ -200,19 +200,23 @@ func dumpFile(w *bufio.Writer, path string, limit int, stats bool) {
 	}
 }
 
-// dumpStream prints one stream in the one-line-per-entry text format.
+// dumpStream prints one stream in the one-line-per-entry text format,
+// stopping after limit entries when limit is positive.
 func dumpStream(w *bufio.Writer, coreID int, stream workload.Stream, limit int) {
-	n := 0
-	for {
-		e, ok := stream.Next()
-		if !ok {
-			break
+	buf := make([]workload.Entry, 256)
+	for printed := 0; limit <= 0 || printed < limit; {
+		room := buf
+		if limit > 0 && limit-printed < len(room) {
+			room = room[:limit-printed]
 		}
-		fmt.Fprintf(w, "core=%d compute=%d op=%s addr=%s\n", coreID, e.ComputeInstrs, e.Op, e.Addr)
-		n++
-		if limit > 0 && n >= limit {
-			break
+		n := stream.NextBatch(room)
+		if n == 0 {
+			return
 		}
+		for _, e := range room[:n] {
+			fmt.Fprintf(w, "core=%d compute=%d op=%s addr=%s\n", coreID, e.ComputeInstrs, e.Op, e.Addr)
+		}
+		printed += n
 	}
 }
 

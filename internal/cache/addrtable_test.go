@@ -1,12 +1,13 @@
 package cache
 
-// Property tests for the open-addressing tables that replaced Go maps on
+// Property tests for the open-addressing table that replaced Go maps on
 // the per-access hot paths (see addrtable.go).  Backward-shift deletion is
 // the part worth hammering: a wrong wrap-around comparison silently breaks
-// probe chains only under specific collision layouts, so both tables are
-// driven through long randomized add/take sequences against a Go map
-// reference, with an address pool small enough to force collisions, growth
-// and the zero-address side slot.
+// probe chains only under specific collision layouts, so the table is
+// driven — as AddrSet and as the MSHR's block → entry map — through long
+// randomized add/take sequences against a Go map reference, with an
+// address pool small enough to force collisions, growth and the
+// zero-address side slot.
 
 import (
 	"testing"
@@ -90,7 +91,7 @@ func TestMSHRTableMatchesMapReference(t *testing.T) {
 	for _, a := range pool {
 		vals[a] = &MSHREntry{Block: a}
 	}
-	tab := newMSHRTable()
+	tab := newAddrTable[*MSHREntry]()
 	ref := make(map[mem.Addr]*MSHREntry)
 	for op := 0; op < 200000; op++ {
 		a := pool[rng.Intn(len(pool))]
@@ -99,13 +100,17 @@ func TestMSHRTableMatchesMapReference(t *testing.T) {
 			tab.put(a, vals[a])
 			ref[a] = vals[a]
 		case 1:
-			if got, want := tab.take(a), ref[a]; got != want {
-				t.Fatalf("op %d: take(%#x) = %p, reference %p", op, a, got, want)
+			got, ok := tab.take(a)
+			want, wantOK := ref[a]
+			if got != want || ok != wantOK {
+				t.Fatalf("op %d: take(%#x) = %p, %v; reference %p, %v", op, a, got, ok, want, wantOK)
 			}
 			delete(ref, a)
 		default:
-			if got, want := tab.get(a), ref[a]; got != want {
-				t.Fatalf("op %d: get(%#x) = %p, reference %p", op, a, got, want)
+			got, ok := tab.get(a)
+			want, wantOK := ref[a]
+			if got != want || ok != wantOK {
+				t.Fatalf("op %d: get(%#x) = %p, %v; reference %p, %v", op, a, got, ok, want, wantOK)
 			}
 		}
 		if tab.len() != len(ref) {
@@ -115,7 +120,7 @@ func TestMSHRTableMatchesMapReference(t *testing.T) {
 }
 
 func TestMSHRTableGrowth(t *testing.T) {
-	tab := newMSHRTable()
+	tab := newAddrTable[*MSHREntry]()
 	const n = 5000
 	entries := make([]*MSHREntry, n)
 	for i := range entries {
@@ -124,7 +129,7 @@ func TestMSHRTableGrowth(t *testing.T) {
 		tab.put(a, entries[i])
 	}
 	for i, e := range entries {
-		if got := tab.get(mem.Addr(i * 64)); got != e {
+		if got, _ := tab.get(mem.Addr(i * 64)); got != e {
 			t.Fatalf("entry %d: get = %p, want %p", i, got, e)
 		}
 	}

@@ -45,12 +45,12 @@ func (e *MSHREntry) Waiters() int { return e.nwait }
 
 // MSHR is a set of miss-status holding registers with request merging.
 // Entry and waiter records are pooled, so a steady-state miss allocates
-// nothing; the block lookup is an open-addressing mshrTable rather than a
+// nothing; the block lookup is an open-addressing addrTable rather than a
 // Go map, since the handful of in-flight misses make a one-cache-line
 // linear probe strictly cheaper than map machinery.
 type MSHR struct {
 	capacity int
-	entries  mshrTable
+	entries  addrTable[*MSHREntry]
 
 	freeEntries *MSHREntry
 	freeWaiters *Waiter
@@ -67,13 +67,16 @@ type MSHR struct {
 // NewMSHR builds an MSHR with the given number of entries; capacity <= 0
 // means unlimited.
 func NewMSHR(capacity int) *MSHR {
-	m := &MSHR{capacity: capacity, entries: newMSHRTable()}
+	m := &MSHR{capacity: capacity, entries: newAddrTable[*MSHREntry]()}
 	m.deliverFn = m.deliver
 	return m
 }
 
 // Lookup returns the entry for block, if any.
-func (m *MSHR) Lookup(block mem.Addr) *MSHREntry { return m.entries.get(block) }
+func (m *MSHR) Lookup(block mem.Addr) *MSHREntry {
+	e, _ := m.entries.get(block)
+	return e
+}
 
 // Full reports whether a new allocation would exceed capacity.
 func (m *MSHR) Full() bool {
@@ -85,7 +88,7 @@ func (m *MSHR) Full() bool {
 // request downstream).  When the MSHR is full and the block has no existing
 // entry, Allocate returns (nil, false) and records a stall.
 func (m *MSHR) Allocate(block mem.Addr, isWrite bool) (*MSHREntry, bool) {
-	if e := m.entries.get(block); e != nil {
+	if e, ok := m.entries.get(block); ok {
 		m.Merges.Inc()
 		if isWrite {
 			e.IsWrite = true
@@ -154,8 +157,8 @@ func (m *MSHR) deliver(a any) {
 // waiter to fire latency cycles from now, in merge order (FIFO).  It
 // returns how many waiters were scheduled; 0 when no entry exists.
 func (m *MSHR) CompleteDeliver(block mem.Addr, eng *sim.Engine, latency sim.Cycle) int {
-	e := m.entries.take(block)
-	if e == nil {
+	e, ok := m.entries.take(block)
+	if !ok {
 		return 0
 	}
 	n := e.nwait

@@ -68,7 +68,7 @@ type Core struct {
 	// The trace is consumed through a refilled batch buffer: buf[bufPos:
 	// bufLen] holds entries not yet executed, and the stream is only
 	// touched — one interface call — when the buffer runs dry.
-	stream workload.BatchStream
+	stream workload.Stream
 	buf    []workload.Entry
 	bufPos int
 	bufLen int
@@ -120,7 +120,7 @@ func New(id int, eng *sim.Engine, cfg Config, l1 MemoryPort, stream workload.Str
 	}
 	c := &Core{
 		id: id, eng: eng, cfg: cfg, l1: l1,
-		stream: workload.AsBatchStream(stream),
+		stream: stream,
 		buf:    make([]workload.Entry, batchEntries),
 	}
 	if w := uint(cfg.IssueWidth); w&(w-1) == 0 {

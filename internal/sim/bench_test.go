@@ -197,8 +197,9 @@ func BenchmarkMixedNearFarHeapBaseline(b *testing.B) {
 
 // --- recurring ticks: decay global ticks and the thermal sampler ---------
 
-// BenchmarkRecurringTick measures one firing of a recurring event (the
-// node refires in place; the old engine re-scheduled a closure per period).
+// BenchmarkRecurringTick measures one firing of a recurring event (a
+// pre-bound argument event that reschedules itself; the heap baseline
+// re-schedules a closure per period).
 func BenchmarkRecurringTick(b *testing.B) {
 	e := NewEngine()
 	var fired int
@@ -348,9 +349,9 @@ func TestDrainLoopAllocationFree(t *testing.T) {
 	}
 }
 
-// TestMonomorphicDispatchAllocationFree guards the kindArg fast path in
-// isolation: a self-feeding chain of pre-bound argument events — the
-// dominant event kind on the simulation hot path — must run allocation-free
+// TestMonomorphicDispatchAllocationFree guards the engine's single
+// dispatch path in isolation: every event is a pre-bound ArgFunc with its
+// argument, and a self-feeding chain of them must run allocation-free
 // through Run, including the Halt that ends each burst.
 func TestMonomorphicDispatchAllocationFree(t *testing.T) {
 	e := NewEngine()

@@ -17,8 +17,11 @@
 //     sits on the per-access path;
 //   - event nodes are pooled on an intrusive free list, so steady-state
 //     scheduling performs no allocations;
-//   - Recurring events refire in place, re-inserting the same pooled node
-//     instead of allocating and rescheduling a fresh one each period.
+//   - there is one event kind: a callback taking an argument (ArgFunc) plus
+//     that argument, so a node is 48 bytes and dispatch tests no kind tag.
+//     A plain EventFunc rides in the argument slot of a package-level
+//     trampoline (one extra call), and a Recurring is an argument event
+//     that reschedules itself after its callback returns.
 //
 // The run loop is bucket-drain rather than per-event: each iteration
 // locates the next non-empty cycle once (one occupancy-bitmap scan plus
@@ -27,13 +30,10 @@
 // appends (Schedule with delay 0) land at the bucket tail while the drain
 // is walking the chain, so exact FIFO semantics are preserved — the drain
 // order is event-for-event identical to a per-event Step loop
-// (property-tested in drain_test.go).  Dispatch is monomorphic on a kind
-// tag: pre-bound argument events — the dominant kind on the simulation hot
-// path — branch directly to their callback without walking a nil-check
-// chain; plain functions and recurring events take the out-of-line slow
-// path.  The far heap's next deadline is cached in a single cycle value,
-// so advancing the clock costs one compare and migration work is batched
-// into the rare advances that actually cross the horizon.
+// (property-tested in drain_test.go).  The far heap's next deadline is
+// cached in a single cycle value, so advancing the clock costs one compare
+// and migration work is batched into the rare advances that actually
+// cross the horizon.
 //
 // The engine maintains a global cycle counter; components schedule
 // callbacks at absolute or relative cycles, and events scheduled for the
@@ -66,26 +66,22 @@ type EventFunc func()
 // the any without allocating).
 type ArgFunc func(arg any)
 
-// Event kinds, the monomorphic dispatch tag.  kindArg is zero so the
-// dominant kind is also the cheapest to test.
-const (
-	kindArg uint8 = iota // pre-bound ArgFunc + argument: the hot-path kind
-	kindFn               // plain EventFunc
-	kindRec              // first-class Recurring
-)
+// callEventFunc is the ArgFunc behind Schedule/ScheduleAt: a plain
+// EventFunc rides in the argument slot (a func value is pointer-shaped, so
+// boxing it allocates nothing), which keeps one event kind for every
+// callback.
+func callEventFunc(arg any) { arg.(EventFunc)() }
 
 // event is one scheduled callback.  Nodes are pooled on an intrusive free
 // list owned by the engine and linked through next while queued in a wheel
-// bucket.  kind selects which of fn, afn or rec is live.
+// bucket.  Every event is an ArgFunc with its argument: plain functions and
+// recurring events are expressed through it, so dispatch has no kind tag.
 type event struct {
 	when Cycle
 	seq  uint64 // far-heap tie-break: FIFO among far events at the same cycle
 	next *event
-	fn   EventFunc
-	afn  ArgFunc
+	fn   ArgFunc
 	arg  any
-	rec  *Recurring
-	kind uint8
 }
 
 const (
@@ -217,9 +213,7 @@ func (e *Engine) alloc() *event {
 // pool does not retain closures or arguments.
 func (e *Engine) release(ev *event) {
 	ev.fn = nil
-	ev.afn = nil
 	ev.arg = nil
-	ev.rec = nil
 	ev.next = e.free
 	e.free = ev
 }
@@ -328,12 +322,7 @@ func (e *Engine) ScheduleAt(when Cycle, fn EventFunc) {
 	if fn == nil {
 		panic("sim: ScheduleAt called with nil EventFunc")
 	}
-	e.checkFuture(when)
-	ev := e.alloc()
-	ev.when = when
-	ev.fn = fn
-	ev.kind = kindFn
-	e.insert(ev)
+	e.ScheduleArgAt(when, callEventFunc, fn)
 }
 
 // ScheduleArg registers fn to run delay cycles from now with the given
@@ -351,9 +340,8 @@ func (e *Engine) ScheduleArgAt(when Cycle, fn ArgFunc, arg any) {
 	e.checkFuture(when)
 	ev := e.alloc()
 	ev.when = when
-	ev.afn = fn
+	ev.fn = fn
 	ev.arg = arg
-	ev.kind = kindArg
 	e.insert(ev)
 }
 
@@ -370,47 +358,6 @@ func (e *Engine) checkFuture(when Cycle) {
 // condition (all cores done) ends the run at exactly the event that
 // satisfied it, even mid-bucket.
 func (e *Engine) Halt() { e.halted = true }
-
-// dispatchSlow runs the non-kindArg event kinds: plain functions and
-// recurring events.  It is kept out of line so the drain loop's fast path
-// stays small.  One-shot nodes return to the pool before the callback runs,
-// so callbacks that schedule reuse them immediately; recurring nodes
-// re-insert themselves.
-func (e *Engine) dispatchSlow(ev *event) {
-	if ev.kind == kindRec {
-		r := ev.rec
-		if r.stopped {
-			r.ev = nil
-			e.release(ev)
-			return
-		}
-		r.Fired++
-		if !r.fn(e.now) {
-			r.stopped = true
-			r.ev = nil
-			e.release(ev)
-			return
-		}
-		ev.when = e.now + r.period
-		e.insert(ev)
-		return
-	}
-	fn := ev.fn
-	e.release(ev)
-	fn()
-}
-
-// dispatch runs one dequeued event and recycles its node: the monomorphic
-// fast path for pre-bound argument events, dispatchSlow for the rest.
-func (e *Engine) dispatch(ev *event) {
-	if ev.kind == kindArg {
-		afn, arg := ev.afn, ev.arg
-		e.release(ev)
-		afn(arg)
-		return
-	}
-	e.dispatchSlow(ev)
-}
 
 // Step executes the next event, advancing the clock to its cycle.  It
 // returns false when the queue is empty.  Locating, advancing and popping
@@ -445,7 +392,11 @@ func (e *Engine) Step() bool {
 	if e.MaxEvents != 0 && e.Executed > e.MaxEvents {
 		panic("sim: MaxEvents exceeded")
 	}
-	e.dispatch(ev)
+	// The node returns to the pool before the callback runs, so a callback
+	// that schedules reuses it immediately.
+	fn, arg := ev.fn, ev.arg
+	e.release(ev)
+	fn(arg)
 	return true
 }
 
@@ -500,23 +451,11 @@ func (e *Engine) RunLimit(limit Cycle) RunStatus {
 			if e.MaxEvents != 0 && e.Executed > e.MaxEvents {
 				panic("sim: MaxEvents exceeded")
 			}
-			switch ev.kind {
-			case kindArg:
-				// Monomorphic fast path: the pre-bound argument events that
-				// dominate the simulation (cache completions, bus phases,
-				// MSHR retries) dispatch with one tag compare.
-				afn, arg := ev.afn, ev.arg
-				e.release(ev)
-				afn(arg)
-			case kindFn:
-				// Plain functions (the per-core advance/issue chain) are the
-				// other high-volume kind; only recurring events go out of line.
-				fn := ev.fn
-				e.release(ev)
-				fn()
-			default:
-				e.dispatchSlow(ev)
-			}
+			// Dispatch written out rather than called: a helper with an
+			// indirect call exceeds the inlining budget.
+			fn, arg := ev.fn, ev.arg
+			e.release(ev)
+			fn(arg)
 			if e.halted {
 				e.halted = false
 				return RunHalted

@@ -4,14 +4,13 @@ package sim
 // false stops the event.
 type PeriodicFunc func(now Cycle) bool
 
-// Recurring is a first-class periodic event.  Unlike a callback that
-// re-schedules itself, a recurring event owns a single pooled node that the
-// engine re-inserts after each firing, so periodic services (decay global
-// ticks, the thermal power-trace sampler) cost no allocations and no
-// rescheduling churn.
+// Recurring is a first-class periodic event: an ordinary argument event
+// (fireRecurring with the Recurring as its argument) that reschedules
+// itself one period ahead after each callback returns.  Each firing borrows
+// a pooled node, so periodic services (decay global ticks, the thermal
+// power-trace sampler) cost no allocations.
 type Recurring struct {
 	eng     *Engine
-	ev      *event // nil once the event stopped and its node was recycled
 	period  Cycle
 	fn      PeriodicFunc
 	stopped bool
@@ -30,17 +29,28 @@ func (e *Engine) ScheduleRecurring(period Cycle, fn PeriodicFunc) *Recurring {
 		panic("sim: ScheduleRecurring called with nil PeriodicFunc")
 	}
 	r := &Recurring{eng: e, period: period, fn: fn}
-	ev := e.alloc()
-	ev.when = e.now + period
-	ev.rec = r
-	ev.kind = kindRec
-	r.ev = ev
-	e.insert(ev)
+	e.ScheduleArg(period, fireRecurring, r)
 	return r
 }
 
-// Stop prevents any further firings.  The queued node is reclaimed lazily
-// when its cycle is reached.
+// fireRecurring runs one firing and queues the next behind everything the
+// callback scheduled.  A stopped event's queued firing is a no-op that
+// schedules nothing, so the event leaves the queue.
+func fireRecurring(arg any) {
+	r := arg.(*Recurring)
+	if r.stopped {
+		return
+	}
+	r.Fired++
+	if !r.fn(r.eng.now) {
+		r.stopped = true
+		return
+	}
+	r.eng.ScheduleArg(r.period, fireRecurring, r)
+}
+
+// Stop prevents any further firings.  The queued firing still dispatches,
+// as a no-op, when its cycle is reached.
 func (r *Recurring) Stop() { r.stopped = true }
 
 // Stopped reports whether Stop has been called or the callback returned

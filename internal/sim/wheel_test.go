@@ -1,7 +1,7 @@
 package sim
 
 // Tests for the timing-wheel internals: horizon boundaries, far-to-near
-// migration order, pooled-argument events, recurring period changes, and a
+// migration order, pooled-argument events, recurring far periods, and a
 // randomized cross-check against the reference heap scheduler from
 // bench_test.go.
 

@@ -1,15 +1,10 @@
 // Package stats provides light-weight statistic collectors used across the
-// simulator: scalar counters, accumulators with mean/min/max, simple
-// histograms, and ratio helpers.  Everything is plain Go values so that
+// simulator: scalar counters, accumulators with mean/min/max, and ratio
+// helpers.  Everything is plain Go values so that
 // collectors can be embedded in hot structures without indirection.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-)
+import "math"
 
 // Counter is a monotonically increasing event counter.
 type Counter struct {
@@ -175,91 +170,4 @@ func RatioU(num, den uint64) float64 {
 		return 0
 	}
 	return float64(num) / float64(den)
-}
-
-// PercentChange returns (v-base)/base, or zero when base is zero.
-func PercentChange(v, base float64) float64 {
-	if base == 0 {
-		return 0
-	}
-	return (v - base) / base
-}
-
-// Histogram is a fixed-bucket histogram over [0, +inf) with user-provided
-// upper bounds; samples beyond the last bound fall into the overflow bucket.
-type Histogram struct {
-	bounds []float64
-	counts []uint64
-	total  uint64
-}
-
-// NewHistogram builds a histogram with the given strictly increasing upper
-// bounds.  It panics if bounds are empty or not sorted.
-func NewHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		panic("stats: histogram needs at least one bound")
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("stats: histogram bounds must be strictly increasing")
-		}
-	}
-	cp := make([]float64, len(bounds))
-	copy(cp, bounds)
-	return &Histogram{bounds: cp, counts: make([]uint64, len(bounds)+1)}
-}
-
-// Observe records a sample into the appropriate bucket.
-func (h *Histogram) Observe(v float64) {
-	idx := sort.SearchFloat64s(h.bounds, v)
-	h.counts[idx]++
-	h.total++
-}
-
-// Total returns the number of observed samples.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Bucket returns the count of bucket i (the last index is the overflow
-// bucket).
-func (h *Histogram) Bucket(i int) uint64 { return h.counts[i] }
-
-// NumBuckets returns the number of buckets including overflow.
-func (h *Histogram) NumBuckets() int { return len(h.counts) }
-
-// Quantile returns an approximate q-quantile (0<=q<=1) using bucket upper
-// bounds; the overflow bucket reports the last bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := uint64(q * float64(h.total))
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum > target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.bounds[len(h.bounds)-1]
-		}
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-// String renders the histogram for debugging.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	prev := 0.0
-	for i, bound := range h.bounds {
-		fmt.Fprintf(&b, "[%g,%g): %d\n", prev, bound, h.counts[i])
-		prev = bound
-	}
-	fmt.Fprintf(&b, "[%g,+inf): %d\n", prev, h.counts[len(h.counts)-1])
-	return b.String()
 }

@@ -256,8 +256,8 @@ func (f *File) Stream(core int) *Reader {
 	return &Reader{f: f, core: core}
 }
 
-// Reader is one core's replay cursor.  It implements workload.Stream and
-// workload.BatchStream, decoding straight into the caller's batch buffer:
+// Reader is one core's replay cursor.  It implements workload.Stream,
+// decoding straight into the caller's batch buffer:
 // the DEFLATE state is borrowed from a process-wide pool at the first
 // compressed chunk (and returned at end of trace), so steady-state
 // NextBatch runs allocation-free and building a Reader costs no
@@ -315,7 +315,7 @@ func (r *Reader) nextChunk() bool {
 	return false
 }
 
-// NextBatch implements workload.BatchStream.
+// NextBatch implements workload.Stream.
 func (r *Reader) NextBatch(buf []workload.Entry) int {
 	if r.err != nil {
 		return 0
@@ -349,15 +349,6 @@ func (r *Reader) NextBatch(buf []workload.Entry) int {
 		n += k
 	}
 	return n
-}
-
-// Next implements workload.Stream as a batch of one.
-func (r *Reader) Next() (workload.Entry, bool) {
-	var one [1]workload.Entry
-	if r.NextBatch(one[:]) == 0 {
-		return workload.Entry{}, false
-	}
-	return one[0], true
 }
 
 // Generator wraps the file as a workload.Generator so trace-backed

@@ -60,8 +60,8 @@ func writeTrace(t testing.TB, hdr trace.Header, opts trace.WriterOptions, perCor
 	return buf.Bytes()
 }
 
-// drainBatched consumes a BatchStream at a fixed batch size.
-func drainBatched(bs workload.BatchStream, batch int) []workload.Entry {
+// drainBatched consumes a Stream at a fixed batch size.
+func drainBatched(bs workload.Stream, batch int) []workload.Entry {
 	buf := make([]workload.Entry, batch)
 	var out []workload.Entry
 	for {
@@ -368,7 +368,7 @@ func TestGeneratorCheckCores(t *testing.T) {
 	// At the recorded count, replay still works stream for stream.
 	streams := gen.Streams(2, 9)
 	for c := range streams {
-		if n := len(drainBatched(workload.AsBatchStream(streams[c]), 64)); n != len(entries) {
+		if n := len(drainBatched(streams[c], 64)); n != len(entries) {
 			t.Fatalf("core %d replays %d entries, want %d", c, n, len(entries))
 		}
 	}

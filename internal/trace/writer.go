@@ -244,38 +244,29 @@ func Create(path string, hdr Header, opts WriterOptions) (*Writer, func() error,
 }
 
 // Record tees a stream into a trace writer: the returned stream yields
-// exactly the entries of s (it implements BatchStream natively) while
-// appending everything it passes through to w under the given core index.
-// Check Err after the stream is drained — entry delivery never stalls on a
-// write error, so recording failures surface there.
+// exactly the entries of s while appending everything it passes through to
+// w under the given core index.  Check Err after the stream is drained —
+// entry delivery never stalls on a write error, so recording failures
+// surface there.
 func Record(s workload.Stream, w *Writer, core int) *RecordStream {
-	return &RecordStream{s: workload.AsBatchStream(s), w: w, core: core}
+	return &RecordStream{s: s, w: w, core: core}
 }
 
 // RecordStream is the capturing stream returned by Record.
 type RecordStream struct {
-	s    workload.BatchStream
+	s    workload.Stream
 	w    *Writer
 	core int
 	err  error
 }
 
-// NextBatch implements workload.BatchStream, teeing the delivered entries.
+// NextBatch implements workload.Stream, teeing the delivered entries.
 func (r *RecordStream) NextBatch(buf []workload.Entry) int {
 	n := r.s.NextBatch(buf)
 	if n > 0 && r.err == nil {
 		r.err = r.w.AppendBatch(r.core, buf[:n])
 	}
 	return n
-}
-
-// Next implements workload.Stream as a batch of one.
-func (r *RecordStream) Next() (workload.Entry, bool) {
-	var one [1]workload.Entry
-	if r.NextBatch(one[:]) == 0 {
-		return workload.Entry{}, false
-	}
-	return one[0], true
 }
 
 // Err returns the first recording error.
@@ -299,16 +290,12 @@ func Capture(gen workload.Generator, cores int, seed uint64, w *Writer, opts Cap
 		return nil, err
 	}
 	streams := gen.Streams(cores, seed)
-	batched := make([]workload.BatchStream, len(streams))
-	for i, s := range streams {
-		batched[i] = workload.AsBatchStream(s)
-	}
 	counts := make([]uint64, len(streams))
 	live := len(streams)
 	done := make([]bool, len(streams))
 	buf := make([]workload.Entry, 256)
 	for live > 0 {
-		for i, s := range batched {
+		for i, s := range streams {
 			if done[i] {
 				continue
 			}
@@ -327,7 +314,7 @@ func Capture(gen workload.Generator, cores int, seed uint64, w *Writer, opts Cap
 				// A stream that failed (a replayed trace whose chunk does
 				// not decode) reads as exhausted; refuse to record it as
 				// a shorter stream.
-				if e, ok := streams[i].(interface{ Err() error }); ok {
+				if e, ok := s.(interface{ Err() error }); ok {
 					if err := e.Err(); err != nil {
 						return counts, fmt.Errorf("trace: capturing core %d: %w", i, err)
 					}

@@ -1,10 +1,7 @@
 package workload
 
-// Stream-ingest microbenchmarks: the same generated trace consumed entry by
-// entry through the Stream interface versus refilled in batches through
-// BatchStream.  The delta is the per-entry interface dispatch plus the
-// single-entry suspension overhead of the lazy generator — the cost the
-// cpu.Core batch buffer removes from every core's hot loop.
+// Stream-ingest microbenchmark: a generated trace refilled in batches, the
+// way the cpu.Core batch buffer consumes every core's stream.
 
 import "testing"
 
@@ -17,26 +14,8 @@ func benchStream(b *testing.B) Stream {
 	return g.Streams(1, 17)[0]
 }
 
-func BenchmarkStreamNext(b *testing.B) {
-	s := benchStream(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		e, ok := s.Next()
-		if !ok {
-			b.StopTimer()
-			s = benchStream(b)
-			b.StartTimer()
-			continue
-		}
-		sink += uint64(e.Addr)
-	}
-	_ = sink
-}
-
 func BenchmarkNextBatch(b *testing.B) {
-	s := AsBatchStream(benchStream(b))
+	s := benchStream(b)
 	buf := make([]Entry, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -46,7 +25,7 @@ func BenchmarkNextBatch(b *testing.B) {
 		n := s.NextBatch(buf)
 		if n == 0 {
 			b.StopTimer()
-			s = AsBatchStream(benchStream(b))
+			s = benchStream(b)
 			b.StartTimer()
 			continue
 		}

@@ -161,7 +161,7 @@ func (g *mixGenerator) Streams(cores int, seed uint64) []Stream {
 		if gi > 0 {
 			off := mem.Addr(uint64(gi) << mixOffsetShift)
 			for i, s := range perGroup[gi] {
-				perGroup[gi][i] = &offsetStream{s: AsBatchStream(s), off: off}
+				perGroup[gi][i] = &offsetStream{s: s, off: off}
 			}
 		}
 	}
@@ -194,11 +194,11 @@ func mixSeed(seed uint64, gi int) uint64 {
 // fixup — so the mix keeps the underlying generators' allocation-free hot
 // path.
 type offsetStream struct {
-	s   BatchStream
+	s   Stream
 	off mem.Addr
 }
 
-// NextBatch implements BatchStream.
+// NextBatch implements Stream.
 func (o *offsetStream) NextBatch(buf []Entry) int {
 	n := o.s.NextBatch(buf)
 	for i := 0; i < n; i++ {
@@ -216,13 +216,4 @@ func (o *offsetStream) Err() error {
 		return e.Err()
 	}
 	return nil
-}
-
-// Next implements Stream as a batch of one.
-func (o *offsetStream) Next() (Entry, bool) {
-	var one [1]Entry
-	if o.NextBatch(one[:]) == 0 {
-		return Entry{}, false
-	}
-	return one[0], true
 }

@@ -9,11 +9,10 @@ import (
 )
 
 func drainN(s Stream, n int) []Entry {
-	bs := AsBatchStream(s)
 	out := make([]Entry, 0, n)
 	buf := make([]Entry, 64)
 	for len(out) < n {
-		k := bs.NextBatch(buf)
+		k := s.NextBatch(buf)
 		if k == 0 {
 			break
 		}
@@ -181,10 +180,7 @@ func TestMixNextBatchAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Core 1 exercises the offsetStream wrapper (group 1).
-	bs, ok := gen.Streams(2, 3)[1].(BatchStream)
-	if !ok {
-		t.Fatal("mix stream does not batch natively")
-	}
+	bs := gen.Streams(2, 3)[1]
 	buf := make([]Entry, 256)
 	if allocs := testing.AllocsPerRun(200, func() {
 		if bs.NextBatch(buf) == 0 {

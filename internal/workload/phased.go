@@ -58,10 +58,8 @@ func (b *phasedBenchmark) Streams(cores int, seed uint64) []Stream {
 	return streams
 }
 
-// phasedStream is one core's lazily generated reference stream.  It
-// implements both Stream and BatchStream; batching is the native path
-// (phaseGen writes straight into the caller's buffer), Next is a batch of
-// one.
+// phasedStream is one core's lazily generated reference stream: phaseGen
+// writes straight into the caller's batch buffer.
 type phasedStream struct {
 	bench      *phasedBenchmark
 	regs       regions
@@ -101,7 +99,7 @@ func (s *phasedStream) nextPhase() bool {
 	return false
 }
 
-// NextBatch implements BatchStream.
+// NextBatch implements Stream.
 func (s *phasedStream) NextBatch(buf []Entry) int {
 	n := 0
 	for n < len(buf) {
@@ -114,15 +112,6 @@ func (s *phasedStream) NextBatch(buf []Entry) int {
 		}
 	}
 	return n
-}
-
-// Next implements Stream as a batch of one.
-func (s *phasedStream) Next() (Entry, bool) {
-	var one [1]Entry
-	if s.NextBatch(one[:]) == 0 {
-		return Entry{}, false
-	}
-	return one[0], true
 }
 
 // scaleRefs scales a reference count, keeping at least one reference so a

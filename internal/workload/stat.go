@@ -290,10 +290,9 @@ func (g *statGenerator) Streams(cores int, seed uint64) []Stream {
 	return streams
 }
 
-// statStream is one core's Markov phase walk.  Like phasedStream, batching
-// is the native path: phaseGen writes straight into the caller's buffer and
-// the stream resumes mid-phase, so the entry sequence is identical at every
-// batch size.
+// statStream is one core's Markov phase walk.  Like phasedStream, phaseGen
+// writes straight into the caller's buffer and the stream resumes
+// mid-phase, so the entry sequence is identical at every batch size.
 type statStream struct {
 	g    *statGenerator
 	regs regions
@@ -345,7 +344,7 @@ func (s *statStream) nextPhase() bool {
 	return true
 }
 
-// NextBatch implements BatchStream.
+// NextBatch implements Stream.
 func (s *statStream) NextBatch(buf []Entry) int {
 	n := 0
 	for n < len(buf) {
@@ -358,15 +357,6 @@ func (s *statStream) NextBatch(buf []Entry) int {
 		}
 	}
 	return n
-}
-
-// Next implements Stream as a batch of one.
-func (s *statStream) Next() (Entry, bool) {
-	var one [1]Entry
-	if s.NextBatch(one[:]) == 0 {
-		return Entry{}, false
-	}
-	return one[0], true
 }
 
 func clamp01(v float64) float64 {

@@ -128,15 +128,14 @@ func TestStatKnobsRespected(t *testing.T) {
 }
 
 // TestStatBatchInvariance pins the resumable-generation property: the entry
-// sequence is identical at every batch size, including the one-entry Stream
-// view.
+// sequence is identical at every batch size, including one entry per call.
 func TestStatBatchInvariance(t *testing.T) {
 	const spec = "stat:refs=4K,states=5"
 	ref, _ := ByName(spec, 1.0)
 	want := Drain(ref.Streams(1, 9)[0])
 	for _, size := range []int{1, 7, 64, 1024} {
 		gen, _ := ByName(spec, 1.0)
-		bs := gen.Streams(1, 9)[0].(BatchStream)
+		bs := gen.Streams(1, 9)[0]
 		buf := make([]Entry, size)
 		var got []Entry
 		for {
@@ -147,7 +146,7 @@ func TestStatBatchInvariance(t *testing.T) {
 			got = append(got, buf[:n]...)
 		}
 		if !entriesEqual(want, got) {
-			t.Fatalf("batch size %d diverges from the per-entry sequence", size)
+			t.Fatalf("batch size %d diverges from the Drain sequence", size)
 		}
 	}
 }
@@ -159,7 +158,7 @@ func TestStatNextBatchAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs := gen.Streams(1, 3)[0].(BatchStream)
+	bs := gen.Streams(1, 3)[0]
 	buf := make([]Entry, 256)
 	if allocs := testing.AllocsPerRun(200, func() {
 		if bs.NextBatch(buf) == 0 {

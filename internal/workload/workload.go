@@ -84,51 +84,22 @@ func (e Entry) Instructions() uint64 {
 	return n
 }
 
-// Stream produces the reference stream of one core.
+// Stream produces the reference stream of one core in caller-owned
+// batches: one NextBatch call refills a whole buffer, so the consumer's hot
+// loop pays one interface dispatch per batch rather than per entry.  The
+// built-in generators write straight into the buffer without materialising
+// the trace.
 type Stream interface {
-	// Next returns the next entry; ok is false when the stream is finished.
-	Next() (e Entry, ok bool)
-}
-
-// BatchStream produces the reference stream in caller-owned batches: one
-// NextBatch call refills a whole buffer, replacing one interface dispatch
-// per entry with one per batch on the consumer's hot loop.  All built-in
-// generators implement it natively (the phased benchmarks generate straight
-// into the buffer without materialising the trace).
-type BatchStream interface {
 	// NextBatch fills buf with the next entries of the stream and returns
 	// how many were written.  It may return fewer than len(buf); only a
 	// return of 0 (with a non-empty buf) means the stream is exhausted.
 	NextBatch(buf []Entry) int
 }
 
-// AsBatchStream adapts a Stream to the batch interface: streams that
-// implement BatchStream natively are returned as-is, anything else is
-// wrapped in a shim that fills the buffer one Next call per entry, so
-// custom Stream implementations keep working unchanged.
-func AsBatchStream(s Stream) BatchStream {
-	if b, ok := s.(BatchStream); ok {
-		return b
-	}
-	return &streamBatcher{s: s}
-}
-
-// streamBatcher is the compatibility shim behind AsBatchStream.
-type streamBatcher struct{ s Stream }
-
-// NextBatch implements BatchStream by repeated Next calls.
-func (sb *streamBatcher) NextBatch(buf []Entry) int {
-	n := 0
-	for n < len(buf) {
-		e, ok := sb.s.Next()
-		if !ok {
-			break
-		}
-		buf[n] = e
-		n++
-	}
-	return n
-}
+// AsBatchStream returns s.
+//
+// Deprecated: Stream is the batch interface; call NextBatch on it directly.
+func AsBatchStream(s Stream) Stream { return s }
 
 // Generator builds the per-core streams of one benchmark.
 type Generator interface {
@@ -275,25 +246,14 @@ type sliceStream struct {
 	pos     int
 }
 
-// Next implements Stream.
-func (s *sliceStream) Next() (Entry, bool) {
-	if s.pos >= len(s.entries) {
-		return Entry{}, false
-	}
-	e := s.entries[s.pos]
-	s.pos++
-	return e, true
-}
-
-// NextBatch implements BatchStream: one memmove per batch.
+// NextBatch implements Stream: one memmove per batch.
 func (s *sliceStream) NextBatch(buf []Entry) int {
 	n := copy(buf, s.entries[s.pos:])
 	s.pos += n
 	return n
 }
 
-// NewSliceStream wraps a slice of entries as a Stream.  The returned stream
-// also implements BatchStream.
+// NewSliceStream wraps a slice of entries as a Stream.
 func NewSliceStream(entries []Entry) Stream { return &sliceStream{entries: entries} }
 
 // TotalInstructions sums the instruction counts of a slice of entries.
@@ -309,13 +269,11 @@ func TotalInstructions(entries []Entry) uint64 {
 // tests and the trace dumper, not for simulation of long workloads.
 func Drain(s Stream) []Entry {
 	var out []Entry
-	for {
-		e, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, e)
+	buf := make([]Entry, 256)
+	for n := s.NextBatch(buf); n > 0; n = s.NextBatch(buf) {
+		out = append(out, buf[:n]...)
 	}
+	return out
 }
 
 // regions carves a benchmark's address space into a per-core private region
@@ -475,8 +433,7 @@ func (rb *recentBlocks) pick(rng *sim.Rand) (mem.Addr, bool) {
 // one iteration on one core).  Suspending between entries is what lets the
 // phased benchmarks produce batches natively: generate fills a caller-owned
 // slice and the stream picks up exactly where it stopped, so the entry
-// sequence is identical for every batch size — including batch size one,
-// the per-entry Stream view.
+// sequence is identical for every batch size, including batch size one.
 type phaseGen struct {
 	// p holds the phase parameters with refs already scaled.
 	p       phaseParams

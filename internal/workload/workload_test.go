@@ -94,8 +94,8 @@ func TestSliceStream(t *testing.T) {
 	if len(got) != 2 || got[0].Addr != 0x10 || got[1].Op != Store {
 		t.Fatalf("drained %v", got)
 	}
-	if _, ok := s.Next(); ok {
-		t.Fatal("stream not exhausted after drain")
+	if n := s.NextBatch(make([]Entry, 4)); n != 0 {
+		t.Fatalf("stream yielded %d entries after drain, want 0", n)
 	}
 	if TotalInstructions(entries) != 5 {
 		t.Fatalf("TotalInstructions %d, want 5", TotalInstructions(entries))
