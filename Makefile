@@ -54,8 +54,9 @@ test-faults:
 
 # test-service runs the sweep-service surface under the race detector: the
 # result-cache store, the HTTP daemon end-to-end (submit, stream, report,
-# warm-cache zero-simulation proof, concurrent clients) and the leakserved
-# flag validation.
+# warm-cache zero-simulation proof, shared cell outputs read by concurrent
+# report clients, concurrent clients) and leakserved's flag validation and
+# shutdown under an open event stream.
 test-service:
 	$(GO) test -race -count 1 ./internal/frame ./internal/resultcache ./internal/service ./cmd/leakserved
 
@@ -87,10 +88,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzServeScenario -fuzztime $(FUZZTIME) ./internal/service
 
 # bench-smoke proves the benchmark harness still runs end to end: one
-# iteration of the scheduler, cache-table and stream-ingest
-# microbenchmarks and one reduced-scale simulation per technique.
+# iteration of the scheduler, cache-table, stream-ingest and warm
+# service-resubmission microbenchmarks and one reduced-scale simulation per
+# technique.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/cache ./internal/workload
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/cache ./internal/workload ./internal/service
 	CMPLEAK_BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' \
 		-bench 'BenchmarkRun(Baseline|Protocol|Decay|SelectiveDecay)$$' -benchtime 1x .
 

@@ -17,15 +17,17 @@
 // one over the same -cache-dir — reuses every cached job without
 // simulating, and a simulator change (which re-records the anchor)
 // invalidates every cached record at once.  SIGINT/SIGTERM shut down
-// gracefully: in-flight jobs finish and are cached, queued runs are marked
-// canceled, and the store is synced.
+// gracefully: in-flight jobs finish and are cached, the executing and queued
+// runs are marked canceled (open /events streams end on that event), and
+// the store is synced.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -67,37 +69,21 @@ func main() {
 			*cacheDir, st.Entries, st.LiveBytes, cmpleak.GoldenAnchor)
 	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "leakserved: %v\n", err)
+		os.Exit(1)
+	}
 	svc := service.New(service.Config{Workers: *jobs, QueueDepth: *queue, Store: store})
-	httpSrv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	fmt.Fprintf(os.Stderr, "leakserved: listening on %s (%d worker(s), queue depth %d)\n",
+		ln.Addr(), *jobs, *queue)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "leakserved: listening on %s (%d worker(s), queue depth %d)\n",
-		*addr, *jobs, *queue)
-
-	select {
-	case err := <-errCh:
-		// ListenAndServe only returns on failure (bind error etc.).
+	context.AfterFunc(ctx, stop) // a second signal kills the process the usual way
+	if err := serve(ctx, ln, svc, os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "leakserved: %v\n", err)
 		os.Exit(1)
-	case <-ctx.Done():
-	}
-	stop() // a second signal kills the process the usual way
-
-	fmt.Fprintln(os.Stderr, "leakserved: shutting down (in-flight jobs finish and are cached)")
-	// Stop accepting connections first, then drain the service (cancels the
-	// executing run; its in-flight jobs finish and are written through to
-	// the cache), then make the store durable.
-	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintf(os.Stderr, "leakserved: http shutdown: %v\n", err)
-	}
-	if err := svc.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "leakserved: service shutdown: %v\n", err)
 	}
 	if store != nil {
 		if err := store.Close(); err != nil {
@@ -105,6 +91,45 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// shutdownTimeout bounds how long shutdown waits for open connections.
+const shutdownTimeout = 30 * time.Second
+
+// serve serves svc on ln until ctx is done, then shuts down: the service is
+// closed as HTTP shutdown begins, which cancels the executing run (its
+// in-flight jobs finish and are written through to the cache) and every
+// queued one, so each open /events stream ends on its run's canceled event
+// instead of holding shutdown open.  serve returns once the connections
+// are closed and the service has drained; it reports shutdown problems to
+// logw and returns an error only when serving itself fails.
+func serve(ctx context.Context, ln net.Listener, svc *service.Server, logw io.Writer) error {
+	httpSrv := &http.Server{Handler: svc.Handler()}
+	closed := make(chan error, 1)
+	httpSrv.RegisterOnShutdown(func() { closed <- svc.Close() })
+
+	errCh := make(chan error, 1)
+	go func() { errCh <- httpSrv.Serve(ln) }()
+	select {
+	case err := <-errCh:
+		// Serve only returns early on failure (accept error etc.).
+		if cerr := svc.Close(); cerr != nil {
+			fmt.Fprintf(logw, "leakserved: service shutdown: %v\n", cerr)
+		}
+		return err
+	case <-ctx.Done():
+	}
+
+	fmt.Fprintln(logw, "leakserved: shutting down (in-flight jobs finish and are cached)")
+	shutCtx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+	defer cancel()
+	if err := httpSrv.Shutdown(shutCtx); err != nil {
+		fmt.Fprintf(logw, "leakserved: http shutdown: %v\n", err)
+	}
+	if err := <-closed; err != nil {
+		fmt.Fprintf(logw, "leakserved: service shutdown: %v\n", err)
+	}
+	return nil
 }
 
 // validateFlags rejects unusable flag combinations before anything starts.

@@ -217,12 +217,12 @@ func (s *Server) handleReport(w http.ResponseWriter, req *http.Request) {
 	s.mu.Lock()
 	r, ok := s.runs[req.PathValue("id")]
 	var (
-		state  State
-		sweeps []*experiment.Sweep
-		cells  []scenario.Cell
+		state   State
+		outputs []*cellOutput
+		cells   []scenario.Cell
 	)
 	if ok {
-		state, sweeps, cells = r.state, r.sweeps, r.cells
+		state, outputs, cells = r.state, r.outputs, r.cells
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -246,7 +246,7 @@ func (s *Server) handleReport(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if fig != "" {
-		if _, ok := figureTablesOK(sweeps[0], fig); !ok {
+		if _, ok := figureTablesOK(outputs[0].sweep, fig); !ok {
 			writeError(w, http.StatusBadRequest, "", "unknown figure %q (want 3a..6b)", fig)
 			return
 		}
@@ -257,14 +257,25 @@ func (s *Server) handleReport(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/markdown; charset=utf-8")
 	}
 	w.WriteHeader(http.StatusOK)
+	// An error means the client is gone; there is nothing to add mid-body.
+	writeReport(w, cells, outputs, fig, csv)
+}
+
+// writeReport renders a done run's report: per-cell banners (multi-cell,
+// non-CSV only, exactly as leaksweep emits them to stdout) around the shared
+// experiment.WriteReport renderer.
+func writeReport(w io.Writer, cells []scenario.Cell, outputs []*cellOutput, fig string, csv bool) error {
 	for i := range cells {
 		if len(cells) > 1 && !csv {
-			fmt.Fprintf(w, "== %s ==\n\n", cells[i].Name)
+			if _, err := fmt.Fprintf(w, "== %s ==\n\n", cells[i].Name); err != nil {
+				return err
+			}
 		}
-		if err := experiment.WriteReport(w, sweeps[i], fig, csv); err != nil {
-			return // client gone or unknown figure raced; nothing to add mid-body
+		if err := experiment.WriteReport(w, outputs[i].sweep, fig, csv); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // figureTablesOK validates a figure name against the shared renderer's
@@ -300,7 +311,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		jobsTotal += r.jobs
 	}
 	queueDepth := len(s.queueHigh) + len(s.queueNorm)
-	jobsDone, hits, lookups := s.jobsDone, s.cacheHits, s.cacheLookups
+	jobsDone, hits, lookups, shared := s.jobsDone, s.cacheHits, s.cacheLookups, s.cellsShared
 	s.mu.Unlock()
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -323,6 +334,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		ratio = float64(hits) / float64(lookups)
 	}
 	fmt.Fprintf(w, "leakserved_cache_hit_ratio %.4f\n", ratio)
+	fmt.Fprintf(w, "leakserved_cells_shared_total %d\n", shared)
 	if s.cfg.Store != nil {
 		st := s.cfg.Store.Stats()
 		fmt.Fprintf(w, "leakserved_store_entries %d\n", st.Entries)

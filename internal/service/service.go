@@ -14,6 +14,14 @@
 // simultaneously executing runs, so job-level determinism and the
 // byte-identical-output guarantee carry over unchanged.
 //
+// A completed cell's output — its Sweep and that sweep's digest — is one
+// shared, immutable value keyed by the cell's options digest, which fixes
+// every result of an unsharded cell (the result cache's contract).  A run
+// whose cell was already completed by a live earlier run splices that
+// output in and neither reads the store nor simulates; a run whose cells
+// were all completed skips the pool.  The index holds weak pointers: the
+// runs own their outputs, and a dead entry is a miss.
+//
 // Shutdown is graceful: Close stops admissions, cancels the running
 // scenario (in-flight jobs finish, queued jobs are skipped — the pool's
 // cancellation contract), marks still-queued runs canceled, and syncs the
@@ -28,6 +36,7 @@ import (
 	"fmt"
 	"sync"
 	"time"
+	"weak"
 
 	"cmpleak/internal/config"
 	"cmpleak/internal/core"
@@ -104,8 +113,9 @@ type RunStatus struct {
 	State    State        `json:"state"`
 	Priority string       `json:"priority"`
 	Cells    []CellStatus `json:"cells"`
-	// JobsTotal counts every job of every cell; Cached how many the result
-	// cache satisfied without simulating; JobsDone how many have simulated.
+	// JobsTotal counts every job of every cell; Cached how many were served
+	// without simulating (result cache or a shared cell); JobsDone how many
+	// have simulated.
 	JobsTotal int    `json:"jobs_total"`
 	Cached    int    `json:"cached"`
 	JobsDone  int    `json:"jobs_done"`
@@ -115,29 +125,44 @@ type RunStatus struct {
 	// bit for bit — a client can compare them against a serial `leaksweep`
 	// run's digests, or across daemons.
 	ResultDigests []string `json:"result_digests,omitempty"`
+	// QueuedAt, StartedAt and FinishedAt are the run's lifecycle
+	// transitions; each is absent until the run reaches it.
+	QueuedAt   time.Time `json:"queued_at,omitzero"`
+	StartedAt  time.Time `json:"started_at,omitzero"`
+	FinishedAt time.Time `json:"finished_at,omitzero"`
 }
 
 // run is the server-side state of one submitted scenario.
 type run struct {
-	id            string
-	name          string
-	high          bool
-	cells         []scenario.Cell
-	digests       []string
-	cellJobs      []int // per cell, len(Options.Jobs()), counted once
-	jobs          int
-	state         State
-	cached        int
-	jobsDone      int
-	errMsg        string
-	sweeps        []*experiment.Sweep
-	resultDigests []string
-	events        []Event
+	id       string
+	name     string
+	high     bool
+	cells    []scenario.Cell
+	digests  []string
+	cellJobs []int // per cell, len(Options.Jobs()), counted once
+	jobs     int
+	state    State
+	cached   int
+	jobsDone int
+	errMsg   string
+	events   []Event
+	// outputs holds one output per cell once the run is done.
+	outputs []*cellOutput
+	// queuedAt, startedAt and finishedAt stamp the state transitions.
+	queuedAt, startedAt, finishedAt time.Time
 	// changed is closed and replaced on every event append; streamers grab
 	// the current channel under mu and wait on it.
 	changed chan struct{}
 	// cancel interrupts the run while executing (nil otherwise).
 	cancel context.CancelFunc
+}
+
+// cellOutput is one completed cell's output.  It is immutable once
+// published: runs of the same options digest share it, and their report
+// handlers read the sweep concurrently.
+type cellOutput struct {
+	sweep  *experiment.Sweep
+	digest string // sweep.Digest()
 }
 
 // runFunc executes one batch through the pool — a seam so in-package tests
@@ -158,6 +183,9 @@ type Server struct {
 	normWait  int // consecutive high-priority runs executed past a waiting normal one
 	nextID    int
 	closed    bool
+	// outputs indexes completed cells by options digest.  It never keeps
+	// an output alive: the runs that hold it do.
+	outputs map[string]weak.Pointer[cellOutput]
 
 	wake     chan struct{} // buffered 1: kicks the executor
 	execDone chan struct{}
@@ -166,6 +194,7 @@ type Server struct {
 	jobsDone     uint64
 	cacheHits    uint64
 	cacheLookups uint64
+	cellsShared  uint64
 }
 
 // New starts a Server (its executor goroutine runs until Close).
@@ -184,6 +213,7 @@ func newServer(cfg Config, exec runFunc) *Server {
 		cfg:      cfg,
 		exec:     exec,
 		runs:     make(map[string]*run),
+		outputs:  make(map[string]weak.Pointer[cellOutput]),
 		wake:     make(chan struct{}, 1),
 		execDone: make(chan struct{}),
 		start:    time.Now(),
@@ -225,6 +255,7 @@ func (s *Server) Submit(body []byte, high bool) (RunStatus, error) {
 	r.id = fmt.Sprintf("r-%06d", s.nextID)
 	s.runs[r.id] = r
 	s.order = append(s.order, r.id)
+	r.queuedAt = time.Now()
 	if high {
 		s.queueHigh = append(s.queueHigh, r)
 	} else {
@@ -308,8 +339,8 @@ func (s *Server) statusLocked(r *run) RunStatus {
 		Priority:  "normal",
 		Cells:     make([]CellStatus, len(r.cells)),
 		JobsTotal: r.jobs, Cached: r.cached, JobsDone: r.jobsDone,
-		Error:         r.errMsg,
-		ResultDigests: r.resultDigests,
+		Error:    r.errMsg,
+		QueuedAt: r.queuedAt, StartedAt: r.startedAt, FinishedAt: r.finishedAt,
 	}
 	if r.high {
 		st.Priority = "high"
@@ -319,6 +350,12 @@ func (s *Server) statusLocked(r *run) RunStatus {
 			Name:   r.cells[i].Name,
 			Digest: r.digests[i],
 			Jobs:   r.cellJobs[i],
+		}
+	}
+	if r.outputs != nil {
+		st.ResultDigests = make([]string, len(r.outputs))
+		for i, out := range r.outputs {
+			st.ResultDigests[i] = out.digest
 		}
 	}
 	return st
@@ -337,6 +374,7 @@ func (s *Server) finishLocked(r *run, state State, errMsg string) {
 	r.state = state
 	r.errMsg = errMsg
 	r.cancel = nil
+	r.finishedAt = time.Now()
 	s.appendEventLocked(r, Event{Type: "state", State: state, Error: errMsg})
 }
 
@@ -373,7 +411,9 @@ func (s *Server) nextLocked() *run {
 }
 
 // executor is the single run-execution goroutine: one scenario at a time
-// through the shared pool.
+// through the shared pool.  It splices in every cell a live earlier run
+// completed and runs only the rest; a run with nothing left to run skips
+// the pool but still moves queued -> running -> done.
 func (s *Server) executor() {
 	defer close(s.execDone)
 	for {
@@ -388,27 +428,45 @@ func (s *Server) executor() {
 			<-s.wake
 			continue
 		}
-		ctx, cancel := context.WithCancel(context.Background())
 		r.state = StateRunning
-		r.cancel = cancel
+		r.startedAt = time.Now()
 		s.appendEventLocked(r, Event{Type: "state", State: StateRunning})
-		named := scenario.NamedOptions(r.cells)
+		outs, pending := s.spliceLocked(r)
+		if len(pending) == 0 {
+			r.outputs = outs
+			s.finishLocked(r, StateDone, "")
+			s.mu.Unlock()
+			continue
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		r.cancel = cancel
+		named := make([]experiment.NamedOptions, len(pending))
+		for k, i := range pending {
+			named[k] = experiment.NamedOptions{Name: r.cells[i].Name, Options: r.cells[i].Options}
+		}
 		p := s.parallelism(r)
 		s.mu.Unlock()
 
 		sweeps, err := s.exec(ctx, named, p)
 		cancel()
+		if err == nil {
+			for k, i := range pending {
+				outs[i] = &cellOutput{sweep: sweeps[k]}
+				if sweeps[k] != nil { // test stubs may return placeholder batches
+					outs[i].digest = sweeps[k].Digest()
+				}
+			}
+		}
 
 		s.mu.Lock()
 		switch {
 		case err == nil:
-			r.sweeps = sweeps
-			r.resultDigests = make([]string, len(sweeps))
-			for i, sw := range sweeps {
-				if sw != nil { // test stubs may return placeholder batches
-					r.resultDigests[i] = sw.Digest()
+			for _, i := range pending {
+				if outs[i].sweep != nil {
+					s.outputs[outputKey(&r.cells[i], r.digests[i])] = weak.Make(outs[i])
 				}
 			}
+			r.outputs = outs
 			s.finishLocked(r, StateDone, "")
 		case errors.Is(err, context.Canceled):
 			s.finishLocked(r, StateCanceled,
@@ -418,6 +476,40 @@ func (s *Server) executor() {
 		}
 		s.mu.Unlock()
 	}
+}
+
+// spliceLocked looks r's cells up in the output index.  It returns one slot
+// per cell, filled for each cell a live earlier run completed, and the
+// indices of the cells left to run.  A spliced cell's jobs count as served
+// without simulating, like result-cache hits.
+func (s *Server) spliceLocked(r *run) (outs []*cellOutput, pending []int) {
+	outs = make([]*cellOutput, len(r.cells))
+	for i := range r.cells {
+		out := s.outputs[outputKey(&r.cells[i], r.digests[i])].Value()
+		if out == nil {
+			pending = append(pending, i)
+			continue
+		}
+		outs[i] = out
+		n := uint64(r.cellJobs[i])
+		r.cached += r.cellJobs[i]
+		s.cacheLookups += n
+		s.cacheHits += n
+		s.cellsShared++
+	}
+	return outs, pending
+}
+
+// outputKey is cell c's key in the output index: its options digest.  The
+// digest leaves the shard slice out, so it names a cell's results only when
+// the cell runs whole — and service cells always do (scenario.Expand leaves
+// ShardIndex and ShardCount zero).
+func outputKey(c *scenario.Cell, digest string) string {
+	if c.Options.ShardIndex != 0 || c.Options.ShardCount != 0 {
+		panic(fmt.Sprintf("service: cell %s is sharded (%d/%d); its options digest does not name its results",
+			c.Name, c.Options.ShardIndex, c.Options.ShardCount))
+	}
+	return digest
 }
 
 // parallelism builds one run's pool configuration: the shared worker count,
