@@ -190,7 +190,7 @@ func sweepThroughput(traceFile string, l2MB, cores int, thermal bool, workers in
 		Scale:        1, // traces replay at their recorded length
 		Seed:         1,
 	}
-	cells := len(opts.Jobs())
+	cells := opts.NumJobs()
 	fmt.Printf("sweep: %d cells (baseline + %d techniques) through %d worker(s)...\n",
 		cells, len(opts.Techniques), workers)
 	// ^C cancels the calibration sweep cleanly instead of leaving a partial

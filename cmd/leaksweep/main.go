@@ -230,7 +230,7 @@ func runSweeps(ctx context.Context, source string, named []cmpleak.NamedSweepOpt
 	const prefix = "leaksweep"
 	totalJobs := 0
 	for i := range named {
-		totalJobs += len(named[i].Options.Jobs())
+		totalJobs += named[i].Options.NumJobs()
 	}
 	fmt.Fprintf(os.Stderr, "%s: %s: %d cell(s), %d jobs, %d worker(s)\n",
 		prefix, source, len(named), totalJobs, effectiveWorkers(rc.workers, totalJobs))

@@ -23,7 +23,7 @@ func BenchmarkLookupHit(b *testing.B) {
 	for i := range addrs {
 		a := mem.Addr(i * 64)
 		set, _, _ := c.Lookup(a)
-		c.Install(a, set, c.Victim(set), 0)
+		c.Install(a, set, c.Victim(set))
 		addrs[i] = a
 	}
 	b.ReportAllocs()
@@ -34,7 +34,7 @@ func BenchmarkLookupHit(b *testing.B) {
 		if !hit {
 			b.Fatal("benchmark address missed")
 		}
-		c.Touch(set, way, sim.Cycle(i))
+		c.Touch(set, way)
 	}
 }
 
@@ -45,7 +45,7 @@ func BenchmarkVictim(b *testing.B) {
 	for i := 0; i < c.Config().NumLines(); i++ {
 		a := mem.Addr(i * 64)
 		set, _, _ := c.Lookup(a)
-		c.Install(a, set, c.Victim(set), sim.Cycle(i))
+		c.Install(a, set, c.Victim(set))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -68,7 +68,7 @@ func BenchmarkVictimAssoc(b *testing.B) {
 			for i := 0; i < c.Config().NumLines(); i++ {
 				a := mem.Addr(i * 64)
 				set, _, _ := c.Lookup(a)
-				c.Install(a, set, c.Victim(set), sim.Cycle(i))
+				c.Install(a, set, c.Victim(set))
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -86,13 +86,13 @@ func TestVictimTouchAllocationFree(t *testing.T) {
 	for i := 0; i < c.Config().NumLines(); i++ {
 		a := mem.Addr(i * 64)
 		set, _, _ := c.Lookup(a)
-		c.Install(a, set, c.Victim(set), sim.Cycle(i))
+		c.Install(a, set, c.Victim(set))
 	}
 	i := 0
 	if allocs := testing.AllocsPerRun(500, func() {
 		set := i & (c.Config().NumSets() - 1)
 		way := c.Victim(set)
-		c.Touch(set, way, sim.Cycle(i))
+		c.Touch(set, way)
 		i++
 	}); allocs != 0 {
 		t.Errorf("Victim+Touch allocates %.1f objects/op, want 0", allocs)

@@ -87,8 +87,6 @@ type Line struct {
 	// ArmTick is the bank's global decay tick count when the line's
 	// hierarchical decay counter last reset (see DecayCounter).
 	ArmTick uint32
-	// LastTouch is the cycle of the last access (used by decay).
-	LastTouch sim.Cycle
 	// DecayArmed reports whether the decay logic is allowed to turn this
 	// line off (always true for plain Decay, selectively set for SD).
 	DecayArmed bool
@@ -108,7 +106,7 @@ type Cache struct {
 	lines []Line
 	// tags mirrors lines[...].Tag in a dense array so the Lookup tag scan
 	// reads one 8-byte word per way (an 8-way set is one cache line)
-	// instead of striding over the 32-byte Line structs.  Invalid ways hold
+	// instead of striding over the 24-byte Line structs.  Invalid ways hold
 	// invalidTag — not block-aligned, so it can never match a looked-up
 	// block — which folds the valid check into the tag compare and keeps
 	// the hit path to a single replacement-state load.  nil when LineBytes
@@ -284,15 +282,10 @@ const (
 	nibMSB = 0x8888888888888888
 )
 
-// Touch marks (set, way) as most recently used and records the access time.
-func (c *Cache) Touch(set, way int, now sim.Cycle) {
-	c.lines[set*c.assoc+way].LastTouch = now
-	c.promote(set, way)
-}
-
-// promote rotates way to rank 0 (MRU) of its set's recency permutation,
-// preserving the relative order of every other way.
-func (c *Cache) promote(set, way int) {
+// Touch marks (set, way) as most recently used: it rotates way to rank 0
+// (MRU) of its set's recency permutation, preserving the relative order of
+// every other way.
+func (c *Cache) Touch(set, way int) {
 	if c.lruOrder != nil {
 		order := c.lruOrder[set]
 		w := uint64(way)
@@ -346,7 +339,7 @@ func (c *Cache) Victim(set int) int {
 // Install places the block containing a into (set, way), marking it valid
 // and most recently used.  The previous occupant must already have been
 // handled (written back / invalidated) by the caller.
-func (c *Cache) Install(a mem.Addr, set, way int, now sim.Cycle) *Line {
+func (c *Cache) Install(a mem.Addr, set, way int) *Line {
 	ln := &c.lines[set*c.assoc+way]
 	ln.Tag = c.blockAddr(a)
 	if c.tags != nil {
@@ -355,12 +348,11 @@ func (c *Cache) Install(a mem.Addr, set, way int, now sim.Cycle) *Line {
 	ln.Valid = true
 	ln.Dirty = false
 	ln.DecayArmed = false
-	ln.LastTouch = now
 	if c.validBits != nil {
 		c.validBits[set] |= 1 << uint(way)
 	}
 	c.Fills.Inc()
-	c.Touch(set, way, now)
+	c.Touch(set, way)
 	return ln
 }
 

@@ -80,7 +80,7 @@ func TestInstallAndLookup(t *testing.T) {
 		t.Fatal("unexpected hit")
 	}
 	way = c.Victim(set)
-	c.Install(addr, set, way, 10)
+	c.Install(addr, set, way)
 	s2, w2, found := c.Lookup(addr)
 	if !found || s2 != set || w2 != way {
 		t.Fatalf("installed block not found: set %d way %d found %v", s2, w2, found)
@@ -110,7 +110,7 @@ func TestVictimPrefersInvalid(t *testing.T) {
 		if s != set {
 			t.Fatalf("address construction broken: set %d vs %d", s, set)
 		}
-		c.Install(a, set, c.Victim(set), sim.Cycle(i))
+		c.Install(a, set, c.Victim(set))
 	}
 	v := c.Victim(set)
 	if c.Line(set, v).Valid {
@@ -125,23 +125,23 @@ func TestVictimLRU(t *testing.T) {
 	addrs := make([]mem.Addr, 4)
 	for i := range addrs {
 		addrs[i] = base + mem.Addr(i)*64*16
-		c.Install(addrs[i], set, c.Victim(set), sim.Cycle(i))
+		c.Install(addrs[i], set, c.Victim(set))
 	}
 	// Touch 0 again so way holding addrs[1] becomes LRU.
 	s, w, _ := c.Lookup(addrs[0])
-	c.Touch(s, w, 100)
+	c.Touch(s, w)
 	v := c.Victim(set)
 	if c.Line(set, v).Tag != addrs[1] {
 		t.Fatalf("LRU victim holds %v, want %v", c.Line(set, v).Tag, addrs[1])
 	}
 }
 
-// TestLineSize pins the 32-byte line metadata: the decay arm tick fills what
-// was padding, so the array still packs two lines per 64-byte host cache
-// line.
+// TestLineSize pins the 24-byte line metadata: tag, flags and the decay arm
+// tick fill 16 bytes and DecayArmed the last word, so an 8 MB L2's 128 Ki
+// lines carry 3 MiB of metadata.
 func TestLineSize(t *testing.T) {
-	if n := unsafe.Sizeof(Line{}); n != 32 {
-		t.Fatalf("sizeof(Line) = %d, want 32", n)
+	if n := unsafe.Sizeof(Line{}); n != 24 {
+		t.Fatalf("sizeof(Line) = %d, want 24", n)
 	}
 }
 
@@ -150,7 +150,7 @@ func TestInvalidate(t *testing.T) {
 	a := mem.Addr(0x40)
 	set, _, _ := c.Lookup(a)
 	way := c.Victim(set)
-	ln := c.Install(a, set, way, 1)
+	ln := c.Install(a, set, way)
 	ln.Dirty = true
 	ln.DecayArmed = true
 	c.Invalidate(set, way)
@@ -228,7 +228,7 @@ func TestForEachValidAndCount(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a := mem.Addr(i * 64)
 		set, _, _ := c.Lookup(a)
-		c.Install(a, set, c.Victim(set), sim.Cycle(i))
+		c.Install(a, set, c.Victim(set))
 	}
 	if c.CountValid() != 10 {
 		t.Fatalf("CountValid %d, want 10", c.CountValid())
@@ -295,14 +295,12 @@ func TestPropertyPackedRankMatchesStampLRU(t *testing.T) {
 				refs[s] = newStampLRU(assoc)
 			}
 			rng := sim.NewRand(uint64(assoc) * 1000003)
-			now := sim.Cycle(0)
 			// Address that maps block b of set s (stride sets*64 stays in set).
 			addrFor := func(set int, b uint64) mem.Addr {
 				return mem.Addr(uint64(set)*64 + b*uint64(sets)*64)
 			}
 			var nextBlock uint64
 			for i := 0; i < 20000; i++ {
-				now++
 				set := rng.Intn(sets)
 				ref := refs[set]
 				switch op := rng.Intn(10); {
@@ -311,7 +309,7 @@ func TestPropertyPackedRankMatchesStampLRU(t *testing.T) {
 					if !ref.valid[way] {
 						continue
 					}
-					c.Touch(set, way, now)
+					c.Touch(set, way)
 					ref.touch(way)
 				case op < 8: // fill: both sides must pick the same victim
 					got, want := c.Victim(set), ref.victim()
@@ -322,7 +320,7 @@ func TestPropertyPackedRankMatchesStampLRU(t *testing.T) {
 					if c.Line(set, got).Valid {
 						c.Invalidate(set, got)
 					}
-					c.Install(addrFor(set, nextBlock), set, got, now)
+					c.Install(addrFor(set, nextBlock), set, got)
 					ref.valid[want] = true
 					ref.touch(want)
 				default: // invalidate a random way
@@ -347,18 +345,18 @@ func TestPropertyPackedRankMatchesStampLRU(t *testing.T) {
 func TestPropertyTagsConsistent(t *testing.T) {
 	f := func(raw []uint32) bool {
 		c := MustNew(smallConfig())
-		for i, r := range raw {
+		for _, r := range raw {
 			a := mem.Addr(r)
 			set, way, found := c.Lookup(a)
 			if found {
-				c.Touch(set, way, sim.Cycle(i))
+				c.Touch(set, way)
 				continue
 			}
 			way = c.Victim(set)
 			if c.Line(set, way).Valid {
 				c.Invalidate(set, way)
 			}
-			c.Install(a, set, way, sim.Cycle(i))
+			c.Install(a, set, way)
 		}
 		ok := true
 		c.ForEachValid(func(set, way int, ln *Line) {

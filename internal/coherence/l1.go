@@ -190,7 +190,7 @@ func (l *L1Controller) Read(a mem.Addr, done func()) {
 	set, way, hit := l.cache.Lookup(a)
 	if hit {
 		l.LoadHits.Inc()
-		l.cache.Touch(set, way, start)
+		l.cache.Touch(set, way)
 		l.cache.Hits.Inc()
 		l.eng.ScheduleArg(l.cfg.Cache.Latency(), l.finishLoadFn, l.newReq(a, start, done))
 		return
@@ -221,7 +221,6 @@ func (l *L1Controller) requestFill(req *loadReq) {
 
 // fill installs a block returned by the L2 and wakes all merged waiters.
 func (l *L1Controller) fill(block mem.Addr) {
-	now := l.eng.Now()
 	set, way, hit := l.cache.Lookup(block)
 	if !hit {
 		way = l.cache.Victim(set)
@@ -231,9 +230,9 @@ func (l *L1Controller) fill(block mem.Addr) {
 			l.cache.Evictions.Inc()
 			l.cache.Invalidate(set, way)
 		}
-		l.cache.Install(block, set, way, now)
+		l.cache.Install(block, set, way)
 	} else {
-		l.cache.Touch(set, way, now)
+		l.cache.Touch(set, way)
 	}
 	// Waiters observe the L1 hit latency on top of the fill.
 	l.mshr.CompleteDeliver(block, l.eng, l.cfg.Cache.Latency())
@@ -251,7 +250,7 @@ func (l *L1Controller) Write(a mem.Addr, done func()) {
 	if hit {
 		l.StoreHits.Inc()
 		l.cache.Hits.Inc()
-		l.cache.Touch(set, way, start)
+		l.cache.Touch(set, way)
 	} else {
 		l.StoreMisses.Inc()
 		l.cache.Misses.Inc()

@@ -198,7 +198,7 @@ func (c *Controller) Read(block mem.Addr, done cache.DoneFunc, arg any) {
 	if hit && c.LineState(set, way).Valid() {
 		c.ReadHits.Inc()
 		c.arr.Hits.Inc()
-		c.arr.Touch(set, way, c.eng.Now())
+		c.arr.Touch(set, way)
 		c.tech.OnHit(c, set, way)
 		c.mshr.ScheduleDone(c.eng, c.cfg.Cache.Latency(), done, arg, block)
 		return
@@ -233,7 +233,7 @@ func (c *Controller) Write(block mem.Addr, done cache.DoneFunc, arg any) {
 			c.WriteHits.Inc()
 			c.arr.Hits.Inc()
 			c.Upgrades.Inc()
-			c.arr.Touch(set, way, c.eng.Now())
+			c.arr.Touch(set, way)
 			u := c.freeUpgr
 			if u == nil {
 				u = &upgradeReq{}
@@ -283,7 +283,7 @@ func (c *Controller) finishUpgrade(a any, txn coherence.Transaction, _ coherence
 func (c *Controller) writeHit(block mem.Addr, set, way int, done cache.DoneFunc, arg any) {
 	c.WriteHits.Inc()
 	c.arr.Hits.Inc()
-	c.arr.Touch(set, way, c.eng.Now())
+	c.arr.Touch(set, way)
 	c.arr.Line(set, way).Dirty = true
 	c.tech.OnHit(c, set, way)
 	c.mshr.ScheduleDone(c.eng, c.cfg.Cache.Latency(), done, arg, block)
@@ -336,10 +336,10 @@ func (c *Controller) fill(block mem.Addr, res coherence.BusResult) {
 	if !hit {
 		way = c.arr.Victim(set)
 		c.evictForFill(set, way)
-		c.arr.Install(block, set, way, now)
+		c.arr.Install(block, set, way)
 		c.arr.PowerOn(set, way, now)
 	} else {
-		c.arr.Touch(set, way, now)
+		c.arr.Touch(set, way)
 	}
 	ln := c.arr.Line(set, way)
 	var st coherence.State

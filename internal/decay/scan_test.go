@@ -96,13 +96,13 @@ func (m *mockController) apply(spec Spec, op historyOp, ref *refScan) {
 			if st == coherence.TransientDirty {
 				m.tdFills++
 			}
-			m.arr.Touch(set, way, now)
+			m.arr.Touch(set, way)
 		} else {
 			// The victim is invalidated but not gated: the fill reuses the
 			// way at once.
 			way = m.arr.Victim(set)
 			m.arr.Invalidate(set, way)
-			m.arr.Install(op.block, set, way, now)
+			m.arr.Install(op.block, set, way)
 			m.arr.PowerOn(set, way, now)
 			m.arr.Misses.Inc()
 		}
@@ -120,12 +120,12 @@ func (m *mockController) apply(spec Spec, op historyOp, ref *refScan) {
 			setState(coherence.Modified)
 			spec.OnStateChange(m, set, way, coherence.Modified)
 		}
-		m.arr.Touch(set, way, now)
+		m.arr.Touch(set, way)
 		spec.OnHit(m, set, way)
 		resetRef()
 	case !hit:
 	case op.kind == opRead:
-		m.arr.Touch(set, way, now)
+		m.arr.Touch(set, way)
 		spec.OnHit(m, set, way)
 		resetRef()
 	case op.kind == opSnoopRead && st != coherence.Shared:

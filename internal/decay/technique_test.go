@@ -86,7 +86,7 @@ func (m *mockController) install(t Spec, a mem.Addr, st coherence.State) (set, w
 	set, way, hit := m.arr.Lookup(a)
 	if !hit {
 		way = m.arr.Victim(set)
-		m.arr.Install(a, set, way, m.eng.Now())
+		m.arr.Install(a, set, way)
 		m.arr.PowerOn(set, way, m.eng.Now())
 	}
 	m.states[[2]int{set, way}] = st

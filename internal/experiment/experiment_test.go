@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"io"
 	"slices"
 	"strings"
 	"testing"
@@ -334,4 +335,43 @@ func averageByName(s *Sweep, sizeMB int, technique string, metric metricFunc) (f
 		return 0, false
 	}
 	return s.averageOverBenchmarks(si, t, metric)
+}
+
+// FigureIndex names the figures in paper order, case-insensitively, and
+// WriteReport renders a figure the same under either case.
+func TestFigureIndex(t *testing.T) {
+	s := getTinySweep(t)
+	for want, name := range []string{"3a", "3b", "4a", "4b", "5a", "5b", "6a", "6b"} {
+		for _, fig := range []string{name, strings.ToUpper(name)} {
+			if i, ok := FigureIndex(fig); !ok || i != want {
+				t.Errorf("FigureIndex(%q) = %d, %v; want %d, true", fig, i, ok, want)
+			}
+		}
+		if title := figures[want].table(s).Title; !strings.HasPrefix(title, "Figure "+name+" ") {
+			t.Errorf("figure %s renders %q", name, title)
+		}
+		var lower, upper strings.Builder
+		if err := WriteReport(&lower, s, name, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteReport(&upper, s, strings.ToUpper(name), false); err != nil {
+			t.Fatal(err)
+		}
+		if lower.String() != upper.String() {
+			t.Errorf("figure %s renders differently upper-cased", name)
+		}
+	}
+	if NumFigures != 8 {
+		t.Errorf("NumFigures = %d, want 8", NumFigures)
+	}
+	for _, fig := range []string{"", "7a", "3", "3a ", "fig3a"} {
+		if _, ok := FigureIndex(fig); ok {
+			t.Errorf("FigureIndex(%q) accepted an unknown figure", fig)
+		}
+		if fig != "" {
+			if err := WriteReport(io.Discard, s, fig, false); err == nil {
+				t.Errorf("WriteReport(%q) accepted an unknown figure", fig)
+			}
+		}
+	}
 }

@@ -11,29 +11,35 @@ import (
 	"strings"
 )
 
-// figureTables maps figure names ("3a".."6b") to their generators.  Figures
-// 6a/6b fix the paper's 4MB configuration, matching the CLI default.
-func figureTables(s *Sweep) map[string]func() Table {
-	return map[string]func() Table{
-		"3a": s.Figure3a,
-		"3b": s.Figure3b,
-		"4a": s.Figure4a,
-		"4b": s.Figure4b,
-		"5a": s.Figure5a,
-		"5b": s.Figure5b,
-		"6a": func() Table { return s.Figure6a(4) },
-		"6b": func() Table { return s.Figure6b(4) },
-	}
+// figures lists the report's named figures in paper order.  Figures 6a/6b
+// fix the paper's 4MB configuration, matching the CLI default.
+var figures = [...]struct {
+	name  string
+	table func(*Sweep) Table
+}{
+	{"3a", (*Sweep).Figure3a},
+	{"3b", (*Sweep).Figure3b},
+	{"4a", (*Sweep).Figure4a},
+	{"4b", (*Sweep).Figure4b},
+	{"5a", (*Sweep).Figure5a},
+	{"5b", (*Sweep).Figure5b},
+	{"6a", func(s *Sweep) Table { return s.Figure6a(4) }},
+	{"6b", func(s *Sweep) Table { return s.Figure6b(4) }},
 }
 
-// FigureByName returns the generator of one named figure ("3a".."6b",
-// case-insensitive); the error message is the CLI's -fig usage error.
-func FigureByName(s *Sweep, fig string) (func() Table, error) {
-	gen, ok := figureTables(s)[strings.ToLower(fig)]
-	if !ok {
-		return nil, fmt.Errorf("unknown figure %q (want 3a..6b)", fig)
+// NumFigures is the number of named figures WriteReport renders.
+const NumFigures = len(figures)
+
+// FigureIndex returns a figure name's position in paper order ("3a".."6b",
+// case-insensitive); ok is false for an unknown name.  It builds no table,
+// so it is the cheap check for a name that is rendered later.
+func FigureIndex(fig string) (i int, ok bool) {
+	for i, f := range figures {
+		if strings.EqualFold(fig, f.name) {
+			return i, true
+		}
 	}
-	return gen, nil
+	return -1, false
 }
 
 // WriteReport writes one figure (fig = "3a".."6b") or, with fig == "", the
@@ -53,11 +59,11 @@ func WriteReport(w io.Writer, s *Sweep, fig string, csv bool) error {
 	}
 
 	if fig != "" {
-		gen, err := FigureByName(s, fig)
-		if err != nil {
-			return err
+		i, ok := FigureIndex(fig)
+		if !ok {
+			return fmt.Errorf("unknown figure %q (want 3a..6b)", fig)
 		}
-		return emit(gen())
+		return emit(figures[i].table(s))
 	}
 
 	for _, mb := range s.Options.CacheSizesMB {

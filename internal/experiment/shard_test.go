@@ -138,3 +138,44 @@ func TestShardedRunExecutesOnlyItsJobs(t *testing.T) {
 		}
 	}
 }
+
+// NumJobs must count exactly the jobs Jobs builds, for every shard and for
+// degenerate matrices.
+func TestNumJobsMatchesJobs(t *testing.T) {
+	single := DefaultOptions(0.01)
+	single.Benchmarks, single.CacheSizesMB = single.Benchmarks[:1], single.CacheSizesMB[:1]
+	single.Techniques = single.Techniques[:1]
+	noTechniques := DefaultOptions(0.01)
+	noTechniques.Techniques = nil
+	oneBenchmark := DefaultOptions(0.01)
+	oneBenchmark.Benchmarks = []string{"FMM"}
+	oneSize := DefaultOptions(0.01)
+	oneSize.CacheSizesMB = []int{4}
+	for _, m := range []struct {
+		name string
+		opts Options
+	}{
+		{"paper", DefaultOptions(0.01)},
+		{"small", shardOptions()},
+		{"one of each axis", single},
+		{"no techniques", noTechniques},
+		{"one benchmark", oneBenchmark},
+		{"one size", oneSize},
+	} {
+		for _, n := range []int{1, 2, 3, 7, 192} {
+			for i := range n {
+				opts := m.opts
+				opts.ShardIndex, opts.ShardCount = i, n
+				if got, want := opts.NumJobs(), len(opts.Jobs()); got != want {
+					t.Errorf("%s, shard %d/%d: NumJobs() = %d, len(Jobs()) = %d", m.name, i, n, got, want)
+				}
+			}
+		}
+		if got, want := m.opts.NumJobs(), len(m.opts.Jobs()); got != want {
+			t.Errorf("%s, unsharded: NumJobs() = %d, len(Jobs()) = %d", m.name, got, want)
+		}
+	}
+	if n := DefaultOptions(0.01).NumJobs(); n != 192 {
+		t.Errorf("the paper matrix counts %d jobs, want 192", n)
+	}
+}

@@ -206,7 +206,7 @@ func (o Options) takesGroup(group int) bool {
 // size) groups, never splitting a baseline from its technique runs.
 func (o Options) jobs() []job {
 	names := o.techniqueNames()
-	all := make([]job, 0, len(o.Benchmarks)*len(o.CacheSizesMB)*(1+len(o.Techniques)))
+	all := make([]job, 0, o.NumJobs())
 	group := 0
 	for _, bench := range o.Benchmarks {
 		for _, mb := range o.CacheSizesMB {
@@ -225,8 +225,8 @@ func (o Options) jobs() []job {
 }
 
 // Jobs returns the run keys this Options would execute, in feed order and
-// after shard filtering; leaksweep uses it for progress reporting and the
-// shard tests assert the partition is disjoint and covering.
+// after shard filtering; the shard tests assert the partition is disjoint
+// and covering.
 func (o Options) Jobs() []Key {
 	js := o.jobs()
 	keys := make([]Key, len(js))
@@ -234,6 +234,19 @@ func (o Options) Jobs() []Key {
 		keys[i] = j.key
 	}
 	return keys
+}
+
+// NumJobs counts the runs Jobs returns without building them: one baseline
+// plus one run per technique for every (benchmark, size) group the shard
+// filter keeps.
+func (o Options) NumJobs() int {
+	groups := 0
+	for g := range len(o.Benchmarks) * len(o.CacheSizesMB) {
+		if o.takesGroup(g) {
+			groups++
+		}
+	}
+	return groups * (1 + len(o.Techniques))
 }
 
 // newSweep assembles an empty sweep over the given feed-order jobs (which

@@ -19,6 +19,7 @@ package service
 // before the run is done is 409.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -212,7 +213,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 // handleReport serves a completed run's report: the same bytes `leaksweep`
 // prints to stdout for the same scenario — per-cell banners (multi-cell,
 // non-CSV only, exactly as the CLI emits them to stdout) and the shared
-// experiment.WriteReport renderer.
+// experiment.WriteReport renderer, whose output each cell output renders
+// once per variant and then serves from memory.
 func (s *Server) handleReport(w http.ResponseWriter, req *http.Request) {
 	s.mu.Lock()
 	r, ok := s.runs[req.PathValue("id")]
@@ -235,7 +237,6 @@ func (s *Server) handleReport(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	q := req.URL.Query()
-	fig := q.Get("fig")
 	csv := false
 	switch v := q.Get("csv"); v {
 	case "", "0", "false":
@@ -245,11 +246,10 @@ func (s *Server) handleReport(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, "", "csv must be a boolean, got %q", v)
 		return
 	}
-	if fig != "" {
-		if _, ok := figureTablesOK(outputs[0].sweep, fig); !ok {
-			writeError(w, http.StatusBadRequest, "", "unknown figure %q (want 3a..6b)", fig)
-			return
-		}
+	v, ok := newReportVariant(q.Get("fig"), csv)
+	if !ok {
+		writeError(w, http.StatusBadRequest, "", "unknown figure %q (want 3a..6b)", v.fig)
+		return
 	}
 	if csv {
 		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
@@ -258,34 +258,78 @@ func (s *Server) handleReport(w http.ResponseWriter, req *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	// An error means the client is gone; there is nothing to add mid-body.
-	writeReport(w, cells, outputs, fig, csv)
+	writeReport(w, cells, outputs, v)
 }
 
-// writeReport renders a done run's report: per-cell banners (multi-cell,
-// non-CSV only, exactly as leaksweep emits them to stdout) around the shared
-// experiment.WriteReport renderer.
-func writeReport(w io.Writer, cells []scenario.Cell, outputs []*cellOutput, fig string, csv bool) error {
+// writeReport writes a done run's report: per-cell banners (multi-cell,
+// non-CSV only, exactly as leaksweep emits them to stdout) around each
+// cell output's rendering of v.  The banners name the run's own cells, so
+// they are written per request: runs that share an output may name its
+// cell differently.
+func writeReport(w io.Writer, cells []scenario.Cell, outputs []*cellOutput, v reportVariant) error {
 	for i := range cells {
-		if len(cells) > 1 && !csv {
+		if len(cells) > 1 && !v.csv {
 			if _, err := fmt.Fprintf(w, "== %s ==\n\n", cells[i].Name); err != nil {
 				return err
 			}
 		}
-		if err := experiment.WriteReport(w, outputs[i].sweep, fig, csv); err != nil {
+		body, err := outputs[i].report(v)
+		if err != nil {
+			return err
+		}
+		if _, err := w.Write(body); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// figureTablesOK validates a figure name against the shared renderer's
-// table without rendering anything.
-func figureTablesOK(s *experiment.Sweep, fig string) (func() experiment.Table, bool) {
-	gen, err := experiment.FigureByName(s, fig)
-	if err != nil {
-		return nil, false
+// reportVariant is one rendering of a cell's report: the full report (fig
+// "") or one figure, as markdown or as CSV.  slot is its index in
+// cellOutput.reports; figure names that differ only in case share a slot.
+type reportVariant struct {
+	fig  string
+	csv  bool
+	slot int
+}
+
+// numReportVariants bounds the renderings one output holds: the full report
+// and each figure, as markdown and as CSV.
+const numReportVariants = 2 * (1 + experiment.NumFigures)
+
+// newReportVariant checks a report request's figure name without building
+// any table; ok is false for an unknown figure.
+func newReportVariant(fig string, csv bool) (v reportVariant, ok bool) {
+	v = reportVariant{fig: fig, csv: csv}
+	if fig != "" {
+		i, ok := experiment.FigureIndex(fig)
+		if !ok {
+			return v, false
+		}
+		v.slot = 2 * (1 + i)
 	}
-	return gen, true
+	if csv {
+		v.slot++
+	}
+	return v, true
+}
+
+// renderReport renders one report variant of a sweep — a seam so
+// in-package tests can count renders.
+var renderReport = experiment.WriteReport
+
+// report returns out's rendering of v, rendering it on v's first request;
+// concurrent first requests wait for that one rendering.  Callers must not
+// modify the returned bytes.
+func (out *cellOutput) report(v reportVariant) ([]byte, error) {
+	r := &out.reports[v.slot]
+	r.once.Do(func() {
+		var buf bytes.Buffer
+		r.err = renderReport(&buf, out.sweep, v.fig, v.csv)
+		// The bytes live as long as the output: keep no spare capacity.
+		r.body = bytes.Clone(buf.Bytes())
+	})
+	return r.body, r.err
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, req *http.Request) {

@@ -19,8 +19,10 @@
 // every result of an unsharded cell (the result cache's contract).  A run
 // whose cell was already completed by a live earlier run splices that
 // output in and neither reads the store nor simulates; a run whose cells
-// were all completed skips the pool.  The index holds weak pointers: the
-// runs own their outputs, and a dead entry is a miss.
+// were all completed skips the pool.  An output renders each report
+// variant once and serves the stored bytes to every later request.  The
+// index holds weak pointers: the runs own their outputs, and a dead entry
+// is a miss.
 //
 // Shutdown is graceful: Close stops admissions, cancels the running
 // scenario (in-flight jobs finish, queued jobs are skipped — the pool's
@@ -139,7 +141,7 @@ type run struct {
 	high     bool
 	cells    []scenario.Cell
 	digests  []string
-	cellJobs []int // per cell, len(Options.Jobs()), counted once
+	cellJobs []int // per cell, Options.NumJobs(), counted once
 	jobs     int
 	state    State
 	cached   int
@@ -157,12 +159,22 @@ type run struct {
 	cancel context.CancelFunc
 }
 
-// cellOutput is one completed cell's output.  It is immutable once
-// published: runs of the same options digest share it, and their report
-// handlers read the sweep concurrently.
+// cellOutput is one completed cell's output.  Its sweep and digest are
+// immutable once published: runs of the same options digest share it, and
+// their report handlers read it concurrently.  Each report variant is
+// rendered once, by its first request, and every later request writes the
+// stored bytes; they die with the output.
 type cellOutput struct {
-	sweep  *experiment.Sweep
-	digest string // sweep.Digest()
+	sweep   *experiment.Sweep
+	digest  string // sweep.Digest()
+	reports [numReportVariants]renderedReport
+}
+
+// renderedReport is one variant's rendering of a cell's report.
+type renderedReport struct {
+	once sync.Once
+	body []byte // never modified once rendered
+	err  error
 }
 
 // runFunc executes one batch through the pool — a seam so in-package tests
@@ -269,8 +281,8 @@ func (s *Server) Submit(body []byte, high bool) (RunStatus, error) {
 	return s.statusLocked(r), nil
 }
 
-// newRun builds a queued run over expanded cells, digesting and counting
-// each cell's jobs once: status reads, which the executor's callbacks wait
+// newRun builds a queued run over expanded cells, digesting each cell and
+// counting its jobs once: status reads, which the executor's callbacks wait
 // behind under s.mu, only copy the counts.
 func newRun(name string, high bool, cells []scenario.Cell) *run {
 	r := &run{
@@ -284,7 +296,7 @@ func newRun(name string, high bool, cells []scenario.Cell) *run {
 	}
 	for i := range cells {
 		r.digests[i] = cells[i].Options.Digest()
-		r.cellJobs[i] = len(cells[i].Options.Jobs())
+		r.cellJobs[i] = cells[i].Options.NumJobs()
 		r.jobs += r.cellJobs[i]
 	}
 	return r

@@ -33,7 +33,7 @@ import (
 
 // paperScenarioReduced loads scenarios/paper.json and rescales it so the
 // full 192-job matrix runs in well under a second.
-func paperScenarioReduced(t *testing.T) []byte {
+func paperScenarioReduced(t testing.TB) []byte {
 	t.Helper()
 	data, err := os.ReadFile("../../scenarios/paper.json")
 	if err != nil {

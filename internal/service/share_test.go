@@ -292,7 +292,7 @@ func BenchmarkWarmResubmit(b *testing.B) {
 		if r.state != StateDone {
 			b.Fatalf("run %s finished %s", st.ID, r.state)
 		}
-		if err := writeReport(io.Discard, r.cells, r.outputs, "", false); err != nil {
+		if err := writeReport(io.Discard, r.cells, r.outputs, reportVariant{}); err != nil {
 			b.Fatal(err)
 		}
 	}
