@@ -32,8 +32,9 @@ test:
 
 # test-allocs re-runs the 0-allocs/op guards on the scheduler drain loop,
 # the steady-state load-hit, load-miss, decay-tick, victim-selection,
-# stream-refill, trace-replay and stats-observe paths, and the
-# constant-allocation guard on the sweep digest, explicitly, so an
+# stream-refill, trace-replay (chunks decode in place from the file's
+# bytes) and stats-observe paths, and the constant-allocation guard on the
+# sweep digest, explicitly, so an
 # allocation regression fails CI with a focused message even when the main
 # test run is filtered.
 test-allocs:
@@ -89,11 +90,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzServeScenario -fuzztime $(FUZZTIME) ./internal/service
 
 # bench-smoke proves the benchmark harness still runs end to end: one
-# iteration of the scheduler, cache-table, stream-ingest, warm
-# service-resubmission and warm service-report microbenchmarks and one
-# reduced-scale simulation per technique.
+# iteration of the scheduler, cache-table, stream-ingest, trace decode and
+# encode, warm service-resubmission and warm service-report
+# microbenchmarks and one reduced-scale simulation per technique.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/cache ./internal/workload ./internal/service
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/cache ./internal/workload ./internal/trace ./internal/service
 	CMPLEAK_BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' \
 		-bench 'BenchmarkRun(Baseline|Protocol|Decay|SelectiveDecay)$$' -benchtime 1x .
 

@@ -5,7 +5,6 @@
 // Generate a binary trace (the default mode):
 //
 //	tracegen -benchmark FMM -cores 4 -scale 0.1 -o fmm.trc
-//	tracegen -benchmark WATER-NS -compress -o water.trc
 //
 // Import an external Dinero-style text trace ("<label> <hex-addr>" lines,
 // 0 = read, 1 = write, 2 = instruction fetch) into the binary format:
@@ -48,7 +47,6 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "workload seed")
 		limit     = flag.Int("limit", 0, "max entries per core (0 = all)")
 		out       = flag.String("o", "", "write the binary trace to this file")
-		compress  = flag.Bool("compress", false, "DEFLATE-compress trace chunks")
 		imp       = flag.String("import", "", "convert an external trace: 'din:<path>' (Dinero text format)")
 		dump      = flag.String("dump", "", "read this trace file instead of generating")
 		text      = flag.Bool("text", false, "print a text dump instead of writing a binary trace")
@@ -60,7 +58,7 @@ func main() {
 	defer w.Flush()
 
 	if *imp != "" {
-		importTrace(*imp, *out, *cores, *compress)
+		importTrace(*imp, *out, *cores)
 		return
 	}
 
@@ -82,7 +80,7 @@ func main() {
 
 	switch {
 	case *out != "":
-		record(gen, *out, *cores, *scale, *seed, *limit, *compress)
+		record(gen, *out, *cores, *scale, *seed, *limit)
 	case *stats:
 		for coreID, stream := range gen.Streams(*cores, *seed) {
 			printStats(w, coreID, workload.Drain(stream))
@@ -97,7 +95,7 @@ func main() {
 }
 
 // record captures the generator into a binary trace file.
-func record(gen workload.Generator, path string, cores int, scale float64, seed uint64, limit int, compress bool) {
+func record(gen workload.Generator, path string, cores int, scale float64, seed uint64, limit int) {
 	hdr := trace.Header{
 		Cores:     cores,
 		LineBytes: 64,
@@ -105,7 +103,7 @@ func record(gen workload.Generator, path string, cores int, scale float64, seed 
 		Scale:     scale,
 		Benchmark: gen.Name(),
 	}
-	tw, closeTrace, err := trace.Create(path, hdr, trace.WriterOptions{Compress: compress})
+	tw, closeTrace, err := trace.Create(path, hdr, trace.WriterOptions{})
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -130,7 +128,7 @@ func record(gen workload.Generator, path string, cores int, scale float64, seed 
 }
 
 // importTrace converts an external text trace into the binary format.
-func importTrace(spec, out string, cores int, compress bool) {
+func importTrace(spec, out string, cores int) {
 	format, path, ok := strings.Cut(spec, ":")
 	if !ok || path == "" {
 		fatalf("-import wants <format>:<path>, e.g. din:prog.din")
@@ -154,7 +152,7 @@ func importTrace(spec, out string, cores int, compress bool) {
 		LineBytes: 64,
 		Benchmark: filepath.Base(path),
 	}
-	tw, closeTrace, err := trace.Create(out, hdr, trace.WriterOptions{Compress: compress})
+	tw, closeTrace, err := trace.Create(out, hdr, trace.WriterOptions{})
 	if err != nil {
 		fatalf("%v", err)
 	}

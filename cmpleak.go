@@ -147,8 +147,7 @@ type NamedSweepOptions = experiment.NamedOptions
 type SweepKey = experiment.Key
 
 // SweepRetryPolicy configures per-job retries of transient failures in the
-// worker pool (seeded deterministic backoff; the zero value disables
-// retries).
+// worker pool (deterministic backoff; the zero value disables retries).
 type SweepRetryPolicy = experiment.RetryPolicy
 
 // SweepJobPanicError reports a job panic that was contained to its job: the

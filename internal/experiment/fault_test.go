@@ -93,6 +93,7 @@ func TestPanicErrorDeterministicAcrossWorkers(t *testing.T) {
 // boundary; with MaxAttempts=4 the sweep must succeed and digest exactly as
 // a clean run, and the progress events must record the extra attempts.
 func TestRetryTransientRecovers(t *testing.T) {
+	shortRetryDelay(t)
 	defer faultinject.Disarm()
 	opts := parallelOptions()
 	clean, err := runSweep(opts, Parallelism{Workers: 2})
@@ -108,7 +109,7 @@ func TestRetryTransientRecovers(t *testing.T) {
 	var extraAttempts atomic.Int64
 	got, err := runSweep(opts, Parallelism{
 		Workers: 2,
-		Retry:   RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, Seed: 1},
+		Retry:   RetryPolicy{MaxAttempts: 4},
 		Progress: func(ev JobEvent) {
 			if ev.Err == nil && ev.Attempts > 1 {
 				extraAttempts.Add(int64(ev.Attempts - 1))
@@ -139,7 +140,7 @@ func TestPermanentErrorFailsFast(t *testing.T) {
 	var sawAttempts int
 	_, err := runSweep(parallelOptions(), Parallelism{
 		Workers: 2,
-		Retry:   RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond},
+		Retry:   RetryPolicy{MaxAttempts: 5},
 		Progress: func(ev JobEvent) {
 			if ev.Err != nil && sawAttempts == 0 {
 				sawAttempts = ev.Attempts
@@ -160,6 +161,7 @@ func TestPermanentErrorFailsFast(t *testing.T) {
 // TestRetryExhaustionReportsLastError proves a persistently transient fault
 // still fails after MaxAttempts, reporting the transient error.
 func TestRetryExhaustionReportsLastError(t *testing.T) {
+	shortRetryDelay(t)
 	defer faultinject.Disarm()
 	if err := faultinject.Arm(faultinject.Plan{Specs: []faultinject.Spec{
 		{Point: FaultPointJob, Kind: faultinject.KindError, Transient: true, Msg: "always down"},
@@ -169,7 +171,7 @@ func TestRetryExhaustionReportsLastError(t *testing.T) {
 	var worst int
 	_, err := runSweep(parallelOptions(), Parallelism{
 		Workers: 1,
-		Retry:   RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
+		Retry:   RetryPolicy{MaxAttempts: 3},
 		Progress: func(ev JobEvent) {
 			if ev.Attempts > worst {
 				worst = ev.Attempts
@@ -230,36 +232,40 @@ func TestContextTimeout(t *testing.T) {
 }
 
 // TestBackoffDeterministicAndBounded pins the jitter contract: pure in
-// (Seed, jobIndex, attempt), monotone capped growth, within [d/2, d).
+// (jobIndex, attempt), exponential growth from 50ms capped at 5s, within
+// [d/2, d).
 func TestBackoffDeterministicAndBounded(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond, Seed: 9}
-	for attempt := 0; attempt < 6; attempt++ {
-		d1 := p.backoff(3, attempt)
-		d2 := p.backoff(3, attempt)
+	for attempt := 0; attempt < 10; attempt++ {
+		d1 := backoff(3, attempt)
+		d2 := backoff(3, attempt)
 		if d1 != d2 {
 			t.Fatalf("attempt %d: backoff not deterministic (%s vs %s)", attempt, d1, d2)
 		}
-		full := 10 * time.Millisecond << uint(attempt)
-		if full > 80*time.Millisecond {
-			full = 80 * time.Millisecond
+		full := 50 * time.Millisecond << uint(attempt)
+		if full > 5*time.Second {
+			full = 5 * time.Second
 		}
 		if d1 < full/2 || d1 >= full {
 			t.Fatalf("attempt %d: backoff %s outside [%s, %s)", attempt, d1, full/2, full)
 		}
 	}
-	if p.backoff(3, 1) == p.backoff(4, 1) {
+	if backoff(3, 1) == backoff(4, 1) {
 		t.Fatal("different jobs share identical jitter; collisions will not spread")
 	}
-	other := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond, Seed: 10}
-	if p.backoff(3, 1) == other.backoff(3, 1) {
-		t.Fatal("jitter ignores the seed")
-	}
+}
+
+// shortRetryDelay shortens the retry backoff for the calling test.
+func shortRetryDelay(t *testing.T) {
+	orig := retryBaseDelay
+	retryBaseDelay = time.Millisecond
+	t.Cleanup(func() { retryBaseDelay = orig })
 }
 
 // TestRetryOnRealJobFailure drives the retry machinery through runJob
 // itself (not the fault point): a stubbed runJob failing transiently twice
 // must still produce the clean sweep.
 func TestRetryOnRealJobFailure(t *testing.T) {
+	shortRetryDelay(t)
 	opts := parallelOptions()
 	clean, err := runSweep(opts, Parallelism{Workers: 2})
 	if err != nil {
@@ -277,7 +283,7 @@ func TestRetryOnRealJobFailure(t *testing.T) {
 	}
 	got, err := runSweep(opts, Parallelism{
 		Workers: 2,
-		Retry:   RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
+		Retry:   RetryPolicy{MaxAttempts: 3},
 	})
 	if err != nil {
 		t.Fatalf("stubbed transient failures were not retried: %v", err)

@@ -5,8 +5,8 @@ package experiment
 // synthetic kernel), workload scale, core count and seed — not on the cache
 // size or the technique, so the 32 jobs of one paper benchmark all replay
 // the same streams.  Instead of regenerating them per job, the first worker
-// to need a shared key records them once into an uncompressed in-memory
-// trace (trace.Capture, then trace.New and Verify), and every job of the key
+// to need a shared key records them once into an in-memory trace
+// (trace.Capture, then trace.New and Verify), and every job of the key
 // replays that trace through File.Generator.  Replay decodes an entry in a
 // fraction of the time live generation spends producing it, and yields the
 // identical entry sequence, so results are byte-identical.
@@ -103,7 +103,7 @@ func captureShared(cfg config.System) (f *trace.File) {
 }
 
 // captureStreams records gen's streams for cfg's cores and seed into a
-// verified, uncompressed in-memory trace; a variable so tests can count
+// verified in-memory trace; a variable so tests can count
 // and fail captures.
 var captureStreams = func(gen workload.Generator, cfg config.System) (*trace.File, error) {
 	var buf bytes.Buffer

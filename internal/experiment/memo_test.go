@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 	"weak"
 
 	"cmpleak/internal/config"
@@ -174,6 +173,7 @@ func TestStreamMemoCaptureFailureRunsLive(t *testing.T) {
 // truncated stream), the pool must retry that one job, and the sweep must
 // still reproduce the golden digest.
 func TestStreamMemoChunkFaultRetried(t *testing.T) {
+	shortRetryDelay(t)
 	defer faultinject.Disarm()
 	opts := goldenOptions()
 	log := logCaptures(t)
@@ -209,7 +209,7 @@ func TestStreamMemoChunkFaultRetried(t *testing.T) {
 	retried := 0
 	sweeps, err := RunParallelAllContext(context.Background(), []NamedOptions{{Options: opts}}, Parallelism{
 		Workers: 1,
-		Retry:   RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
+		Retry:   RetryPolicy{MaxAttempts: 3},
 		Progress: func(ev JobEvent) {
 			if ev.Attempts > 1 {
 				if ev.Attempts != 2 || ev.Index != 0 {

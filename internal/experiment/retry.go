@@ -4,8 +4,8 @@ package experiment
 // runtime.  A worker never lets a fault escape its job: panics become
 // JobPanicError values that flow through the pool's deterministic
 // feed-order-first error reporting, and errors classified transient (host
-// I/O, injected test faults) are retried with seeded-deterministic
-// exponential backoff before they count as failures.  Permanent errors —
+// I/O, injected test faults) are retried with deterministic exponential
+// backoff before they count as failures.  Permanent errors —
 // config validation, corrupt inputs, panics — fail fast: retrying a
 // deterministic failure only burns CPU.
 
@@ -47,26 +47,23 @@ func (e *JobPanicError) Error() string {
 	return fmt.Sprintf("job %s panicked: %v\n%s", e.Key, e.Value, e.Stack)
 }
 
-// RetryPolicy retries jobs whose errors are classified transient.  The zero
-// value disables retries (every error is final on the first attempt).
+// RetryPolicy retries jobs whose errors DefaultTransient classifies
+// transient.  The zero value disables retries (every error is final on the
+// first attempt).
 type RetryPolicy struct {
 	// MaxAttempts bounds total attempts per job, first try included;
 	// values <= 1 disable retries.
 	MaxAttempts int
-	// BaseDelay is the backoff before the first retry (default 50ms); it
-	// doubles per attempt up to MaxDelay (default 5s).
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Seed drives the deterministic jitter: the delay of (job, attempt) is
-	// a pure function of (Seed, job feed index, attempt), so two runs of
-	// the same failing sweep back off identically.
-	Seed uint64
-	// Classify reports whether an error is transient (worth retrying).
-	// Nil means DefaultTransient.
-	Classify func(error) bool
 }
 
-// DefaultTransient is the default retry classification: an error is
+// retryBaseDelay is the backoff before the first retry; it doubles per
+// attempt up to maxRetryDelay.  A variable so tests can shorten it.
+var retryBaseDelay = 50 * time.Millisecond
+
+// maxRetryDelay caps the backoff of one retry.
+const maxRetryDelay = 5 * time.Second
+
+// DefaultTransient is the retry classification: an error is
 // transient iff something in its wrap chain implements Transient() bool and
 // reports true — the trace layer marks host-I/O failures that way, corrupt
 // files and validation errors carry no marker, and panics are never
@@ -79,14 +76,6 @@ func DefaultTransient(err error) bool {
 	return false
 }
 
-// transient applies the policy's classifier.
-func (p RetryPolicy) transient(err error) bool {
-	if p.Classify != nil {
-		return p.Classify(err)
-	}
-	return DefaultTransient(err)
-}
-
 // maxAttempts normalises MaxAttempts.
 func (p RetryPolicy) maxAttempts() int {
 	if p.MaxAttempts <= 1 {
@@ -96,26 +85,19 @@ func (p RetryPolicy) maxAttempts() int {
 }
 
 // backoff returns the delay before retry number attempt (0-based) of the
-// job at feed index jobIndex: exponential from BaseDelay, capped at
-// MaxDelay, with seeded jitter in [d/2, d) so colliding retries of
-// different jobs spread out deterministically.
-func (p RetryPolicy) backoff(jobIndex, attempt int) time.Duration {
-	base := p.BaseDelay
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	limit := p.MaxDelay
-	if limit <= 0 {
-		limit = 5 * time.Second
-	}
-	d := base
-	for i := 0; i < attempt && d < limit; i++ {
+// job at feed index jobIndex: exponential from retryBaseDelay, capped at
+// maxRetryDelay, with jitter in [d/2, d) that is a pure function of
+// (jobIndex, attempt), so colliding retries of different jobs spread out
+// and two runs of the same failing sweep back off identically.
+func backoff(jobIndex, attempt int) time.Duration {
+	d := retryBaseDelay
+	for i := 0; i < attempt && d < maxRetryDelay; i++ {
 		d *= 2
 	}
-	if d > limit {
-		d = limit
+	if d > maxRetryDelay {
+		d = maxRetryDelay
 	}
-	u := splitmix64(p.Seed ^ uint64(jobIndex)<<32 ^ uint64(attempt))
+	u := splitmix64(uint64(jobIndex)<<32 ^ uint64(attempt))
 	frac := float64(u>>11) / float64(1<<53)
 	return d/2 + time.Duration(float64(d/2)*frac)
 }
@@ -160,10 +142,10 @@ func runAttempts(done <-chan struct{}, cancel <-chan struct{}, cell string, key 
 		if err == nil {
 			return res, attempts, nil
 		}
-		if attempts >= rp.maxAttempts() || !rp.transient(err) {
+		if attempts >= rp.maxAttempts() || !DefaultTransient(err) {
 			return core.Result{}, attempts, err
 		}
-		t := time.NewTimer(rp.backoff(jobIndex, attempts-1))
+		t := time.NewTimer(backoff(jobIndex, attempts-1))
 		select {
 		case <-t.C:
 		case <-done:

@@ -359,14 +359,14 @@ func (f File) Validate() error {
 }
 
 // validateBenchmarkName statically validates one benchmarks-axis entry.
-// Plain names must be registered; "mix:"/"stat:" payloads are pure (no
-// files involved) so their grammar is checked here; other schemes
-// ("trace:<path>") resolve at Expand time — the file need not exist on the
-// machine that validates the matrix.
+// Plain names must be registered (a lookup; no generator is built);
+// "mix:"/"stat:" payloads are pure (no files involved) so their grammar is
+// checked here; other schemes ("trace:<path>") resolve at Expand time — the
+// file need not exist on the machine that validates the matrix.
 func (f File) validateBenchmarkName(b, ctx string) error {
 	scheme, rest, ok := strings.Cut(b, ":")
 	if !ok {
-		if _, err := workload.ByName(b, 1.0); err != nil {
+		if !workload.Registered(b) {
 			return fmt.Errorf("%w: %s %q", ErrBenchmark, ctx, b)
 		}
 		return nil
@@ -396,7 +396,7 @@ func (f File) validateMixSpec(rest, ctx string) error {
 		scheme, payload, ok := strings.Cut(e, ":")
 		switch {
 		case !ok:
-			if _, err := workload.ByName(e, 1.0); err != nil {
+			if !workload.Registered(e) {
 				return fmt.Errorf("%w: %s: mix %q element %q is not a known benchmark", ErrMix, ctx, name, e)
 			}
 		case payload == "":

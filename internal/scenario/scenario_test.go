@@ -9,11 +9,13 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cmpleak/internal/config"
 	"cmpleak/internal/decay"
 	"cmpleak/internal/experiment"
+	"cmpleak/internal/workload"
 )
 
 // valid returns a minimal valid scenario the error tests mutate.
@@ -408,5 +410,48 @@ func requireSameSweep(t *testing.T, name string, got, want *experiment.Sweep) {
 	}
 	if !bytes.Equal(g.Bytes(), w.Bytes()) {
 		t.Fatalf("%s: merged report differs from the unsharded report:\n%s\nvs\n%s", name, g.Bytes(), w.Bytes())
+	}
+}
+
+// countingBuilds counts constructions of the "counting" test benchmark,
+// an FMM generator registered under its own name.
+var countingBuilds atomic.Int64
+
+func init() {
+	workload.Register("counting", func(scale float64) workload.Generator {
+		countingBuilds.Add(1)
+		gen, _ := workload.ByName("FMM", scale)
+		return gen
+	})
+}
+
+// TestValidationBuildsNoGenerators pins that validation checks plain names
+// with a registry lookup: Parse builds no generator for a plain benchmark
+// or a plain mix element, and Expand builds each benchmark exactly once,
+// for its core-count and seed-invariance checks.
+func TestValidationBuildsNoGenerators(t *testing.T) {
+	countingBuilds.Store(0)
+	f, err := Parse([]byte(`{"version": 2, "benchmarks": ["counting"],
+		"l2_sizes_mb": [1, 2], "techniques": ["decay:8K"], "core_counts": [2, 4], "seeds": [1, 2]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := countingBuilds.Load(); n != 0 {
+		t.Fatalf("Parse built the benchmark %d times, want 0", n)
+	}
+	if _, err := f.Expand(config.Default()); err != nil {
+		t.Fatal(err)
+	}
+	if n := countingBuilds.Load(); n != 1 {
+		t.Fatalf("Expand built the benchmark %d times, want 1", n)
+	}
+
+	countingBuilds.Store(0)
+	if _, err := Parse([]byte(`{"version": 2, "mixes": [{"name": "duo", "cores": ["counting", "FMM"]}],
+		"l2_sizes_mb": [1], "techniques": ["protocol"]}`)); err != nil {
+		t.Fatal(err)
+	}
+	if n := countingBuilds.Load(); n != 0 {
+		t.Fatalf("Parse built a mix element %d times, want 0", n)
 	}
 }

@@ -86,9 +86,7 @@ func (s *Server) Handler() http.Handler {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, kind, format string, args ...any) {
@@ -172,6 +170,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
 
 	next := 0
 	for {
@@ -182,18 +181,21 @@ func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 		terminal := r.state == StateDone || r.state == StateFailed || r.state == StateCanceled
 		s.mu.Unlock()
 
+		// Encode writes the event and its newline; an SSE frame wraps that
+		// in "data: " and a blank line.
 		for _, ev := range events {
-			data, err := json.Marshal(ev)
-			if err != nil {
+			if sse {
+				if _, err := io.WriteString(w, "data: "); err != nil {
+					return
+				}
+			}
+			if err := enc.Encode(ev); err != nil {
 				return
 			}
 			if sse {
-				_, err = fmt.Fprintf(w, "data: %s\n\n", data)
-			} else {
-				_, err = fmt.Fprintf(w, "%s\n", data)
-			}
-			if err != nil {
-				return
+				if _, err := io.WriteString(w, "\n"); err != nil {
+					return
+				}
 			}
 		}
 		if len(events) > 0 && flusher != nil {

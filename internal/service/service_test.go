@@ -637,7 +637,10 @@ func TestServiceConcurrentClients(t *testing.T) {
 	pollers.Wait()
 }
 
-// TestServiceSSEFraming checks the Accept: text/event-stream variant.
+// TestServiceSSEFraming checks the Accept: text/event-stream variant and
+// pins the event bytes of both framings: each SSE frame is "data: ", the
+// event's json.Marshal form and a blank line, and the NDJSON stream of the
+// same run is those JSON documents one per line.
 func TestServiceSSEFraming(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 	st, _ := postScenario(t, ts, tinyScenario("sse"), "")
@@ -655,7 +658,11 @@ func TestServiceSSEFraming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n\n") {
+	if !strings.HasSuffix(string(body), "\n\n") {
+		t.Fatalf("SSE stream %q does not end with a blank line", body)
+	}
+	var ndjson bytes.Buffer
+	for _, line := range strings.Split(strings.TrimSuffix(string(body), "\n\n"), "\n\n") {
 		if !strings.HasPrefix(line, "data: ") {
 			t.Fatalf("SSE frame %q lacks the data: prefix", line)
 		}
@@ -663,6 +670,27 @@ func TestServiceSSEFraming(t *testing.T) {
 		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
 			t.Fatalf("SSE frame %q: %v", line, err)
 		}
+		data, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if line != "data: "+string(data) {
+			t.Fatalf("SSE frame %q, want \"data: \" + %s", line, data)
+		}
+		ndjson.Write(data)
+		ndjson.WriteByte('\n')
+	}
+	resp, err = http.Get(ts.URL + "/v1/runs/" + st.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, ndjson.Bytes()) {
+		t.Fatalf("NDJSON stream of the finished run:\n%s\nwant:\n%s", got, ndjson.Bytes())
 	}
 }
 

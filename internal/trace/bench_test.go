@@ -16,7 +16,7 @@ import (
 )
 
 // benchTrace builds an in-memory single-core WATER-NS trace.
-func benchTrace(b *testing.B, compress bool) (*trace.File, int) {
+func benchTrace(b *testing.B) *trace.File {
 	b.Helper()
 	gen, err := workload.ByName("WATER-NS", 0.2)
 	if err != nil {
@@ -24,8 +24,7 @@ func benchTrace(b *testing.B, compress bool) (*trace.File, int) {
 	}
 	entries := workload.Drain(gen.Streams(1, 17)[0])
 	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf, trace.Header{Cores: 1, LineBytes: 64, Benchmark: "WATER-NS"},
-		trace.WriterOptions{Compress: compress})
+	w, err := trace.NewWriter(&buf, trace.Header{Cores: 1, LineBytes: 64, Benchmark: "WATER-NS"}, trace.WriterOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -41,12 +40,12 @@ func benchTrace(b *testing.B, compress bool) (*trace.File, int) {
 	}
 	b.Logf("trace: %d entries in %d bytes (%.2f B/entry)",
 		len(entries), buf.Len(), float64(buf.Len())/float64(len(entries)))
-	return f, len(entries)
+	return f
 }
 
-// benchRead measures batched decode; one op is one entry.
-func benchRead(b *testing.B, compress bool) {
-	f, _ := benchTrace(b, compress)
+// BenchmarkTraceReadBatch measures batched decode; one op is one entry.
+func BenchmarkTraceReadBatch(b *testing.B) {
+	f := benchTrace(b)
 	buf := make([]workload.Entry, 256)
 	r := f.Stream(0)
 	b.ReportAllocs()
@@ -69,9 +68,6 @@ func benchRead(b *testing.B, compress bool) {
 	}
 	_ = sink
 }
-
-func BenchmarkTraceReadBatch(b *testing.B)           { benchRead(b, false) }
-func BenchmarkTraceReadBatchCompressed(b *testing.B) { benchRead(b, true) }
 
 // BenchmarkTraceWrite measures the record-side encode rate (one op = one
 // entry), chunk encoding included, file I/O excluded.

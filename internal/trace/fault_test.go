@@ -90,7 +90,7 @@ func TestOpenFaultPoint(t *testing.T) {
 	}
 }
 
-// corruptTailTrace writes a single-chunk uncompressed trace whose one-byte
+// corruptTailTrace writes a single-chunk trace whose one-byte
 // payload is overwritten with an invalid op kind (3): the framing stays
 // valid, so Open succeeds and the corruption surfaces only on decode.
 func corruptTailTrace(t *testing.T) string {

@@ -24,9 +24,9 @@
 //	chunks  repeated until end of file:
 //	    core       uint32 little-endian      owning stream
 //	    entries    uint32 little-endian      entry count of the chunk
-//	    encLen     uint32 little-endian      encoded (uncompressed) byte length
-//	    storedLen  uint32 little-endian      bytes stored in the file
-//	    flags      uint8                     bit 0: payload is DEFLATE-compressed
+//	    encLen     uint32 little-endian      encoded byte length
+//	    storedLen  uint32 little-endian      bytes stored in the file (= encLen)
+//	    flags      uint8                     must be 0
 //	    payload    storedLen bytes
 //
 // Each chunk payload is a self-contained varint encoding of `entries`
@@ -45,8 +45,11 @@
 // The magic identifies the container; the version is bumped whenever the
 // header or chunk layout changes incompatibly.  Readers reject versions
 // they do not know with ErrVersion instead of guessing.  Adding new header
-// metadata is a version bump; adding a new chunk flag bit is a version bump
-// unless the payload stays decodable by old readers.
+// metadata or a chunk flag bit is a version bump.  A chunk's flags byte
+// must be 0 and its payload is stored as encoded (storedLen = encLen); the
+// reader refuses anything else with ErrCorrupt.  Bit 0 once marked a
+// DEFLATE-compressed payload: a trace holding such chunks must be
+// re-recorded.
 package trace
 
 import (
@@ -68,9 +71,6 @@ const Version = 1
 const (
 	// chunkHeaderLen is the fixed byte length of a chunk header.
 	chunkHeaderLen = 4 + 4 + 4 + 4 + 1
-
-	// flagCompressed marks a DEFLATE-compressed chunk payload.
-	flagCompressed = 1 << 0
 
 	// maxChunkEntries bounds the entry count of one chunk; the writer's
 	// default is far below it, the reader rejects anything above it.
@@ -259,7 +259,7 @@ func appendEntries(dst []byte, entries []workload.Entry, prevAddr mem.Addr) ([]b
 // and two-byte encodings — short compute runs and small address deltas,
 // which dominate trace payloads — decode inline; longer encodings take the
 // stdlib loop.  Replaying a trace decodes two varints per memory entry, so
-// this sits directly on the leakcalib hot path.
+// this sits directly on the replay hot path.
 func uvarint(b []byte, pos int) (uint64, int) {
 	if pos < len(b) {
 		if v := b[pos]; v < 0x80 {

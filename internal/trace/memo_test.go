@@ -14,8 +14,8 @@ import (
 	"cmpleak/internal/workload"
 )
 
-// captureInMemory records gen's streams into an uncompressed in-memory
-// trace and returns it verified.
+// captureInMemory records gen's streams into an in-memory trace and
+// returns it verified.
 func captureInMemory(t *testing.T, gen workload.Generator, cores int, seed uint64) *trace.File {
 	t.Helper()
 	var buf bytes.Buffer

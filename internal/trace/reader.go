@@ -1,11 +1,8 @@
 package trace
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 
@@ -119,15 +116,12 @@ func New(data []byte) (*File, error) {
 		if ch.encLen > maxChunkPayload {
 			return nil, corruptf("chunk encoded length %d exceeds the %d limit", ch.encLen, maxChunkPayload)
 		}
-		compressed := ch.flags&flagCompressed != 0
-		if ch.flags&^uint8(flagCompressed) != 0 {
-			return nil, corruptf("unknown chunk flags %#x", ch.flags)
+		if ch.flags != 0 {
+			return nil, corruptf("chunk flags %#x at offset %d: compressed chunks are not supported, re-record the trace",
+				ch.flags, pos-chunkHeaderLen)
 		}
-		if !compressed && ch.storedLen != ch.encLen {
-			return nil, corruptf("uncompressed chunk stores %d bytes but encodes %d", ch.storedLen, ch.encLen)
-		}
-		if compressed && ch.storedLen > ch.encLen {
-			return nil, corruptf("compressed chunk larger than its encoding (%d > %d)", ch.storedLen, ch.encLen)
+		if ch.storedLen != ch.encLen {
+			return nil, corruptf("chunk stores %d bytes but encodes %d", ch.storedLen, ch.encLen)
 		}
 		if uint32(len(data)-pos) < ch.storedLen {
 			return nil, corruptf("chunk payload overruns the file at offset %d", pos)
@@ -145,44 +139,16 @@ func (f *File) Header() Header { return f.hdr }
 // EntryCounts returns the per-core entry totals declared by the chunk index.
 func (f *File) EntryCounts() []uint64 { return append([]uint64(nil), f.perCore...) }
 
-// inflater bundles the reusable DEFLATE state of one replay cursor: the
-// decompressor (which owns a 32 KB sliding window and two Huffman work
-// areas — tens of kilobytes of setup), the bytes.Reader that feeds it, and
-// the staging buffer chunks inflate into.  A sweep builds one Reader per
-// core per simulation — thousands across a matrix — so the state lives in a
-// sync.Pool: a Reader borrows an inflater at its first compressed chunk and
-// hands it back when the trace is exhausted (or errors), and steady-state
-// replay rebuilds nothing but flate's per-block dynamic-Huffman link
-// tables, the known irreducible residual.
-type inflater struct {
-	rc  io.ReadCloser
-	br  bytes.Reader
-	buf []byte
-}
-
-var inflaterPool = sync.Pool{New: func() any { return new(inflater) }}
-
-// release hands the inflater back to the pool and clears the borrower's
-// reference, so double releases are no-ops.
-func release(infp **inflater) {
-	if *infp != nil {
-		inflaterPool.Put(*infp)
-		*infp = nil
-	}
-}
-
-// Verify fully decodes every chunk — decompression, varint framing, entry
-// counts — without retaining anything, so a verified File cannot produce a
-// decode error during replay.  The result is cached.
+// Verify fully decodes every chunk — varint framing, entry counts —
+// without retaining anything, so a verified File cannot produce a decode
+// error during replay.  The result is cached.
 func (f *File) Verify() error {
 	if f.verified {
 		return nil
 	}
-	var inf *inflater
-	defer release(&inf)
 	var buf [512]workload.Entry
 	for i, ref := range f.chunks {
-		payload, err := f.stageChunk(ref, &inf)
+		payload, err := f.stageChunk(ref)
 		if err != nil {
 			return f.chunkErr(i, err)
 		}
@@ -208,45 +174,14 @@ func (f *File) Verify() error {
 	return nil
 }
 
-// stageChunk returns the decoded (decompressed) payload of a chunk.  The
-// caller's inflater reference is populated from the pool at the first
-// compressed chunk and reused thereafter; the returned payload aliases the
-// inflater's staging buffer, so it stays valid only until the next
-// stageChunk call or the inflater's release.
-func (f *File) stageChunk(ref chunkRef, infp **inflater) ([]byte, error) {
+// stageChunk returns the payload of a chunk, a slice of the file's bytes.
+func (f *File) stageChunk(ref chunkRef) ([]byte, error) {
 	if faultinject.Enabled() {
 		if err := faultinject.Hit(FaultPointChunk); err != nil {
 			return nil, err
 		}
 	}
-	stored := f.data[ref.payloadOff : ref.payloadOff+int(ref.hdr.storedLen)]
-	if ref.hdr.flags&flagCompressed == 0 {
-		return stored, nil
-	}
-	inf := *infp
-	if inf == nil {
-		inf = inflaterPool.Get().(*inflater)
-		*infp = inf
-	}
-	inf.br.Reset(stored)
-	if inf.rc == nil {
-		inf.rc = flate.NewReader(&inf.br)
-	} else if err := inf.rc.(flate.Resetter).Reset(&inf.br, nil); err != nil {
-		return nil, corruptf("resetting inflater: %v", err)
-	}
-	if cap(inf.buf) < int(ref.hdr.encLen) {
-		inf.buf = make([]byte, ref.hdr.encLen)
-	}
-	out := inf.buf[:ref.hdr.encLen]
-	if _, err := io.ReadFull(inf.rc, out); err != nil {
-		return nil, corruptf("inflating chunk: %v", err)
-	}
-	// The stream must end exactly at encLen bytes.
-	var one [1]byte
-	if n, _ := inf.rc.Read(one[:]); n != 0 {
-		return nil, corruptf("compressed chunk inflates past its declared %d bytes", ref.hdr.encLen)
-	}
-	return out, nil
+	return f.data[ref.payloadOff : ref.payloadOff+int(ref.hdr.storedLen)], nil
 }
 
 // Stream returns a fresh reader over core's entry sequence.  Cores beyond
@@ -257,11 +192,8 @@ func (f *File) Stream(core int) *Reader {
 }
 
 // Reader is one core's replay cursor.  It implements workload.Stream,
-// decoding straight into the caller's batch buffer:
-// the DEFLATE state is borrowed from a process-wide pool at the first
-// compressed chunk (and returned at end of trace), so steady-state
-// NextBatch runs allocation-free and building a Reader costs no
-// decompressor setup.
+// decoding straight from the file's bytes into the caller's batch buffer,
+// so NextBatch runs allocation-free.
 type Reader struct {
 	f      *File
 	core   int
@@ -272,8 +204,6 @@ type Reader struct {
 	pos       int
 	remaining int
 	prevAddr  mem.Addr
-
-	inf *inflater // pooled; non-nil only between first compressed chunk and end of trace
 
 	err error
 }
@@ -286,20 +216,17 @@ func (r *Reader) Err() error { return r.err }
 func (r *Reader) Core() int { return r.core }
 
 // nextChunk stages the next chunk owned by this core; false at end of trace
-// or on a decode error — either way the pooled DEFLATE state goes back for
-// the next Reader (release is idempotent, so repeated calls after
-// exhaustion are fine).
+// or on a staging error.
 func (r *Reader) nextChunk() bool {
 	for ; r.ci < len(r.f.chunks); r.ci++ {
 		ref := r.f.chunks[r.ci]
 		if int(ref.hdr.core) != r.core {
 			continue
 		}
-		payload, err := r.f.stageChunk(ref, &r.inf)
+		payload, err := r.f.stageChunk(ref)
 		if err != nil {
 			r.err = r.f.chunkErr(r.ci, err)
 			r.payload = nil
-			release(&r.inf)
 			return false
 		}
 		r.payload = payload
@@ -311,7 +238,6 @@ func (r *Reader) nextChunk() bool {
 		return true
 	}
 	r.payload = nil
-	release(&r.inf)
 	return false
 }
 
@@ -335,7 +261,6 @@ func (r *Reader) NextBatch(buf []workload.Entry) int {
 		if err != nil {
 			r.err = r.f.chunkErr(r.openCi, err)
 			r.payload = nil
-			release(&r.inf)
 			return n
 		}
 		r.pos, r.prevAddr = pos, prev
@@ -343,7 +268,6 @@ func (r *Reader) NextBatch(buf []workload.Entry) int {
 		if r.remaining == 0 && r.pos != len(r.payload) {
 			r.err = r.f.chunkErr(r.openCi, corruptf("chunk payload has %d trailing bytes", len(r.payload)-r.pos))
 			r.payload = nil
-			release(&r.inf)
 			return n
 		}
 		n += k

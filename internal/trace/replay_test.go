@@ -33,7 +33,7 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 	}
 	w, closeTrace, err := trace.Create(path, trace.Header{
 		Cores: cores, LineBytes: 64, Seed: seed, Scale: scale, Benchmark: bench,
-	}, trace.WriterOptions{Compress: true})
+	}, trace.WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

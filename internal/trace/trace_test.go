@@ -2,11 +2,14 @@ package trace_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
 	"os"
-	"runtime"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -74,8 +77,8 @@ func drainBatched(bs workload.Stream, batch int) []workload.Entry {
 }
 
 // TestRoundTrip is the write→read property test: every batch size must
-// reproduce the recorded sequence exactly, with and without compression,
-// across interleaved multi-core chunks.
+// reproduce the recorded sequence exactly across interleaved multi-core
+// chunks.  Chunks are raw varint payloads, the only encoding.
 func TestRoundTrip(t *testing.T) {
 	const cores = 2
 	perCore := make([][]workload.Entry, cores)
@@ -86,47 +89,41 @@ func TestRoundTrip(t *testing.T) {
 		}
 	}
 	hdr := trace.Header{Cores: cores, LineBytes: 64, Seed: 11, Scale: 0.02, Benchmark: "FMM"}
-	for _, compress := range []bool{false, true} {
-		name := "raw"
-		if compress {
-			name = "compressed"
+	t.Run("raw", func(t *testing.T) {
+		// A small chunk size forces many chunks per core, so batch
+		// boundaries cross chunk boundaries in every combination.
+		data := writeTrace(t, hdr, trace.WriterOptions{ChunkEntries: 512}, perCore)
+		f, err := trace.New(data)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			// A small chunk size forces many chunks per core, so batch
-			// boundaries cross chunk boundaries in every combination.
-			data := writeTrace(t, hdr, trace.WriterOptions{Compress: compress, ChunkEntries: 512}, perCore)
-			f, err := trace.New(data)
-			if err != nil {
-				t.Fatal(err)
+		if err := f.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		if got := f.Header(); got != hdr {
+			t.Fatalf("header round-trip: got %+v, want %+v", got, hdr)
+		}
+		for c, want := range perCore {
+			if got := f.EntryCounts()[c]; got != uint64(len(want)) {
+				t.Fatalf("core %d: index declares %d entries, want %d", c, got, len(want))
 			}
-			if err := f.Verify(); err != nil {
-				t.Fatal(err)
-			}
-			if got := f.Header(); got != hdr {
-				t.Fatalf("header round-trip: got %+v, want %+v", got, hdr)
-			}
-			for c, want := range perCore {
-				if got := f.EntryCounts()[c]; got != uint64(len(want)) {
-					t.Fatalf("core %d: index declares %d entries, want %d", c, got, len(want))
+			for _, batch := range []int{1, 7, 64, 1024} {
+				r := f.Stream(c)
+				got := drainBatched(r, batch)
+				if r.Err() != nil {
+					t.Fatalf("core %d batch %d: reader error: %v", c, batch, r.Err())
 				}
-				for _, batch := range []int{1, 7, 64, 1024} {
-					r := f.Stream(c)
-					got := drainBatched(r, batch)
-					if r.Err() != nil {
-						t.Fatalf("core %d batch %d: reader error: %v", c, batch, r.Err())
-					}
-					if len(got) != len(want) {
-						t.Fatalf("core %d batch %d: %d entries, want %d", c, batch, len(got), len(want))
-					}
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("core %d batch %d: entry %d is %+v, want %+v", c, batch, i, got[i], want[i])
-						}
+				if len(got) != len(want) {
+					t.Fatalf("core %d batch %d: %d entries, want %d", c, batch, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("core %d batch %d: entry %d is %+v, want %+v", c, batch, i, got[i], want[i])
 					}
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestRoundTripExtremeDeltas covers address deltas the synthetic benchmarks
@@ -141,20 +138,18 @@ func TestRoundTripExtremeDeltas(t *testing.T) {
 		{ComputeInstrs: 2, Op: workload.Store, Addr: 1 << 63},
 	}
 	hdr := trace.Header{Cores: 1, LineBytes: 64, Benchmark: "edge"}
-	for _, compress := range []bool{false, true} {
-		data := writeTrace(t, hdr, trace.WriterOptions{Compress: compress, ChunkEntries: 2}, [][]workload.Entry{entries})
-		f, err := trace.New(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := drainBatched(f.Stream(0), 3)
-		if len(got) != len(entries) {
-			t.Fatalf("compress=%v: %d entries, want %d", compress, len(got), len(entries))
-		}
-		for i := range got {
-			if got[i] != entries[i] {
-				t.Fatalf("compress=%v: entry %d is %+v, want %+v", compress, i, got[i], entries[i])
-			}
+	data := writeTrace(t, hdr, trace.WriterOptions{ChunkEntries: 2}, [][]workload.Entry{entries})
+	f, err := trace.New(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := drainBatched(f.Stream(0), 3)
+	if len(got) != len(entries) {
+		t.Fatalf("%d entries, want %d", len(got), len(entries))
+	}
+	for i := range got {
+		if got[i] != entries[i] {
+			t.Fatalf("entry %d is %+v, want %+v", i, got[i], entries[i])
 		}
 	}
 }
@@ -194,13 +189,81 @@ func TestWriterRejectsInvalidInput(t *testing.T) {
 	}
 }
 
+// TestWriterBytesUnchanged pins the writer's output byte for byte: a small
+// two-core trace with several interleaved chunks per core must hash to the
+// value recorded when the writer last changed.  A trace recorded today must
+// be the same file a trace recorded earlier was.
+func TestWriterBytesUnchanged(t *testing.T) {
+	hdr := trace.Header{Cores: 2, LineBytes: 64, Seed: 3, Scale: 0.25, Benchmark: "pin"}
+	data := writeTrace(t, hdr, trace.WriterOptions{ChunkEntries: 256},
+		[][]workload.Entry{syntheticEntries(1000, 1), syntheticEntries(700, 2)})
+	const want = "548217eb4d49b9213dacd36a0a22b130bc4f2f83da52a8d1d57f9957584923e8"
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != want || len(data) != 6926 {
+		t.Fatalf("writer output changed: %d bytes, sha256 %s; want 6926 bytes, sha256 %s", len(data), got, want)
+	}
+}
+
+// legacyTrace is a one-core, 64-entry trace whose single chunk an earlier
+// writer stored DEFLATE-compressed (flags 0x01, 24 stored bytes for a
+// 129-byte encoding).
+var legacyTrace = []byte{
+	0x43, 0x4d, 0x50, 0x4c, 0x54, 0x52, 0x43, 0x45, 0x01, 0x00, 0x13, 0x00,
+	0x00, 0x00, 0x01, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+	0x00, 0x07, 0x64, 0x65, 0x66, 0x6c, 0x61, 0x74, 0x65, 0x00, 0x00, 0x00,
+	0x00, 0x40, 0x00, 0x00, 0x00, 0x81, 0x00, 0x00, 0x00, 0x18, 0x00, 0x00,
+	0x00, 0x01, 0xc4, 0xc1, 0x31, 0x11, 0x00, 0x00, 0x00, 0x82, 0x40, 0x57,
+	0x5a, 0x19, 0xcd, 0xe8, 0xc6, 0xe0, 0x9e, 0x95, 0x98, 0x1e, 0x00, 0x00,
+	0xff, 0xff,
+}
+
+// flagFirstChunk returns a copy of a trace with bit 0 of its first chunk's
+// flags byte set: past the fixed prefix and the header block, 16 bytes into
+// the chunk header.
+func flagFirstChunk(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	hdrLen := int(binary.LittleEndian.Uint32(out[len(trace.Magic)+2:]))
+	out[len(trace.Magic)+2+4+hdrLen+16] |= 1
+	return out
+}
+
+// TestReaderRefusesCompressedChunk pins the one chunk encoding: a chunk
+// with flag bit 0 set, whether an earlier writer's DEFLATE chunk or a raw
+// chunk with the bit flipped on, fails New with ErrCorrupt and a message
+// that says to re-record, and Open reports the same through the path.
+func TestReaderRefusesCompressedChunk(t *testing.T) {
+	raw := writeTrace(t, trace.Header{Cores: 1, LineBytes: 64, Benchmark: "flag"},
+		trace.WriterOptions{ChunkEntries: 4}, [][]workload.Entry{syntheticEntries(10, 3)})
+	if _, err := trace.New(raw); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"legacy": legacyTrace, "flagged": flagFirstChunk(raw)} {
+		_, err := trace.New(data)
+		if !errors.Is(err, trace.ErrCorrupt) {
+			t.Fatalf("%s: New returned %v, want wrapped ErrCorrupt", name, err)
+		}
+		for _, want := range []string{"compressed chunks are not supported", "re-record"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %q does not say %q", name, err, want)
+			}
+		}
+		path := filepath.Join(t.TempDir(), name+".trc")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := trace.Open(path); !errors.Is(err, trace.ErrCorrupt) || !strings.Contains(err.Error(), path) {
+			t.Fatalf("%s: Open returned %v, want ErrCorrupt naming %s", name, err, path)
+		}
+	}
+}
+
 // TestReaderRejectsCorruptFiles exercises the clean-error contract on
 // malformed inputs: truncations at every prefix length, a wrong version,
 // bad magic, and single-byte flips must yield errors, never panics.
 func TestReaderRejectsCorruptFiles(t *testing.T) {
 	entries := benchEntries(t, "mpeg2dec", 1, 0, 0.01, 3)
 	hdr := trace.Header{Cores: 1, LineBytes: 64, Seed: 3, Scale: 0.01, Benchmark: "mpeg2dec"}
-	data := writeTrace(t, hdr, trace.WriterOptions{Compress: true, ChunkEntries: 256}, [][]workload.Entry{entries})
+	data := writeTrace(t, hdr, trace.WriterOptions{ChunkEntries: 256}, [][]workload.Entry{entries})
 
 	// drain fully exercises a File whose framing validated.
 	drain := func(f *trace.File) {
@@ -402,110 +465,43 @@ func TestTraceSchemeByName(t *testing.T) {
 
 // TestTraceNextBatchAllocationFree guards the replay ingest hot path
 // (`make test-allocs`): steady-state NextBatch from an opened trace file
-// must not allocate, for both raw and compressed chunks.
+// decodes in place and must not allocate.
 func TestTraceNextBatchAllocationFree(t *testing.T) {
 	entries := benchEntries(t, "WATER-NS", 1, 0, 0.2, 3)
-	for _, compress := range []bool{false, true} {
-		name := "raw"
-		if compress {
-			name = "compressed"
+	t.Run("raw", func(t *testing.T) {
+		data := writeTrace(t, trace.Header{Cores: 1, LineBytes: 64, Benchmark: "WATER-NS"},
+			trace.WriterOptions{}, [][]workload.Entry{entries})
+		f, err := trace.New(data)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			data := writeTrace(t, trace.Header{Cores: 1, LineBytes: 64, Benchmark: "WATER-NS"},
-				trace.WriterOptions{Compress: compress}, [][]workload.Entry{entries})
-			f, err := trace.New(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := f.Stream(0)
-			buf := make([]workload.Entry, 256)
-			// Warm the staging buffers (first compressed chunk sizes them).
-			if r.NextBatch(buf) == 0 {
-				t.Fatal("empty trace")
-			}
-			// Raw chunks decode in place and must be strictly
-			// allocation-free.  Compressed chunks go through compress/flate,
-			// whose inflater rebuilds dynamic-Huffman tables with a few
-			// small allocations per deflate block; amortised over the ~16
-			// batches a chunk feeds, anything beyond that bound is a
-			// regression in our staging path.
-			limit := 0.0
-			if compress {
-				limit = 4.0
-			}
-			if allocs := testing.AllocsPerRun(150, func() {
-				if r.NextBatch(buf) == 0 {
-					t.Fatal("trace exhausted during the allocation guard")
-				}
-			}); allocs > limit {
-				t.Errorf("NextBatch allocates %.1f objects/op, want <= %.0f", allocs, limit)
-			}
-			if r.Err() != nil {
-				t.Fatal(r.Err())
-			}
-		})
-	}
-}
-
-// TestTraceReaderSetupAllocationFree guards the pooled-inflater path
-// (`make test-allocs`): a sweep builds one Reader per core per simulation,
-// and with the DEFLATE state pooled, standing up a fresh compressed Reader
-// and draining it must not pay the decompressor setup again — no 32 KB
-// sliding window, no Huffman work areas.  The bytes bound is the teeth: the
-// window alone is 32 KB, so an unpooled NewReader per cursor fails it
-// immediately.  The small object allowance covers the Reader itself and
-// flate's per-block dynamic-Huffman link tables (the documented residual).
-func TestTraceReaderSetupAllocationFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation inflates flate's allocations past the byte bound; make test-allocs runs this race-free")
-	}
-	// A small trace (few chunks, so few deflate blocks) keeps the
-	// per-block residual well under the decompressor-setup cost the test
-	// is guarding against.
-	entries := benchEntries(t, "WATER-NS", 1, 0, 0.01, 3)
-	data := writeTrace(t, trace.Header{Cores: 1, LineBytes: 64, Benchmark: "WATER-NS"},
-		trace.WriterOptions{Compress: true}, [][]workload.Entry{entries})
-	f, err := trace.New(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]workload.Entry, 256)
-	drain := func() {
 		r := f.Stream(0)
-		for r.NextBatch(buf) > 0 {
+		buf := make([]workload.Entry, 256)
+		if r.NextBatch(buf) == 0 {
+			t.Fatal("empty trace")
+		}
+		if allocs := testing.AllocsPerRun(150, func() {
+			if r.NextBatch(buf) == 0 {
+				t.Fatal("trace exhausted during the allocation guard")
+			}
+		}); allocs != 0 {
+			t.Errorf("NextBatch allocates %.1f objects/op, want 0", allocs)
 		}
 		if r.Err() != nil {
 			t.Fatal(r.Err())
 		}
-	}
-	drain() // warm the pool (first drain may allocate the pooled inflater)
-
-	const rounds = 20
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < rounds; i++ {
-		drain()
-	}
-	runtime.ReadMemStats(&after)
-	perDrain := float64(after.TotalAlloc-before.TotalAlloc) / rounds
-	objects := float64(after.Mallocs-before.Mallocs) / rounds
-	t.Logf("fresh compressed Reader drain: %.0f bytes, %.1f objects", perDrain, objects)
-	if perDrain > 16*1024 {
-		t.Errorf("draining a fresh compressed Reader allocates %.0f bytes, want < 16384 "+
-			"(the pooled decompressor must not be rebuilt per cursor)", perDrain)
-	}
+	})
 }
 
-// TestConcurrentCompressedReplay drives many simultaneous Readers over one
-// shared compressed File — the parallel sweep runtime's access pattern —
-// so `go test -race` exercises the inflater pool and the shared chunk index
-// under real contention, and every goroutine checks it decodes the exact
-// recorded sequence.
-func TestConcurrentCompressedReplay(t *testing.T) {
+// TestConcurrentReplay drives many simultaneous Readers over one shared
+// File — the parallel sweep runtime's access pattern — so `go test -race`
+// exercises the shared chunk index and payload bytes under real
+// contention, and every goroutine checks it decodes the exact recorded
+// sequence.
+func TestConcurrentReplay(t *testing.T) {
 	entries := benchEntries(t, "FMM", 1, 0, 0.05, 9)
 	data := writeTrace(t, trace.Header{Cores: 1, LineBytes: 64, Benchmark: "FMM"},
-		trace.WriterOptions{Compress: true}, [][]workload.Entry{entries})
+		trace.WriterOptions{}, [][]workload.Entry{entries})
 	f, err := trace.New(data)
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -19,9 +18,6 @@ const DefaultChunkEntries = 4096
 
 // WriterOptions tune a Writer.
 type WriterOptions struct {
-	// Compress enables per-chunk DEFLATE compression; a chunk is stored
-	// compressed only when that is actually smaller.
-	Compress bool
 	// ChunkEntries overrides the entries per chunk (default
 	// DefaultChunkEntries, max maxChunkEntries).
 	ChunkEntries int
@@ -37,8 +33,6 @@ type Writer struct {
 	opts   WriterOptions
 	pend   [][]workload.Entry // per-core pending entries of the open chunk
 	encBuf []byte             // reused chunk encode buffer
-	cmpBuf []byte             // reused compression output buffer
-	fw     *flate.Writer
 	err    error
 	closed bool
 }
@@ -159,61 +153,19 @@ func (tw *Writer) flushCore(core int) error {
 	}
 	tw.encBuf = enc
 	tw.pend[core] = tw.pend[core][:0]
-
-	payload := enc
-	var flags uint8
-	if tw.opts.Compress {
-		if cmp, err := tw.compress(enc); err != nil {
-			return tw.fail(err)
-		} else if len(cmp) < len(enc) {
-			payload, flags = cmp, flagCompressed
-		}
-	}
 	hdr := appendChunkHeader(make([]byte, 0, chunkHeaderLen), chunkHeader{
 		core:      uint32(core),
 		entries:   uint32(len(entries)),
 		encLen:    uint32(len(enc)),
-		storedLen: uint32(len(payload)),
-		flags:     flags,
+		storedLen: uint32(len(enc)),
 	})
 	if _, err := tw.w.Write(hdr); err != nil {
 		return tw.fail(fmt.Errorf("trace: writing chunk header: %w", err))
 	}
-	if _, err := tw.w.Write(payload); err != nil {
+	if _, err := tw.w.Write(enc); err != nil {
 		return tw.fail(fmt.Errorf("trace: writing chunk payload: %w", err))
 	}
 	return nil
-}
-
-// compress DEFLATEs one encoded chunk into the reused compression buffer.
-func (tw *Writer) compress(enc []byte) ([]byte, error) {
-	sink := sliceSink{buf: tw.cmpBuf[:0]}
-	if tw.fw == nil {
-		fw, err := flate.NewWriter(&sink, flate.BestSpeed)
-		if err != nil {
-			return nil, err
-		}
-		tw.fw = fw
-	} else {
-		tw.fw.Reset(&sink)
-	}
-	if _, err := tw.fw.Write(enc); err != nil {
-		return nil, err
-	}
-	if err := tw.fw.Close(); err != nil {
-		return nil, err
-	}
-	tw.cmpBuf = sink.buf
-	return sink.buf, nil
-}
-
-// sliceSink is an io.Writer appending to a reusable slice.
-type sliceSink struct{ buf []byte }
-
-// Write implements io.Writer.
-func (s *sliceSink) Write(p []byte) (int, error) {
-	s.buf = append(s.buf, p...)
-	return len(p), nil
 }
 
 // Create opens (truncating) a trace file at path and returns a Writer over

@@ -212,6 +212,13 @@ func ByName(name string, scale float64) (Generator, error) {
 	return ctor(scale), nil
 }
 
+// Registered reports whether name is a registered plain benchmark, without
+// building its generator.
+func Registered(name string) bool {
+	_, ok := registry[name]
+	return ok
+}
+
 // Names lists the registered benchmarks in sorted order.
 func Names() []string {
 	out := make([]string, 0, len(registry))
