@@ -56,9 +56,10 @@ test-faults:
 # test-service runs the sweep-service surface under the race detector: the
 # result-cache store, the HTTP daemon end-to-end (submit, stream, report,
 # warm-cache zero-simulation proof, shared cell outputs read by concurrent
-# report clients, each report variant rendered once per output, concurrent
-# clients) and leakserved's flag validation and shutdown under an open
-# event stream.
+# report clients, each report variant rendered once per output, memoised
+# expansions shared by concurrent submissions of one body, repeats finished
+# at submit past a full queue, concurrent clients) and leakserved's flag
+# validation, opt-in /debug/pprof and shutdown under an open event stream.
 test-service:
 	$(GO) test -race -count 1 ./internal/frame ./internal/resultcache ./internal/service ./cmd/leakserved
 
@@ -91,8 +92,9 @@ fuzz-smoke:
 
 # bench-smoke proves the benchmark harness still runs end to end: one
 # iteration of the scheduler, cache-table, stream-ingest, trace decode and
-# encode, warm service-resubmission and warm service-report
-# microbenchmarks and one reduced-scale simulation per technique.
+# encode, warm service-resubmission, warm service-submit (a repeated body
+# done at submit) and warm service-report microbenchmarks and one
+# reduced-scale simulation per technique.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/cache ./internal/workload ./internal/trace ./internal/service
 	CMPLEAK_BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' \

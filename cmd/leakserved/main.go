@@ -20,6 +20,13 @@
 // gracefully: in-flight jobs finish and are cached, the executing and queued
 // runs are marked canceled (open /events streams end on that event), and
 // the store is synced.
+//
+// -pprof mounts the standard net/http/pprof handlers under /debug/pprof/ on
+// the same listener, for profiling a live daemon:
+//
+//	go tool pprof 'localhost:8080/debug/pprof/profile?seconds=10'
+//
+// It is off by default; without it /debug/pprof/ is 404.
 package main
 
 import (
@@ -29,6 +36,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
@@ -46,6 +54,7 @@ func main() {
 		cacheMaxMB = flag.Int("cache-max-mb", 0, "cache size budget in MB; LRU records are evicted beyond it (0 = unbounded)")
 		jobs       = flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent simulation workers in the shared pool")
 		queue      = flag.Int("queue", 8, "maximum queued runs behind the executing one")
+		withPprof  = flag.Bool("pprof", false, "serve the net/http/pprof profiling handlers under /debug/pprof/")
 	)
 	flag.Parse()
 
@@ -81,7 +90,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	context.AfterFunc(ctx, stop) // a second signal kills the process the usual way
-	if err := serve(ctx, ln, svc, os.Stderr); err != nil {
+	if err := serve(ctx, ln, svc, handler(svc, *withPprof), os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "leakserved: %v\n", err)
 		os.Exit(1)
 	}
@@ -93,18 +102,34 @@ func main() {
 	}
 }
 
+// handler is svc's HTTP handler, with the net/http/pprof handlers mounted
+// beside it under /debug/pprof/ when withPprof is set.
+func handler(svc *service.Server, withPprof bool) http.Handler {
+	if !withPprof {
+		return svc.Handler()
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/", svc.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
+}
+
 // shutdownTimeout bounds how long shutdown waits for open connections.
 const shutdownTimeout = 30 * time.Second
 
-// serve serves svc on ln until ctx is done, then shuts down: the service is
-// closed as HTTP shutdown begins, which cancels the executing run (its
-// in-flight jobs finish and are written through to the cache) and every
-// queued one, so each open /events stream ends on its run's canceled event
-// instead of holding shutdown open.  serve returns once the connections
+// serve serves h, which fronts svc, on ln until ctx is done, then shuts
+// down: the service is closed as HTTP shutdown begins, which cancels the
+// executing run (its in-flight jobs finish and are written through to the
+// cache) and every queued one, so each open /events stream ends on its
+// run's canceled event instead of holding shutdown open.  serve returns once the connections
 // are closed and the service has drained; it reports shutdown problems to
 // logw and returns an error only when serving itself fails.
-func serve(ctx context.Context, ln net.Listener, svc *service.Server, logw io.Writer) error {
-	httpSrv := &http.Server{Handler: svc.Handler()}
+func serve(ctx context.Context, ln net.Listener, svc *service.Server, h http.Handler, logw io.Writer) error {
+	httpSrv := &http.Server{Handler: h}
 	closed := make(chan error, 1)
 	httpSrv.RegisterOnShutdown(func() { closed <- svc.Close() })
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
@@ -80,7 +81,7 @@ func TestShutdownEndsOpenStreams(t *testing.T) {
 	ctx, shutdown := context.WithCancel(context.Background())
 	defer shutdown()
 	served := make(chan error, 1)
-	go func() { served <- serve(ctx, ln, svc, io.Discard) }()
+	go func() { served <- serve(ctx, ln, svc, svc.Handler(), io.Discard) }()
 
 	base := "http://" + ln.Addr().String() + "/v1/runs"
 	resp, err := http.Post(base, "application/json", bytes.NewReader(body))
@@ -131,5 +132,29 @@ func TestShutdownEndsOpenStreams(t *testing.T) {
 	}
 	if last.Type != "state" || last.State != service.StateCanceled {
 		t.Fatalf("stream ended on %+v, want the run's canceled state event", last)
+	}
+}
+
+// TestPprofFlag checks that /debug/pprof/ exists only with -pprof, and that
+// the service's own routes are served either way.
+func TestPprofFlag(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1})
+	defer svc.Close()
+	for _, tc := range []struct {
+		withPprof bool
+		want      int
+	}{{false, http.StatusNotFound}, {true, http.StatusOK}} {
+		h := handler(svc, tc.withPprof)
+		for path, want := range map[string]int{
+			"/debug/pprof/":        tc.want,
+			"/debug/pprof/cmdline": tc.want,
+			"/healthz":             http.StatusOK,
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if rec.Code != want {
+				t.Errorf("-pprof=%v: GET %s = %d, want %d", tc.withPprof, path, rec.Code, want)
+			}
+		}
 	}
 }

@@ -182,3 +182,25 @@ func TestRunCellsFailsBeforeSimulating(t *testing.T) {
 		t.Fatalf("Expand returned %v, want ErrBenchmarkFile", err)
 	}
 }
+
+// TestReadsFiles pins which scenarios expand by reading a file: a trace
+// benchmark, bare or as a mix element, and nothing else.
+func TestReadsFiles(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		f    File
+		want bool
+	}{
+		{"registered names", File{Benchmarks: []string{"FMM", "WATER-NS"}}, false},
+		{"stat spec", File{Benchmarks: []string{"stat:ws=64K"}}, false},
+		{"bare trace", File{Benchmarks: []string{"FMM", "trace:x.trc"}}, true},
+		{"mix of names", File{Benchmarks: []string{"mix:m=FMM|VOLREND"}}, false},
+		{"mix benchmark with a trace", File{Benchmarks: []string{"mix:m=FMM|trace:x.trc"}}, true},
+		{"mixes entry of names", File{Mixes: []Mix{{Name: "m", Cores: []string{"FMM", "stat:ws=64K"}}}}, false},
+		{"mixes entry with a trace", File{Mixes: []Mix{{Name: "m", Cores: []string{"FMM", "trace:x.trc"}}}}, true},
+	} {
+		if got := tc.f.ReadsFiles(); got != tc.want {
+			t.Errorf("%s: ReadsFiles() = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -70,6 +70,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strings"
 
 	"cmpleak/internal/config"
@@ -383,6 +384,40 @@ func (f File) validateBenchmarkName(b, ctx string) error {
 		}
 	}
 	return nil
+}
+
+// ReadsFiles reports whether expanding f reads a file on this machine: a
+// benchmark that resolves through a file ("trace:<path>"), bare or as a mix
+// element.  Such an expansion depends on more than the scenario's bytes —
+// the file may have gone or changed since — so it must not be reused.  Any
+// scheme other than the pure "stat:" and "mix:" counts as reading a file.
+func (f File) ReadsFiles() bool {
+	for _, b := range f.Benchmarks {
+		if readsFile(b) {
+			return true
+		}
+	}
+	for _, m := range f.Mixes {
+		for _, e := range m.Cores {
+			if readsFile(e) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// readsFile reports whether resolving benchmark name b reads a file.
+func readsFile(b string) bool {
+	scheme, rest, ok := strings.Cut(b, ":")
+	switch {
+	case !ok, scheme == "stat":
+		return false
+	case scheme == "mix":
+		_, elems, err := workload.ParseMixSpec(rest)
+		return err != nil || slices.ContainsFunc(elems, readsFile)
+	}
+	return true
 }
 
 // validateMixSpec statically validates a mix spec (grammar, element names,

@@ -152,7 +152,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, req *http.Request) {
 // already logged, then new ones as they land, until the run reaches a
 // terminal state (or the client goes away).  Default framing is NDJSON
 // (application/x-ndjson, one JSON event per line); with Accept:
-// text/event-stream each event is an SSE data frame instead.
+// text/event-stream each event is an SSE data frame instead.  It flushes
+// only before it waits, so the log of a run that is already terminal goes
+// out in one write, with a Content-Length when it is short.
 func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 	s.mu.Lock()
 	r, ok := s.runs[req.PathValue("id")]
@@ -198,11 +200,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 				}
 			}
 		}
-		if len(events) > 0 && flusher != nil {
-			flusher.Flush()
-		}
 		if terminal {
 			return
+		}
+		if len(events) > 0 && flusher != nil {
+			flusher.Flush()
 		}
 		select {
 		case <-changed:
@@ -358,7 +360,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	}
 	queueDepth := len(s.queueHigh) + len(s.queueNorm)
 	jobsDone, hits, lookups, shared := s.jobsDone, s.cacheHits, s.cacheLookups, s.cellsShared
+	doneAtSubmit := s.runsDoneAtSubmit
 	s.mu.Unlock()
+	s.memo.mu.Lock()
+	reused := s.memo.reused
+	s.memo.mu.Unlock()
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprintf(w, "leakserved_uptime_seconds %.3f\n", uptime)
@@ -381,6 +387,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	}
 	fmt.Fprintf(w, "leakserved_cache_hit_ratio %.4f\n", ratio)
 	fmt.Fprintf(w, "leakserved_cells_shared_total %d\n", shared)
+	fmt.Fprintf(w, "leakserved_expansions_reused_total %d\n", reused)
+	fmt.Fprintf(w, "leakserved_runs_done_at_submit_total %d\n", doneAtSubmit)
 	if s.cfg.Store != nil {
 		st := s.cfg.Store.Stats()
 		fmt.Fprintf(w, "leakserved_store_entries %d\n", st.Entries)

@@ -18,11 +18,18 @@
 // shared, immutable value keyed by the cell's options digest, which fixes
 // every result of an unsharded cell (the result cache's contract).  A run
 // whose cell was already completed by a live earlier run splices that
-// output in and neither reads the store nor simulates; a run whose cells
-// were all completed skips the pool.  An output renders each report
-// variant once and serves the stored bytes to every later request.  The
-// index holds weak pointers: the runs own their outputs, and a dead entry
-// is a miss.
+// output in and neither reads the store nor simulates.  A run that needs no
+// pool work at all — every cell completed by a live run — finishes inside
+// Submit and is never queued; a run whose cells become all completed while
+// it waits skips the pool.  An output renders each report variant once and
+// serves the stored bytes to every later request.  The index holds weak
+// pointers: the runs own their outputs, and a dead entry is a miss.
+//
+// Submit remembers the expansion of each of the last memoBodies distinct
+// bodies, keyed by the body's SHA-256, so a repeated body is neither parsed
+// nor expanded nor digested again; runs of one body share that expansion
+// read-only.  A body naming a file ("trace:<path>") is expanded every time:
+// Expand must find and verify the file on this machine.
 //
 // Shutdown is graceful: Close stops admissions, cancels the running
 // scenario (in-flight jobs finish, queued jobs are skipped — the pool's
@@ -34,6 +41,7 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync"
@@ -134,20 +142,87 @@ type RunStatus struct {
 	FinishedAt time.Time `json:"finished_at,omitzero"`
 }
 
-// run is the server-side state of one submitted scenario.
-type run struct {
-	id       string
+// expansion is one scenario body's expansion: its name, its cells, and each
+// cell's options digest and job count, computed once.  It is immutable: the
+// runs of one body share it, and status reads, which the executor's
+// callbacks wait behind under s.mu, only copy from it.
+type expansion struct {
 	name     string
-	high     bool
 	cells    []scenario.Cell
 	digests  []string
-	cellJobs []int // per cell, Options.NumJobs(), counted once
+	cellJobs []int // per cell, Options.NumJobs()
 	jobs     int
-	state    State
-	cached   int
-	jobsDone int
-	errMsg   string
-	events   []Event
+}
+
+// newExpansion digests each of cells and counts its jobs.
+func newExpansion(name string, cells []scenario.Cell) *expansion {
+	x := &expansion{
+		name:     name,
+		cells:    cells,
+		digests:  make([]string, len(cells)),
+		cellJobs: make([]int, len(cells)),
+	}
+	for i := range cells {
+		x.digests[i] = cells[i].Options.Digest()
+		x.cellJobs[i] = cells[i].Options.NumJobs()
+		x.jobs += x.cellJobs[i]
+	}
+	return x
+}
+
+// memoBodies bounds the expansion memo: it holds the expansions of at most
+// this many distinct bodies and forgets the oldest first.
+const memoBodies = 64
+
+// expansionMemo remembers the expansions of recent scenario bodies by the
+// SHA-256 of the body.
+type expansionMemo struct {
+	mu     sync.Mutex
+	byBody map[[sha256.Size]byte]*expansion
+	fifo   [memoBodies][sha256.Size]byte // keys in insertion order, a ring
+	next   int                           // the ring slot the next key takes
+	reused uint64                        // lookups that found an expansion
+}
+
+// get returns the remembered expansion of the body with this key, or nil.
+func (m *expansionMemo) get(key [sha256.Size]byte) *expansion {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	x := m.byBody[key]
+	if x != nil {
+		m.reused++
+	}
+	return x
+}
+
+// put remembers x under key, evicting the oldest body when the memo is
+// full, and returns the expansion now remembered under key: a concurrent
+// submission of the same body may have put its own first.
+func (m *expansionMemo) put(key [sha256.Size]byte, x *expansion) *expansion {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if old := m.byBody[key]; old != nil {
+		return old
+	}
+	if len(m.byBody) == memoBodies {
+		delete(m.byBody, m.fifo[m.next])
+	}
+	m.fifo[m.next] = key
+	m.next = (m.next + 1) % memoBodies
+	m.byBody[key] = x
+	return x
+}
+
+// run is the server-side state of one submitted scenario.
+type run struct {
+	*expansion // shared with every run of the same body; never modified
+	id         string
+	high       bool
+	state      State
+	cached     int
+	jobsDone   int
+	errMsg     string
+	events     []Event
 	// outputs holds one output per cell once the run is done.
 	outputs []*cellOutput
 	// queuedAt, startedAt and finishedAt stamp the state transitions.
@@ -198,15 +273,17 @@ type Server struct {
 	// outputs indexes completed cells by options digest.  It never keeps
 	// an output alive: the runs that hold it do.
 	outputs map[string]weak.Pointer[cellOutput]
+	memo    expansionMemo
 
 	wake     chan struct{} // buffered 1: kicks the executor
 	execDone chan struct{}
 
-	start        time.Time
-	jobsDone     uint64
-	cacheHits    uint64
-	cacheLookups uint64
-	cellsShared  uint64
+	start            time.Time
+	jobsDone         uint64
+	cacheHits        uint64
+	cacheLookups     uint64
+	cellsShared      uint64
+	runsDoneAtSubmit uint64
 }
 
 // New starts a Server (its executor goroutine runs until Close).
@@ -226,6 +303,7 @@ func newServer(cfg Config, exec runFunc) *Server {
 		exec:     exec,
 		runs:     make(map[string]*run),
 		outputs:  make(map[string]weak.Pointer[cellOutput]),
+		memo:     expansionMemo{byBody: make(map[[sha256.Size]byte]*expansion)},
 		wake:     make(chan struct{}, 1),
 		execDone: make(chan struct{}),
 		start:    time.Now(),
@@ -240,27 +318,26 @@ var errQueueFull = errors.New("service: run queue is full")
 // errClosed refuses submissions during shutdown.
 var errClosed = errors.New("service: shutting down")
 
-// Submit parses, expands and enqueues one scenario body.  Scenario
-// validation errors come back wrapped in the scenario package's sentinel
-// taxonomy (the HTTP layer maps them to 400s); a full queue returns
-// errQueueFull.
+// Submit parses, expands and admits one scenario body.  A run whose every
+// cell a live earlier run completed is done when Submit returns; any other
+// run is queued.  Scenario validation errors come back wrapped in the
+// scenario package's sentinel taxonomy (the HTTP layer maps them to 400s); a
+// full queue returns errQueueFull.
 func (s *Server) Submit(body []byte, high bool) (RunStatus, error) {
-	sc, err := scenario.Parse(body)
+	x, err := s.expand(body)
 	if err != nil {
 		return RunStatus{}, err
 	}
-	cells, err := sc.Expand(config.Default())
-	if err != nil {
-		return RunStatus{}, err
-	}
-	r := newRun(sc.Name, high, cells)
+	r := &run{expansion: x, high: high, state: StateQueued, changed: make(chan struct{})}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return RunStatus{}, errClosed
 	}
-	if len(s.queueHigh)+len(s.queueNorm) >= s.cfg.QueueDepth {
+	// A run with no pool work finishes here, so it takes no queue slot.
+	outs, pending := s.sharedLocked(r)
+	if len(pending) > 0 && len(s.queueHigh)+len(s.queueNorm) >= s.cfg.QueueDepth {
 		return RunStatus{}, errQueueFull
 	}
 	s.nextID++
@@ -268,12 +345,20 @@ func (s *Server) Submit(body []byte, high bool) (RunStatus, error) {
 	s.runs[r.id] = r
 	s.order = append(s.order, r.id)
 	r.queuedAt = time.Now()
+	s.appendEventLocked(r, Event{Type: "state", State: StateQueued})
+	if len(pending) == 0 {
+		s.startLocked(r)
+		s.spliceLocked(r, outs)
+		r.outputs = outs
+		s.finishLocked(r, StateDone, "")
+		s.runsDoneAtSubmit++
+		return s.statusLocked(r), nil
+	}
 	if high {
 		s.queueHigh = append(s.queueHigh, r)
 	} else {
 		s.queueNorm = append(s.queueNorm, r)
 	}
-	s.appendEventLocked(r, Event{Type: "state", State: StateQueued})
 	select {
 	case s.wake <- struct{}{}:
 	default:
@@ -281,25 +366,27 @@ func (s *Server) Submit(body []byte, high bool) (RunStatus, error) {
 	return s.statusLocked(r), nil
 }
 
-// newRun builds a queued run over expanded cells, digesting each cell and
-// counting its jobs once: status reads, which the executor's callbacks wait
-// behind under s.mu, only copy the counts.
-func newRun(name string, high bool, cells []scenario.Cell) *run {
-	r := &run{
-		name:     name,
-		high:     high,
-		cells:    cells,
-		digests:  make([]string, len(cells)),
-		cellJobs: make([]int, len(cells)),
-		state:    StateQueued,
-		changed:  make(chan struct{}),
+// expand parses and expands body, or returns the remembered expansion of
+// an identical earlier body.  Only a successful expansion that read no file
+// is remembered.
+func (s *Server) expand(body []byte) (*expansion, error) {
+	key := sha256.Sum256(body)
+	if x := s.memo.get(key); x != nil {
+		return x, nil
 	}
-	for i := range cells {
-		r.digests[i] = cells[i].Options.Digest()
-		r.cellJobs[i] = cells[i].Options.NumJobs()
-		r.jobs += r.cellJobs[i]
+	sc, err := scenario.Parse(body)
+	if err != nil {
+		return nil, err
 	}
-	return r
+	cells, err := sc.Expand(config.Default())
+	if err != nil {
+		return nil, err
+	}
+	x := newExpansion(sc.Name, cells)
+	if sc.ReadsFiles() {
+		return x, nil
+	}
+	return s.memo.put(key, x), nil
 }
 
 // Status returns a run's status snapshot; ok is false for an unknown ID.
@@ -381,6 +468,13 @@ func (s *Server) appendEventLocked(r *run, ev Event) {
 	r.changed = make(chan struct{})
 }
 
+// startLocked moves a queued run to running.
+func (s *Server) startLocked(r *run) {
+	r.state = StateRunning
+	r.startedAt = time.Now()
+	s.appendEventLocked(r, Event{Type: "state", State: StateRunning})
+}
+
 // finishLocked moves a run to a terminal state.
 func (s *Server) finishLocked(r *run, state State, errMsg string) {
 	r.state = state
@@ -424,8 +518,8 @@ func (s *Server) nextLocked() *run {
 
 // executor is the single run-execution goroutine: one scenario at a time
 // through the shared pool.  It splices in every cell a live earlier run
-// completed and runs only the rest; a run with nothing left to run skips
-// the pool but still moves queued -> running -> done.
+// completed and runs only the rest; a run whose cells all completed while
+// it waited skips the pool but still moves queued -> running -> done.
 func (s *Server) executor() {
 	defer close(s.execDone)
 	for {
@@ -440,10 +534,9 @@ func (s *Server) executor() {
 			<-s.wake
 			continue
 		}
-		r.state = StateRunning
-		r.startedAt = time.Now()
-		s.appendEventLocked(r, Event{Type: "state", State: StateRunning})
-		outs, pending := s.spliceLocked(r)
+		s.startLocked(r)
+		outs, pending := s.sharedLocked(r)
+		s.spliceLocked(r, outs)
 		if len(pending) == 0 {
 			r.outputs = outs
 			s.finishLocked(r, StateDone, "")
@@ -490,26 +583,34 @@ func (s *Server) executor() {
 	}
 }
 
-// spliceLocked looks r's cells up in the output index.  It returns one slot
+// sharedLocked looks r's cells up in the output index.  It returns one slot
 // per cell, filled for each cell a live earlier run completed, and the
-// indices of the cells left to run.  A spliced cell's jobs count as served
-// without simulating, like result-cache hits.
-func (s *Server) spliceLocked(r *run) (outs []*cellOutput, pending []int) {
+// indices of the cells left to run.
+func (s *Server) sharedLocked(r *run) (outs []*cellOutput, pending []int) {
 	outs = make([]*cellOutput, len(r.cells))
 	for i := range r.cells {
-		out := s.outputs[outputKey(&r.cells[i], r.digests[i])].Value()
-		if out == nil {
+		outs[i] = s.outputs[outputKey(&r.cells[i], r.digests[i])].Value()
+		if outs[i] == nil {
 			pending = append(pending, i)
+		}
+	}
+	return outs, pending
+}
+
+// spliceLocked counts the shared outputs sharedLocked found for r: a
+// spliced cell's jobs count as served without simulating, like result-cache
+// hits.  r takes outs once it is done.
+func (s *Server) spliceLocked(r *run, outs []*cellOutput) {
+	for i, out := range outs {
+		if out == nil {
 			continue
 		}
-		outs[i] = out
 		n := uint64(r.cellJobs[i])
 		r.cached += r.cellJobs[i]
 		s.cacheLookups += n
 		s.cacheHits += n
 		s.cellsShared++
 	}
-	return outs, pending
 }
 
 // outputKey is cell c's key in the output index: its options digest.  The

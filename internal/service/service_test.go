@@ -711,7 +711,7 @@ func TestCellStatusJobsCountedAtSubmit(t *testing.T) {
 		t.Fatalf("scenario expanded to %d cells, want 3", len(cells))
 	}
 	cells[1].Options.ShardIndex, cells[1].Options.ShardCount = 1, 2
-	r := newRun(sc.Name, false, cells)
+	r := &run{expansion: newExpansion(sc.Name, cells)}
 	s := &Server{}
 	st := s.statusLocked(r)
 	total := 0

@@ -116,6 +116,8 @@ func TestServiceSharesCellOutputs(t *testing.T) {
 			"leakserved_cells_shared_total 1",
 			"leakserved_cache_lookups_total 384",
 			"leakserved_cache_hits_total 192",
+			"leakserved_expansions_reused_total 1\n",
+			"leakserved_runs_done_at_submit_total 1\n",
 		} {
 			if !strings.Contains(metrics, want) {
 				t.Errorf("metrics missing %q:\n%s", want, metrics)
@@ -271,6 +273,22 @@ func getMetrics(t *testing.T, ts *httptest.Server) string {
 	return string(body)
 }
 
+// pruneEvery is how many runs the warm benchmarks submit between prunes.
+const pruneEvery = 4096
+
+// pruneRuns forgets every finished run but keep, whose outputs the later
+// runs share, so a long benchmark's memory stays flat.
+func pruneRuns(s *Server, keep string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for id := range s.runs {
+		if id != keep {
+			delete(s.runs, id)
+		}
+	}
+	s.order = append(s.order[:0], keep)
+}
+
 // BenchmarkWarmResubmit times a warm resubmission in process, without HTTP:
 // Submit, wait for the run to finish, render its report.  A cold submission
 // first warms the store.
@@ -283,7 +301,7 @@ func BenchmarkWarmResubmit(b *testing.B) {
 	svc := New(Config{Workers: 2, Store: store})
 	defer svc.Close()
 	body := tinyScenario("warm")
-	resubmit := func() {
+	resubmit := func() string {
 		st, err := svc.Submit(body, false)
 		if err != nil {
 			b.Fatal(err)
@@ -295,11 +313,49 @@ func BenchmarkWarmResubmit(b *testing.B) {
 		if err := writeReport(io.Discard, r.cells, r.outputs, reportVariant{}); err != nil {
 			b.Fatal(err)
 		}
+		return st.ID
 	}
-	resubmit()
+	cold := resubmit()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		resubmit()
+		if i%pruneEvery == pruneEvery-1 {
+			b.StopTimer()
+			pruneRuns(svc, cold)
+			b.StartTimer()
+		}
+	}
+}
+
+// BenchmarkWarmSubmit times Submit of a repeated paper body whose cell a
+// live run completed, without HTTP: the expansion is memoised and the run
+// is done when Submit returns.
+func BenchmarkWarmSubmit(b *testing.B) {
+	svc := newServer(Config{Workers: 2}, experiment.RunParallelAllContext)
+	defer svc.Close()
+	body := paperScenarioReduced(b)
+	first, err := svc.Submit(body, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if r := waitRun(svc, first.ID); r.state != StateDone {
+		b.Fatalf("cold run finished %s", r.state)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := svc.Submit(body, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.State != StateDone {
+			b.Fatalf("repeat is %s, want done", st.State)
+		}
+		if i%pruneEvery == pruneEvery-1 {
+			b.StopTimer()
+			pruneRuns(svc, first.ID)
+			b.StartTimer()
+		}
 	}
 }

@@ -327,22 +327,34 @@ func (g *generator) Streams(cores int, _ uint64) []workload.Stream {
 	return out
 }
 
-// sharedFiles caches opened-and-verified Files per path for OpenShared.
+// sharedFiles caches opened-and-verified Files per path for OpenShared,
+// each with what os.Stat said of its file when it was read.
 var sharedFiles = struct {
 	mu sync.Mutex
-	m  map[string]*File
-}{m: map[string]*File{}}
+	m  map[string]sharedFile
+}{m: map[string]sharedFile{}}
+
+type sharedFile struct {
+	f    *File
+	info os.FileInfo
+}
 
 // OpenShared returns a fully verified File for path, reading and verifying
-// it at most once per process — a File is immutable and safe for
-// concurrent readers, so one copy serves every simulation of a sweep.  The
-// trace file is assumed not to change while the process runs (replay
-// correctness depends on that anyway); failed opens are not cached.
+// it once per version of the file — a File is immutable and safe for
+// concurrent readers, so one copy serves every simulation of a sweep.
+// Each call stats the path: a file that is gone fails as Open does, and a
+// file replaced or rewritten since it was read (another inode, size or
+// modification time) is read and verified again.  Failed opens are not
+// cached.
 func OpenShared(path string) (*File, error) {
 	sharedFiles.mu.Lock()
 	defer sharedFiles.mu.Unlock()
-	if f, ok := sharedFiles.m[path]; ok {
-		return f, nil
+	if e, ok := sharedFiles.m[path]; ok {
+		cur, err := os.Stat(path)
+		if err == nil && os.SameFile(e.info, cur) && cur.Size() == e.info.Size() && cur.ModTime().Equal(e.info.ModTime()) {
+			return e.f, nil
+		}
+		delete(sharedFiles.m, path)
 	}
 	f, err := Open(path)
 	if err != nil {
@@ -352,7 +364,11 @@ func OpenShared(path string) (*File, error) {
 		// Verify's chunk errors already carry the path (set by Open).
 		return nil, err
 	}
-	sharedFiles.m[path] = f
+	info, err := os.Stat(path)
+	if err != nil {
+		return nil, &ioError{err: err}
+	}
+	sharedFiles.m[path] = sharedFile{f: f, info: info}
 	return f, nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"cmpleak/internal/mem"
 	"cmpleak/internal/trace"
@@ -460,6 +461,48 @@ func TestTraceSchemeByName(t *testing.T) {
 	}
 	if _, err := workload.ByName("trace:"+path+".missing", 1.0); err == nil {
 		t.Fatal("missing trace file accepted")
+	}
+}
+
+// TestOpenSharedFollowsTheFile checks that OpenShared's cache never
+// outlives its file: a repeat open of an unchanged file returns the cached
+// File, a rewritten file is read again, and a deleted one fails like Open.
+func TestOpenSharedFollowsTheFile(t *testing.T) {
+	hdr := trace.Header{Cores: 1, LineBytes: 64, Benchmark: "FMM"}
+	path := filepath.Join(t.TempDir(), "shared.trc")
+	write := func(seed uint64) {
+		t.Helper()
+		data := writeTrace(t, hdr, trace.WriterOptions{}, [][]workload.Entry{benchEntries(t, "FMM", 1, 0, 0.01, seed)})
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(1)
+	first, err := trace.OpenShared(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := trace.OpenShared(path); err != nil || again != first {
+		t.Fatalf("reopening an unchanged file = %p, %v; want the cached %p", again, err, first)
+	}
+	// A later modification time marks the rewrite even on a coarse clock.
+	write(2)
+	later := time.Now().Add(time.Hour)
+	if err := os.Chtimes(path, later, later); err != nil {
+		t.Fatal(err)
+	}
+	rewritten, err := trace.OpenShared(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rewritten == first {
+		t.Fatal("a rewritten file was served from the cache")
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.OpenShared(path); !errors.Is(err, trace.ErrIO) {
+		t.Fatalf("opening a deleted file = %v, want an ErrIO failure", err)
 	}
 }
 
