@@ -75,6 +75,7 @@ import (
 	"time"
 
 	"cmpleak"
+	"cmpleak/internal/experiment"
 )
 
 func main() {
@@ -97,6 +98,9 @@ func main() {
 
 	if *retries < 0 {
 		fatalf("-retries must be >= 0")
+	}
+	if _, ok := experiment.FigureIndex(*fig); *fig != "" && !ok {
+		fatalf("unknown figure %q (want 3a..6b)", *fig)
 	}
 
 	if *merge != "" {

@@ -425,3 +425,26 @@ func TestDuplicateAxisValuesRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownFigureRefusedBeforeSimulating: an unknown -fig is a usage
+// error caught with the other flag checks, so no job runs and nothing is
+// written to the -cache store.
+func TestUnknownFigureRefusedBeforeSimulating(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	stdout, stderr, code := runMain(t, sweepArgs("-fig", "7a", "-cache", dir))
+	if code != 1 {
+		t.Fatalf("exit %d, want 1\nstderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, `unknown figure "7a"`) {
+		t.Errorf("stderr does not name the unknown figure:\n%s", stderr)
+	}
+	if strings.Contains(stderr, "done in") || stdout != "" {
+		t.Errorf("the sweep ran before the figure was checked\nstdout:\n%s\nstderr:\n%s", stdout, stderr)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.cas"))
+	for _, seg := range segs {
+		if fi, err := os.Stat(seg); err == nil && fi.Size() > 8 {
+			t.Errorf("cache segment %s holds a record (%d bytes)", seg, fi.Size())
+		}
+	}
+}

@@ -36,7 +36,7 @@ import (
 	"cmpleak/internal/workload"
 
 	// Register the "trace:<path>" benchmark scheme, so recorded binary
-	// traces (internal/trace, written by tracegen or trace.Record) run
+	// traces (internal/trace, written by tracegen or trace.Capture) run
 	// anywhere a benchmark name is accepted.
 	_ "cmpleak/internal/trace"
 )
@@ -196,9 +196,9 @@ type ResultCache = resultcache.Store
 // digest it was simulated under, the job key, and the full result.
 type ResultCacheRecord = resultcache.Record
 
-// ResultCacheOptions configures a ResultCache (anchor override, byte budget,
-// compaction threshold); the zero value gives an unbounded store under the
-// current GoldenAnchor.
+// ResultCacheOptions configures a ResultCache (anchor override and byte
+// budget); the zero value gives an unbounded store under the current
+// GoldenAnchor.
 type ResultCacheOptions = resultcache.Options
 
 // ResultCacheStats is a point-in-time snapshot of a store's counters.

@@ -298,7 +298,7 @@ func TestHeadlineAndReport(t *testing.T) {
 	if h.String() == "" {
 		t.Fatal("empty headline rendering")
 	}
-	rep := s.Report()
+	rep := renderReport(t, s, "", false)
 	if !strings.Contains(rep, "Figure 5a") || !strings.Contains(rep, "Figure 6b") {
 		t.Fatal("report missing figures")
 	}
@@ -372,6 +372,112 @@ func TestFigureIndex(t *testing.T) {
 			if err := WriteReport(io.Discard, s, fig, false); err == nil {
 				t.Errorf("WriteReport(%q) accepted an unknown figure", fig)
 			}
+		}
+	}
+}
+
+// renderReport returns WriteReport's output for s.
+func renderReport(t *testing.T, s *Sweep, fig string, csv bool) string {
+	t.Helper()
+	var b strings.Builder
+	if err := WriteReport(&b, s, fig, csv); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// figureSections splits a full report into one section per figure, in paper
+// order, each running to where the next begins.
+func figureSections(t *testing.T, full string, csv bool) []string {
+	t.Helper()
+	marker := "\n### Figure "
+	if csv {
+		marker = "\nconfig,"
+	}
+	var starts []int
+	for i := 0; ; {
+		j := strings.Index(full[i:], marker)
+		if j < 0 {
+			break
+		}
+		i += j + 1
+		starts = append(starts, i)
+	}
+	if len(starts) != NumFigures {
+		t.Fatalf("full report has %d figure sections, want %d", len(starts), NumFigures)
+	}
+	sections := make([]string, len(starts))
+	for k, start := range starts {
+		end := len(full)
+		if k+1 < len(starts) {
+			end = starts[k+1]
+		}
+		sections[k] = full[start:end]
+	}
+	return sections
+}
+
+// requireFiguresMatchReport fails unless every single-figure report of s
+// equals that figure's section of the full report.
+func requireFiguresMatchReport(t *testing.T, s *Sweep) {
+	t.Helper()
+	for _, csv := range []bool{false, true} {
+		sections := figureSections(t, renderReport(t, s, "", csv), csv)
+		for i, f := range figures {
+			if got := renderReport(t, s, f.name, csv); got != sections[i] {
+				t.Errorf("csv=%v: figure %s alone differs from its section of the full report\n--- alone ---\n%s--- in the report ---\n%s",
+					csv, f.name, got, sections[i])
+			}
+		}
+	}
+}
+
+// Without 4 MB in the sweep, Figures 6a/6b alone show the largest swept
+// size, as the full report does.
+func TestSingleFigureMatchesFullReport(t *testing.T) {
+	s := getTinySweep(t) // 1 and 2 MB
+	requireFiguresMatchReport(t, s)
+	for _, fig := range []string{"6a", "6b"} {
+		if got := renderReport(t, s, fig, false); !strings.Contains(got, "per benchmark (2MB)") {
+			t.Errorf("figure %s does not name the largest swept size:\n%s", fig, got)
+		}
+	}
+}
+
+// With 4 MB in the sweep, Figures 6a/6b stay at 4 MB even when a larger
+// size is swept.
+func TestFigure6AtFourMB(t *testing.T) {
+	opts := DefaultOptions(0.01)
+	opts.Benchmarks = []string{"mpeg2dec"}
+	opts.CacheSizesMB = []int{4, 8}
+	opts.Techniques = []decay.Spec{{Kind: decay.KindProtocol}}
+	s, err := runSweep(opts, Parallelism{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireFiguresMatchReport(t, s)
+	for fig, want := range map[string]Table{"6a": s.Figure6a(4), "6b": s.Figure6b(4)} {
+		if got := renderReport(t, s, fig, false); got != want.Markdown()+"\n" {
+			t.Errorf("figure %s = %q, want the 4MB table %q", fig, got, want.Markdown()+"\n")
+		}
+	}
+}
+
+func TestFigure6SizeMB(t *testing.T) {
+	for _, tc := range []struct {
+		sizes []int
+		want  int
+	}{
+		{[]int{1, 2, 4, 8}, 4},
+		{[]int{8, 4}, 4},
+		{[]int{1, 2}, 2},
+		{[]int{2, 1}, 2},
+		{[]int{16}, 16},
+		{nil, 4},
+	} {
+		s := &Sweep{Options: Options{CacheSizesMB: tc.sizes}}
+		if got := s.figure6SizeMB(); got != tc.want {
+			t.Errorf("sizes %v: figure 6 at %dMB, want %dMB", tc.sizes, got, tc.want)
 		}
 	}
 }

@@ -111,12 +111,12 @@ func (t Table) CSV() string {
 
 // appendPercent appends a Markdown cell, fmt's "%.1f%%" of v*100.
 func appendPercent(b []byte, v float64) []byte {
-	return append(appendFixed(b, v*100, 1), '%')
+	return append(strconv.AppendFloat(b, v*100, 'f', 1, 64), '%')
 }
 
 // appendFraction appends a CSV cell, fmt's "%.6f" of v.
 func appendFraction(b []byte, v float64) []byte {
-	return appendFixed(b, v, 6)
+	return strconv.AppendFloat(b, v, 'f', 6, 64)
 }
 
 // metricFunc computes one figure value of run r against its baseline b.
@@ -216,7 +216,8 @@ func (s *Sweep) Figure5b() Table {
 }
 
 // Figure6a reproduces the per-benchmark energy reduction at the given total
-// cache size (the paper uses 4 MB).
+// cache size (the paper uses 4 MB; the report uses 4 MB when the sweep has
+// it, otherwise the largest swept size).
 func (s *Sweep) Figure6a(sizeMB int) Table {
 	return s.byBenchmarkFigure(fmt.Sprintf("Figure 6a — energy reduction per benchmark (%dMB)", sizeMB),
 		"fraction vs baseline", sizeMB, metricEnergyReduction)
@@ -226,20 +227,4 @@ func (s *Sweep) Figure6a(sizeMB int) Table {
 func (s *Sweep) Figure6b(sizeMB int) Table {
 	return s.byBenchmarkFigure(fmt.Sprintf("Figure 6b — IPC loss per benchmark (%dMB)", sizeMB),
 		"fraction vs baseline", sizeMB, metricIPCLoss)
-}
-
-// AllFigures returns every figure of the evaluation in paper order, using
-// 4 MB for the per-benchmark figures when available (otherwise the largest
-// swept size).
-func (s *Sweep) AllFigures() []Table {
-	fig6Size := 4
-	if !slices.Contains(s.Options.CacheSizesMB, 4) && len(s.Options.CacheSizesMB) > 0 {
-		fig6Size = s.Options.CacheSizesMB[len(s.Options.CacheSizesMB)-1]
-	}
-	return []Table{
-		s.Figure3a(), s.Figure3b(),
-		s.Figure4a(), s.Figure4b(),
-		s.Figure5a(), s.Figure5b(),
-		s.Figure6a(fig6Size), s.Figure6b(fig6Size),
-	}
 }

@@ -52,7 +52,7 @@ func TestRunParallelByteIdenticalToSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantDigest := serial.Digest()
-	wantReport := serial.Report()
+	wantReport := renderReport(t, serial, "", false)
 	if wantReport == "" {
 		t.Fatal("serial reference rendered an empty report")
 	}
@@ -65,7 +65,7 @@ func TestRunParallelByteIdenticalToSerial(t *testing.T) {
 			if got := sweep.Digest(); got != wantDigest {
 				t.Errorf("digest diverged from serial run:\n  got:  %s\n  want: %s", got, wantDigest)
 			}
-			if got := sweep.Report(); got != wantReport {
+			if got := renderReport(t, sweep, "", false); got != wantReport {
 				t.Errorf("rendered report diverged from serial run (%d vs %d bytes)", len(got), len(wantReport))
 			}
 		})

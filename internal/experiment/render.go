@@ -8,11 +8,13 @@ package experiment
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
-// figures lists the report's named figures in paper order.  Figures 6a/6b
-// fix the paper's 4MB configuration, matching the CLI default.
+// figures lists the report's named figures in paper order.  It is the one
+// list behind FigureIndex, WriteReport and AllFigures, so a single figure
+// renders exactly as its section of the full report.
 var figures = [...]struct {
 	name  string
 	table func(*Sweep) Table
@@ -23,12 +25,31 @@ var figures = [...]struct {
 	{"4b", (*Sweep).Figure4b},
 	{"5a", (*Sweep).Figure5a},
 	{"5b", (*Sweep).Figure5b},
-	{"6a", func(s *Sweep) Table { return s.Figure6a(4) }},
-	{"6b", func(s *Sweep) Table { return s.Figure6b(4) }},
+	{"6a", func(s *Sweep) Table { return s.Figure6a(s.figure6SizeMB()) }},
+	{"6b", func(s *Sweep) Table { return s.Figure6b(s.figure6SizeMB()) }},
 }
 
 // NumFigures is the number of named figures WriteReport renders.
 const NumFigures = len(figures)
+
+// figure6SizeMB is the cache size of the per-benchmark Figures 6a/6b: the
+// paper's 4 MB when the sweep has it, otherwise the largest swept size.
+func (s *Sweep) figure6SizeMB() int {
+	sizes := s.Options.CacheSizesMB
+	if len(sizes) == 0 || slices.Contains(sizes, 4) {
+		return 4
+	}
+	return slices.Max(sizes)
+}
+
+// AllFigures returns every figure of the evaluation in paper order.
+func (s *Sweep) AllFigures() []Table {
+	out := make([]Table, len(figures))
+	for i, f := range figures {
+		out[i] = f.table(s)
+	}
+	return out
+}
 
 // FigureIndex returns a figure name's position in paper order ("3a".."6b",
 // case-insensitive); ok is false for an unknown name.  It builds no table,
@@ -67,10 +88,7 @@ func WriteReport(w io.Writer, s *Sweep, fig string, csv bool) error {
 	}
 
 	for _, mb := range s.Options.CacheSizesMB {
-		if _, err := fmt.Fprint(w, s.HeadlineAt(mb).String()); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
+		if _, err := fmt.Fprintln(w, s.HeadlineAt(mb)); err != nil {
 			return err
 		}
 	}

@@ -3,9 +3,7 @@ package experiment
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
-	"unicode/utf8"
 
 	"cmpleak/internal/workload"
 )
@@ -66,38 +64,13 @@ func (s *Sweep) HeadlineAt(sizeMB int) Headline {
 
 // String renders the headline in the style of the paper's abstract.
 func (h Headline) String() string {
-	b := make([]byte, 0, 32+64*len(h.Techniques))
-	b = append(b, "For "...)
-	b = strconv.AppendInt(b, int64(h.SizeMB), 10)
-	b = append(b, " MB total L2 cache:\n"...)
+	var b strings.Builder
+	fmt.Fprintf(&b, "For %d MB total L2 cache:\n", h.SizeMB)
 	for i, tech := range h.Techniques {
-		// fmt: "  %-14s energy reduction %5.1f%%  at IPC loss %5.1f%%\n"
-		b = append(b, "  "...)
-		b = append(b, tech...)
-		b = appendSpaces(b, 14-utf8.RuneCountInString(tech))
-		b = append(b, " energy reduction "...)
-		b = appendPadded(b, h.EnergyReductions[i]*100)
-		b = append(b, "%  at IPC loss "...)
-		b = appendPadded(b, h.IPCLosses[i]*100)
-		b = append(b, "%\n"...)
+		fmt.Fprintf(&b, "  %-14s energy reduction %5.1f%%  at IPC loss %5.1f%%\n",
+			tech, h.EnergyReductions[i]*100, h.IPCLosses[i]*100)
 	}
-	return string(b)
-}
-
-// appendPadded appends fmt's "%5.1f" of v: one decimal, right-aligned in
-// five columns.
-func appendPadded(b []byte, v float64) []byte {
-	var buf [32]byte
-	num := appendFixed(buf[:0], v, 1)
-	return append(appendSpaces(b, 5-len(num)), num...)
-}
-
-// appendSpaces appends n spaces (none when n <= 0).
-func appendSpaces(b []byte, n int) []byte {
-	for ; n > 0; n-- {
-		b = append(b, ' ')
-	}
-	return b
+	return b.String()
 }
 
 // ClassSummary aggregates a metric separately over scientific and multimedia
@@ -137,20 +110,4 @@ func (s *Sweep) IPCLossByClass(sizeMB int, technique string) ClassSummary {
 		out.Multimedia = mmSum / float64(mmN)
 	}
 	return out
-}
-
-// Report renders the whole evaluation (all figures plus the headline) as
-// markdown, ready to be pasted into EXPERIMENTS.md.
-func (s *Sweep) Report() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# Reproduction sweep (scale=%.3g, seed=%d)\n\n", s.Options.Scale, s.Options.Seed)
-	for _, mb := range s.Options.CacheSizesMB {
-		b.WriteString(s.HeadlineAt(mb).String())
-		b.WriteString("\n")
-	}
-	for _, fig := range s.AllFigures() {
-		b.WriteString(fig.Markdown())
-		b.WriteString("\n")
-	}
-	return b.String()
 }

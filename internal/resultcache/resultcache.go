@@ -36,7 +36,7 @@
 // order.  Options.MaxBytes bounds the live framed bytes: a Put that would
 // exceed it evicts least-recently-used records first.  Evicted and
 // superseded records become dead bytes on disk; when dead bytes outweigh
-// live ones (past Options.CompactMinBytes), the store compacts: live
+// live ones and exceed a 64 KiB floor, a Put compacts the store: live
 // records are rewritten, oldest-LRU first, into a fresh segment that is
 // fsynced and atomically renamed into place before the old segments are
 // removed.  A crash anywhere in compaction is safe — an unrenamed .tmp is
@@ -115,12 +115,12 @@ type Options struct {
 	// MaxBytes bounds the live (indexed) framed bytes; 0 means unbounded.
 	// Eviction is LRU.
 	MaxBytes int64
-	// CompactMinBytes is the dead-byte floor below which the store never
-	// compacts automatically (compaction rewrites every live record, so
-	// tiny stores should not churn).  0 means 64 KiB; negative disables
-	// automatic compaction entirely (Compact can still be called).
-	CompactMinBytes int64
 }
+
+// compactMinBytes is the dead-byte floor below which the store never
+// compacts (compaction rewrites every live record, so tiny stores should
+// not churn).  It is a variable only so tests can lower it.
+var compactMinBytes int64 = 64 << 10
 
 // Stats is a point-in-time snapshot of the store's counters.
 type Stats struct {
@@ -233,9 +233,6 @@ func decodeSegment(data []byte, fn func(rec Record, framedSize int64)) (int, err
 func Open(dir string, opt Options) (*Store, error) {
 	if opt.Anchor == "" {
 		opt.Anchor = experiment.GoldenAnchor
-	}
-	if opt.CompactMinBytes == 0 {
-		opt.CompactMinBytes = 64 << 10
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -432,23 +429,20 @@ func (s *Store) evictOver() {
 }
 
 // maybeCompactLocked compacts when dead bytes outweigh live ones and exceed
-// the floor.
+// compactMinBytes.
 func (s *Store) maybeCompactLocked() error {
-	if s.opt.CompactMinBytes < 0 {
-		return nil
-	}
 	dead := s.total - s.live - int64(s.nsegs*len(segMagic))
-	if dead <= s.opt.CompactMinBytes || dead <= s.live {
+	if dead <= compactMinBytes || dead <= s.live {
 		return nil
 	}
 	return s.compactLocked()
 }
 
-// Compact rewrites the live records into a fresh segment and removes the
+// compact rewrites the live records into a fresh segment and removes the
 // old ones, reclaiming dead bytes.  The rewrite is atomic: the new segment
 // is fully written and fsynced under a .tmp name, renamed into place, and
 // only then are the old segments unlinked.
-func (s *Store) Compact() error {
+func (s *Store) compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.active == nil {
@@ -571,7 +565,7 @@ func Merge(glob string, cells []experiment.NamedOptions) (*Store, error) {
 		if segs, err := segments(path); err != nil || len(segs) == 0 {
 			return nil, fmt.Errorf("%w: %s is not a result cache directory (no seg-*.cas segments)", ErrStore, path)
 		}
-		s, err := Open(path, Options{CompactMinBytes: -1})
+		s, err := Open(path, Options{})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}

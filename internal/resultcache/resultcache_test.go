@@ -21,9 +21,6 @@ import (
 	"cmpleak/internal/sim"
 )
 
-// noCompact disables automatic compaction so tests control it explicitly.
-const noCompact = -1
-
 func testKey(i int) experiment.Key {
 	return experiment.Key{Benchmark: "FMM", SizeMB: i + 1, Technique: "baseline"}
 }
@@ -48,7 +45,7 @@ func mustOpen(t *testing.T, dir string, opt Options) *Store {
 
 func TestStoreRoundTripAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Anchor: "anchorA", CompactMinBytes: noCompact})
+	s := mustOpen(t, dir, Options{Anchor: "anchorA"})
 	for i := 0; i < 4; i++ {
 		if err := s.Put(testRecord("d1", i)); err != nil {
 			t.Fatal(err)
@@ -64,7 +61,7 @@ func TestStoreRoundTripAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s = mustOpen(t, dir, Options{Anchor: "anchorA", CompactMinBytes: noCompact})
+	s = mustOpen(t, dir, Options{Anchor: "anchorA"})
 	defer s.Close()
 	if st := s.Stats(); st.Entries != 4 {
 		t.Fatalf("reopened store holds %d entries, want 4", st.Entries)
@@ -82,7 +79,7 @@ func TestStoreRoundTripAcrossReopen(t *testing.T) {
 // records, and a further reopen serves every one of them.
 func TestStoreAppendsAfterReopen(t *testing.T) {
 	dir := t.TempDir()
-	opt := Options{Anchor: "a", CompactMinBytes: noCompact}
+	opt := Options{Anchor: "a"}
 	const n = 20
 	s := mustOpen(t, dir, opt)
 	for i := 0; i < n; i++ {
@@ -119,7 +116,7 @@ func TestStoreAppendsAfterReopen(t *testing.T) {
 
 func TestStoreNeverServesForeignAnchor(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Anchor: "anchorA", CompactMinBytes: noCompact})
+	s := mustOpen(t, dir, Options{Anchor: "anchorA"})
 	if err := s.Put(testRecord("d1", 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +130,7 @@ func TestStoreNeverServesForeignAnchor(t *testing.T) {
 
 	// Reopening the directory under a different anchor serves nothing: the
 	// on-disk record's anchor no longer matches.
-	s = mustOpen(t, dir, Options{Anchor: "anchorB", CompactMinBytes: noCompact})
+	s = mustOpen(t, dir, Options{Anchor: "anchorB"})
 	if _, ok := s.Get("d1", testKey(0)); ok {
 		t.Fatal("record recorded under anchorA was served under anchorB")
 	}
@@ -141,11 +138,11 @@ func TestStoreNeverServesForeignAnchor(t *testing.T) {
 		t.Fatalf("foreign-anchor store indexes %d entries, want 0", st.Entries)
 	}
 	// Compaction drops the dead foreign record from disk for good.
-	if err := s.Compact(); err != nil {
+	if err := s.compact(); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	s = mustOpen(t, dir, Options{Anchor: "anchorA", CompactMinBytes: noCompact})
+	s = mustOpen(t, dir, Options{Anchor: "anchorA"})
 	defer s.Close()
 	if _, ok := s.Get("d1", testKey(0)); ok {
 		t.Fatal("compaction under anchorB must discard anchorA records; reopening under anchorA found one")
@@ -154,7 +151,7 @@ func TestStoreNeverServesForeignAnchor(t *testing.T) {
 
 func TestStoreLastRecordWins(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+	s := mustOpen(t, dir, Options{Anchor: "a"})
 	rec := testRecord("d1", 0)
 	if err := s.Put(rec); err != nil {
 		t.Fatal(err)
@@ -170,7 +167,7 @@ func TestStoreLastRecordWins(t *testing.T) {
 		t.Fatalf("duplicate key indexed %d entries, want 1", st.Entries)
 	}
 	s.Close()
-	s = mustOpen(t, dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+	s = mustOpen(t, dir, Options{Anchor: "a"})
 	defer s.Close()
 	if res, _ := s.Get("d1", testKey(0)); res.Cycles != 9999 {
 		t.Fatalf("reload of duplicate records: got cycles %d, want the later 9999", res.Cycles)
@@ -179,7 +176,7 @@ func TestStoreLastRecordWins(t *testing.T) {
 
 func TestStoreEvictsLRUUnderMaxBytes(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+	s := mustOpen(t, dir, Options{Anchor: "a"})
 	// Measure one record's framed footprint, then bound the store to ~3.
 	if err := s.Put(testRecord("d0", 0)); err != nil {
 		t.Fatal(err)
@@ -188,7 +185,7 @@ func TestStoreEvictsLRUUnderMaxBytes(t *testing.T) {
 	s.Close()
 	os.RemoveAll(dir)
 
-	s = mustOpen(t, dir, Options{Anchor: "a", MaxBytes: 3 * recSize, CompactMinBytes: noCompact})
+	s = mustOpen(t, dir, Options{Anchor: "a", MaxBytes: 3 * recSize})
 	defer s.Close()
 	for i := 0; i < 5; i++ {
 		if err := s.Put(testRecord("d1", i)); err != nil {
@@ -213,7 +210,7 @@ func TestStoreEvictsLRUUnderMaxBytes(t *testing.T) {
 
 func TestStoreCompactionReclaimsDeadBytes(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+	s := mustOpen(t, dir, Options{Anchor: "a"})
 	rec := testRecord("d1", 0)
 	for i := 0; i < 10; i++ {
 		rec.Result.Cycles = sim.Cycle(i)
@@ -228,7 +225,7 @@ func TestStoreCompactionReclaimsDeadBytes(t *testing.T) {
 	if before.TotalBytes <= before.LiveBytes {
 		t.Fatalf("expected dead bytes before compaction: total %d, live %d", before.TotalBytes, before.LiveBytes)
 	}
-	if err := s.Compact(); err != nil {
+	if err := s.compact(); err != nil {
 		t.Fatal(err)
 	}
 	after := s.Stats()
@@ -244,7 +241,7 @@ func TestStoreCompactionReclaimsDeadBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	s = mustOpen(t, dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+	s = mustOpen(t, dir, Options{Anchor: "a"})
 	defer s.Close()
 	if res, ok := s.Get("d1", testKey(0)); !ok || res.Cycles != 9 {
 		t.Fatalf("compacted record = (%v, %v), want the last duplicate (cycles 9)", res.Cycles, ok)
@@ -258,8 +255,11 @@ func TestStoreCompactionReclaimsDeadBytes(t *testing.T) {
 
 func TestStoreAutoCompacts(t *testing.T) {
 	dir := t.TempDir()
-	// CompactMinBytes 1: compact as soon as dead bytes outweigh live ones.
-	s := mustOpen(t, dir, Options{Anchor: "a", CompactMinBytes: 1})
+	// A 1-byte floor: compact as soon as dead bytes outweigh live ones.
+	orig := compactMinBytes
+	compactMinBytes = 1
+	t.Cleanup(func() { compactMinBytes = orig })
+	s := mustOpen(t, dir, Options{Anchor: "a"})
 	rec := testRecord("d1", 0)
 	for i := 0; i < 8; i++ {
 		rec.Result.Cycles = sim.Cycle(i)
@@ -278,7 +278,7 @@ func TestStoreAutoCompacts(t *testing.T) {
 
 func TestStoreIgnoresInterruptedCompactionTmp(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+	s := mustOpen(t, dir, Options{Anchor: "a"})
 	if err := s.Put(testRecord("d1", 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestStoreIgnoresInterruptedCompactionTmp(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "seg-00000002.tmp"), []byte("half-written garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s = mustOpen(t, dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+	s = mustOpen(t, dir, Options{Anchor: "a"})
 	defer s.Close()
 	if _, ok := s.Get("d1", testKey(0)); !ok {
 		t.Fatal("record lost to a leftover compaction tmp")
@@ -300,7 +300,7 @@ func TestStoreIgnoresInterruptedCompactionTmp(t *testing.T) {
 
 func TestStoreTruncatesTornTail(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+	s := mustOpen(t, dir, Options{Anchor: "a"})
 	for i := 0; i < 3; i++ {
 		if err := s.Put(testRecord("d1", i)); err != nil {
 			t.Fatal(err)
@@ -315,7 +315,7 @@ func TestStoreTruncatesTornTail(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s = mustOpen(t, dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+	s = mustOpen(t, dir, Options{Anchor: "a"})
 	if st := s.Stats(); st.Entries != 2 {
 		t.Fatalf("torn tail: %d entries, want 2", st.Entries)
 	}
@@ -324,7 +324,7 @@ func TestStoreTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	s = mustOpen(t, dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+	s = mustOpen(t, dir, Options{Anchor: "a"})
 	defer s.Close()
 	if st := s.Stats(); st.Entries != 3 {
 		t.Fatalf("after heal + append: %d entries, want 3", st.Entries)
@@ -364,7 +364,7 @@ func TestStoreLeavesRejectedFileUnchanged(t *testing.T) {
 func segmentImage(t *testing.T, n int) ([]byte, []int) {
 	t.Helper()
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+	s := mustOpen(t, dir, Options{Anchor: "a"})
 	for i := 0; i < n; i++ {
 		if err := s.Put(testRecord("d1", i)); err != nil {
 			t.Fatal(err)
@@ -407,7 +407,7 @@ func TestStoreHealsTornTailAtEveryOffset(t *testing.T) {
 		if err := os.WriteFile(path, img[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+		s, err := Open(dir, Options{Anchor: "a"})
 		if err != nil {
 			t.Fatalf("cut at %d: %v", cut, err)
 		}
@@ -444,7 +444,7 @@ func TestStoreCorruptCRCDropsOnlyLastRecord(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, segName(1)), img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s := mustOpen(t, dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+	s := mustOpen(t, dir, Options{Anchor: "a"})
 	defer s.Close()
 	if st := s.Stats(); st.Entries != 2 {
 		t.Fatalf("reopened past a corrupt CRC with %d entries, want 2", st.Entries)
@@ -475,7 +475,7 @@ func TestStoreTornTailHealIsSynced(t *testing.T) {
 		t.Fatal(err)
 	}
 	syncs := countSyncs(t)
-	s := mustOpen(t, dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+	s := mustOpen(t, dir, Options{Anchor: "a"})
 	s.Close()
 	clean := *syncs
 
@@ -483,7 +483,7 @@ func TestStoreTornTailHealIsSynced(t *testing.T) {
 		t.Fatal(err)
 	}
 	*syncs = 0
-	s = mustOpen(t, dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+	s = mustOpen(t, dir, Options{Anchor: "a"})
 	s.Close()
 	if *syncs != clean+1 {
 		t.Fatalf("opening a torn segment synced %d time(s), a whole one %d; want exactly one more for the heal",
@@ -497,7 +497,7 @@ func TestStoreTornTailHealIsSynced(t *testing.T) {
 func TestStoreCloseSyncsTail(t *testing.T) {
 	syncs := countSyncs(t)
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+	s := mustOpen(t, dir, Options{Anchor: "a"})
 	// Creation syncs the fresh magic and the directory entry.
 	created := *syncs
 	if created < 2 {
@@ -518,7 +518,7 @@ func TestStoreCloseSyncsTail(t *testing.T) {
 	if *syncs != created+1 {
 		t.Fatalf("Close performed %d sync(s); want exactly 1 flushing the %d pending record(s)", *syncs-created, n)
 	}
-	s = mustOpen(t, dir, Options{Anchor: "a", CompactMinBytes: noCompact})
+	s = mustOpen(t, dir, Options{Anchor: "a"})
 	defer s.Close()
 	if st := s.Stats(); st.Entries != n {
 		t.Fatalf("reopen found %d records, want %d", st.Entries, n)
@@ -538,7 +538,7 @@ func TestReuseForFeedsPoolByteIdentical(t *testing.T) {
 	digest := opts.Digest()
 
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{CompactMinBytes: noCompact}) // default anchor
+	s := mustOpen(t, dir, Options{}) // default anchor
 	cold, err := experiment.RunParallelAllContext(context.Background(), named, experiment.Parallelism{
 		Workers: 2,
 		Progress: func(ev experiment.JobEvent) {
@@ -557,7 +557,7 @@ func TestReuseForFeedsPoolByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s = mustOpen(t, dir, Options{CompactMinBytes: noCompact})
+	s = mustOpen(t, dir, Options{})
 	defer s.Close()
 	ran := 0
 	warm, err := experiment.RunParallelAllContext(context.Background(), named, experiment.Parallelism{
@@ -593,7 +593,7 @@ func TestReuseForRunsOnlyMissingJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := mustOpen(t, t.TempDir(), Options{CompactMinBytes: noCompact})
+	s := mustOpen(t, t.TempDir(), Options{})
 	defer s.Close()
 	jobs := opts.Jobs()
 	half := len(jobs) / 2
@@ -633,7 +633,7 @@ func TestReuseForRefusesRepeatedCellNames(t *testing.T) {
 		o.Seed = seed
 		return o
 	}
-	s := mustOpen(t, t.TempDir(), Options{CompactMinBytes: noCompact})
+	s := mustOpen(t, t.TempDir(), Options{})
 	defer s.Close()
 	seed2 := opts(2)
 	digest := seed2.Digest()

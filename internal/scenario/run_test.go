@@ -58,13 +58,7 @@ func TestRunCellsMatchesSerialPerCell(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: serial reference failed: %v", cell.Name, err)
 		}
-		if got, want := sweeps[i].Digest(), serial.Digest(); got != want {
-			t.Errorf("%s: pooled cell digest diverged from serial run:\n  got:  %s\n  want: %s",
-				cell.Name, got, want)
-		}
-		if got, want := sweeps[i].Report(), serial.Report(); got != want {
-			t.Errorf("%s: pooled cell report diverged from serial run", cell.Name)
-		}
+		requireSameSweep(t, cell.Name, sweeps[i], serial)
 		totalJobs += len(cell.Options.Jobs())
 	}
 

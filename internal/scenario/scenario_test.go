@@ -395,11 +395,11 @@ func TestShardedScenarioMergesByteIdentically(t *testing.T) {
 }
 
 // requireSameSweep fails unless got digests and renders byte-identically to
-// want.
+// want (the unsharded or serial reference).
 func requireSameSweep(t *testing.T, name string, got, want *experiment.Sweep) {
 	t.Helper()
 	if g, w := got.Digest(), want.Digest(); g != w {
-		t.Fatalf("%s: merged digest %s != unsharded %s", name, g, w)
+		t.Fatalf("%s: digest %s != reference %s", name, g, w)
 	}
 	var g, w bytes.Buffer
 	if err := experiment.WriteReport(&g, got, "", false); err != nil {
@@ -409,7 +409,7 @@ func requireSameSweep(t *testing.T, name string, got, want *experiment.Sweep) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(g.Bytes(), w.Bytes()) {
-		t.Fatalf("%s: merged report differs from the unsharded report:\n%s\nvs\n%s", name, g.Bytes(), w.Bytes())
+		t.Fatalf("%s: report differs from the reference report:\n%s\nvs\n%s", name, g.Bytes(), w.Bytes())
 	}
 }
 

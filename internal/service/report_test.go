@@ -205,6 +205,38 @@ func TestReportConcurrentFirstRequestsRenderOnce(t *testing.T) {
 	}
 }
 
+// On a scenario without 4 MB (1 and 2 MB), ?fig=6a and ?fig=6b serve their
+// sections of the full report, at the largest swept size.
+func TestReportFigure6MatchesFullReport(t *testing.T) {
+	_, ts := newStorelessServer(t, experiment.RunParallelAllContext)
+	st, _, _ := submitDone(t, ts, tinyScenario("fig6"))
+	for _, csv := range []bool{false, true} {
+		full, code := getReport(t, ts, st.ID, fmt.Sprintf("?csv=%t", csv))
+		if code != http.StatusOK {
+			t.Fatalf("full report = %d, want 200", code)
+		}
+		// Figures 6a and 6b are the report's last two sections.
+		marker := "\n### Figure "
+		if csv {
+			marker = "\nconfig,"
+		}
+		last := strings.LastIndex(full, marker) + 1
+		prev := strings.LastIndex(full[:last-1], marker) + 1
+		if prev <= 0 {
+			t.Fatalf("csv=%t: full report has fewer than two figure sections", csv)
+		}
+		for fig, want := range map[string]string{"6a": full[prev:last], "6b": full[last:]} {
+			got, code := getReport(t, ts, st.ID, fmt.Sprintf("?fig=%s&csv=%t", fig, csv))
+			if code != http.StatusOK || got != want {
+				t.Errorf("csv=%t: ?fig=%s = %d\n%s\nwant its section of the full report\n%s", csv, fig, code, got, want)
+			}
+			if !csv && !strings.Contains(got, "per benchmark (2MB)") {
+				t.Errorf("?fig=%s does not name the largest swept size:\n%s", fig, got)
+			}
+		}
+	}
+}
+
 func TestReportRefusalsRenderNothing(t *testing.T) {
 	t.Run("unknown figure or csv value is 400", func(t *testing.T) {
 		renders := countRenders(t, 0)

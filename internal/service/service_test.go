@@ -73,7 +73,7 @@ func tinyScenario(name string, seeds ...uint64) []byte {
 // a fresh result cache directory.
 func newTestServer(t *testing.T) (*Server, *httptest.Server, *resultcache.Store) {
 	t.Helper()
-	store, err := resultcache.Open(t.TempDir(), resultcache.Options{CompactMinBytes: -1})
+	store, err := resultcache.Open(t.TempDir(), resultcache.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

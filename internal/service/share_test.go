@@ -293,7 +293,7 @@ func pruneRuns(s *Server, keep string) {
 // Submit, wait for the run to finish, render its report.  A cold submission
 // first warms the store.
 func BenchmarkWarmResubmit(b *testing.B) {
-	store, err := resultcache.Open(b.TempDir(), resultcache.Options{CompactMinBytes: -1})
+	store, err := resultcache.Open(b.TempDir(), resultcache.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,11 +2,11 @@ package trace_test
 
 // Record → replay equivalence at adversarial geometries: batch sizes that
 // are 1, prime, or straddle the 256-entry internal buffers (255, 257),
-// consumed through the Record tee and replayed across chunk boundaries that
-// never align with the batches (ChunkEntries 1, 3, 255, 257).  PR 4's
-// replay test proved the aligned cases; this closes the odd-size gap — any
-// carry bug in the tee, the writer's chunk splitting, or the reader's
-// cross-chunk address-chain reset shows up as a diverging entry here.
+// appended through Writer.AppendBatch and replayed across chunk boundaries
+// that never align with the batches (ChunkEntries 1, 3, 255, 257).  The
+// aligned cases are covered by TestRoundTrip; any carry bug in the writer's
+// chunk splitting or the reader's cross-chunk address-chain reset shows up
+// as a diverging entry here.
 
 import (
 	"bytes"
@@ -56,6 +56,16 @@ func syntheticEntries(n int, seed uint64) []workload.Entry {
 	return out
 }
 
+// appendBatched appends entries to core 0 of w in batches of the given size.
+func appendBatched(t *testing.T, w *trace.Writer, entries []workload.Entry, batch int) {
+	t.Helper()
+	for off := 0; off < len(entries); off += batch {
+		if err := w.AppendBatch(0, entries[off:min(off+batch, len(entries))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestRecordReplayAdversarialBatchSizes(t *testing.T) {
 	const n = 1500 // crosses every chunk size below several times
 	want := syntheticEntries(n, 42)
@@ -71,22 +81,7 @@ func TestRecordReplayAdversarialBatchSizes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Drain the source through the Record tee at the adversarial
-			// batch size: the tee must deliver every entry unchanged while
-			// appending exactly the same sequence to the writer.
-			rec := trace.Record(workload.NewSliceStream(want), w, 0)
-			got := drainBatched(rec, recordBatch)
-			if rec.Err() != nil {
-				t.Fatalf("chunk %d batch %d: record error: %v", chunk, recordBatch, rec.Err())
-			}
-			if len(got) != n {
-				t.Fatalf("chunk %d batch %d: tee delivered %d entries, want %d", chunk, recordBatch, len(got), n)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("chunk %d batch %d: tee entry %d is %+v, want %+v", chunk, recordBatch, i, got[i], want[i])
-				}
-			}
+			appendBatched(t, w, want, recordBatch)
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -146,10 +141,7 @@ func TestRecordReplayAcrossChunkBoundaryTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := trace.Record(workload.NewSliceStream(want), w, 0)
-		if got := len(drainBatched(rec, batch)); got != len(want) || rec.Err() != nil {
-			t.Fatalf("batch %d: tee delivered %d entries (err %v), want %d", batch, got, rec.Err(), len(want))
-		}
+		appendBatched(t, w, want, batch)
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -316,49 +316,44 @@ func TestReaderRejectsCorruptFiles(t *testing.T) {
 	})
 }
 
-// TestRecordTee pins the Record contract: the tee passes entries through
-// unchanged and the captured file replays the identical sequence.
-func TestRecordTee(t *testing.T) {
-	const scale, seed = 0.02, 5
-	want := benchEntries(t, "VOLREND", 1, 0, scale, seed)
-
+// TestCaptureReplaysGenerator pins the Capture round trip: a generator's
+// streams, captured with cores interleaved, replay as the identical
+// per-core sequences.
+func TestCaptureReplaysGenerator(t *testing.T) {
+	const cores, scale, seed = 2, 0.02, 5
 	gen, err := workload.ByName("VOLREND", scale)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf, trace.Header{Cores: 1, LineBytes: 64, Seed: seed, Scale: scale, Benchmark: "VOLREND"}, trace.WriterOptions{})
+	w, err := trace.NewWriter(&buf, trace.Header{Cores: cores, LineBytes: 64, Seed: seed, Scale: scale, Benchmark: "VOLREND"}, trace.WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.Record(gen.Streams(1, seed)[0], w, 0)
-	got := drainBatched(rec, 256)
-	if rec.Err() != nil {
-		t.Fatal(rec.Err())
+	counts, err := trace.Capture(gen, cores, seed, w, trace.CaptureOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("tee passed %d entries through, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("tee mutated entry %d: %+v vs %+v", i, got[i], want[i])
-		}
-	}
-
 	f, err := trace.New(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay := drainBatched(f.Stream(0), 97)
-	if len(replay) != len(want) {
-		t.Fatalf("captured file replays %d entries, want %d", len(replay), len(want))
-	}
-	for i := range replay {
-		if replay[i] != want[i] {
-			t.Fatalf("captured file diverged at entry %d", i)
+	for c := range cores {
+		want := benchEntries(t, "VOLREND", cores, c, scale, seed)
+		if counts[c] != uint64(len(want)) {
+			t.Fatalf("core %d: Capture counted %d entries, want %d", c, counts[c], len(want))
+		}
+		replay := drainBatched(f.Stream(c), 97)
+		if len(replay) != len(want) {
+			t.Fatalf("core %d: captured file replays %d entries, want %d", c, len(replay), len(want))
+		}
+		for i := range replay {
+			if replay[i] != want[i] {
+				t.Fatalf("core %d: captured file diverged at entry %d", c, i)
+			}
 		}
 	}
 }

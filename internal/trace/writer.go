@@ -195,35 +195,6 @@ func Create(path string, hdr Header, opts WriterOptions) (*Writer, func() error,
 	return tw, closeAll, nil
 }
 
-// Record tees a stream into a trace writer: the returned stream yields
-// exactly the entries of s while appending everything it passes through to
-// w under the given core index.  Check Err after the stream is drained —
-// entry delivery never stalls on a write error, so recording failures
-// surface there.
-func Record(s workload.Stream, w *Writer, core int) *RecordStream {
-	return &RecordStream{s: s, w: w, core: core}
-}
-
-// RecordStream is the capturing stream returned by Record.
-type RecordStream struct {
-	s    workload.Stream
-	w    *Writer
-	core int
-	err  error
-}
-
-// NextBatch implements workload.Stream, teeing the delivered entries.
-func (r *RecordStream) NextBatch(buf []workload.Entry) int {
-	n := r.s.NextBatch(buf)
-	if n > 0 && r.err == nil {
-		r.err = r.w.AppendBatch(r.core, buf[:n])
-	}
-	return n
-}
-
-// Err returns the first recording error.
-func (r *RecordStream) Err() error { return r.err }
-
 // CaptureOptions tune Capture.
 type CaptureOptions struct {
 	// LimitPerCore caps the entries recorded per stream (0 = everything).
