@@ -91,10 +91,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzServeScenario -fuzztime $(FUZZTIME) ./internal/service
 
 # bench-smoke proves the benchmark harness still runs end to end: one
-# iteration of the scheduler, cache-table, stream-ingest, trace decode and
-# encode, warm service-resubmission, warm service-submit (a repeated body
-# done at submit) and warm service-report microbenchmarks and one
-# reduced-scale simulation per technique.
+# iteration of the scheduler, geometric-sampler (BenchmarkGeometric),
+# cache-table, stream-ingest, trace decode and encode, parallel trace
+# recording (BenchmarkCapture), warm service-resubmission, warm
+# service-submit (a repeated body done at submit) and warm service-report
+# microbenchmarks and one reduced-scale simulation per technique.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/cache ./internal/workload ./internal/trace ./internal/service
 	CMPLEAK_BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' \

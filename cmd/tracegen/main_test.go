@@ -26,6 +26,16 @@ func dumpEntries() []workload.Entry {
 	return entries
 }
 
+// sliceStream replays a fixed slice of entries.
+type sliceStream struct{ entries []workload.Entry }
+
+// NextBatch implements workload.Stream.
+func (s *sliceStream) NextBatch(buf []workload.Entry) int {
+	n := copy(buf, s.entries)
+	s.entries = s.entries[n:]
+	return n
+}
+
 // recordedReader records entries as core 0 of an in-memory trace and
 // returns that core's replay cursor.
 func recordedReader(t *testing.T, entries []workload.Entry) *trace.Reader {
@@ -68,7 +78,7 @@ func TestDumpStreamLimit(t *testing.T) {
 			name   string
 			stream func() workload.Stream
 		}{
-			{"slice", func() workload.Stream { return workload.NewSliceStream(dumpEntries()) }},
+			{"slice", func() workload.Stream { return &sliceStream{entries: dumpEntries()} }},
 			{"trace", func() workload.Stream { return recordedReader(t, dumpEntries()) }},
 		} {
 			var out bytes.Buffer

@@ -38,8 +38,18 @@ func (f *fakeL1) Write(a mem.Addr, done func()) {
 	f.eng.Schedule(1, done)
 }
 
+// sliceStream replays a fixed slice of entries.
+type sliceStream struct{ entries []workload.Entry }
+
+// NextBatch implements workload.Stream.
+func (s *sliceStream) NextBatch(buf []workload.Entry) int {
+	n := copy(buf, s.entries)
+	s.entries = s.entries[n:]
+	return n
+}
+
 func entriesOf(ops ...workload.Entry) workload.Stream {
-	return workload.NewSliceStream(ops)
+	return &sliceStream{entries: ops}
 }
 
 func TestCoreConfigValidation(t *testing.T) {

@@ -2,8 +2,8 @@ package experiment
 
 // Stream-memo tests: each stream key is captured once per batch at any
 // worker count, nothing is captured when no two queued jobs share a key,
-// no trace outlives the call, a failed capture runs live, and a transient
-// fault while replaying a capture is retried like any other.
+// no trace outlives the call, a failed or panicking capture runs live, and
+// a transient fault while replaying a capture is retried like any other.
 
 import (
 	"context"
@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"weak"
 
@@ -161,6 +162,43 @@ func TestStreamMemoCaptureFailureRunsLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	if failed == 0 {
+		t.Fatal("no capture was attempted")
+	}
+	if got := sweep.Digest(); got != GoldenAnchor {
+		t.Fatalf("live fallback digest %s, want %s", got, GoldenAnchor)
+	}
+}
+
+// panicGen makes core 1's stream panic on its first batch.
+type panicGen struct{ workload.Generator }
+
+func (g panicGen) Streams(cores int, seed uint64) []workload.Stream {
+	ss := g.Generator.Streams(cores, seed)
+	ss[1] = panicStream{}
+	return ss
+}
+
+type panicStream struct{}
+
+func (panicStream) NextBatch([]workload.Entry) int { panic("stream bug during capture") }
+
+// TestStreamMemoCapturePanicRunsLive panics a stream inside every capture:
+// trace.Capture generates streams on goroutines of its own and re-raises the
+// panic on the capturing worker, where captureShared recovers it, so every
+// key runs live and the sweep still reproduces the golden digest.
+func TestStreamMemoCapturePanicRunsLive(t *testing.T) {
+	orig := captureStreams
+	defer func() { captureStreams = orig }()
+	var attempts atomic.Int32
+	captureStreams = func(gen workload.Generator, cfg config.System) (*trace.File, error) {
+		attempts.Add(1)
+		return orig(panicGen{gen}, cfg)
+	}
+	sweep, err := runSweep(goldenOptions(), Parallelism{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if attempts.Load() == 0 {
 		t.Fatal("no capture was attempted")
 	}
 	if got := sweep.Digest(); got != GoldenAnchor {

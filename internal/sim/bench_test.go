@@ -376,3 +376,20 @@ func TestMonomorphicDispatchAllocationFree(t *testing.T) {
 		t.Fatalf("monomorphic dispatch allocates %.1f times per burst, want 0", allocs)
 	}
 }
+
+// --- random samplers ------------------------------------------------------
+
+// BenchmarkGeometric measures one precomputed geometric draw at the mean
+// compute run of the scientific benchmarks' phases, the largest single cost
+// of live workload generation.
+func BenchmarkGeometric(b *testing.B) {
+	g := NewGeom(12.6)
+	r := NewRand(1)
+	sum := 0
+	for b.Loop() {
+		sum += g.Sample(r)
+	}
+	geomSink = sum
+}
+
+var geomSink int

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -188,5 +189,133 @@ func TestPropertySeedRestart(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChanceMatchesFloat64 pins Hit(NewChance(p)) to the float test it
+// replaces, Float64() < p, on the same draw: at the edge values of p, at
+// random p, and at the integer draws either side of each threshold.
+func TestChanceMatchesFloat64(t *testing.T) {
+	ps := []float64{0, math.SmallestNonzeroFloat64, 1.0 / 3, 0.5, math.Nextafter(1, 0), 1, 1.5,
+		math.NaN(), math.Inf(1), math.Inf(-1), -0.25}
+	pr := NewRand(43)
+	for range 100000 {
+		ps = append(ps, float64(pr.Uint64())/(1<<64)) // full-precision p, not multiples of 2^-53
+	}
+	a, b := NewRand(47), NewRand(47)
+	for _, p := range ps {
+		c := NewChance(p)
+		for range 4 {
+			if got, want := a.Hit(c), b.Float64() < p; got != want {
+				t.Fatalf("p=%v: Hit = %v, Float64() < p = %v", p, got, want)
+			}
+		}
+		// The draw m hits exactly when m/2^53 < p; check the integers
+		// around the threshold and the ends of the 53-bit range.
+		thr := uint64(c)
+		for _, m := range []uint64{0, 1, thr - 1, thr, thr + 1, 1<<53 - 1} {
+			if m >= 1<<53 {
+				continue
+			}
+			if got, want := m < thr, float64(m)/(1<<53) < p; got != want {
+				t.Fatalf("p=%v, draw %d: threshold %d says %v, float test says %v", p, m, thr, got, want)
+			}
+		}
+	}
+}
+
+// refGeometric is Geometric before the precomputed sampler: a loop of
+// float Bool(1/mean) draws, one more draw at the limit.
+func refGeometric(r *Rand, mean float64) int {
+	if mean <= 1 {
+		return 1
+	}
+	p := 1.0 / mean
+	limit := int(mean * 16)
+	n := 1
+	for !(r.Float64() < p) && n < limit {
+		n++
+	}
+	return n
+}
+
+// TestGeomMatchesReference pins Geom.Sample (and the Geometric wrapper) to
+// the reference loop: the same value and the same generator state after
+// every call, so exactly as many draws.
+func TestGeomMatchesReference(t *testing.T) {
+	for _, mean := range []float64{0.5, 1, 1 + 1e-9, 9, 12.6, 16.2} {
+		g := NewGeom(mean)
+		a, b, c := NewRand(53), NewRand(53), NewRand(53)
+		for i := range 100000 {
+			want := refGeometric(b, mean)
+			if got := g.Sample(a); got != want || *a != *b {
+				t.Fatalf("mean %v, call %d: Sample = %d (state %v), reference %d (state %v)", mean, i, got, *a, want, *b)
+			}
+			if got := c.Geometric(mean); got != want || *c != *b {
+				t.Fatalf("mean %v, call %d: Geometric = %d, reference %d", mean, i, got, want)
+			}
+		}
+	}
+}
+
+// TestGeomDrawsAtLimit pins the cap path, which random draws at a real
+// mean reach about once in 10^7 calls: a chance that never hits stops at
+// the limit after exactly limit draws.
+func TestGeomDrawsAtLimit(t *testing.T) {
+	a, b := NewRand(59), NewRand(59)
+	if got := (Geom{c: 0, limit: 5, draws: true}).Sample(a); got != 5 {
+		t.Fatalf("capped Sample = %d, want 5", got)
+	}
+	for range 5 {
+		b.Uint64()
+	}
+	if *a != *b {
+		t.Fatalf("capped Sample left state %v, want %v after 5 draws", *a, *b)
+	}
+}
+
+// refZipf is Zipf before its constants were hoisted.
+func refZipf(r *Rand, n int, s float64) int {
+	if n <= 1 {
+		return 0
+	}
+	if s <= 0 {
+		return r.Intn(n)
+	}
+	u := r.Float64()
+	var v float64
+	if s == 1 {
+		v = powf(float64(n)+1, u)
+	} else {
+		oneMinus := 1 - s
+		v = powf(u*(powf(float64(n)+1, oneMinus)-1)+1, 1/oneMinus)
+	}
+	idx := int(v) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= n {
+		idx = n - 1
+	}
+	return idx
+}
+
+// TestZipfMatchesInline pins the hoisted-constant sampler to the inline
+// expression, draw for draw.
+func TestZipfMatchesInline(t *testing.T) {
+	for _, s := range []float64{0.6, 0.9, 1, 1.1} {
+		for _, n := range []int{2, 7, 1000, 1 << 20} {
+			z := NewZipf(n, s)
+			a, b, c := NewRand(61), NewRand(61), NewRand(61)
+			for i := range 20000 {
+				want := refZipf(b, n, s)
+				if got := z.Sample(a); got != want {
+					t.Fatalf("s=%v n=%d draw %d: Sample = %d, inline %d", s, n, i, got, want)
+				}
+				if got := c.Zipf(n, s); got != want {
+					t.Fatalf("s=%v n=%d draw %d: Zipf = %d, inline %d", s, n, i, got, want)
+				}
+			}
+		}
 	}
 }

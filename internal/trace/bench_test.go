@@ -5,7 +5,7 @@ package trace_test
 // per-entry op accounting) to BenchmarkStreamNext / BenchmarkNextBatch in
 // internal/workload — the live-generation rates a trace must at least
 // match for replay to be worth it.  BenchmarkTraceWrite tracks the
-// record-side encode rate.
+// record-side encode rate, and BenchmarkCapture the whole recording path.
 
 import (
 	"bytes"
@@ -94,5 +94,36 @@ func BenchmarkTraceWrite(b *testing.B) {
 			b.Fatal(err)
 		}
 		done += len(entries)
+	}
+}
+
+// BenchmarkCapture measures recording a 4-core WATER-NS trace through
+// Capture, live generation on one goroutine per stream included, into an
+// in-memory writer; one op is one entry.
+func BenchmarkCapture(b *testing.B) {
+	gen, err := workload.ByName("WATER-NS", 0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	done := 0
+	for done < b.N {
+		buf.Reset()
+		w, err := trace.NewWriter(&buf, trace.Header{Cores: 4, LineBytes: 64}, trace.WriterOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		counts, err := trace.Capture(gen, 4, 1, w, trace.CaptureOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+		for _, n := range counts {
+			done += int(n)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync"
 
 	"cmpleak/internal/workload"
 )
@@ -201,10 +202,29 @@ type CaptureOptions struct {
 	LimitPerCore int
 }
 
-// Capture drains every stream of a generator into a trace writer,
-// interleaving cores in batch-sized slices the way a live multi-core
-// simulation would, and returns the per-core entry counts.  The caller
-// still owns the writer (call Close/Flush afterwards).
+// captureBatch is the entries per NextBatch call Capture makes, and
+// capturePool the batch buffers each stream's producer cycles through, so a
+// producer runs at most capturePool batches ahead of the writer.  Four
+// streams share two CPUs and the writer takes their batches in strict
+// rotation; a pool of 16 absorbs the scheduling jitter between them
+// (recording full-scale WATER-NS took ~190 ms with 2 buffers, ~155 ms
+// with 4 and ~110 ms with 8 to 32).  Each stream holds
+// capturePool*captureBatch 24-byte entries, 96 KiB.
+const (
+	captureBatch = 256
+	capturePool  = 16
+)
+
+// Capture drains every stream of a generator into a trace writer and
+// returns the per-core entry counts.  Each stream is generated on its own
+// goroutine, through exactly the NextBatch calls a sequential drain in
+// batches of captureBatch entries makes; the caller's goroutine appends the
+// batches round-robin across cores, the way a live multi-core simulation
+// interleaves them, so the file is byte-identical to that drain's.  The
+// generator's streams must therefore share no mutable state (see
+// workload.Generator).  Producers stop once the writer fails; a panic in a
+// stream is re-raised on the caller's goroutine when the round-robin reaches
+// it.  The caller still owns the writer (call Close/Flush afterwards).
 func Capture(gen workload.Generator, cores int, seed uint64, w *Writer, opts CaptureOptions) ([]uint64, error) {
 	if cores <= 0 {
 		return nil, fmt.Errorf("trace: Capture needs at least one core")
@@ -213,31 +233,39 @@ func Capture(gen workload.Generator, cores int, seed uint64, w *Writer, opts Cap
 		return nil, err
 	}
 	streams := gen.Streams(cores, seed)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	producers := make([]*producer, len(streams))
+	for i, s := range streams {
+		producers[i] = newProducer(s)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			producers[i].run(opts.LimitPerCore, stop)
+		}()
+	}
+
 	counts := make([]uint64, len(streams))
 	live := len(streams)
 	done := make([]bool, len(streams))
-	buf := make([]workload.Entry, 256)
 	for live > 0 {
-		for i, s := range streams {
+		for i, p := range producers {
 			if done[i] {
 				continue
 			}
-			room := buf
-			if lim := opts.LimitPerCore; lim > 0 {
-				left := uint64(lim) - counts[i]
-				if left < uint64(len(room)) {
-					room = room[:left]
+			batch, ok := <-p.full
+			if !ok {
+				if p.panicked {
+					panic(p.panicVal)
 				}
-			}
-			n := 0
-			if len(room) > 0 {
-				n = s.NextBatch(room)
-			}
-			if n == 0 {
 				// A stream that failed (a replayed trace whose chunk does
 				// not decode) reads as exhausted; refuse to record it as
 				// a shorter stream.
-				if e, ok := s.(interface{ Err() error }); ok {
+				if e, ok := p.s.(interface{ Err() error }); ok {
 					if err := e.Err(); err != nil {
 						return counts, fmt.Errorf("trace: capturing core %d: %w", i, err)
 					}
@@ -246,11 +274,72 @@ func Capture(gen workload.Generator, cores int, seed uint64, w *Writer, opts Cap
 				live--
 				continue
 			}
-			if err := w.AppendBatch(i, room[:n]); err != nil {
+			if err := w.AppendBatch(i, batch); err != nil {
 				return counts, err
 			}
-			counts[i] += uint64(n)
+			counts[i] += uint64(len(batch))
+			p.free <- batch[:cap(batch)]
 		}
 	}
 	return counts, nil
+}
+
+// producer generates one stream's batches for Capture.  Either channel can
+// hold all capturePool buffers, so no send blocks; only taking a free
+// buffer can.
+type producer struct {
+	s    workload.Stream
+	free chan []workload.Entry // empty buffers, returned by the writer side
+	full chan []workload.Entry // filled batches; closed when the stream ends
+
+	// Set before full is closed: a panic NextBatch raised, for Capture to
+	// re-raise.
+	panicked bool
+	panicVal any
+}
+
+func newProducer(s workload.Stream) *producer {
+	p := &producer{
+		s:    s,
+		free: make(chan []workload.Entry, capturePool),
+		full: make(chan []workload.Entry, capturePool),
+	}
+	for range capturePool {
+		p.free <- make([]workload.Entry, captureBatch)
+	}
+	return p
+}
+
+// run fills batches until the stream is exhausted, limit (0 = none)
+// entries are generated, or stop closes.
+func (p *producer) run(limit int, stop <-chan struct{}) {
+	defer close(p.full)
+	defer func() {
+		if v := recover(); v != nil {
+			p.panicked, p.panicVal = true, v
+		}
+	}()
+	var got uint64
+	for {
+		var buf []workload.Entry
+		select {
+		case buf = <-p.free:
+		case <-stop:
+			return
+		}
+		if limit > 0 {
+			if left := uint64(limit) - got; left < uint64(len(buf)) {
+				buf = buf[:left]
+			}
+		}
+		if len(buf) == 0 {
+			return
+		}
+		n := p.s.NextBatch(buf)
+		if n == 0 {
+			return
+		}
+		got += uint64(n)
+		p.full <- buf[:n]
+	}
 }

@@ -61,7 +61,7 @@ func TestAsBatchStreamShim(t *testing.T) {
 	for i := range entries {
 		entries[i] = Entry{ComputeInstrs: i, Op: Load, Addr: mem.Addr(0x1000 + i*64)}
 	}
-	s := NewSliceStream(entries)
+	s := Stream(&sliceStream{entries: entries})
 	if AsBatchStream(s) != s {
 		t.Fatal("AsBatchStream wrapped its stream")
 	}

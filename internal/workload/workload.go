@@ -106,7 +106,13 @@ type Generator interface {
 	// Name is the benchmark name as used in the paper's figures.
 	Name() string
 	// Streams returns one stream per core; all streams of one call share
-	// the benchmark's shared data regions.
+	// the benchmark's shared data regions.  The streams of one call share
+	// no mutable state, so each may be drained on its own goroutine
+	// (trace.Capture does): phased and stat streams own their RNG, phase
+	// generator and read-modify-write pools and only read the generator
+	// and the region layout; a mix's streams, offsetStream wrappers
+	// included, are its elements' streams; a trace's streams are Readers,
+	// each its own cursor over the immutable File.
 	Streams(cores int, seed uint64) []Stream
 }
 
@@ -246,22 +252,6 @@ func ClassOf(name string) Class {
 func PaperBenchmarks() []string {
 	return []string{"mpeg2enc", "mpeg2dec", "facerec", "WATER-NS", "FMM", "VOLREND"}
 }
-
-// sliceStream replays a pre-generated slice of entries.
-type sliceStream struct {
-	entries []Entry
-	pos     int
-}
-
-// NextBatch implements Stream: one memmove per batch.
-func (s *sliceStream) NextBatch(buf []Entry) int {
-	n := copy(buf, s.entries[s.pos:])
-	s.pos += n
-	return n
-}
-
-// NewSliceStream wraps a slice of entries as a Stream.
-func NewSliceStream(entries []Entry) Stream { return &sliceStream{entries: entries} }
 
 // TotalInstructions sums the instruction counts of a slice of entries.
 func TotalInstructions(entries []Entry) uint64 {
@@ -443,10 +433,14 @@ func (rb *recentBlocks) pick(rng *sim.Rand) (mem.Addr, bool) {
 // sequence is identical for every batch size, including batch size one.
 type phaseGen struct {
 	// p holds the phase parameters with refs already scaled.
-	p       phaseParams
-	rmwFrac float64
-	spatial float64
-	core    int
+	p    phaseParams
+	core int
+
+	// The phase's samplers, precomputed by start: the compute-run length,
+	// the five reference chances and the two Zipf block pickers.
+	compute                                  sim.Geom
+	spatial, store, shared, sharedStore, rmw sim.Chance
+	sharedZipf, privZipf                     sim.Zipf
 
 	// emitted counts the entries produced so far of the p.refs total.
 	emitted int
@@ -472,14 +466,20 @@ func (g *phaseGen) start(p phaseParams, core int, windowShift uint64) {
 	g.lastBlock = 0
 	g.lastShared = false
 	g.haveLast = false
-	g.rmwFrac = p.rmwFrac
-	if g.rmwFrac == 0 {
-		g.rmwFrac = defaultRMWFrac
+	rmwFrac := p.rmwFrac
+	if rmwFrac == 0 {
+		rmwFrac = defaultRMWFrac
 	}
-	g.spatial = p.spatial
-	if g.spatial == 0 {
-		g.spatial = defaultSpatial
+	spatial := p.spatial
+	if spatial == 0 {
+		spatial = defaultSpatial
 	}
+	g.compute = sim.NewGeom(p.meanCompute)
+	g.spatial = sim.NewChance(spatial)
+	g.store = sim.NewChance(p.storeFrac)
+	g.shared = sim.NewChance(p.sharedFrac)
+	g.sharedStore = sim.NewChance(p.sharedStoreFrac)
+	g.rmw = sim.NewChance(rmwFrac)
 	privBlocks := maxU64(p.privBlocks, 1)
 	g.windowBlocks = privBlocks
 	g.windowBase = 0
@@ -491,6 +491,8 @@ func (g *phaseGen) start(p phaseParams, core int, windowShift uint64) {
 		}
 		g.windowBase = (windowShift % nWindows) * g.windowBlocks
 	}
+	g.sharedZipf = sim.NewZipf(int(maxU64(p.sharedBlocks, 1)), p.sharedSkew)
+	g.privZipf = sim.NewZipf(int(g.windowBlocks), p.privSkew)
 }
 
 // done reports whether the phase instance has emitted all its references.
@@ -510,18 +512,18 @@ func (g *phaseGen) generate(rng *sim.Rand, r regions, recentPriv, recentShared *
 	n := 0
 	for n < len(out) && emitted < g.p.refs {
 		emitted++
-		e := Entry{ComputeInstrs: rng.Geometric(g.p.meanCompute)}
+		e := Entry{ComputeInstrs: g.compute.Sample(rng)}
 		// Spatial locality: with probability `spatial` the reference stays
 		// in the previous block (new offset), which keeps most accesses in
 		// the L1 and makes L2 touches rare, as in the real benchmarks.  The
 		// store probability follows the region of the reused block so the
 		// configured write-sharing mix is preserved.
-		if haveLast && rng.Bool(g.spatial) {
-			storeP := g.p.storeFrac
+		if haveLast && rng.Hit(g.spatial) {
+			storeP := g.store
 			if lastShared {
-				storeP = g.p.sharedStoreFrac
+				storeP = g.sharedStore
 			}
-			if rng.Bool(storeP) {
+			if rng.Hit(storeP) {
 				e.Op = Store
 			} else {
 				e.Op = Load
@@ -531,11 +533,11 @@ func (g *phaseGen) generate(rng *sim.Rand, r regions, recentPriv, recentShared *
 			n++
 			continue
 		}
-		shared := rng.Bool(g.p.sharedFrac)
+		shared := rng.Hit(g.shared)
 		var isStore bool
 		if shared {
-			isStore = rng.Bool(g.p.sharedStoreFrac)
-			if isStore && rng.Bool(g.rmwFrac) {
+			isStore = rng.Hit(g.sharedStore)
+			if isStore && rng.Hit(g.rmw) {
 				if a, ok := recentShared.pick(rng); ok {
 					e.Addr = a
 					e.Op = Store
@@ -545,11 +547,11 @@ func (g *phaseGen) generate(rng *sim.Rand, r regions, recentPriv, recentShared *
 					continue
 				}
 			}
-			blk := uint64(rng.Zipf(int(maxU64(g.p.sharedBlocks, 1)), g.p.sharedSkew))
+			blk := uint64(g.sharedZipf.Sample(rng))
 			e.Addr = r.sharedAddr(blk, r.lineOffset(rng))
 		} else {
-			isStore = rng.Bool(g.p.storeFrac)
-			if isStore && rng.Bool(g.rmwFrac) {
+			isStore = rng.Hit(g.store)
+			if isStore && rng.Hit(g.rmw) {
 				if a, ok := recentPriv.pick(rng); ok {
 					e.Addr = a
 					e.Op = Store
@@ -564,7 +566,7 @@ func (g *phaseGen) generate(rng *sim.Rand, r regions, recentPriv, recentShared *
 				blk = g.windowBase + (seq*g.p.stride)%g.windowBlocks
 				seq++
 			} else {
-				blk = g.windowBase + uint64(rng.Zipf(int(g.windowBlocks), g.p.privSkew))
+				blk = g.windowBase + uint64(g.privZipf.Sample(rng))
 			}
 			e.Addr = r.privateAddr(g.core, blk, r.lineOffset(rng))
 		}

@@ -87,9 +87,22 @@ func TestClassOf(t *testing.T) {
 	}
 }
 
+// sliceStream replays a pre-generated slice of entries.
+type sliceStream struct {
+	entries []Entry
+	pos     int
+}
+
+// NextBatch implements Stream: one memmove per batch.
+func (s *sliceStream) NextBatch(buf []Entry) int {
+	n := copy(buf, s.entries[s.pos:])
+	s.pos += n
+	return n
+}
+
 func TestSliceStream(t *testing.T) {
 	entries := []Entry{{ComputeInstrs: 1, Op: Load, Addr: 0x10}, {ComputeInstrs: 2, Op: Store, Addr: 0x20}}
-	s := NewSliceStream(entries)
+	s := &sliceStream{entries: entries}
 	got := Drain(s)
 	if len(got) != 2 || got[0].Addr != 0x10 || got[1].Op != Store {
 		t.Fatalf("drained %v", got)
