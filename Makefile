@@ -33,12 +33,13 @@ test:
 # test-allocs re-runs the 0-allocs/op guards on the scheduler drain loop,
 # the steady-state load-hit, load-miss, decay-tick, victim-selection,
 # stream-refill, trace-replay (chunks decode in place from the file's
-# bytes) and stats-observe paths, and the constant-allocation guard on the
-# sweep digest, explicitly, so an
-# allocation regression fails CI with a focused message even when the main
-# test run is filtered.
+# bytes) and stats-observe paths, the constant-allocation guard on the
+# sweep digest, and the host-bytes-per-L2-line budget of core.NewSystem,
+# explicitly, so an allocation regression or per-line state that grows
+# back fails CI with a focused message even when the main test run is
+# filtered.
 test-allocs:
-	$(GO) test -count 1 -run 'AllocationFree' \
+	$(GO) test -count 1 -run 'AllocationFree|BytesPerLine' \
 		./internal/sim ./internal/cache ./internal/core ./internal/decay \
 		./internal/workload ./internal/stats ./internal/trace ./internal/experiment
 

@@ -31,7 +31,7 @@ type Config struct {
 	Name string
 	// SizeBytes is the total data capacity.
 	SizeBytes uint64
-	// LineBytes is the block size; must be a power of two.
+	// LineBytes is the block size; must be a power of two, at least 2.
 	LineBytes uint64
 	// Assoc is the set associativity.
 	Assoc int
@@ -49,6 +49,9 @@ func (c Config) Validate() error {
 	}
 	if !mem.IsPowerOfTwo(c.LineBytes) {
 		return fmt.Errorf("cache %q: line size %d is not a power of two", c.Name, c.LineBytes)
+	}
+	if c.LineBytes < 2 {
+		return fmt.Errorf("cache %q: line size %d is below 2 bytes", c.Name, c.LineBytes)
 	}
 	lines := c.SizeBytes / c.LineBytes
 	if lines == 0 || lines%uint64(c.Assoc) != 0 {
@@ -71,22 +74,19 @@ func (c Config) NumSets() int { return c.NumLines() / c.Assoc }
 func (c Config) Latency() sim.Cycle { return c.LatencyCycles + c.ExtraLatency }
 
 // Line is one cache block's metadata.  Data values are not simulated; only
-// the state needed for timing, coherence and energy is kept.
+// the state needed for timing, coherence and energy is kept.  The block
+// address lives in the cache's dense tag array (see Cache.Tag) and the
+// decay arm tick in a per-bank array only decaying banks allocate, so each
+// field is stored once.  Whether a line is dirty is its coherence State's
+// (coherence.State.Dirty).
 type Line struct {
-	// Tag is the block address (not a partial tag), zero only when !Valid.
-	Tag mem.Addr
 	// Valid reports whether the line holds a block.
 	Valid bool
-	// Dirty reports whether the line holds data newer than memory.
-	Dirty bool
 	// State is the coherence state, owned by the coherence layer.
 	State uint8
 	// Powered reports whether the SRAM cells of this line are connected to
 	// the supply rail (Gated-Vdd on = powered).
 	Powered bool
-	// ArmTick is the bank's global decay tick count when the line's
-	// hierarchical decay counter last reset (see DecayCounter).
-	ArmTick uint32
 	// DecayArmed reports whether the decay logic is allowed to turn this
 	// line off (always true for plain Decay, selectively set for SD).
 	DecayArmed bool
@@ -104,14 +104,12 @@ type Cache struct {
 
 	// lines is a flat array indexed by set*assoc+way.
 	lines []Line
-	// tags mirrors lines[...].Tag in a dense array so the Lookup tag scan
-	// reads one 8-byte word per way (an 8-way set is one cache line)
-	// instead of striding over the 24-byte Line structs.  Invalid ways hold
-	// invalidTag — not block-aligned, so it can never match a looked-up
-	// block — which folds the valid check into the tag compare and keeps
-	// the hit path to a single replacement-state load.  nil when LineBytes
-	// is 1 (no non-block-aligned sentinel exists); Lookup then walks the
-	// Line structs as before.
+	// tags holds each way's block address, indexed like lines: the one
+	// copy of the tag, scanned by Lookup one 8-byte word per way (an 8-way
+	// set is one host cache line).  Invalid ways hold invalidTag — not
+	// block-aligned, so it can never match a looked-up block — which folds
+	// the valid check into the tag compare and keeps the hit path to a
+	// single replacement-state load.
 	tags []mem.Addr
 
 	// Replacement state.  Instead of an 8-byte LRU stamp per line and an
@@ -142,13 +140,15 @@ type Cache struct {
 
 	// Decay bookkeeping, allocated by EnableDecay on banks a decaying
 	// technique runs on (nil elsewhere).  Line counters are not stored but
-	// derived from decayTicks and each line's ArmTick.  Bitmaps over line
-	// indices track the only lines a tick can saturate: decayDue[k] holds
-	// the armed lines reset while decayTicks%DecayLevels == k, which
-	// saturate DecayLevels ticks later unless reset again; decaySat holds
-	// saturated lines that survived their turn-off request (deferred, or
-	// writing back), which every tick requests again.
+	// derived from decayTicks and armTick[idx], the bank's tick count at the
+	// line's last counter reset.  Bitmaps over line indices track the only
+	// lines a tick can saturate: decayDue[k] holds the armed lines reset
+	// while decayTicks%DecayLevels == k, which saturate DecayLevels ticks
+	// later unless reset again; decaySat holds saturated lines that survived
+	// their turn-off request (deferred, or writing back), which every tick
+	// requests again.
 	decayTicks uint32
+	armTick    []uint32
 	decayDue   [DecayLevels][]uint64
 	decaySat   []uint64
 
@@ -172,12 +172,10 @@ func New(cfg Config) (*Cache, error) {
 		lineShift: uint(bits.TrailingZeros64(cfg.LineBytes)),
 		setMask:   uint64(cfg.NumSets() - 1),
 		lines:     make([]Line, cfg.NumLines()),
+		tags:      make([]mem.Addr, cfg.NumLines()),
 	}
-	if cfg.LineBytes > 1 {
-		c.tags = make([]mem.Addr, cfg.NumLines())
-		for i := range c.tags {
-			c.tags[i] = invalidTag
-		}
+	for i := range c.tags {
+		c.tags[i] = invalidTag
 	}
 	if c.assoc <= packedAssocMax {
 		// Identity permutation; unused high nibbles hold 0xF so a stray
@@ -247,17 +245,8 @@ func (c *Cache) Lookup(a mem.Addr) (set, way int, found bool) {
 	set = c.SetIndex(a)
 	tag := c.blockAddr(a)
 	base := set * c.assoc
-	if c.tags != nil {
-		for w, t := range c.tags[base : base+c.assoc] {
-			if t == tag {
-				return set, w, true
-			}
-		}
-		return set, -1, false
-	}
-	for w := 0; w < c.assoc; w++ {
-		ln := &c.lines[base+w]
-		if ln.Valid && ln.Tag == tag {
+	for w, t := range c.tags[base : base+c.assoc] {
+		if t == tag {
 			return set, w, true
 		}
 	}
@@ -267,12 +256,17 @@ func (c *Cache) Lookup(a mem.Addr) (set, way int, found bool) {
 // Line returns a pointer to the line at (set, way).
 func (c *Cache) Line(set, way int) *Line { return &c.lines[set*c.assoc+way] }
 
+// Tag returns the block address held at (set, way); it is meaningful only
+// while the line is valid.
+func (c *Cache) Tag(set, way int) mem.Addr { return c.tags[set*c.assoc+way] }
+
 // packedAssocMax is the widest associativity whose recency permutation fits
 // one uint64 of 4-bit ranks.
 const packedAssocMax = 16
 
 // invalidTag marks an empty way in the dense tag array.  Block addresses
-// are LineBytes-aligned, so with LineBytes >= 2 no real block can equal it.
+// are LineBytes-aligned and Validate requires LineBytes >= 2, so no real
+// block can equal it.
 const invalidTag mem.Addr = 1
 
 // Nibble-SWAR constants: repeated 0x1 / 0x8 patterns used to locate the
@@ -341,12 +335,8 @@ func (c *Cache) Victim(set int) int {
 // handled (written back / invalidated) by the caller.
 func (c *Cache) Install(a mem.Addr, set, way int) *Line {
 	ln := &c.lines[set*c.assoc+way]
-	ln.Tag = c.blockAddr(a)
-	if c.tags != nil {
-		c.tags[set*c.assoc+way] = ln.Tag
-	}
+	c.tags[set*c.assoc+way] = c.blockAddr(a)
 	ln.Valid = true
-	ln.Dirty = false
 	ln.DecayArmed = false
 	if c.validBits != nil {
 		c.validBits[set] |= 1 << uint(way)
@@ -361,11 +351,8 @@ func (c *Cache) Install(a mem.Addr, set, way int) *Line {
 func (c *Cache) Invalidate(set, way int) {
 	ln := &c.lines[set*c.assoc+way]
 	ln.Valid = false
-	ln.Dirty = false
 	ln.DecayArmed = false
-	if c.tags != nil {
-		c.tags[set*c.assoc+way] = invalidTag
-	}
+	c.tags[set*c.assoc+way] = invalidTag
 	if c.validBits != nil {
 		c.validBits[set] &^= 1 << uint(way)
 	}
@@ -420,10 +407,12 @@ func (c *Cache) PowerOnAll(now sim.Cycle) {
 // after between (levels-1) and levels global ticks without an access.
 const DecayLevels = 4
 
-// EnableDecay allocates the bank's decay bookkeeping, which ResetDecay,
+// EnableDecay allocates the bank's decay bookkeeping — one arm tick per
+// line and the due and saturated bitmaps — which ResetDecay, DecayCounter,
 // DecayTick and KeepSaturated use; a decaying technique calls it once when
-// it starts.
+// it starts.  Banks that never decay carry none of it.
 func (c *Cache) EnableDecay() {
+	c.armTick = make([]uint32, len(c.lines))
 	words := (len(c.lines) + 63) / 64
 	for k := range c.decayDue {
 		c.decayDue[k] = make([]uint64, words)
@@ -431,24 +420,24 @@ func (c *Cache) EnableDecay() {
 	c.decaySat = make([]uint64, words)
 }
 
-// ResetDecay resets the decay counter of (set, way) to zero.  An armed line
-// becomes due DecayLevels ticks from now; a line that had saturated leaves
-// the saturated set either way.  Set DecayArmed before calling it.
+// ResetDecay resets the decay counter of (set, way) to zero by recording
+// the bank's tick count as the line's arm tick.  An armed line becomes due
+// DecayLevels ticks from now; a line that had saturated leaves the
+// saturated set either way.  Set DecayArmed before calling it.
 func (c *Cache) ResetDecay(set, way int) {
 	idx := set*c.assoc + way
-	ln := &c.lines[idx]
-	ln.ArmTick = c.decayTicks
+	c.armTick[idx] = c.decayTicks
 	w, bit := idx>>6, uint64(1)<<(uint(idx)&63)
 	c.decaySat[w] &^= bit
-	if ln.DecayArmed {
+	if c.lines[idx].DecayArmed {
 		c.decayDue[c.decayTicks%DecayLevels][w] |= bit
 	}
 }
 
 // DecayCounter returns the hierarchical decay counter of (set, way): the
-// ticks since its last reset, saturating at DecayLevels.
+// ticks since its arm tick, saturating at DecayLevels.
 func (c *Cache) DecayCounter(set, way int) int {
-	return int(min(c.decayTicks-c.lines[set*c.assoc+way].ArmTick, DecayLevels))
+	return int(min(c.decayTicks-c.armTick[set*c.assoc+way], DecayLevels))
 }
 
 // DecayTick advances the bank's global decay tick and appends to dst, in
@@ -457,8 +446,8 @@ func (c *Cache) DecayCounter(set, way int) int {
 // are cleared as they are read: the caller returns the lines its turn-off
 // requests leave in place with KeepSaturated.  A due bit left behind by an
 // earlier reset of a line reset again since is stale and skipped; entries of
-// the saturated set are taken without reading ArmTick, so saturation never
-// depends on 32-bit wrap-around.
+// the saturated set are taken without reading their arm tick, so saturation
+// never depends on 32-bit wrap-around.
 func (c *Cache) DecayTick(dst []int) []int {
 	c.decayTicks++
 	t := c.decayTicks
@@ -477,7 +466,7 @@ func (c *Cache) DecayTick(dst []int) []int {
 			if !ln.Valid || !ln.Powered || !ln.DecayArmed {
 				continue
 			}
-			if sat&(1<<uint(b)) == 0 && t-ln.ArmTick < DecayLevels {
+			if sat&(1<<uint(b)) == 0 && t-c.armTick[idx] < DecayLevels {
 				continue
 			}
 			dst = append(dst, idx)
@@ -506,46 +495,4 @@ func (c *Cache) OnCycles(now sim.Cycle) uint64 {
 		total += uint64(c.poweredLines) * uint64(now-c.lastPowerAdv)
 	}
 	return total
-}
-
-// OccupationRate returns the fraction of (line, cycle) pairs that were
-// powered on, over the first `elapsed` cycles — the paper's occupation-rate
-// definition applied to a single cache.
-func (c *Cache) OccupationRate(elapsed sim.Cycle) float64 {
-	if elapsed == 0 {
-		return 0
-	}
-	den := float64(c.cfg.NumLines()) * float64(elapsed)
-	return stats.Ratio(float64(c.OnCycles(elapsed)), den)
-}
-
-// ForEachLine invokes fn for every line with its set and way indices.
-func (c *Cache) ForEachLine(fn func(set, way int, ln *Line)) {
-	idx := 0
-	for s := 0; s < c.numSets; s++ {
-		for w := 0; w < c.assoc; w++ {
-			fn(s, w, &c.lines[idx])
-			idx++
-		}
-	}
-}
-
-// ForEachValid invokes fn for every valid line.
-func (c *Cache) ForEachValid(fn func(set, way int, ln *Line)) {
-	c.ForEachLine(func(set, way int, ln *Line) {
-		if ln.Valid {
-			fn(set, way, ln)
-		}
-	})
-}
-
-// CountValid returns how many lines are valid.
-func (c *Cache) CountValid() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].Valid {
-			n++
-		}
-	}
-	return n
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -9,6 +10,26 @@ import (
 	"cmpleak/internal/mem"
 	"cmpleak/internal/sim"
 )
+
+// countValid returns how many lines of c are valid.
+func countValid(c *Cache) int {
+	n := 0
+	for i := range c.lines {
+		if c.lines[i].Valid {
+			n++
+		}
+	}
+	return n
+}
+
+// occupationRate is the paper's occupation rate of one cache: the fraction
+// of (line, cycle) pairs powered on over the first elapsed cycles.
+func occupationRate(c *Cache, elapsed sim.Cycle) float64 {
+	if elapsed == 0 {
+		return 0
+	}
+	return float64(c.OnCycles(elapsed)) / (float64(c.NumLines()) * float64(elapsed))
+}
 
 func smallConfig() Config {
 	return Config{
@@ -30,6 +51,7 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "zero-line", SizeBytes: 4096, LineBytes: 0, Assoc: 4},
 		{Name: "zero-assoc", SizeBytes: 4096, LineBytes: 64, Assoc: 0},
 		{Name: "odd-line", SizeBytes: 4096, LineBytes: 48, Assoc: 4},
+		{Name: "one-byte-line", SizeBytes: 4096, LineBytes: 1, Assoc: 4},
 		{Name: "non-pow2-sets", SizeBytes: 4096 + 64*4, LineBytes: 64, Assoc: 4},
 	}
 	for _, c := range cases {
@@ -56,6 +78,12 @@ func TestConfigDerived(t *testing.T) {
 func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New accepted an empty config")
+	}
+	// A 1-byte line leaves no address that is not block-aligned, so the
+	// empty-way tag sentinel could match a real block.
+	_, err := New(Config{Name: "L2-tiny", SizeBytes: 4096, LineBytes: 1, Assoc: 4})
+	if err == nil || !strings.Contains(err.Error(), `"L2-tiny"`) {
+		t.Fatalf("New with 1-byte lines: err %v, want an error naming the cache", err)
 	}
 	defer func() {
 		if recover() == nil {
@@ -85,9 +113,8 @@ func TestInstallAndLookup(t *testing.T) {
 	if !found || s2 != set || w2 != way {
 		t.Fatalf("installed block not found: set %d way %d found %v", s2, w2, found)
 	}
-	ln := c.Line(s2, w2)
-	if ln.Tag != mem.BlockAddr(addr, 64) {
-		t.Fatalf("tag %v, want block-aligned %v", ln.Tag, mem.BlockAddr(addr, 64))
+	if tag := c.Tag(s2, w2); tag != mem.BlockAddr(addr, 64) {
+		t.Fatalf("tag %v, want block-aligned %v", tag, mem.BlockAddr(addr, 64))
 	}
 	// Another address in the same block also hits.
 	if _, _, found := c.Lookup(addr + 1); !found {
@@ -131,17 +158,37 @@ func TestVictimLRU(t *testing.T) {
 	s, w, _ := c.Lookup(addrs[0])
 	c.Touch(s, w)
 	v := c.Victim(set)
-	if c.Line(set, v).Tag != addrs[1] {
-		t.Fatalf("LRU victim holds %v, want %v", c.Line(set, v).Tag, addrs[1])
+	if c.Tag(set, v) != addrs[1] {
+		t.Fatalf("LRU victim holds %v, want %v", c.Tag(set, v), addrs[1])
 	}
 }
 
-// TestLineSize pins the 24-byte line metadata: tag, flags and the decay arm
-// tick fill 16 bytes and DecayArmed the last word, so an 8 MB L2's 128 Ki
-// lines carry 3 MiB of metadata.
+// TestLineSize pins the 4-byte line metadata: the Valid, State, Powered and
+// DecayArmed bytes.  The tag lives only in the dense tag array (8 bytes per
+// line) and the arm tick only in decaying banks' arm tick arrays (4 bytes
+// per line), so an always-on bank holds 12 bytes per line and a decaying
+// bank 16, before the per-set replacement state.
 func TestLineSize(t *testing.T) {
-	if n := unsafe.Sizeof(Line{}); n != 24 {
-		t.Fatalf("sizeof(Line) = %d, want 24", n)
+	if n := unsafe.Sizeof(Line{}); n != 4 {
+		t.Fatalf("sizeof(Line) = %d, want 4", n)
+	}
+}
+
+// Decay bookkeeping exists only on banks a decaying technique enabled: one
+// arm tick per line beside the due and saturated bitmaps.
+func TestDecayArraysOnlyWhenEnabled(t *testing.T) {
+	c := MustNew(smallConfig())
+	if c.armTick != nil || c.decaySat != nil {
+		t.Fatal("a bank without EnableDecay holds decay arrays")
+	}
+	for k := range c.decayDue {
+		if c.decayDue[k] != nil {
+			t.Fatalf("a bank without EnableDecay holds due bitmap %d", k)
+		}
+	}
+	c.EnableDecay()
+	if len(c.armTick) != c.NumLines() {
+		t.Fatalf("EnableDecay allocated %d arm ticks, want one per line (%d)", len(c.armTick), c.NumLines())
 	}
 }
 
@@ -151,10 +198,9 @@ func TestInvalidate(t *testing.T) {
 	set, _, _ := c.Lookup(a)
 	way := c.Victim(set)
 	ln := c.Install(a, set, way)
-	ln.Dirty = true
 	ln.DecayArmed = true
 	c.Invalidate(set, way)
-	if ln.Valid || ln.Dirty || ln.DecayArmed {
+	if ln.Valid || ln.DecayArmed || c.Tag(set, way) != invalidTag {
 		t.Fatal("invalidate did not clear line metadata")
 	}
 	if _, _, found := c.Lookup(a); found {
@@ -191,7 +237,7 @@ func TestPowerOnAllAndOccupation(t *testing.T) {
 	if c.PoweredLines() != c.Config().NumLines() {
 		t.Fatal("PowerOnAll did not power every line")
 	}
-	if rate := c.OccupationRate(1000); rate < 0.999 || rate > 1.001 {
+	if rate := occupationRate(c, 1000); rate < 0.999 || rate > 1.001 {
 		t.Fatalf("occupation of always-on cache %v, want 1.0", rate)
 	}
 }
@@ -200,14 +246,10 @@ func TestOccupationRateHalf(t *testing.T) {
 	c := MustNew(smallConfig())
 	n := c.Config().NumLines()
 	// Power half the lines for the whole window.
-	i := 0
-	c.ForEachLine(func(set, way int, _ *Line) {
-		if i < n/2 {
-			c.PowerOn(set, way, 0)
-		}
-		i++
-	})
-	rate := c.OccupationRate(1000)
+	for i := 0; i < n/2; i++ {
+		c.PowerOn(i/c.Assoc(), i%c.Assoc(), 0)
+	}
+	rate := occupationRate(c, 1000)
 	if rate < 0.49 || rate > 0.51 {
 		t.Fatalf("occupation %v, want ~0.5", rate)
 	}
@@ -215,14 +257,15 @@ func TestOccupationRateHalf(t *testing.T) {
 
 func TestOccupationRateZeroElapsed(t *testing.T) {
 	c := MustNew(smallConfig())
-	if c.OccupationRate(0) != 0 {
+	c.PowerOnAll(0)
+	if c.OnCycles(0) != 0 || occupationRate(c, 0) != 0 {
 		t.Fatal("occupation over zero cycles should be 0")
 	}
 }
 
 func TestForEachValidAndCount(t *testing.T) {
 	c := MustNew(smallConfig())
-	if c.CountValid() != 0 {
+	if countValid(c) != 0 {
 		t.Fatal("empty cache reports valid lines")
 	}
 	for i := 0; i < 10; i++ {
@@ -230,8 +273,8 @@ func TestForEachValidAndCount(t *testing.T) {
 		set, _, _ := c.Lookup(a)
 		c.Install(a, set, c.Victim(set))
 	}
-	if c.CountValid() != 10 {
-		t.Fatalf("CountValid %d, want 10", c.CountValid())
+	if n := countValid(c); n != 10 {
+		t.Fatalf("%d valid lines, want 10", n)
 	}
 }
 
@@ -358,16 +401,20 @@ func TestPropertyTagsConsistent(t *testing.T) {
 			}
 			c.Install(a, set, way)
 		}
-		ok := true
-		c.ForEachValid(func(set, way int, ln *Line) {
-			if mem.BlockOffset(ln.Tag, c.Config().LineBytes) != 0 {
-				ok = false
+		for i, ln := range c.lines {
+			set, way := i/c.Assoc(), i%c.Assoc()
+			tag := c.Tag(set, way)
+			if !ln.Valid {
+				if tag != invalidTag {
+					return false
+				}
+				continue
 			}
-			if c.SetIndex(ln.Tag) != set {
-				ok = false
+			if mem.BlockOffset(tag, c.Config().LineBytes) != 0 || c.SetIndex(tag) != set {
+				return false
 			}
-		})
-		return ok
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

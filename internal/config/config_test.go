@@ -1,6 +1,7 @@
 package config
 
 import (
+	"strings"
 	"testing"
 
 	"cmpleak/internal/decay"
@@ -78,6 +79,16 @@ func TestValidationCatchesErrors(t *testing.T) {
 		if s.Validate() == nil {
 			t.Errorf("%s: validation should fail", name)
 		}
+	}
+}
+
+// One-byte lines pass every power-of-two check but leave the caches no
+// tag value for an empty way; Validate reports the refusing cache by name.
+func TestValidateRejectsOneByteLines(t *testing.T) {
+	s := Default()
+	s.L2.LineBytes = 1
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), `L2: cache "L2": line size 1`) {
+		t.Fatalf("1-byte L2 lines: err %v, want the L2 cache's line-size error", err)
 	}
 }
 

@@ -2,15 +2,19 @@ package core
 
 // Allocation guards for the data plane: the steady-state L1 load-hit and
 // load-miss→bus→L2-fill paths must not allocate under any technique,
-// including the decay hooks and the global tick.  These tests are the CI
-// tripwire behind the pooled MSHR records, the pre-bound bus completions
-// and the flat cache arrays; `make ci` runs them explicitly (test-allocs).
+// including the decay hooks and the global tick, and NewSystem must stay
+// within its host-byte budget per simulated L2 line.  These tests are the
+// CI tripwire behind the pooled MSHR records, the pre-bound bus
+// completions and the flat cache arrays; `make ci` runs them explicitly
+// (test-allocs).
 
 import (
+	"runtime"
 	"testing"
 
 	"cmpleak/internal/cache"
 	"cmpleak/internal/coherence"
+	"cmpleak/internal/config"
 	"cmpleak/internal/decay"
 	"cmpleak/internal/mem"
 	"cmpleak/internal/sim"
@@ -129,4 +133,35 @@ func TestSteadyStateLoadMissAllocationFree(t *testing.T) {
 			t.Fatal("fixture broken: misses never reached the L2")
 		}
 	})
+}
+
+// newSystemBytesPerLine is the host-memory budget of NewSystem per simulated
+// L2 line.  A 4-core 8 MB always-on system has 131 072 8-way L2 lines, each
+// holding a 4-byte cache.Line and an 8-byte tag, plus 2 bytes of per-set
+// replacement state (an 8-byte LRU permutation and an 8-byte valid mask per
+// 8 ways): 14 bytes.  The L1s, the workload streams, the thermal model and
+// the rest of NewSystem add under one byte per L2 line; the budget leaves
+// room for that and no room for another per-line field.
+const newSystemBytesPerLine = 16
+
+// TestNewSystemBytesPerLine guards the per-line layout of the L2 banks: the
+// bytes NewSystem allocates for the 4-core 8 MB baseline, per simulated L2
+// line, stay within newSystemBytesPerLine.
+func TestNewSystemBytesPerLine(t *testing.T) {
+	cfg := config.Default().WithTotalL2MB(8).WithTechnique(decay.Spec{Kind: decay.KindAlwaysOn})
+	lines := cfg.Cores * cfg.L2.NumLines()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := NewSystem(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(s)
+	perLine := float64(after.TotalAlloc-before.TotalAlloc) / float64(lines)
+	if perLine > newSystemBytesPerLine {
+		t.Errorf("NewSystem allocates %.1f host bytes per simulated L2 line (%d lines), budget %d",
+			perLine, lines, newSystemBytesPerLine)
+	}
+	t.Logf("%.2f host bytes per simulated L2 line", perLine)
 }

@@ -222,7 +222,6 @@ func (c *Controller) Write(block mem.Addr, done cache.DoneFunc, arg any) {
 			return
 		case coherence.Exclusive:
 			// Silent E -> M upgrade.
-			c.arr.Line(set, way).Dirty = true
 			c.setState(set, way, coherence.Modified)
 			c.writeHit(block, set, way, done, arg)
 			return
@@ -265,7 +264,6 @@ func (c *Controller) finishUpgrade(a any, txn coherence.Transaction, _ coherence
 	block := txn.Block
 	s2, w2, still := c.arr.Lookup(block)
 	if still && c.LineState(s2, w2) == coherence.Shared {
-		c.arr.Line(s2, w2).Dirty = true
 		c.setState(s2, w2, coherence.Modified)
 		c.tech.OnHit(c, s2, w2)
 		c.mshr.ScheduleDone(c.eng, c.cfg.Cache.Latency(), done, arg, block)
@@ -284,7 +282,6 @@ func (c *Controller) writeHit(block mem.Addr, set, way int, done cache.DoneFunc,
 	c.WriteHits.Inc()
 	c.arr.Hits.Inc()
 	c.arr.Touch(set, way)
-	c.arr.Line(set, way).Dirty = true
 	c.tech.OnHit(c, set, way)
 	c.mshr.ScheduleDone(c.eng, c.cfg.Cache.Latency(), done, arg, block)
 }
@@ -341,18 +338,16 @@ func (c *Controller) fill(block mem.Addr, res coherence.BusResult) {
 	} else {
 		c.arr.Touch(set, way)
 	}
-	ln := c.arr.Line(set, way)
 	var st coherence.State
 	switch {
 	case wantWrite:
 		st = coherence.Modified
-		ln.Dirty = true
 	case res.Snoop.Shared:
 		st = coherence.Shared
 	default:
 		st = coherence.Exclusive
 	}
-	ln.State = uint8(st)
+	c.setStateRaw(set, way, st)
 	c.tech.OnFill(c, set, way, st)
 	c.mshr.CompleteDeliver(block, c.eng, c.cfg.Cache.Latency())
 }
@@ -364,7 +359,7 @@ func (c *Controller) evictForFill(set, way int) {
 	if !ln.Valid {
 		return
 	}
-	victimBlock := ln.Tag
+	victimBlock := c.arr.Tag(set, way)
 	st := coherence.State(ln.State)
 	c.Evictions.Inc()
 	c.arr.Evictions.Inc()
@@ -409,7 +404,6 @@ func (c *Controller) Snoop(txn coherence.Transaction) coherence.SnoopResponse {
 		case coherence.Modified, coherence.TransientDirty:
 			// Flush: supply the data, memory is updated, downgrade to S.
 			c.SnoopDowngrades.Inc()
-			c.arr.Line(set, way).Dirty = false
 			c.setState(set, way, coherence.Shared)
 			return coherence.SnoopResponse{Shared: true, Dirty: true}
 		case coherence.Exclusive:
@@ -431,14 +425,13 @@ func (c *Controller) Snoop(txn coherence.Transaction) coherence.SnoopResponse {
 // removed (inclusion), the line goes to Invalid, and the technique is told
 // (the Protocol technique gates the line here).
 func (c *Controller) invalidateByProtocol(set, way int) {
-	ln := c.arr.Line(set, way)
-	block := ln.Tag
+	block := c.arr.Tag(set, way)
 	c.ProtocolInvalidations.Inc()
 	if c.l1 != nil {
 		c.l1.InvalidateBlock(block)
 	}
 	c.arr.Invalidate(set, way)
-	ln.State = uint8(coherence.Invalid)
+	c.setStateRaw(set, way, coherence.Invalid)
 	c.tech.OnProtocolInvalidate(c, set, way)
 }
 
@@ -457,7 +450,7 @@ func (c *Controller) RequestTurnOff(set, way int) {
 		return
 	}
 	c.TurnOffRequests.Inc()
-	block := ln.Tag
+	block := c.arr.Tag(set, way)
 	st := c.LineState(set, way)
 	pending := c.l1 != nil && c.l1.HasPendingWrite(block)
 	action := DecisionForState(st, pending)

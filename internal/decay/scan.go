@@ -14,7 +14,9 @@ import "cmpleak/internal/coherence"
 // This is exact — the same requests in the same order as a walk over every
 // line advancing stored counters — because of one invariant: a valid,
 // powered, armed line in a stable state (and, under Selective Decay, not
-// Modified) has counter min(ticks−ArmTick, cache.DecayLevels).  It holds
+// Modified) has counter min(ticks−armTick, cache.DecayLevels), armTick being
+// the bank's tick count at the line's last reset, kept in the bank's arm
+// tick array that cache.Cache.EnableDecay allocates.  It holds
 // because every way into that condition resets the counter:
 //
 //   - a fill: Install disarms, then OnFill arms and resets;

@@ -66,7 +66,7 @@ func (m *mockController) RequestTurnOff(set, way int) {
 	m.turnOffs = append(m.turnOffs, [2]int{set, way})
 	m.turnOffAt = append(m.turnOffAt, m.eng.Now())
 	key := [2]int{set, way}
-	if m.deferTurnOff || m.pending[m.arr.Line(set, way).Tag] {
+	if m.deferTurnOff || m.pending[m.arr.Tag(set, way)] {
 		m.deferred++
 		return
 	}
