@@ -32,14 +32,16 @@ test:
 
 # test-allocs re-runs the 0-allocs/op guards on the scheduler drain loop,
 # the steady-state load-hit, load-miss, decay-tick, victim-selection,
-# stream-refill, trace-replay (chunks decode in place from the file's
-# bytes) and stats-observe paths, the constant-allocation guard on the
-# sweep digest, and the host-bytes-per-L2-line budget of core.NewSystem,
+# stream-refill, trace-replay (chunks decode in place from an in-memory
+# trace, or from each reader's one staging buffer when read from a file)
+# and stats-observe paths, the constant-allocation guard on the sweep
+# digest, the host-bytes-per-L2-line budget of core.NewSystem, and the
+# heap an opened trace file retains (its chunk index, not its bytes),
 # explicitly, so an allocation regression or per-line state that grows
 # back fails CI with a focused message even when the main test run is
 # filtered.
 test-allocs:
-	$(GO) test -count 1 -run 'AllocationFree|BytesPerLine' \
+	$(GO) test -count 1 -run 'AllocationFree|BytesPerLine|RetainedHeap' \
 		./internal/sim ./internal/cache ./internal/core ./internal/decay \
 		./internal/workload ./internal/stats ./internal/trace ./internal/experiment
 

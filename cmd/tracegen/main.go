@@ -182,6 +182,7 @@ func dumpFile(w *bufio.Writer, path string, limit int, stats bool) {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	defer f.Close()
 	hdr := f.Header()
 	fmt.Fprintf(w, "# %s: benchmark=%s cores=%d line=%dB scale=%g seed=%d entries=%v\n",
 		path, hdr.Benchmark, hdr.Cores, hdr.LineBytes, hdr.Scale, hdr.Seed, f.EntryCounts())

@@ -90,17 +90,23 @@ func TestOpenFaultPoint(t *testing.T) {
 	}
 }
 
-// corruptTailTrace writes a single-chunk trace whose one-byte
-// payload is overwritten with an invalid op kind (3): the framing stays
-// valid, so Open succeeds and the corruption surfaces only on decode.
-func corruptTailTrace(t *testing.T) string {
+// corruptTailData is a single-chunk trace whose one-byte payload is
+// overwritten with an invalid op kind (3): the framing stays valid, so
+// Open succeeds and the corruption surfaces only on decode.
+func corruptTailData(t testing.TB) []byte {
 	t.Helper()
 	entries := []workload.Entry{{ComputeInstrs: 5}}
 	data := writeTrace(t, trace.Header{Cores: 1, LineBytes: 64, Benchmark: "unit"},
 		trace.WriterOptions{}, [][]workload.Entry{entries})
 	data[len(data)-1] = 0x03 // head uvarint: compute 0, op 3 (invalid)
+	return data
+}
+
+// corruptTailTrace writes corruptTailData to a file and returns its path.
+func corruptTailTrace(t *testing.T) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "corrupt-chunk.trc")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, corruptTailData(t), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path

@@ -76,20 +76,25 @@ func FuzzDinImport(f *testing.F) {
 	})
 }
 
-func FuzzReader(f *testing.F) {
-	// The valid seed, and the same trace with its first chunk's flags byte
-	// set: the bit that once marked a DEFLATE payload, which New refuses.
+// readerSeeds is FuzzReader's seed corpus: the valid seed, and the same
+// trace with its first chunk's flags byte set (the bit that once marked a
+// DEFLATE payload, which New refuses), each whole, halved, cut after the
+// version and with a byte flipped; plus an empty file and a bare magic.
+func readerSeeds() [][]byte {
+	var seeds [][]byte
 	seed := fuzzSeed()
 	for _, seed := range [][]byte{seed, flagFirstChunk(seed)} {
-		f.Add(seed)
-		f.Add(seed[:len(seed)/2])
-		f.Add(seed[:len(trace.Magic)+2])
 		flipped := append([]byte(nil), seed...)
 		flipped[len(flipped)/2] ^= 0xA5
-		f.Add(flipped)
+		seeds = append(seeds, seed, seed[:len(seed)/2], seed[:len(trace.Magic)+2], flipped)
 	}
-	f.Add([]byte{})
-	f.Add([]byte(trace.Magic))
+	return append(seeds, []byte{}, []byte(trace.Magic))
+}
+
+func FuzzReader(f *testing.F) {
+	for _, seed := range readerSeeds() {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tf, err := trace.New(data)

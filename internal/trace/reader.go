@@ -1,10 +1,15 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"cmpleak/internal/faultinject"
 	"cmpleak/internal/mem"
@@ -20,22 +25,36 @@ const (
 	FaultPointChunk = "trace/chunk"
 )
 
-// File is an opened trace: the raw bytes plus a validated chunk index.
-// Opening validates the framing (header, versions, every chunk header and
-// payload bound) so that readers can stream with nothing but cheap decode
-// checks left; Verify optionally proves the payloads themselves decode.
+// File is an opened trace: where its bytes are, plus a validated chunk
+// index.  A File from New holds the trace's bytes and stages each chunk as
+// a slice of them.  A File from Open holds only the open file: each Reader
+// reads one chunk at a time into its own buffer, so an open trace costs
+// its index (about 28 bytes per chunk) plus one staged chunk per active
+// stream, not the size of the file.  Indexing validates the framing
+// (header, versions, every chunk header and payload bound) so that readers
+// can stream with nothing but cheap decode checks left; Verify optionally
+// proves the payloads themselves decode.
 //
-// A File is immutable and safe for concurrent readers; each Stream call
-// returns an independent cursor starting at the beginning of its core's
-// entry sequence.
+// A File is safe for concurrent readers; each Stream call returns an
+// independent cursor starting at the beginning of its core's entry
+// sequence.
 type File struct {
-	data     []byte
-	hdr      Header
-	chunks   []chunkRef
-	perCore  []uint64 // entry totals per core, from the chunk index
-	path     string   // source file, "" for in-memory traces; error context only
-	verified bool
+	data       []byte      // the trace's bytes for New; nil for Open
+	src        io.ReaderAt // the open trace file for Open; nil for New
+	hdr        Header
+	chunks     []chunkRef
+	perCore    []uint64 // entry totals per core, from the chunk index
+	maxPayload uint32   // the largest chunk payload, which sizes a staging buffer
+	path       string   // source file, "" for in-memory traces; error context only
+
+	// sums is set by a successful Verify.  For a File from Open it holds
+	// the CRC32-C of every chunk payload, which each staging checks; for
+	// one from New it is empty, since those bytes cannot change under it.
+	sums atomic.Pointer[[]uint32]
 }
+
+// castagnoli is the CRC32-C table Verify records chunk checksums with.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // chunkErr wraps a chunk-level failure with everything needed to find it:
 // the source path (when the File came from one) and the chunk index.
@@ -46,66 +65,109 @@ func (f *File) chunkErr(i int, err error) error {
 	return fmt.Errorf("chunk %d: %w", i, err)
 }
 
-// chunkRef locates one validated chunk inside the file.
+// chunkRef locates one validated chunk: a payload of size bytes at off
+// holding entries records of core's stream (its flags are 0 and its stored
+// length equals its encoded length, or indexing refused it).
 type chunkRef struct {
-	payloadOff int
-	hdr        chunkHeader
+	off     int64
+	core    uint32
+	entries uint32
+	size    uint32
 }
 
-// Open reads and indexes the trace file at path.  A failed read (as opposed
-// to a malformed file) comes back wrapping ErrIO and classified transient,
-// so the sweep retry policy replays it.
+// Open opens and indexes the trace file at path.  The File keeps the file
+// open and reads chunk payloads from it as readers reach them; Close
+// releases it.  A failed read (as opposed to a malformed file) comes back
+// wrapping ErrIO and classified transient, so the sweep retry policy
+// replays it.
 func Open(path string) (*File, error) {
+	f, _, err := openFile(path)
+	return f, err
+}
+
+// openFile is Open, also returning what the open file's Stat said of it
+// when it was indexed.
+func openFile(path string) (*File, os.FileInfo, error) {
 	if faultinject.Enabled() {
 		if err := faultinject.Hit(FaultPointOpen); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
+			return nil, nil, fmt.Errorf("%s: %w", path, err)
 		}
 	}
-	data, err := os.ReadFile(path)
+	fd, err := os.Open(path)
 	if err != nil {
-		return nil, &ioError{err: err}
+		return nil, nil, &ioError{err: err}
 	}
-	f, err := New(data)
+	info, err := fd.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		fd.Close()
+		return nil, nil, &ioError{err: err}
 	}
-	f.path = path
-	return f, nil
+	f, err := index(fd, info.Size())
+	if err != nil {
+		fd.Close()
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	f.src, f.path = fd, path
+	return f, info, nil
 }
 
-// New indexes a trace held in memory.  It validates the magic, version,
-// header block and every chunk frame; payload contents are validated lazily
-// on decode (or eagerly by Verify).
+// New indexes a trace held in memory.  The File stages chunks as slices of
+// data, which must not change while the File is in use.
 func New(data []byte) (*File, error) {
-	pos := len(Magic) + 2 + 4
-	if len(data) < pos {
-		return nil, corruptf("file shorter than the fixed header (%d bytes)", len(data))
-	}
-	if string(data[:len(Magic)]) != Magic {
-		return nil, corruptf("bad magic %q", data[:len(Magic)])
-	}
-	if v := binary.LittleEndian.Uint16(data[len(Magic):]); v != Version {
-		return nil, fmt.Errorf("%w: file version %d, reader supports %d", ErrVersion, v, Version)
-	}
-	hdrLen := binary.LittleEndian.Uint32(data[len(Magic)+2:])
-	if hdrLen > maxHeaderLen {
-		return nil, corruptf("header block %d bytes exceeds the %d limit", hdrLen, maxHeaderLen)
-	}
-	if uint32(len(data)-pos) < hdrLen {
-		return nil, corruptf("header block overruns the file")
-	}
-	hdr, err := parseHeader(data[pos : pos+int(hdrLen)])
+	f, err := index(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		return nil, err
 	}
-	pos += int(hdrLen)
+	f.data = data
+	return f, nil
+}
 
-	f := &File{data: data, hdr: hdr, perCore: make([]uint64, hdr.Cores)}
-	for pos < len(data) {
-		if len(data)-pos < chunkHeaderLen {
+// index validates the framing of a size-byte trace read through src — the
+// magic, version, header block and every chunk frame — and returns the
+// File's header and chunk index.  Payload contents are validated lazily on
+// decode (or eagerly by Verify): index reads the headers only.
+func index(src io.ReaderAt, size int64) (*File, error) {
+	var fixed [len(Magic) + 2 + 4]byte
+	pos := int64(len(fixed))
+	if size < pos {
+		return nil, corruptf("file shorter than the fixed header (%d bytes)", size)
+	}
+	if err := readAt(src, fixed[:], 0); err != nil {
+		return nil, err
+	}
+	if string(fixed[:len(Magic)]) != Magic {
+		return nil, corruptf("bad magic %q", fixed[:len(Magic)])
+	}
+	if v := binary.LittleEndian.Uint16(fixed[len(Magic):]); v != Version {
+		return nil, fmt.Errorf("%w: file version %d, reader supports %d", ErrVersion, v, Version)
+	}
+	hdrLen := binary.LittleEndian.Uint32(fixed[len(Magic)+2:])
+	if hdrLen > maxHeaderLen {
+		return nil, corruptf("header block %d bytes exceeds the %d limit", hdrLen, maxHeaderLen)
+	}
+	if size-pos < int64(hdrLen) {
+		return nil, corruptf("header block overruns the file")
+	}
+	block := make([]byte, hdrLen)
+	if err := readAt(src, block, pos); err != nil {
+		return nil, err
+	}
+	hdr, err := parseHeader(block)
+	if err != nil {
+		return nil, err
+	}
+	pos += int64(hdrLen)
+
+	f := &File{hdr: hdr, perCore: make([]uint64, hdr.Cores)}
+	var b [chunkHeaderLen]byte
+	for pos < size {
+		if size-pos < chunkHeaderLen {
 			return nil, corruptf("truncated chunk header at offset %d", pos)
 		}
-		ch := parseChunkHeader(data[pos : pos+chunkHeaderLen])
+		if err := readAt(src, b[:], pos); err != nil {
+			return nil, err
+		}
+		ch := parseChunkHeader(b[:])
 		pos += chunkHeaderLen
 		if int(ch.core) >= hdr.Cores {
 			return nil, corruptf("chunk core %d out of range [0,%d)", ch.core, hdr.Cores)
@@ -123,14 +185,39 @@ func New(data []byte) (*File, error) {
 		if ch.storedLen != ch.encLen {
 			return nil, corruptf("chunk stores %d bytes but encodes %d", ch.storedLen, ch.encLen)
 		}
-		if uint32(len(data)-pos) < ch.storedLen {
+		if size-pos < int64(ch.storedLen) {
 			return nil, corruptf("chunk payload overruns the file at offset %d", pos)
 		}
-		f.chunks = append(f.chunks, chunkRef{payloadOff: pos, hdr: ch})
+		f.chunks = append(f.chunks, chunkRef{off: pos, core: ch.core, entries: ch.entries, size: ch.storedLen})
 		f.perCore[ch.core] += uint64(ch.entries)
-		pos += int(ch.storedLen)
+		f.maxPayload = max(f.maxPayload, ch.storedLen)
+		pos += int64(ch.storedLen)
 	}
 	return f, nil
+}
+
+// readAt fills p from src at off.  A read that ends early means the file
+// is shorter than when it was indexed, so it changed: ErrCorrupt.  Any
+// other failure is the host's, so it wraps ErrIO.
+func readAt(src io.ReaderAt, p []byte, off int64) error {
+	n, err := src.ReadAt(p, off)
+	switch {
+	case n == len(p):
+		return nil
+	case errors.Is(err, io.EOF):
+		return corruptf("file ends at offset %d, shorter than when it was opened", off+int64(n))
+	default:
+		return &ioError{err: err}
+	}
+}
+
+// Close releases the open file of a File from Open: a Reader fails with
+// ErrIO at the next chunk it stages.  It does nothing for a File from New.
+func (f *File) Close() error {
+	if c, ok := f.src.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
 }
 
 // Header returns the trace metadata.
@@ -140,20 +227,29 @@ func (f *File) Header() Header { return f.hdr }
 func (f *File) EntryCounts() []uint64 { return append([]uint64(nil), f.perCore...) }
 
 // Verify fully decodes every chunk — varint framing, entry counts —
-// without retaining anything, so a verified File cannot produce a decode
-// error during replay.  The result is cached.
+// reading each once and retaining nothing but, for a File from Open, a
+// CRC32-C per chunk.  After it succeeds a Reader cannot hit a decode
+// error: its chunks are checked against those checksums as they are
+// staged, so a file changed in place since Verify fails with ErrCorrupt
+// instead of replaying different entries.  The result is cached.
 func (f *File) Verify() error {
-	if f.verified {
+	if f.sums.Load() != nil {
 		return nil
 	}
 	var buf [512]workload.Entry
+	var stage []byte
+	sums := []uint32{}
+	if f.src != nil {
+		stage = make([]byte, f.maxPayload)
+		sums = make([]uint32, len(f.chunks))
+	}
 	for i, ref := range f.chunks {
-		payload, err := f.stageChunk(ref)
+		payload, err := f.stageChunk(i, stage)
 		if err != nil {
 			return f.chunkErr(i, err)
 		}
 		pos, prev := 0, mem.Addr(0)
-		remaining := int(ref.hdr.entries)
+		remaining := int(ref.entries)
 		for remaining > 0 {
 			k := remaining
 			if k > len(buf) {
@@ -165,34 +261,57 @@ func (f *File) Verify() error {
 			}
 			remaining -= k
 		}
-		if pos != int(ref.hdr.encLen) {
+		if pos != int(ref.size) {
 			return f.chunkErr(i,
-				corruptf("payload encodes %d entries in %d bytes, header declares %d", ref.hdr.entries, pos, ref.hdr.encLen))
+				corruptf("payload encodes %d entries in %d bytes, header declares %d", ref.entries, pos, ref.size))
+		}
+		if f.src != nil {
+			sums[i] = crc32.Checksum(payload, castagnoli)
 		}
 	}
-	f.verified = true
+	f.sums.Store(&sums)
 	return nil
 }
 
-// stageChunk returns the payload of a chunk, a slice of the file's bytes.
-func (f *File) stageChunk(ref chunkRef) ([]byte, error) {
+// stageChunk returns the payload of chunk i: a slice of the trace's bytes
+// for a File from New, else the chunk read into stage (which holds at least
+// maxPayload bytes) and, once Verify has recorded its checksum, checked
+// against it.
+func (f *File) stageChunk(i int, stage []byte) ([]byte, error) {
 	if faultinject.Enabled() {
 		if err := faultinject.Hit(FaultPointChunk); err != nil {
 			return nil, err
 		}
 	}
-	return f.data[ref.payloadOff : ref.payloadOff+int(ref.hdr.storedLen)], nil
+	ref := f.chunks[i]
+	if f.src == nil {
+		return f.data[ref.off : ref.off+int64(ref.size)], nil
+	}
+	payload := stage[:ref.size]
+	if err := readAt(f.src, payload, ref.off); err != nil {
+		return nil, err
+	}
+	if sums := f.sums.Load(); sums != nil {
+		if sum := crc32.Checksum(payload, castagnoli); sum != (*sums)[i] {
+			return nil, corruptf("payload CRC32-C %08x, %08x at Verify: the file changed since it was verified", sum, (*sums)[i])
+		}
+	}
+	return payload, nil
 }
 
 // Stream returns a fresh reader over core's entry sequence.  Cores beyond
 // the recorded count yield an immediately exhausted stream, so a trace can
 // be replayed on a system with fewer active cores than recorded slots.
 func (f *File) Stream(core int) *Reader {
-	return &Reader{f: f, core: core}
+	r := &Reader{f: f, core: core}
+	if f.src != nil {
+		r.stage = make([]byte, f.maxPayload)
+	}
+	return r
 }
 
 // Reader is one core's replay cursor.  It implements workload.Stream,
-// decoding straight from the file's bytes into the caller's batch buffer,
+// decoding from the staged chunk straight into the caller's batch buffer,
 // so NextBatch runs allocation-free.
 type Reader struct {
 	f      *File
@@ -200,6 +319,7 @@ type Reader struct {
 	ci     int // index of the next chunk to consider
 	openCi int // index of the currently staged chunk, for error context
 
+	stage     []byte // the staging buffer of a File from Open, sized to its largest chunk
 	payload   []byte // staged payload of the open chunk
 	pos       int
 	remaining int
@@ -208,8 +328,9 @@ type Reader struct {
 	err error
 }
 
-// Err returns the first decode error; NextBatch returns 0 after an error.
-// A Reader over a Verify-ed File never sets it.
+// Err returns the first error; NextBatch returns 0 after an error.  Over a
+// Verify-ed File only a host read error (wrapping ErrIO) or a chunk changed
+// since Verify (ErrCorrupt) sets it.
 func (r *Reader) Err() error { return r.err }
 
 // Core returns the stream's core index.
@@ -220,10 +341,10 @@ func (r *Reader) Core() int { return r.core }
 func (r *Reader) nextChunk() bool {
 	for ; r.ci < len(r.f.chunks); r.ci++ {
 		ref := r.f.chunks[r.ci]
-		if int(ref.hdr.core) != r.core {
+		if int(ref.core) != r.core {
 			continue
 		}
-		payload, err := r.f.stageChunk(ref)
+		payload, err := r.f.stageChunk(r.ci, r.stage)
 		if err != nil {
 			r.err = r.f.chunkErr(r.ci, err)
 			r.payload = nil
@@ -231,7 +352,7 @@ func (r *Reader) nextChunk() bool {
 		}
 		r.payload = payload
 		r.pos = 0
-		r.remaining = int(ref.hdr.entries)
+		r.remaining = int(ref.entries)
 		r.prevAddr = 0
 		r.openCi = r.ci
 		r.ci++
@@ -328,7 +449,7 @@ func (g *generator) Streams(cores int, _ uint64) []workload.Stream {
 }
 
 // sharedFiles caches opened-and-verified Files per path for OpenShared,
-// each with what os.Stat said of its file when it was read.
+// each with what Stat said of its file when it was opened.
 var sharedFiles = struct {
 	mu sync.Mutex
 	m  map[string]sharedFile
@@ -339,13 +460,17 @@ type sharedFile struct {
 	info os.FileInfo
 }
 
-// OpenShared returns a fully verified File for path, reading and verifying
-// it once per version of the file — a File is immutable and safe for
-// concurrent readers, so one copy serves every simulation of a sweep.
-// Each call stats the path: a file that is gone fails as Open does, and a
-// file replaced or rewritten since it was read (another inode, size or
-// modification time) is read and verified again.  Failed opens are not
-// cached.
+// OpenShared returns a fully verified File for path, opening and verifying
+// it once per version of the file — a File is safe for concurrent readers,
+// so one serves every simulation of a sweep.  The File stays open for the
+// life of the process: at most one descriptor per distinct path.  Each call
+// stats the path: a file that is gone fails as Open does, and a file
+// replaced or rewritten since it was opened (another inode, size or
+// modification time) is opened and verified again.  The File it replaces
+// is not closed, since a replay may still be reading it; its descriptor
+// closes once nothing references it.  A change the stat cannot see (an
+// in-place rewrite within the modification-time granularity) fails replay
+// with ErrCorrupt through Verify's checksums.  Failed opens are not cached.
 func OpenShared(path string) (*File, error) {
 	sharedFiles.mu.Lock()
 	defer sharedFiles.mu.Unlock()
@@ -356,17 +481,14 @@ func OpenShared(path string) (*File, error) {
 		}
 		delete(sharedFiles.m, path)
 	}
-	f, err := Open(path)
+	f, info, err := openFile(path)
 	if err != nil {
 		return nil, err
 	}
 	if err := f.Verify(); err != nil {
+		f.Close()
 		// Verify's chunk errors already carry the path (set by Open).
 		return nil, err
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		return nil, &ioError{err: err}
 	}
 	sharedFiles.m[path] = sharedFile{f: f, info: info}
 	return f, nil

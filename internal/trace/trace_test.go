@@ -502,17 +502,16 @@ func TestOpenSharedFollowsTheFile(t *testing.T) {
 }
 
 // TestTraceNextBatchAllocationFree guards the replay ingest hot path
-// (`make test-allocs`): steady-state NextBatch from an opened trace file
-// decodes in place and must not allocate.
+// (`make test-allocs`): steady-state NextBatch must not allocate, whether
+// chunks decode in place from an in-memory trace or are read from a
+// verified file into the Reader's staging buffer.  Chunks hold fewer
+// entries than a batch, so every guarded call stages two or three of
+// them, of differing sizes: an allocation per staged chunk shows.
 func TestTraceNextBatchAllocationFree(t *testing.T) {
 	entries := benchEntries(t, "WATER-NS", 1, 0, 0.2, 3)
-	t.Run("raw", func(t *testing.T) {
-		data := writeTrace(t, trace.Header{Cores: 1, LineBytes: 64, Benchmark: "WATER-NS"},
-			trace.WriterOptions{}, [][]workload.Entry{entries})
-		f, err := trace.New(data)
-		if err != nil {
-			t.Fatal(err)
-		}
+	data := writeTrace(t, trace.Header{Cores: 1, LineBytes: 64, Benchmark: "WATER-NS"},
+		trace.WriterOptions{ChunkEntries: 100}, [][]workload.Entry{entries})
+	guard := func(t *testing.T, f *trace.File) {
 		r := f.Stream(0)
 		buf := make([]workload.Entry, 256)
 		if r.NextBatch(buf) == 0 {
@@ -528,43 +527,90 @@ func TestTraceNextBatchAllocationFree(t *testing.T) {
 		if r.Err() != nil {
 			t.Fatal(r.Err())
 		}
+	}
+	t.Run("raw", func(t *testing.T) {
+		f, err := trace.New(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		guard(t, f)
+	})
+	t.Run("disk", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "water.trc")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := trace.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if err := f.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		guard(t, f)
 	})
 }
 
 // TestConcurrentReplay drives many simultaneous Readers over one shared
 // File — the parallel sweep runtime's access pattern — so `go test -race`
-// exercises the shared chunk index and payload bytes under real
-// contention, and every goroutine checks it decodes the exact recorded
-// sequence.
+// exercises the shared chunk index, the payload bytes of an in-memory
+// File and the ReadAt staging of a verified file under real contention,
+// and every goroutine checks it decodes the exact recorded sequence.
 func TestConcurrentReplay(t *testing.T) {
 	entries := benchEntries(t, "FMM", 1, 0, 0.05, 9)
 	data := writeTrace(t, trace.Header{Cores: 1, LineBytes: 64, Benchmark: "FMM"},
 		trace.WriterOptions{}, [][]workload.Entry{entries})
-	f, err := trace.New(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const goroutines = 16
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		go func() {
-			got := workload.Drain(f.Stream(0))
-			if len(got) != len(entries) {
-				errs <- errors.New("short replay")
-				return
-			}
-			for i := range got {
-				if got[i] != entries[i] {
-					errs <- errors.New("replayed entry diverged from the recording")
+	replay := func(t *testing.T, f *trace.File) {
+		const goroutines = 16
+		errs := make(chan error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			go func() {
+				r := f.Stream(0)
+				got := workload.Drain(r)
+				if r.Err() != nil {
+					errs <- r.Err()
 					return
 				}
+				if len(got) != len(entries) {
+					errs <- errors.New("short replay")
+					return
+				}
+				for i := range got {
+					if got[i] != entries[i] {
+						errs <- errors.New("replayed entry diverged from the recording")
+						return
+					}
+				}
+				errs <- nil
+			}()
+		}
+		for g := 0; g < goroutines; g++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
 			}
-			errs <- nil
-		}()
-	}
-	for g := 0; g < goroutines; g++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
 		}
 	}
+	t.Run("memory", func(t *testing.T) {
+		f, err := trace.New(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replay(t, f)
+	})
+	t.Run("disk", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "fmm.trc")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := trace.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if err := f.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		replay(t, f)
+	})
 }
