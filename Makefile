@@ -35,13 +35,15 @@ test:
 # stream-refill, trace-replay (chunks decode in place from an in-memory
 # trace, or from each reader's one staging buffer when read from a file)
 # and stats-observe paths, the constant-allocation guard on the sweep
-# digest, the host-bytes-per-L2-line budget of core.NewSystem, and the
-# heap an opened trace file retains (its chunk index, not its bytes),
-# explicitly, so an allocation regression or per-line state that grows
-# back fails CI with a focused message even when the main test run is
-# filtered.
+# digest, the host-bytes-per-L2-line budget of core.NewSystem, the heap an
+# opened trace file retains (its chunk index, not its bytes), and the
+# storage reuse of a simulated system rebuilt for the next job (a cache
+# bank's or an engine's re-Init allocates nothing, a whole core.System's
+# Rebuild under 5% of a new build's bytes), explicitly, so an allocation
+# regression or per-line state that grows back fails CI with a focused
+# message even when the main test run is filtered.
 test-allocs:
-	$(GO) test -count 1 -run 'AllocationFree|BytesPerLine|RetainedHeap' \
+	$(GO) test -count 1 -run 'AllocationFree|BytesPerLine|RetainedHeap|RebuildBytes' \
 		./internal/sim ./internal/cache ./internal/core ./internal/decay \
 		./internal/workload ./internal/stats ./internal/trace ./internal/experiment
 

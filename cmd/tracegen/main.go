@@ -83,7 +83,7 @@ func main() {
 		record(gen, *out, *cores, *scale, *seed, *limit)
 	case *stats:
 		for coreID, stream := range gen.Streams(*cores, *seed) {
-			printStats(w, coreID, workload.Drain(stream))
+			printStats(w, coreID, stream)
 		}
 	case *text:
 		for coreID, stream := range gen.Streams(*cores, *seed) {
@@ -189,7 +189,7 @@ func dumpFile(w *bufio.Writer, path string, limit int, stats bool) {
 	for core := 0; core < hdr.Cores; core++ {
 		r := f.Stream(core)
 		if stats {
-			printStats(w, core, workload.Drain(r))
+			printStats(w, core, r)
 		} else {
 			dumpStream(w, core, r, limit)
 		}
@@ -220,19 +220,25 @@ func dumpStream(w *bufio.Writer, coreID int, stream workload.Stream, limit int) 
 }
 
 // printStats summarises one stream: reference counts, store fraction,
-// instruction count and unique 64-byte blocks.
-func printStats(w *bufio.Writer, coreID int, entries []workload.Entry) {
-	blocks := make(map[uint64]bool)
-	var loads, stores uint64
-	for _, e := range entries {
-		switch e.Op {
-		case workload.Load:
-			loads++
-		case workload.Store:
-			stores++
-		}
-		if e.Op != workload.None {
-			blocks[uint64(e.Addr)/64] = true
+// instruction count and unique 64-byte blocks.  It reads the stream one
+// batch at a time, so it holds one batch and the block set, never the
+// whole stream.
+func printStats(w *bufio.Writer, coreID int, stream workload.Stream) {
+	blocks := make(map[uint64]struct{})
+	var loads, stores, instrs uint64
+	buf := make([]workload.Entry, 256)
+	for n := stream.NextBatch(buf); n > 0; n = stream.NextBatch(buf) {
+		for _, e := range buf[:n] {
+			switch e.Op {
+			case workload.Load:
+				loads++
+			case workload.Store:
+				stores++
+			}
+			if e.Op != workload.None {
+				blocks[uint64(e.Addr)/64] = struct{}{}
+			}
+			instrs += e.Instructions()
 		}
 	}
 	total := loads + stores
@@ -241,8 +247,7 @@ func printStats(w *bufio.Writer, coreID int, entries []workload.Entry) {
 		storeFrac = float64(stores) / float64(total)
 	}
 	fmt.Fprintf(w, "core=%d refs=%d loads=%d stores=%d store_frac=%.2f instrs=%d unique_blocks=%d footprint=%dKB\n",
-		coreID, total, loads, stores, storeFrac,
-		workload.TotalInstructions(entries), len(blocks), len(blocks)*64/1024)
+		coreID, total, loads, stores, storeFrac, instrs, len(blocks), len(blocks)*64/1024)
 }
 
 func fatalf(format string, args ...any) {

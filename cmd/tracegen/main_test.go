@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -96,5 +97,50 @@ func TestDumpStreamLimit(t *testing.T) {
 					src.name, tc.limit, lines[0], lines[len(lines)-1], first, tc.last)
 			}
 		}
+	}
+}
+
+// TestStatsOutput pins -stats output on both paths — straight from a
+// generator and from a recorded file — to the lines the summary printed when
+// it drained each whole stream before counting.
+func TestStatsOutput(t *testing.T) {
+	gen, err := workload.ByName("WATER-NS", 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	w := bufio.NewWriter(&out)
+	for core, stream := range gen.Streams(4, 1) {
+		printStats(w, core, stream)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := `core=0 refs=5400 loads=3941 stores=1459 store_frac=0.27 instrs=77993 unique_blocks=261 footprint=16KB
+core=1 refs=5400 loads=3906 stores=1494 store_frac=0.28 instrs=79229 unique_blocks=262 footprint=16KB
+core=2 refs=5400 loads=3964 stores=1436 store_frac=0.27 instrs=77077 unique_blocks=258 footprint=16KB
+core=3 refs=5400 loads=3885 stores=1515 store_frac=0.28 instrs=78694 unique_blocks=257 footprint=16KB
+`
+	if out.String() != want {
+		t.Fatalf("generator -stats output:\n%s\nwant:\n%s", out.String(), want)
+	}
+
+	gen, err = workload.ByName("mpeg2dec", 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "m.trc")
+	record(gen, path, 2, 0.01, 3, 0)
+	out.Reset()
+	dumpFile(w, path, 0, true)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want = "# " + path + `: benchmark=mpeg2dec cores=2 line=64B scale=0.01 seed=3 entries=[3000 3000]
+core=0 refs=3000 loads=1895 stores=1105 store_frac=0.37 instrs=62325 unique_blocks=241 footprint=15KB
+core=1 refs=3000 loads=1885 stores=1115 store_frac=0.37 instrs=61380 unique_blocks=201 footprint=12KB
+`
+	if out.String() != want {
+		t.Fatalf("-dump -stats output:\n%s\nwant:\n%s", out.String(), want)
 	}
 }

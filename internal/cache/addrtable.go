@@ -35,7 +35,7 @@ func tableHome(a mem.Addr, mask uint64) uint64 {
 }
 
 // addrTable is an open-addressing map from block addresses to V.  The zero
-// value is not ready for use; call newAddrTable.
+// value is not ready for use; call reset.
 type addrTable[V any] struct {
 	keys    []mem.Addr
 	vals    []V
@@ -45,12 +45,20 @@ type addrTable[V any] struct {
 	zeroVal V // block 0's value, when hasZero
 }
 
-func newAddrTable[V any]() addrTable[V] {
-	return addrTable[V]{
-		keys: make([]mem.Addr, tableMinSlots),
-		vals: make([]V, tableMinSlots),
-		mask: tableMinSlots - 1,
+// reset empties the table.  A table that has grown keeps its slots, so a
+// table rebuilt for the next simulation starts at the size the last one
+// needed; a new table gets tableMinSlots.
+func (t *addrTable[V]) reset() {
+	if t.keys == nil {
+		t.keys = make([]mem.Addr, tableMinSlots)
+		t.vals = make([]V, tableMinSlots)
+	} else {
+		clear(t.keys)
+		clear(t.vals)
 	}
+	var zero V
+	t.mask = uint64(len(t.keys)) - 1
+	t.n, t.hasZero, t.zeroVal = 0, false, zero
 }
 
 // len returns the number of live entries.
@@ -160,11 +168,18 @@ func (t *addrTable[V]) grow() {
 }
 
 // AddrSet is an open-addressing set of block addresses.  The zero value is
-// not ready for use; call NewAddrSet.
+// not ready for use; call NewAddrSet or Init.
 type AddrSet struct{ t addrTable[struct{}] }
 
 // NewAddrSet returns an empty set.
-func NewAddrSet() AddrSet { return AddrSet{newAddrTable[struct{}]()} }
+func NewAddrSet() AddrSet {
+	var s AddrSet
+	s.Init()
+	return s
+}
+
+// Init empties the set in place, keeping the slots it has grown to.
+func (s *AddrSet) Init() { s.t.reset() }
 
 // Len returns the number of addresses in the set.
 func (s *AddrSet) Len() int { return s.t.len() }

@@ -91,7 +91,8 @@ func TestMSHRTableMatchesMapReference(t *testing.T) {
 	for _, a := range pool {
 		vals[a] = &MSHREntry{Block: a}
 	}
-	tab := newAddrTable[*MSHREntry]()
+	var tab addrTable[*MSHREntry]
+	tab.reset()
 	ref := make(map[mem.Addr]*MSHREntry)
 	for op := 0; op < 200000; op++ {
 		a := pool[rng.Intn(len(pool))]
@@ -120,7 +121,8 @@ func TestMSHRTableMatchesMapReference(t *testing.T) {
 }
 
 func TestMSHRTableGrowth(t *testing.T) {
-	tab := newAddrTable[*MSHREntry]()
+	var tab addrTable[*MSHREntry]
+	tab.reset()
 	const n = 5000
 	entries := make([]*MSHREntry, n)
 	for i := range entries {

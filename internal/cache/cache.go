@@ -138,8 +138,8 @@ type Cache struct {
 	poweredLines int
 	lastPowerAdv sim.Cycle
 
-	// Decay bookkeeping, allocated by EnableDecay on banks a decaying
-	// technique runs on (nil elsewhere).  Line counters are not stored but
+	// Decay bookkeeping, sized by EnableDecay on banks a decaying
+	// technique runs on (empty elsewhere).  Line counters are not stored but
 	// derived from decayTicks and armTick[idx], the bank's tick count at the
 	// line's last counter reset.  Bitmaps over line indices track the only
 	// lines a tick can saturate: decayDue[k] holds the armed lines reset
@@ -162,17 +162,39 @@ type Cache struct {
 
 // New builds a cache; the configuration must validate.
 func New(cfg Config) (*Cache, error) {
-	if err := cfg.Validate(); err != nil {
+	c := new(Cache)
+	if err := c.Init(cfg); err != nil {
 		return nil, err
 	}
-	c := &Cache{
+	return c, nil
+}
+
+// Init makes c an empty cache of cfg in place, as New would build it, with
+// decay disabled and every statistic zero.  The line, tag and replacement
+// arrays (and EnableDecay's arm ticks and bitmaps) keep their backing
+// storage when it is large enough, so a simulator rebuilt for the next job
+// allocates nothing for its banks.  On a configuration error c is
+// unchanged.
+func (c *Cache) Init(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	n, sets := cfg.NumLines(), cfg.NumSets()
+	old := *c
+	*c = Cache{
 		cfg:       cfg,
 		assoc:     cfg.Assoc,
-		numSets:   cfg.NumSets(),
+		numSets:   sets,
 		lineShift: uint(bits.TrailingZeros64(cfg.LineBytes)),
-		setMask:   uint64(cfg.NumSets() - 1),
-		lines:     make([]Line, cfg.NumLines()),
-		tags:      make([]mem.Addr, cfg.NumLines()),
+		setMask:   uint64(sets - 1),
+		lines:     zeroed(old.lines, n),
+		tags:      resized(old.tags, n),
+		// Decay stays off until EnableDecay, which reuses these arrays.
+		armTick:  old.armTick[:0],
+		decaySat: old.decaySat[:0],
+	}
+	for k := range c.decayDue {
+		c.decayDue[k] = old.decayDue[k][:0]
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
@@ -189,23 +211,43 @@ func New(cfg Config) (*Cache, error) {
 			}
 			init |= v << (4 * r)
 		}
-		c.lruOrder = make([]uint64, c.numSets)
+		c.lruOrder = resized(old.lruOrder, sets)
 		for s := range c.lruOrder {
 			c.lruOrder[s] = init
 		}
 	} else {
-		c.lruWide = make([]uint32, cfg.NumLines())
-		for s := 0; s < c.numSets; s++ {
+		c.lruWide = resized(old.lruWide, n)
+		for s := 0; s < sets; s++ {
 			for r := 0; r < c.assoc; r++ {
 				c.lruWide[s*c.assoc+r] = uint32(r)
 			}
 		}
 	}
 	if c.assoc <= 64 {
-		c.validBits = make([]uint64, c.numSets)
+		c.validBits = zeroed(old.validBits, sets)
 		c.fullMask = ^uint64(0) >> (64 - uint(c.assoc))
 	}
-	return c, nil
+	return nil
+}
+
+// resized returns s resliced to n elements when its capacity allows, else
+// a new slice of n; the caller sets every element.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// zeroed returns s resliced to n zero elements when its capacity allows,
+// else a new slice of n.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // MustNew is New but panics on configuration errors; used by tests and
@@ -410,14 +452,15 @@ const DecayLevels = 4
 // EnableDecay allocates the bank's decay bookkeeping — one arm tick per
 // line and the due and saturated bitmaps — which ResetDecay, DecayCounter,
 // DecayTick and KeepSaturated use; a decaying technique calls it once when
-// it starts.  Banks that never decay carry none of it.
+// it starts.  Banks that never decay carry none of it.  A bank rebuilt by
+// Init reuses the arrays an earlier EnableDecay allocated.
 func (c *Cache) EnableDecay() {
-	c.armTick = make([]uint32, len(c.lines))
+	c.armTick = zeroed(c.armTick, len(c.lines))
 	words := (len(c.lines) + 63) / 64
 	for k := range c.decayDue {
-		c.decayDue[k] = make([]uint64, words)
+		c.decayDue[k] = zeroed(c.decayDue[k], words)
 	}
-	c.decaySat = make([]uint64, words)
+	c.decaySat = zeroed(c.decaySat, words)
 }
 
 // ResetDecay resets the decay counter of (set, way) to zero by recording

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -445,5 +446,77 @@ func TestPropertyPowerBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// useCache drives c through fills, power transitions, decay ticks and
+// statistics, so every part of its state differs from a new cache's.
+func useCache(c *Cache) {
+	c.EnableDecay()
+	for i := 0; i < 3*c.NumLines()/2; i++ {
+		a := mem.Addr(i * int(c.Config().LineBytes))
+		set, _, _ := c.Lookup(a)
+		way := c.Victim(set)
+		ln := c.Install(a, set, way)
+		c.PowerOn(set, way, sim.Cycle(i))
+		ln.DecayArmed = i%3 != 0
+		c.ResetDecay(set, way)
+		if i%5 == 0 {
+			c.Invalidate(set, way)
+			c.PowerOff(set, way, sim.Cycle(i))
+		}
+		if i%7 == 0 {
+			for _, idx := range c.DecayTick(nil) {
+				c.KeepSaturated(idx)
+			}
+		}
+		c.Hits.Inc()
+	}
+}
+
+// TestInitMatchesNew rebuilds a used cache with Init for a smaller, a
+// larger, a differently associative and a wide (unpacked) geometry, and
+// checks each is indistinguishable from New's cache of that geometry,
+// decay bookkeeping included.
+func TestInitMatchesNew(t *testing.T) {
+	base := Config{Name: "L2", SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 8, LatencyCycles: 10}
+	c := MustNew(base)
+	for _, cfg := range []Config{
+		base,
+		{Name: "small", SizeBytes: 16 * 1024, LineBytes: 64, Assoc: 8, LatencyCycles: 10},
+		{Name: "big", SizeBytes: 256 * 1024, LineBytes: 64, Assoc: 8, LatencyCycles: 10},
+		{Name: "4-way", SizeBytes: 32 * 1024, LineBytes: 32, Assoc: 4, LatencyCycles: 2},
+		{Name: "wide", SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 32, LatencyCycles: 10},
+		base,
+	} {
+		useCache(c)
+		if err := c.Init(cfg); err != nil {
+			t.Fatal(err)
+		}
+		fresh := MustNew(cfg)
+		// A new cache has never enabled decay; compare with it enabled on
+		// both, which also checks Init left no stale arm tick or bitmap.
+		c.EnableDecay()
+		fresh.EnableDecay()
+		if !reflect.DeepEqual(c, fresh) {
+			t.Fatalf("%s: Init of a used cache differs from New", cfg.Name)
+		}
+	}
+}
+
+// TestInitAllocationFree guards the reuse (`make test-allocs`): rebuilding
+// a used bank of the same geometry and enabling decay on it allocates
+// nothing.
+func TestInitAllocationFree(t *testing.T) {
+	cfg := benchConfig(1 << 20)
+	c := MustNew(cfg)
+	useCache(c)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := c.Init(cfg); err != nil {
+			t.Fatal(err)
+		}
+		c.EnableDecay()
+	}); allocs != 0 {
+		t.Errorf("Init+EnableDecay of a used cache allocates %.1f objects/op, want 0", allocs)
 	}
 }

@@ -67,9 +67,18 @@ type MSHR struct {
 // NewMSHR builds an MSHR with the given number of entries; capacity <= 0
 // means unlimited.
 func NewMSHR(capacity int) *MSHR {
-	m := &MSHR{capacity: capacity, entries: newAddrTable[*MSHREntry]()}
-	m.deliverFn = m.deliver
+	m := new(MSHR)
+	m.Init(capacity)
 	return m
+}
+
+// Init makes m an empty MSHR of the given capacity in place, as NewMSHR
+// would build it, keeping the slots its block table has grown to.
+func (m *MSHR) Init(capacity int) {
+	entries := m.entries
+	entries.reset()
+	*m = MSHR{capacity: capacity, entries: entries}
+	m.deliverFn = m.deliver
 }
 
 // Lookup returns the entry for block, if any.

@@ -38,15 +38,25 @@ const writeBufferMinRing = 16
 // NewWriteBuffer builds a buffer holding up to capacity distinct blocks;
 // capacity <= 0 means unlimited.
 func NewWriteBuffer(capacity int) *WriteBuffer {
+	b := new(WriteBuffer)
+	b.Init(capacity)
+	return b
+}
+
+// Init makes b an empty buffer of the given capacity in place, as
+// NewWriteBuffer would build it, reusing its ring and coalesce set.
+func (b *WriteBuffer) Init(capacity int) {
 	ring := writeBufferMinRing
 	for ring < capacity {
 		ring *= 2
 	}
-	return &WriteBuffer{
+	pending := b.pending
+	pending.Init()
+	*b = WriteBuffer{
 		capacity: capacity,
-		ring:     make([]mem.Addr, ring),
+		ring:     zeroed(b.ring, ring),
 		rmask:    uint64(ring) - 1,
-		pending:  NewAddrSet(),
+		pending:  pending,
 	}
 }
 

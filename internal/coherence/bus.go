@@ -156,15 +156,24 @@ type Bus struct {
 
 // NewBus builds a bus bound to the engine and memory.
 func NewBus(eng *sim.Engine, memory *mem.Memory, cfg BusConfig) *Bus {
+	b := new(Bus)
+	b.Init(eng, memory, cfg)
+	return b
+}
+
+// Init makes b in place the idle bus NewBus would build, with no snoopers
+// attached and zero statistics; it keeps the snooper slice's storage.
+func (b *Bus) Init(eng *sim.Engine, memory *mem.Memory, cfg BusConfig) {
 	if cfg.BlockBytes == 0 {
 		cfg.BlockBytes = 64
 	}
 	if cfg.BytesPerCycle <= 0 {
 		cfg.BytesPerCycle = 16
 	}
-	b := &Bus{cfg: cfg, eng: eng, memory: memory}
+	snoopers := b.snoopers
+	clear(snoopers)
+	*b = Bus{cfg: cfg, eng: eng, memory: memory, snoopers: snoopers[:0]}
 	b.completeFn = b.complete
-	return b
 }
 
 // busCompletion carries one transaction's callback, transaction and result

@@ -102,23 +102,39 @@ type L1Controller struct {
 // NewL1Controller builds an L1 controller; below may be set later with
 // SetLowerLevel (the system wires L1 and L2 together after both exist).
 func NewL1Controller(id int, eng *sim.Engine, cfg L1Config) (*L1Controller, error) {
-	arr, err := cache.New(cfg.Cache)
-	if err != nil {
+	l := new(L1Controller)
+	if err := l.Init(id, eng, cfg); err != nil {
 		return nil, err
 	}
+	return l, nil
+}
+
+// Init makes l in place the controller NewL1Controller would build, with no
+// lower level and zero statistics; its array, MSHR and write buffer are
+// rebuilt in their own storage (cache.Cache.Init and the others).
+func (l *L1Controller) Init(id int, eng *sim.Engine, cfg L1Config) error {
+	arr, mshr, wb := l.cache, l.mshr, l.wb
+	if arr == nil {
+		arr, mshr, wb = new(cache.Cache), new(cache.MSHR), new(cache.WriteBuffer)
+	}
+	if err := arr.Init(cfg.Cache); err != nil {
+		return err
+	}
+	mshr.Init(cfg.MSHREntries)
+	wb.Init(cfg.WriteBufferSlots)
 	if cfg.RetryCycles == 0 {
 		cfg.RetryCycles = 4
 	}
 	if cfg.DrainGapCycles == 0 {
 		cfg.DrainGapCycles = 1
 	}
-	l := &L1Controller{
+	*l = L1Controller{
 		id:    id,
 		eng:   eng,
 		cfg:   cfg,
 		cache: arr,
-		mshr:  cache.NewMSHR(cfg.MSHREntries),
-		wb:    cache.NewWriteBuffer(cfg.WriteBufferSlots),
+		mshr:  mshr,
+		wb:    wb,
 	}
 	l.finishLoadFn = func(a any) { l.finishLoad(a.(*loadReq)) }
 	l.retryFillFn = func(a any) { l.requestFill(a.(*loadReq)) }
@@ -126,7 +142,7 @@ func NewL1Controller(id int, eng *sim.Engine, cfg L1Config) (*L1Controller, erro
 	l.fillDone = func(_ any, block mem.Addr) { l.fill(block) }
 	l.drainDoneFn = func(any, mem.Addr) { l.drainDone() }
 	l.startDrainFn = l.startDrain
-	return l, nil
+	return nil
 }
 
 // SetLowerLevel wires the controller to its private L2.

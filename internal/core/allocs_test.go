@@ -2,8 +2,9 @@ package core
 
 // Allocation guards for the data plane: the steady-state L1 load-hit and
 // load-miss→bus→L2-fill paths must not allocate under any technique,
-// including the decay hooks and the global tick, and NewSystem must stay
-// within its host-byte budget per simulated L2 line.  These tests are the
+// including the decay hooks and the global tick, NewSystem must stay
+// within its host-byte budget per simulated L2 line, and rebuilding a used
+// System for the next job must reuse its storage.  These tests are the
 // CI tripwire behind the pooled MSHR records, the pre-bound bus
 // completions and the flat cache arrays; `make ci` runs them explicitly
 // (test-allocs).
@@ -164,4 +165,46 @@ func TestNewSystemBytesPerLine(t *testing.T) {
 			perLine, lines, newSystemBytesPerLine)
 	}
 	t.Logf("%.2f host bytes per simulated L2 line", perLine)
+}
+
+// rebuildBytesFrac bounds the bytes Rebuild may allocate, as a fraction of
+// what a new build of the same System allocates: the L1 and L2 arrays, the
+// event nodes, the batch buffers and the address tables are all reused, so
+// what remains is per-job bookkeeping (streams, thermal model, callbacks).
+const rebuildBytesFrac = 0.05
+
+// TestRebuildBytes rebuilds a 4-core 8 MB decay:64K System that has run a
+// job (so its banks also hold decay bookkeeping and its engine a node pool)
+// and checks that the rebuild allocates at most rebuildBytesFrac of the
+// bytes NewSystem allocates for the same configuration.
+func TestRebuildBytes(t *testing.T) {
+	cfg := config.Default().WithTotalL2MB(8).WithTechnique(decay.Spec{Kind: decay.KindDecay, DecayCycles: 64 * 1024})
+	cfg.WorkloadScale = 0.002
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var (
+		s   *System
+		err error
+	)
+	fresh := allocated(func() { s, err = NewSystem(cfg) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rebuild := allocated(func() { err = s.Rebuild(cfg, nil) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if float64(rebuild) > rebuildBytesFrac*float64(fresh) {
+		t.Errorf("Rebuild of a used System allocates %d bytes, over %.0f%% of a new build's %d",
+			rebuild, 100*rebuildBytesFrac, fresh)
+	}
+	t.Logf("new build %d bytes, rebuild %d bytes (%.2f%%)", fresh, rebuild, 100*float64(rebuild)/float64(fresh))
 }

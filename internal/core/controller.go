@@ -85,20 +85,38 @@ type Controller struct {
 // afterwards by the system (AttachL1 / AttachTechnique) because the three
 // objects reference each other.
 func NewController(eng *sim.Engine, bus *coherence.Bus, cfg ControllerConfig) (*Controller, error) {
-	arr, err := cache.New(cfg.Cache)
-	if err != nil {
+	c := new(Controller)
+	if err := c.Init(eng, bus, cfg); err != nil {
 		return nil, err
 	}
+	return c, nil
+}
+
+// Init makes c in place the controller NewController would build and
+// attaches it to bus.  Its L2 array, MSHR and decayed-block set are rebuilt
+// in their own storage (cache.Cache.Init and the others), so a bank of the
+// size c held before allocates nothing.
+func (c *Controller) Init(eng *sim.Engine, bus *coherence.Bus, cfg ControllerConfig) error {
+	arr, mshr := c.arr, c.mshr
+	if arr == nil {
+		arr, mshr = new(cache.Cache), new(cache.MSHR)
+	}
+	if err := arr.Init(cfg.Cache); err != nil {
+		return err
+	}
+	mshr.Init(cfg.MSHREntries)
+	decayed := c.decayedBlocks
+	decayed.Init()
 	if cfg.RetryCycles == 0 {
 		cfg.RetryCycles = 4
 	}
-	c := &Controller{
+	*c = Controller{
 		cfg:           cfg,
 		eng:           eng,
 		arr:           arr,
-		mshr:          cache.NewMSHR(cfg.MSHREntries),
+		mshr:          mshr,
 		bus:           bus,
-		decayedBlocks: cache.NewAddrSet(),
+		decayedBlocks: decayed,
 	}
 	c.retryFn = c.retryMiss
 	c.fillFn = func(_ any, txn coherence.Transaction, res coherence.BusResult) {
@@ -107,7 +125,7 @@ func NewController(eng *sim.Engine, bus *coherence.Bus, cfg ControllerConfig) (*
 	c.upgradeFn = c.finishUpgrade
 	c.turnOffWBFn = c.finishTurnOffWriteBack
 	bus.Attach(c)
-	return c, nil
+	return nil
 }
 
 // missRetry carries a deferred requestMiss through its back-off; records

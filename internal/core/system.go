@@ -55,77 +55,107 @@ func NewSystem(cfg config.System) (*System, error) {
 // of cfg.Workload()'s; a nil gen means cfg.Workload().  gen must produce
 // exactly the streams cfg.Workload() would for cfg.Cores and cfg.Seed — the
 // sweep pool passes an in-memory replay of them — because the result still
-// names cfg's benchmark.
+// names cfg's benchmark.  It is Rebuild applied to a zero System: there is
+// one construction path, whether the storage is new or reused.
 func NewSystemFrom(cfg config.System, gen workload.Generator) (*System, error) {
-	if err := cfg.Validate(); err != nil {
+	s := new(System)
+	if err := s.Rebuild(cfg, gen); err != nil {
 		return nil, err
+	}
+	return s, nil
+}
+
+// Rebuild makes s, in place, the System NewSystemFrom(cfg, gen) would
+// build, ready to Run: cycle 0, every cache empty and every statistic zero.
+// It reuses the storage of the system s held before — the engine's event
+// nodes, each L1 and L2 array (and a decaying bank's arm ticks and bitmaps,
+// which the technique re-enables when the run starts), the cores' batch
+// buffers, the MSHR, write-buffer and decayed-block tables — wherever it is
+// large enough, so rebuilding a system of the same or a smaller geometry
+// allocates a few kilobytes instead of the megabytes of its L2 banks.  A
+// Result does not depend on whether its System was new or rebuilt.
+//
+// Rebuild starts from whatever state s is in — a finished run, a run that
+// failed or panicked, a failed Rebuild — but after a failed Rebuild, s must
+// not Run until a Rebuild succeeds.  The sweep pool gives each worker one
+// System and rebuilds it for every job (experiment.RunParallelAllContext);
+// it still discards a worker's System after a failed job, so a fault cannot
+// reach the next job through storage the two shared.
+func (s *System) Rebuild(cfg config.System, gen workload.Generator) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	var err error
 	if gen == nil {
 		if gen, err = cfg.Workload(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-
-	s := &System{cfg: cfg, eng: sim.NewEngine()}
-	s.memory = mem.New(s.eng, cfg.Memory)
-	s.bus = coherence.NewBus(s.eng, s.memory, cfg.Bus)
-	s.thermal, err = thermal.New(cfg.Thermal, cfg.Cores)
+	th, err := thermal.New(cfg.Thermal, cfg.Cores)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
-	streams := gen.Streams(cfg.Cores, cfg.Seed)
-	s.streams = streams
+	eng, memory, bus := s.eng, s.memory, s.bus
+	if eng == nil {
+		eng, memory, bus = new(sim.Engine), new(mem.Memory), new(coherence.Bus)
+	}
+	eng.Init()
+	memory.Init(eng, cfg.Memory)
+	bus.Init(eng, memory, cfg.Bus)
+	*s = System{
+		cfg:     cfg,
+		eng:     eng,
+		memory:  memory,
+		bus:     bus,
+		thermal: th,
+		l1s:     reuseObjects(s.l1s, cfg.Cores),
+		l2s:     reuseObjects(s.l2s, cfg.Cores),
+		cores:   reuseObjects(s.cores, cfg.Cores),
+		streams: gen.Streams(cfg.Cores, cfg.Seed),
+	}
+
 	coreCfg := cpu.Config{
 		IssueWidth:           cfg.Core.IssueWidth,
 		MaxOutstandingLoads:  cfg.Core.MaxOutstandingLoads,
 		MaxOutstandingStores: cfg.Core.MaxOutstandingStores,
 	}
-
-	s.l1s = make([]*coherence.L1Controller, cfg.Cores)
-	s.l2s = make([]*Controller, cfg.Cores)
-	s.cores = make([]*cpu.Core, cfg.Cores)
+	onDone := func(int) {
+		s.coresDone++
+		if s.coresDone >= len(s.cores) {
+			// Halt the engine's drain loop at exactly this event: events
+			// still queued for the same cycle stay queued, matching the
+			// old per-event Step loop's stop point bit for bit.
+			s.eng.Halt()
+		}
+	}
 	for i := 0; i < cfg.Cores; i++ {
+		l1, ctrl, core := s.l1s[i], s.l2s[i], s.cores[i]
 		l1cfg := cfg.L1
 		l1cfg.Cache.Name = fmt.Sprintf("L1-%d", i)
-		l1, err := coherence.NewL1Controller(i, s.eng, l1cfg)
-		if err != nil {
-			return nil, err
+		if err := l1.Init(i, eng, l1cfg); err != nil {
+			return err
 		}
 
 		l2cfg := cfg.L2
 		l2cfg.Name = fmt.Sprintf("L2-%d", i)
 		l2cfg.ExtraLatency = cfg.Technique.ExtraAccessLatency()
-		ctrl, err := NewController(s.eng, s.bus, ControllerConfig{
+		err := ctrl.Init(eng, bus, ControllerConfig{
 			ID:          i,
 			Cache:       l2cfg,
 			MSHREntries: cfg.L2MSHREntries,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ctrl.AttachL1(l1)
 		ctrl.AttachTechnique(cfg.Technique)
 		l1.SetLowerLevel(ctrl)
 
-		core, err := cpu.New(i, s.eng, coreCfg, l1, streams[i])
-		if err != nil {
-			return nil, err
+		if err := core.Init(i, eng, coreCfg, l1, s.streams[i]); err != nil {
+			return err
 		}
-		core.OnDone(func(int) {
-			s.coresDone++
-			if s.coresDone >= len(s.cores) {
-				// Halt the engine's drain loop at exactly this event: events
-				// still queued for the same cycle stay queued, matching the
-				// old per-event Step loop's stop point bit for bit.
-				s.eng.Halt()
-			}
-		})
-
-		s.l1s[i] = l1
-		s.l2s[i] = ctrl
-		s.cores[i] = core
+		core.OnDone(onDone)
 	}
 
 	s.blockPower = make([]float64, s.thermal.NumBlocks())
@@ -134,7 +164,23 @@ func NewSystemFrom(cfg config.System, gen workload.Generator) (*System, error) {
 	s.lastL2Accesses = make([]uint64, cfg.Cores)
 	s.lastL2On = make([]uint64, cfg.Cores)
 	s.maxTempObserved = s.thermal.MaxTemp()
-	return s, nil
+	return nil
+}
+
+// reuseObjects returns objs resliced to n entries, keeping the objects it
+// already holds (within its capacity) for Init to rebuild in place and
+// allocating the missing ones.
+func reuseObjects[T any](objs []*T, n int) []*T {
+	if cap(objs) < n {
+		objs = append(objs[:cap(objs)], make([]*T, n-cap(objs))...)
+	}
+	objs = objs[:n]
+	for i, p := range objs {
+		if p == nil {
+			objs[i] = new(T)
+		}
+	}
+	return objs
 }
 
 // Engine exposes the simulation engine (used by tests).
@@ -203,6 +249,10 @@ func (s *System) Run() (Result, error) {
 			}
 		}
 	}
+	// The streams are spent; a System kept for its next job must not keep
+	// them, and the trace behind them, alive (the stream memo drops a
+	// trace after its key's last job).
+	s.streams = nil
 	sampler.Stop()
 	// Account the tail interval since the last sample.
 	s.samplePowerAndThermal(s.eng.Now())

@@ -112,16 +112,31 @@ type Core struct {
 
 // New builds a core over the given L1 port and workload stream.
 func New(id int, eng *sim.Engine, cfg Config, l1 MemoryPort, stream workload.Stream) (*Core, error) {
-	if err := cfg.Validate(); err != nil {
+	c := new(Core)
+	if err := c.Init(id, eng, cfg, l1, stream); err != nil {
 		return nil, err
 	}
-	if l1 == nil || stream == nil {
-		return nil, fmt.Errorf("cpu: L1 port and stream are required")
+	return c, nil
+}
+
+// Init makes c in place the core New would build, not started and with
+// zero statistics, keeping its batch buffer.  The OnDone callback is
+// cleared.
+func (c *Core) Init(id int, eng *sim.Engine, cfg Config, l1 MemoryPort, stream workload.Stream) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	c := &Core{
+	if l1 == nil || stream == nil {
+		return fmt.Errorf("cpu: L1 port and stream are required")
+	}
+	buf := c.buf
+	if cap(buf) < batchEntries {
+		buf = make([]workload.Entry, batchEntries)
+	}
+	*c = Core{
 		id: id, eng: eng, cfg: cfg, l1: l1,
 		stream: stream,
-		buf:    make([]workload.Entry, batchEntries),
+		buf:    buf[:batchEntries],
 	}
 	if w := uint(cfg.IssueWidth); w&(w-1) == 0 {
 		c.issuePow2 = true
@@ -139,7 +154,7 @@ func New(id int, eng *sim.Engine, cfg Config, l1 MemoryPort, stream workload.Str
 		c.resumeIfBlocked()
 		c.maybeFinish()
 	}
-	return c, nil
+	return nil
 }
 
 // ID returns the core index.
@@ -215,6 +230,10 @@ func (c *Core) advance() {
 			c.bufLen = c.stream.NextBatch(c.buf)
 			c.bufPos = 0
 			if c.bufLen == 0 {
+				// Nothing reads an exhausted stream again; a core kept for
+				// its next job (core.System.Rebuild) must not keep it, and
+				// the trace behind it, alive.
+				c.stream = nil
 				c.finish()
 				return
 			}

@@ -16,7 +16,7 @@ import "cmpleak/internal/coherence"
 // powered, armed line in a stable state (and, under Selective Decay, not
 // Modified) has counter min(ticks−armTick, cache.DecayLevels), armTick being
 // the bank's tick count at the line's last reset, kept in the bank's arm
-// tick array that cache.Cache.EnableDecay allocates.  It holds
+// tick array that cache.Cache.EnableDecay zeroes.  It holds
 // because every way into that condition resets the counter:
 //
 //   - a fill: Install disarms, then OnFill arms and resets;
@@ -41,8 +41,8 @@ type tickScanner struct {
 	scratch      []int
 }
 
-// newTickScanner builds the tick for one controller and allocates its
-// bank's decay bookkeeping.
+// newTickScanner builds the tick for one controller and enables its bank's
+// decay bookkeeping (new arrays, or a rebuilt bank's old ones zeroed).
 func newTickScanner(ctrl Controller, skipModified bool) *tickScanner {
 	ctrl.Array().EnableDecay()
 	return &tickScanner{ctrl: ctrl, skipModified: skipModified, assoc: ctrl.Array().Assoc()}

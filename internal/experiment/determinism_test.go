@@ -99,11 +99,11 @@ func TestSystemRunDeterminism(t *testing.T) {
 }
 
 func TestRunCancelsRemainingJobsOnError(t *testing.T) {
-	defer func(old func(config.System, workload.Generator) (core.Result, error)) { runJob = old }(runJob)
+	defer func(old func(*core.System, config.System, workload.Generator) (core.Result, error)) { runJob = old }(runJob)
 
 	var mu sync.Mutex
 	calls := 0
-	runJob = func(config.System, workload.Generator) (core.Result, error) {
+	runJob = func(*core.System, config.System, workload.Generator) (core.Result, error) {
 		mu.Lock()
 		calls++
 		n := calls

@@ -102,7 +102,7 @@ func TestOptionsRejectDuplicateAxisValues(t *testing.T) {
 			}
 			ran := 0
 			restore := runJob
-			runJob = func(cfg config.System, _ workload.Generator) (core.Result, error) {
+			runJob = func(_ *core.System, cfg config.System, _ workload.Generator) (core.Result, error) {
 				ran++
 				return core.Result{}, nil
 			}

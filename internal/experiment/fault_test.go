@@ -275,11 +275,11 @@ func TestRetryOnRealJobFailure(t *testing.T) {
 	orig := runJob
 	defer func() { runJob = orig }()
 	var failures atomic.Int64
-	runJob = func(cfg config.System, gen workload.Generator) (core.Result, error) {
+	runJob = func(s *core.System, cfg config.System, gen workload.Generator) (core.Result, error) {
 		if failures.Add(1) <= 2 {
 			return core.Result{}, transientTestError{}
 		}
-		return orig(cfg, gen)
+		return orig(s, cfg, gen)
 	}
 	got, err := runSweep(opts, Parallelism{
 		Workers: 2,

@@ -59,6 +59,19 @@ func TestGoldenSweepDigest(t *testing.T) {
 	}
 }
 
+// TestGoldenSweepDigestOneWorker runs the golden sweep on one worker, which
+// rebuilds a single core.System for every job in turn (core.System.Rebuild),
+// so the anchor also covers rebuilt systems, not only new ones.
+func TestGoldenSweepDigestOneWorker(t *testing.T) {
+	sweep, err := runSweep(goldenOptions(), Parallelism{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sweep.Digest(); got != goldenSweepDigest {
+		t.Fatalf("one-worker sweep digest %s, want %s", got, goldenSweepDigest)
+	}
+}
+
 // goldenCoreCountDigests pins reduced-scale runs of every decay technique at
 // 2, 4 and 8 cores, recorded when the thermal floorplan was generalised from
 // the fixed 4-core layout (PR 5).  The 4-core row is redundant with the main

@@ -6,14 +6,18 @@ package experiment
 //
 // The simulation kernel is single-threaded by design (ROADMAP: determinism
 // over intra-run parallelism), so the parallelism unit is the job — one
-// (benchmark, size, technique) simulation with its own core.System and
-// engine.  Jobs are independent: each builds its configuration from the
-// sweep's immutable Options, so N workers hold N engines and share nothing
-// but the job queue, the result collector and the read-only reference
-// streams of jobs with the same stream key (memo.go).  Because every job is
-// deterministic in isolation, the assembled Sweep — Digest(), figures,
-// rendered report — is byte-identical whatever the worker count or
-// completion order; the golden anchors pin that.
+// (benchmark, size, technique) simulation.  Jobs are independent: each
+// builds its configuration from the sweep's immutable Options, so N workers
+// hold N systems and share nothing but the job queue, the result collector
+// and the read-only reference streams of jobs with the same stream key
+// (memo.go).  Each worker owns one core.System for the length of the call
+// and rebuilds it in place for every job it runs (core.System.Rebuild), so
+// a sweep reuses a worker's L2 arrays, engine nodes and tables instead of
+// allocating — and collecting — a System per job; a rebuilt System returns
+// exactly the Result a new one would.  Because every job is deterministic
+// in isolation, the assembled Sweep — Digest(), figures, rendered report —
+// is byte-identical whatever the worker count or completion order; the
+// golden anchors pin that.
 //
 // Fault tolerance (PR 8) lives at the job boundary.  A panicking job is
 // recovered inside its worker and becomes a JobPanicError — the pool drains
@@ -48,9 +52,12 @@ import (
 
 // Parallelism configures the worker pool of RunParallelAllContext.
 type Parallelism struct {
-	// Workers is the number of concurrent simulation workers; each runs one
-	// core.System (its own engine) at a time.  Zero or negative means
-	// runtime.GOMAXPROCS(0); the pool never starts more workers than jobs.
+	// Workers is the number of concurrent simulation workers.  Each owns
+	// one core.System for the length of the call and rebuilds it in place
+	// for each of its jobs; a job that fails or panics makes its worker
+	// discard the System and start the next attempt or job on a new one.
+	// Zero or negative means runtime.GOMAXPROCS(0); the pool never starts
+	// more workers than jobs.
 	Workers int
 	// Progress, when non-nil, is called once per completed job — success or
 	// failure — from the pool's collector, serialised (never concurrently)
@@ -113,6 +120,12 @@ type NamedOptions struct {
 // are skipped, and the pool returns a cancellation error naming how far it
 // got.  Cell names must be distinct (two unnamed cells repeat ""): Reuse,
 // JobEvent.Cell and error labels identify a cell by its name.
+//
+// Each worker goroutine owns one core.System, built on its first job and
+// rebuilt in place (core.System.Rebuild) for every later one, so the
+// storage of a batch is one System per worker, sized for the largest job
+// that worker ran; it becomes garbage when the call returns.  Nothing of a
+// System outlives the batch or passes between workers.
 func RunParallelAllContext(ctx context.Context, cells []NamedOptions, p Parallelism) ([]*Sweep, error) {
 	names := make(map[string]bool, len(cells))
 	for i := range cells {
@@ -186,6 +199,10 @@ func RunParallelAllContext(ctx context.Context, cells []NamedOptions, p Parallel
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// The worker's System, rebuilt in place for each of its jobs
+			// (runAttempts discards it after a failure); garbage once the
+			// batch returns.
+			var sys *core.System
 			for fi := range jobCh {
 				mu.Lock()
 				stop := failed && fi > first
@@ -200,7 +217,7 @@ func RunParallelAllContext(ctx context.Context, cells []NamedOptions, p Parallel
 				start := time.Now()
 				gen := fj.shared.generator(cfgs[fi])
 				res, attempts, err := runAttempts(ctx.Done(), cancel,
-					cells[fj.sweep].Name, fj.key, fi, cfgs[fi], gen, p.Retry)
+					cells[fj.sweep].Name, fj.key, fi, &sys, cfgs[fi], gen, p.Retry)
 				elapsed := time.Since(start)
 
 				mu.Lock()

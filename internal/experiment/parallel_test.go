@@ -73,13 +73,13 @@ func TestRunParallelByteIdenticalToSerial(t *testing.T) {
 }
 
 func TestRunParallelFailureDrainsAndReportsFirst(t *testing.T) {
-	defer func(old func(config.System, workload.Generator) (core.Result, error)) { runJob = old }(runJob)
+	defer func(old func(*core.System, config.System, workload.Generator) (core.Result, error)) { runJob = old }(runJob)
 
 	opts := parallelOptions()
 	jobs := opts.Jobs()
 	// Fail the third job in feed order; every other job succeeds.
 	failKey := jobs[2]
-	runJob = func(cfg config.System, _ workload.Generator) (core.Result, error) {
+	runJob = func(_ *core.System, cfg config.System, _ workload.Generator) (core.Result, error) {
 		if cfg.Benchmark == failKey.Benchmark && cfg.Technique.Name() == failKey.Technique {
 			return core.Result{}, errors.New("injected failure")
 		}
@@ -101,12 +101,12 @@ func TestRunParallelFailureDrainsAndReportsFirst(t *testing.T) {
 }
 
 func TestRunParallelFirstErrorIsFeedOrderDeterministic(t *testing.T) {
-	defer func(old func(config.System, workload.Generator) (core.Result, error)) { runJob = old }(runJob)
+	defer func(old func(*core.System, config.System, workload.Generator) (core.Result, error)) { runJob = old }(runJob)
 
 	// Every job fails with an error naming its own configuration; whichever
 	// worker finishes first, the reported error must belong to the first
 	// job in feed order at any worker count.
-	runJob = func(cfg config.System, _ workload.Generator) (core.Result, error) {
+	runJob = func(_ *core.System, cfg config.System, _ workload.Generator) (core.Result, error) {
 		return core.Result{}, fmt.Errorf("boom: %s", cfg.Label())
 	}
 	opts := parallelOptions()
@@ -126,8 +126,8 @@ func TestRunParallelFirstErrorIsFeedOrderDeterministic(t *testing.T) {
 }
 
 func TestRunParallelProgressEvents(t *testing.T) {
-	defer func(old func(config.System, workload.Generator) (core.Result, error)) { runJob = old }(runJob)
-	runJob = func(cfg config.System, _ workload.Generator) (core.Result, error) {
+	defer func(old func(*core.System, config.System, workload.Generator) (core.Result, error)) { runJob = old }(runJob)
+	runJob = func(_ *core.System, cfg config.System, _ workload.Generator) (core.Result, error) {
 		return core.Result{Label: cfg.Label()}, nil
 	}
 
@@ -173,11 +173,11 @@ func TestRunParallelProgressEvents(t *testing.T) {
 }
 
 func TestRunParallelAllSharesOnePool(t *testing.T) {
-	defer func(old func(config.System, workload.Generator) (core.Result, error)) { runJob = old }(runJob)
+	defer func(old func(*core.System, config.System, workload.Generator) (core.Result, error)) { runJob = old }(runJob)
 
 	var mu sync.Mutex
 	calls := 0
-	runJob = func(cfg config.System, _ workload.Generator) (core.Result, error) {
+	runJob = func(_ *core.System, cfg config.System, _ workload.Generator) (core.Result, error) {
 		mu.Lock()
 		calls++
 		mu.Unlock()

@@ -114,7 +114,7 @@ func splitmix64(x uint64) uint64 {
 // net: the fault-injection hook fires first (so tests can fail or crash
 // exactly this boundary), and any panic — injected or real — is converted
 // into a JobPanicError instead of unwinding the pool.
-func runJobGuarded(cell string, key Key, cfg config.System, gen workload.Generator) (res core.Result, err error) {
+func runJobGuarded(cell string, key Key, sys *core.System, cfg config.System, gen workload.Generator) (res core.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &JobPanicError{Cell: cell, Key: key, Value: v, Stack: debug.Stack()}
@@ -125,23 +125,30 @@ func runJobGuarded(cell string, key Key, cfg config.System, gen workload.Generat
 			return core.Result{}, ferr
 		}
 	}
-	return runJob(cfg, gen)
+	return runJob(sys, cfg, gen)
 }
 
 // runAttempts drives one job through the retry policy: transient failures
 // back off and retry up to MaxAttempts, permanent ones (and panics) return
 // immediately.  A cancellation — the caller's ctx or the pool's first-
 // failure cancel channel — aborts the backoff and returns the last error.
+// *sys is the calling worker's System: every attempt rebuilds it in place
+// (a new one when *sys is nil), and a failed or panicked attempt discards
+// it, so no attempt or later job runs on a System a failure left behind.
 // It reports the result, the number of attempts made, and the final error.
 func runAttempts(done <-chan struct{}, cancel <-chan struct{}, cell string, key Key,
-	jobIndex int, cfg config.System, gen workload.Generator, rp RetryPolicy) (core.Result, int, error) {
+	jobIndex int, sys **core.System, cfg config.System, gen workload.Generator, rp RetryPolicy) (core.Result, int, error) {
 	attempts := 0
 	for {
-		res, err := runJobGuarded(cell, key, cfg, gen)
+		if *sys == nil {
+			*sys = new(core.System)
+		}
+		res, err := runJobGuarded(cell, key, *sys, cfg, gen)
 		attempts++
 		if err == nil {
 			return res, attempts, nil
 		}
+		*sys = nil
 		if attempts >= rp.maxAttempts() || !DefaultTransient(err) {
 			return core.Result{}, attempts, err
 		}

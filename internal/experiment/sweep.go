@@ -157,12 +157,11 @@ type Sweep struct {
 // baselineName is the technique label of the always-on runs.
 const baselineName = "baseline"
 
-// runJob executes one configuration with its cores driven by gen's streams
-// (nil: cfg.Workload()'s); a variable so tests can observe and fail
-// individual jobs.
-var runJob = func(cfg config.System, gen workload.Generator) (core.Result, error) {
-	s, err := core.NewSystemFrom(cfg, gen)
-	if err != nil {
+// runJob rebuilds the worker's System s for one configuration, its cores
+// driven by gen's streams (nil: cfg.Workload()'s), and runs it; a variable
+// so tests can observe and fail individual jobs.
+var runJob = func(s *core.System, cfg config.System, gen workload.Generator) (core.Result, error) {
+	if err := s.Rebuild(cfg, gen); err != nil {
 		return core.Result{}, err
 	}
 	return s.Run()

@@ -59,13 +59,20 @@ type Memory struct {
 
 // New returns a Memory bound to the engine.
 func New(eng *sim.Engine, cfg Config) *Memory {
+	m := new(Memory)
+	m.Init(eng, cfg)
+	return m
+}
+
+// Init makes m in place the idle, zero-traffic memory New would build.
+func (m *Memory) Init(eng *sim.Engine, cfg Config) {
 	if cfg.BlockSize == 0 {
 		cfg.BlockSize = 64
 	}
 	if cfg.BandwidthBytesPerCycle <= 0 {
 		cfg.BandwidthBytesPerCycle = 8
 	}
-	return &Memory{cfg: cfg, eng: eng}
+	*m = Memory{cfg: cfg, eng: eng}
 }
 
 // Config returns the memory configuration.

@@ -393,3 +393,23 @@ func BenchmarkGeometric(b *testing.B) {
 }
 
 var geomSink int
+
+// TestInitAllocationFree guards the engine's reuse across simulations: an
+// engine rebuilt with Init schedules from the node blocks and far-heap array
+// of its earlier run, so a run no larger than that one allocates nothing.
+func TestInitAllocationFree(t *testing.T) {
+	e := NewEngine()
+	fn := ArgFunc(func(any) {})
+	arg := any(1)
+	round := func() {
+		e.Init()
+		for i := Cycle(0); i < 4*eventChunk; i++ {
+			e.ScheduleArg(i&7, fn, arg)
+			e.ScheduleArg(2*wheelSize+i, fn, arg)
+		}
+	}
+	round() // the first run allocates the node blocks and the far heap
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("Init and a same-sized schedule allocate %.1f times, want 0", allocs)
+	}
+}

@@ -162,6 +162,9 @@ type Engine struct {
 	farNext Cycle
 
 	free *event
+	// chunks holds every node block alloc has made, so Init can return the
+	// nodes of a finished run to the free list instead of allocating anew.
+	chunks [][]event
 
 	// halted is set by Halt and consumed by the run loop after the current
 	// event's callback returns.
@@ -185,7 +188,27 @@ type Engine struct {
 
 // NewEngine returns an engine at cycle 0 with an empty event queue.
 func NewEngine() *Engine {
-	return &Engine{farNext: CycleMax}
+	e := new(Engine)
+	e.Init()
+	return e
+}
+
+// Init returns e in place to the state NewEngine builds: cycle 0, an empty
+// queue and zero counters.  Every event node e has allocated — queued,
+// pooled or in the far heap — goes back on the free list with its callback
+// dropped, so an engine rebuilt for the next simulation schedules from its
+// old node blocks and far-heap array instead of allocating.  The list hands
+// the nodes out in the order a new engine allocates them.
+func (e *Engine) Init() {
+	chunks, far := e.chunks, e.far
+	clear(far)
+	*e = Engine{far: far[:0], farNext: CycleMax, chunks: chunks}
+	for c := len(chunks) - 1; c >= 0; c-- {
+		for i := len(chunks[c]) - 1; i >= 0; i-- {
+			chunks[c][i] = event{next: e.free}
+			e.free = &chunks[c][i]
+		}
+	}
 }
 
 // Now returns the current simulation cycle.
@@ -202,6 +225,7 @@ func (e *Engine) alloc() *event {
 			chunk[i].next = &chunk[i+1]
 		}
 		e.free = &chunk[0]
+		e.chunks = append(e.chunks, chunk)
 	}
 	ev := e.free
 	e.free = ev.next

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -212,5 +213,43 @@ func TestPropertyEventOrdering(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInitMatchesNewEngine leaves an engine mid-run — near, same-cycle and
+// far events queued, a recurring event live, counters non-zero — rebuilds
+// it with Init, and checks it then runs a schedule exactly as a new engine
+// does: same dispatch order, cycles and counters.
+func TestInitMatchesNewEngine(t *testing.T) {
+	run := func(e *Engine) []Cycle {
+		var order []Cycle
+		var rec *Recurring
+		rec = e.ScheduleRecurring(3*wheelSize/2, func(now Cycle) bool {
+			order = append(order, now|1<<62)
+			return rec.Fired < 5
+		})
+		for i := Cycle(0); i < 200; i++ {
+			e.ScheduleArg(i*37%(3*wheelSize), func(a any) { order = append(order, e.Now()<<8|a.(Cycle)) }, i&0xFF)
+		}
+		e.Run()
+		return append(order, e.Now(), Cycle(e.Executed), Cycle(e.FarEvents))
+	}
+	used := NewEngine()
+	for i := Cycle(0); i < 500; i++ {
+		used.Schedule(i%7, func() {})
+		used.ScheduleAt(4*wheelSize+i, func() {})
+	}
+	used.ScheduleRecurring(5, func(Cycle) bool { return true })
+	used.RunUntil(wheelSize)
+	if used.Pending() == 0 {
+		t.Fatal("fixture broken: nothing left queued")
+	}
+	used.Init()
+	if used.Now() != 0 || used.Pending() != 0 || used.Executed != 0 || used.FarEvents != 0 {
+		t.Fatalf("Init left now=%d pending=%d executed=%d far=%d", used.Now(), used.Pending(), used.Executed, used.FarEvents)
+	}
+	want, got := run(NewEngine()), run(used)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rebuilt engine ran differently:\n  got:  %v\n  want: %v", got, want)
 	}
 }

@@ -17,9 +17,11 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
+	"time"
 
 	"cmpleak/internal/config"
 	"cmpleak/internal/core"
@@ -426,5 +428,96 @@ func TestOpenRetainedHeap(t *testing.T) {
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// stallReaderAt blocks its first ReadAt until release is closed, after
+// closing stalled; later reads pass straight through.
+type stallReaderAt struct {
+	io.ReaderAt
+	once             sync.Once
+	stalled, release chan struct{}
+}
+
+func (r *stallReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	r.once.Do(func() {
+		close(r.stalled)
+		<-r.release
+	})
+	return r.ReaderAt.ReadAt(p, off)
+}
+
+func (r *stallReaderAt) Close() error { return r.ReaderAt.(io.Closer).Close() }
+
+// TestOpenSharedVerifiesPathsInParallel stalls the verification of path A
+// inside its first chunk read: OpenShared of path B must return meanwhile,
+// and every concurrent caller for A must get the one File its one open
+// produced.
+func TestOpenSharedVerifiesPathsInParallel(t *testing.T) {
+	dir := t.TempDir()
+	hdr := trace.Header{Cores: 1, LineBytes: 64, Benchmark: "FMM"}
+	paths := []string{filepath.Join(dir, "a.trc"), filepath.Join(dir, "b.trc")}
+	for i, path := range paths {
+		data := writeTrace(t, hdr, trace.WriterOptions{}, [][]workload.Entry{benchEntries(t, "FMM", 1, 0, 0.01, uint64(i+1))})
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := paths[0], paths[1]
+	stalled, release := make(chan struct{}), make(chan struct{})
+	var opensOfA atomic.Int32
+	defer trace.SetSharedOpened(func(f *trace.File) {
+		if f.Path() == a {
+			opensOfA.Add(1)
+			trace.SetSource(f, &stallReaderAt{ReaderAt: trace.SetSource(f, nil), stalled: stalled, release: release})
+		}
+	})()
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release) // a failed check must not leave A's callers blocked
+		}
+	}()
+
+	const callers = 4
+	files := make([]*trace.File, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			files[i], errs[i] = trace.OpenShared(a)
+		}()
+	}
+	<-stalled
+
+	opened := make(chan error, 1)
+	go func() {
+		_, err := trace.OpenShared(b)
+		opened <- err
+	}()
+	select {
+	case err := <-opened:
+		if err != nil {
+			t.Fatalf("OpenShared(B): %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("OpenShared(B) waited for A's verification")
+	}
+
+	close(release)
+	wg.Wait()
+	for i := range callers {
+		if errs[i] != nil {
+			t.Fatalf("caller %d for A: %v", i, errs[i])
+		}
+		if files[i] != files[0] {
+			t.Fatalf("callers for A got different Files %p and %p", files[0], files[i])
+		}
+	}
+	if n := opensOfA.Load(); n != 1 {
+		t.Fatalf("A was opened %d times, want once", n)
 	}
 }

@@ -448,17 +448,26 @@ func (g *generator) Streams(cores int, _ uint64) []workload.Stream {
 	return out
 }
 
-// sharedFiles caches opened-and-verified Files per path for OpenShared,
-// each with what Stat said of its file when it was opened.
+// sharedFiles holds OpenShared's entry for every path it has been asked
+// for.  The map's lock is held only to find or add an entry; opening and
+// verifying a path happens under that path's own lock, so distinct paths
+// verify in parallel while callers of one path wait for its one open.
 var sharedFiles = struct {
 	mu sync.Mutex
-	m  map[string]sharedFile
-}{m: map[string]sharedFile{}}
+	m  map[string]*sharedFile
+}{m: map[string]*sharedFile{}}
 
+// sharedFile is one path's opened-and-verified File, with what Stat said of
+// its file when it was opened; f is nil until an open succeeds.
 type sharedFile struct {
+	mu   sync.Mutex
 	f    *File
 	info os.FileInfo
 }
+
+// sharedOpened, when non-nil, sees each File OpenShared opens before
+// verifying it; a test hook to stall one path's verification.
+var sharedOpened func(*File)
 
 // OpenShared returns a fully verified File for path, opening and verifying
 // it once per version of the file — a File is safe for concurrent readers,
@@ -471,26 +480,39 @@ type sharedFile struct {
 // closes once nothing references it.  A change the stat cannot see (an
 // in-place rewrite within the modification-time granularity) fails replay
 // with ErrCorrupt through Verify's checksums.  Failed opens are not cached.
+// Concurrent callers for one path share its one open; callers for other
+// paths do not wait for it.
 func OpenShared(path string) (*File, error) {
 	sharedFiles.mu.Lock()
-	defer sharedFiles.mu.Unlock()
-	if e, ok := sharedFiles.m[path]; ok {
+	e := sharedFiles.m[path]
+	if e == nil {
+		e = &sharedFile{}
+		sharedFiles.m[path] = e
+	}
+	sharedFiles.mu.Unlock()
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.f != nil {
 		cur, err := os.Stat(path)
 		if err == nil && os.SameFile(e.info, cur) && cur.Size() == e.info.Size() && cur.ModTime().Equal(e.info.ModTime()) {
 			return e.f, nil
 		}
-		delete(sharedFiles.m, path)
+		e.f, e.info = nil, nil
 	}
 	f, info, err := openFile(path)
 	if err != nil {
 		return nil, err
+	}
+	if sharedOpened != nil {
+		sharedOpened(f)
 	}
 	if err := f.Verify(); err != nil {
 		f.Close()
 		// Verify's chunk errors already carry the path (set by Open).
 		return nil, err
 	}
-	sharedFiles.m[path] = sharedFile{f: f, info: info}
+	e.f, e.info = f, info
 	return f, nil
 }
 

@@ -263,7 +263,7 @@ func TotalInstructions(entries []Entry) uint64 {
 }
 
 // Drain consumes a stream completely and returns its entries; intended for
-// tests and the trace dumper, not for simulation of long workloads.
+// tests, not for simulation of long workloads.
 func Drain(s Stream) []Entry {
 	var out []Entry
 	buf := make([]Entry, 256)
