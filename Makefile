@@ -8,7 +8,7 @@ FUZZTIME ?= 5s
 # Minimum total statement coverage (percent) enforced by `make cover`.
 COVER_FLOOR ?= 70
 
-.PHONY: ci fmt vet build test test-allocs test-faults test-service race cover fuzz-smoke bench-smoke bench-test bench bench-sweep
+.PHONY: ci fmt vet build test test-allocs test-faults test-service race cover fuzz-smoke bench-smoke bench-test bench bench-sweep loc
 
 # cover runs the full test suite (instrumented) and fails on any test
 # failure, so ci does not also run the plain `test` target — that would
@@ -123,3 +123,9 @@ bench:
 bench-sweep:
 	CMPLEAK_BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' \
 		-bench 'BenchmarkSweep(Serial|Parallel)$$' -count 3 ./internal/experiment
+
+# loc prints the number of non-test Go lines outside bench/, the code-size
+# figure a simplification reports.  It is a measurement, not a gate, so ci
+# does not run it.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l

@@ -17,9 +17,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"cmpleak"
+	"cmpleak/internal/config"
+	"cmpleak/internal/core"
+	"cmpleak/internal/decay"
 	"cmpleak/internal/trace"
 )
 
@@ -44,7 +47,7 @@ func main() {
 	}
 	spec.StrictInclusion = *strict
 
-	cfg := cmpleak.DefaultConfig().
+	cfg := config.Default().
 		WithBenchmark(*benchmark).
 		WithTotalL2MB(*l2MB).
 		WithTechnique(spec)
@@ -71,19 +74,19 @@ func main() {
 		cfg = cfg.WithTotalL2MB(*l2MB)
 	}
 
-	res, err := cmpleak.Run(cfg)
+	res, err := core.Run(cfg)
 	if err != nil {
 		fatalf("simulation failed: %v", err)
 	}
-	printResult(res)
+	printResult(os.Stdout, res)
 
 	if *baseline && spec.Name() != "baseline" {
-		baseCfg := cfg.WithTechnique(cmpleak.Baseline())
-		baseRes, err := cmpleak.Run(baseCfg)
+		baseCfg := cfg.WithTechnique(config.Baseline())
+		baseRes, err := core.Run(baseCfg)
 		if err != nil {
 			fatalf("baseline run failed: %v", err)
 		}
-		cmp := cmpleak.Compare(res, baseRes)
+		cmp := core.Compare(res, baseRes)
 		fmt.Printf("\nRelative to always-on baseline:\n")
 		fmt.Printf("  energy reduction    %7.2f%%\n", cmp.EnergyReduction*100)
 		fmt.Printf("  IPC loss            %7.2f%%\n", cmp.IPCLoss*100)
@@ -95,41 +98,45 @@ func main() {
 
 // techniqueSpec maps the -technique/-decay flag pair to a specification via
 // the shared parser: decay-family names get the -decay interval appended.
-func techniqueSpec(name, decayStr string) (cmpleak.TechniqueSpec, error) {
+func techniqueSpec(name, decayStr string) (decay.Spec, error) {
 	switch name {
 	case "decay", "sel_decay", "adaptive":
-		return cmpleak.ParseTechnique(name + ":" + decayStr)
+		return decay.ParseSpec(name + ":" + decayStr)
 	default:
-		return cmpleak.ParseTechnique(name)
+		return decay.ParseSpec(name)
 	}
 }
 
-func printResult(res cmpleak.Result) {
-	fmt.Printf("Configuration: %s\n", res.Label)
-	fmt.Printf("  cycles              %12d\n", res.Cycles)
-	fmt.Printf("  instructions        %12d\n", res.Instructions)
-	fmt.Printf("  aggregate IPC       %12.2f\n", res.IPC)
-	fmt.Printf("  L2 occupation rate  %12.2f%%\n", res.L2OccupationRate*100)
-	fmt.Printf("  L2 miss rate        %12.2f%%\n", res.L2MissRate*100)
-	fmt.Printf("  AMAT                %12.2f cycles\n", res.AMAT)
-	fmt.Printf("  off-chip traffic    %12d bytes\n", res.MemoryBytes)
-	fmt.Printf("  bus utilization     %12.2f%%\n", res.BusUtilization*100)
-	fmt.Printf("  max temperature     %12.1f C\n", res.MaxTempC)
-	fmt.Printf("Energy breakdown (J):\n")
-	fmt.Printf("  core dynamic        %12.5f\n", res.Energy.CoreDynamic)
-	fmt.Printf("  core leakage        %12.5f\n", res.Energy.CoreLeakage)
-	fmt.Printf("  L1 dynamic+leakage  %12.5f\n", res.Energy.L1Dynamic+res.Energy.L1Leakage)
-	fmt.Printf("  L2 dynamic          %12.5f\n", res.Energy.L2Dynamic)
-	fmt.Printf("  L2 leakage          %12.5f\n", res.Energy.L2Leakage)
-	fmt.Printf("  bus                 %12.5f\n", res.Energy.Bus)
-	fmt.Printf("  decay overhead      %12.5f\n", res.Energy.DecayOverhead)
-	fmt.Printf("  total               %12.5f\n", res.EnergyJ)
-	fmt.Printf("Technique activity:\n")
-	fmt.Printf("  turn-off requests   %12d\n", res.TurnOffRequests)
-	fmt.Printf("  turn-offs completed %12d\n", res.TurnOffsCompleted)
-	fmt.Printf("  turn-off writebacks %12d\n", res.TurnOffWritebacks)
-	fmt.Printf("  protocol invalidates%12d\n", res.ProtocolInvalidations)
-	fmt.Printf("  decay-induced misses%12d\n", res.DecayInducedMisses)
+// printResult writes a run's metrics, energy breakdown and technique
+// activity.  Energy terms print in exponent form: they span from the
+// decay counters' microjoules to the whole run's joules, and a fixed
+// number of decimals would show a small non-zero term as zero.
+func printResult(w io.Writer, res core.Result) {
+	fmt.Fprintf(w, "Configuration: %s\n", res.Label)
+	fmt.Fprintf(w, "  cycles              %12d\n", res.Cycles)
+	fmt.Fprintf(w, "  instructions        %12d\n", res.Instructions)
+	fmt.Fprintf(w, "  aggregate IPC       %12.2f\n", res.IPC)
+	fmt.Fprintf(w, "  L2 occupation rate  %12.2f%%\n", res.L2OccupationRate*100)
+	fmt.Fprintf(w, "  L2 miss rate        %12.2f%%\n", res.L2MissRate*100)
+	fmt.Fprintf(w, "  AMAT                %12.2f cycles\n", res.AMAT)
+	fmt.Fprintf(w, "  off-chip traffic    %12d bytes\n", res.MemoryBytes)
+	fmt.Fprintf(w, "  bus utilization     %12.2f%%\n", res.BusUtilization*100)
+	fmt.Fprintf(w, "  max temperature     %12.1f C\n", res.MaxTempC)
+	fmt.Fprintf(w, "Energy breakdown (J):\n")
+	fmt.Fprintf(w, "  core dynamic        %12.4e\n", res.Energy.CoreDynamic)
+	fmt.Fprintf(w, "  core leakage        %12.4e\n", res.Energy.CoreLeakage)
+	fmt.Fprintf(w, "  L1 dynamic+leakage  %12.4e\n", res.Energy.L1Dynamic+res.Energy.L1Leakage)
+	fmt.Fprintf(w, "  L2 dynamic          %12.4e\n", res.Energy.L2Dynamic)
+	fmt.Fprintf(w, "  L2 leakage          %12.4e\n", res.Energy.L2Leakage)
+	fmt.Fprintf(w, "  bus                 %12.4e\n", res.Energy.Bus)
+	fmt.Fprintf(w, "  decay overhead      %12.4e\n", res.Energy.DecayOverhead)
+	fmt.Fprintf(w, "  total               %12.4e\n", res.EnergyJ)
+	fmt.Fprintf(w, "Technique activity:\n")
+	fmt.Fprintf(w, "  turn-off requests   %12d\n", res.TurnOffRequests)
+	fmt.Fprintf(w, "  turn-offs completed %12d\n", res.TurnOffsCompleted)
+	fmt.Fprintf(w, "  turn-off writebacks %12d\n", res.TurnOffWritebacks)
+	fmt.Fprintf(w, "  protocol invalidates%12d\n", res.ProtocolInvalidations)
+	fmt.Fprintf(w, "  decay-induced misses%12d\n", res.DecayInducedMisses)
 }
 
 func fatalf(format string, args ...any) {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
+	"cmpleak/internal/core"
 	"cmpleak/internal/decay"
 )
 
@@ -35,5 +37,25 @@ func TestTechniqueSpecErrors(t *testing.T) {
 		if _, err := techniqueSpec(c[0], c[1]); err == nil {
 			t.Errorf("techniqueSpec(%q, %q) accepted it", c[0], c[1])
 		}
+	}
+}
+
+// TestPrintResultShowsSmallEnergy checks that an energy term far below the
+// run's total, like a decay run's counter overhead, prints as its value and
+// not as zero.
+func TestPrintResultShowsSmallEnergy(t *testing.T) {
+	var res core.Result
+	res.Energy.DecayOverhead = 1.2e-7
+	res.EnergyJ = 0.25
+	var out strings.Builder
+	printResult(&out, res)
+	var line string
+	for _, l := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(l), "decay overhead") {
+			line = l
+		}
+	}
+	if !strings.Contains(line, "1.2000e-07") {
+		t.Fatalf("decay overhead printed as %q, want 1.2000e-07", line)
 	}
 }

@@ -43,7 +43,8 @@ import (
 	"syscall"
 	"time"
 
-	"cmpleak"
+	"cmpleak/internal/experiment"
+	"cmpleak/internal/resultcache"
 	"cmpleak/internal/service"
 )
 
@@ -63,10 +64,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	var store *cmpleak.ResultCache
+	var store *resultcache.Store
 	if *cacheDir != "" {
 		var err error
-		store, err = cmpleak.OpenResultCache(*cacheDir, cmpleak.ResultCacheOptions{
+		store, err = resultcache.Open(*cacheDir, resultcache.Options{
 			MaxBytes: int64(*cacheMaxMB) << 20,
 		})
 		if err != nil {
@@ -75,7 +76,7 @@ func main() {
 		}
 		st := store.Stats()
 		fmt.Fprintf(os.Stderr, "leakserved: cache %s: %d cached job(s), %d byte(s) live (anchor %.8s)\n",
-			*cacheDir, st.Entries, st.LiveBytes, cmpleak.GoldenAnchor)
+			*cacheDir, st.Entries, st.LiveBytes, experiment.GoldenAnchor)
 	}
 
 	ln, err := net.Listen("tcp", *addr)

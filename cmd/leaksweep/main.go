@@ -74,25 +74,27 @@ import (
 	"syscall"
 	"time"
 
-	"cmpleak"
+	"cmpleak/internal/config"
 	"cmpleak/internal/experiment"
+	"cmpleak/internal/resultcache"
+	"cmpleak/internal/scenario"
 )
 
 func main() {
 	var (
-		scale      = flag.Float64("scale", 1.0, "workload scale factor (1.0 = full synthetic workloads)")
-		seed       = flag.Uint64("seed", 1, "workload seed")
-		benchmarks = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all six)")
-		sizes      = flag.String("sizes", "", "comma-separated total L2 sizes in MB (default: 1,2,4,8)")
-		scenario   = flag.String("scenario", "", "run the declarative scenario file instead of the flag-driven sweep")
-		fig        = flag.String("fig", "", "print only one figure: 3a, 3b, 4a, 4b, 5a, 5b, 6a, 6b")
-		csv        = flag.Bool("csv", false, "emit CSV instead of markdown")
-		jobs       = flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent simulation workers (one engine each)")
-		quiet      = flag.Bool("quiet", false, "suppress the live progress line")
-		shard      = flag.String("shard", "", "run shard i of n sweep jobs, as \"i/n\" (default: all jobs)")
-		merge      = flag.String("merge", "", "serve every job from the union of the -cache directories matching this glob instead of running")
-		cache      = flag.String("cache", "", "reuse and record job results in this persistent content-addressed cache directory (rerun to resume)")
-		retries    = flag.Int("retries", 0, "extra attempts per job for transient failures (0 = fail on first error)")
+		scale        = flag.Float64("scale", 1.0, "workload scale factor (1.0 = full synthetic workloads)")
+		seed         = flag.Uint64("seed", 1, "workload seed")
+		benchmarks   = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all six)")
+		sizes        = flag.String("sizes", "", "comma-separated total L2 sizes in MB (default: 1,2,4,8)")
+		scenarioPath = flag.String("scenario", "", "run the declarative scenario file instead of the flag-driven sweep")
+		fig          = flag.String("fig", "", "print only one figure: 3a, 3b, 4a, 4b, 5a, 5b, 6a, 6b")
+		csv          = flag.Bool("csv", false, "emit CSV instead of markdown")
+		jobs         = flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent simulation workers (one engine each)")
+		quiet        = flag.Bool("quiet", false, "suppress the live progress line")
+		shard        = flag.String("shard", "", "run shard i of n sweep jobs, as \"i/n\" (default: all jobs)")
+		merge        = flag.String("merge", "", "serve every job from the union of the -cache directories matching this glob instead of running")
+		cache        = flag.String("cache", "", "reuse and record job results in this persistent content-addressed cache directory (rerun to resume)")
+		retries      = flag.Int("retries", 0, "extra attempts per job for transient failures (0 = fail on first error)")
 	)
 	flag.Parse()
 
@@ -129,17 +131,17 @@ func main() {
 	}
 
 	var source string
-	var named []cmpleak.NamedSweepOptions
-	if *scenario != "" {
+	var named []experiment.NamedOptions
+	if *scenarioPath != "" {
 		for _, name := range []string{"benchmarks", "sizes", "scale", "seed"} {
 			if flagWasSet(name) {
 				fatalf("-scenario files declare the %s axis; drop -%s", name, name)
 			}
 		}
-		source = "scenario " + *scenario
-		named = loadScenario(*scenario)
+		source = "scenario " + *scenarioPath
+		named = loadScenario(*scenarioPath)
 	} else {
-		opts := cmpleak.DefaultSweepOptions(*scale)
+		opts := experiment.DefaultOptions(*scale)
 		opts.Seed = *seed
 		if *benchmarks != "" {
 			opts.Benchmarks = splitList(*benchmarks)
@@ -156,7 +158,7 @@ func main() {
 			opts.CacheSizesMB = mbs
 		}
 		source = fmt.Sprintf("sweep (scale=%.3g)", opts.Scale)
-		named = []cmpleak.NamedSweepOptions{{Options: opts}}
+		named = []experiment.NamedOptions{{Options: opts}}
 	}
 	for i := range named {
 		named[i].Options.ShardIndex, named[i].Options.ShardCount = shardIndex, shardCount
@@ -170,14 +172,14 @@ func main() {
 
 	rc := runConfig{workers: *jobs, quiet: *quiet, retries: *retries}
 	if *cache != "" {
-		store, err := cmpleak.OpenResultCache(*cache, cmpleak.ResultCacheOptions{})
+		store, err := resultcache.Open(*cache, resultcache.Options{})
 		if err != nil {
 			fatalf("opening cache: %v", err)
 		}
 		rc.store = store
 	}
 	if *merge != "" {
-		store, err := cmpleak.MergeResultCaches(*merge, named)
+		store, err := resultcache.Merge(*merge, named)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -206,21 +208,21 @@ type runConfig struct {
 	// store, when non-nil, is the persistent content-addressed result cache
 	// (-cache), or the union of the -merge caches: jobs it holds are served
 	// without simulating, and every completed job is written through to it.
-	store *cmpleak.ResultCache
+	store *resultcache.Store
 }
 
 // loadScenario reads and expands the scenario file into the pool's batch
 // input, one entry per cell.
-func loadScenario(path string) []cmpleak.NamedSweepOptions {
-	sc, err := cmpleak.LoadScenario(path)
+func loadScenario(path string) []experiment.NamedOptions {
+	sc, err := scenario.Load(path)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	cells, err := sc.Expand(cmpleak.DefaultConfig())
+	cells, err := sc.Expand(config.Default())
 	if err != nil {
 		fatalf("%s: %v", path, err)
 	}
-	return cmpleak.ScenarioNamedOptions(cells)
+	return scenario.NamedOptions(cells)
 }
 
 // runSweeps fans every sweep's jobs out through one shared worker pool and
@@ -230,7 +232,7 @@ func loadScenario(path string) []cmpleak.NamedSweepOptions {
 // a pool error into an exit: cancellation exits 130 (the SIGINT convention)
 // and, with -cache, prints the command that resumes the run; anything else
 // is fatal.
-func runSweeps(ctx context.Context, source string, named []cmpleak.NamedSweepOptions, rc runConfig) []*cmpleak.Sweep {
+func runSweeps(ctx context.Context, source string, named []experiment.NamedOptions, rc runConfig) []*experiment.Sweep {
 	const prefix = "leaksweep"
 	totalJobs := 0
 	for i := range named {
@@ -239,12 +241,12 @@ func runSweeps(ctx context.Context, source string, named []cmpleak.NamedSweepOpt
 	fmt.Fprintf(os.Stderr, "%s: %s: %d cell(s), %d jobs, %d worker(s)\n",
 		prefix, source, len(named), totalJobs, effectiveWorkers(rc.workers, totalJobs))
 
-	p := cmpleak.SweepParallelism{
+	p := experiment.Parallelism{
 		Workers:  rc.workers,
 		Progress: progressLine(prefix, rc.quiet),
 	}
 	if rc.retries > 0 {
-		p.Retry = cmpleak.SweepRetryPolicy{MaxAttempts: rc.retries + 1}
+		p.Retry = experiment.RetryPolicy{MaxAttempts: rc.retries + 1}
 	}
 	if rc.store != nil {
 		p.Reuse = rc.store.ReuseFor(named)
@@ -253,9 +255,9 @@ func runSweeps(ctx context.Context, source string, named []cmpleak.NamedSweepOpt
 			digests[i] = named[i].Options.Digest()
 		}
 		inner := p.Progress
-		p.Progress = func(ev cmpleak.SweepJobEvent) {
+		p.Progress = func(ev experiment.JobEvent) {
 			if ev.Err == nil {
-				if perr := rc.store.Put(cmpleak.ResultCacheRecord{
+				if perr := rc.store.Put(resultcache.Record{
 					Cell: ev.Cell, OptionsDigest: digests[ev.Sweep], Key: ev.Key, Result: ev.Result,
 				}); perr != nil {
 					fmt.Fprintf(os.Stderr, "%s: cache write: %v\n", prefix, perr)
@@ -268,7 +270,7 @@ func runSweeps(ctx context.Context, source string, named []cmpleak.NamedSweepOpt
 	}
 
 	start := time.Now()
-	sweeps, err := cmpleak.RunSweeps(ctx, named, p)
+	sweeps, err := experiment.RunParallelAllContext(ctx, named, p)
 	if rc.store != nil {
 		st := rc.store.Stats()
 		fmt.Fprintf(os.Stderr, "%s: cache: %d job(s) reused, %d result(s) recorded\n",
@@ -307,7 +309,7 @@ func effectiveWorkers(workers, jobs int) int {
 // on stderr: completed/total jobs, rate and ETA.  When stderr is not a
 // terminal (CI logs) it prints at most ~10 plain lines instead of
 // carriage-return spam; quiet suppresses it entirely.
-func progressLine(prefix string, quiet bool) func(cmpleak.SweepJobEvent) {
+func progressLine(prefix string, quiet bool) func(experiment.JobEvent) {
 	if quiet {
 		return nil
 	}
@@ -316,7 +318,7 @@ func progressLine(prefix string, quiet bool) func(cmpleak.SweepJobEvent) {
 		tty = fi.Mode()&os.ModeCharDevice != 0
 	}
 	start := time.Now()
-	return func(ev cmpleak.SweepJobEvent) {
+	return func(ev experiment.JobEvent) {
 		elapsed := time.Since(start)
 		rate := float64(ev.Done) / elapsed.Seconds()
 		eta := time.Duration(0)
@@ -360,8 +362,8 @@ func flagWasSet(name string) bool {
 
 // emitReport prints one figure or the full report through the shared
 // renderer (the leakserved service serves the same bytes).
-func emitReport(sweep *cmpleak.Sweep, fig string, csv bool) {
-	if err := cmpleak.WriteSweepReport(os.Stdout, sweep, fig, csv); err != nil {
+func emitReport(sweep *experiment.Sweep, fig string, csv bool) {
+	if err := experiment.WriteReport(os.Stdout, sweep, fig, csv); err != nil {
 		fatalf("%v", err)
 	}
 }

@@ -19,7 +19,9 @@ import (
 	"testing"
 	"time"
 
-	"cmpleak"
+	"cmpleak/internal/config"
+	"cmpleak/internal/resultcache"
+	"cmpleak/internal/scenario"
 )
 
 func TestMain(m *testing.M) {
@@ -114,7 +116,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	cmd.Process.Kill() // SIGKILL: no flush, no handler, nothing
 	cmd.Wait()
 
-	store, err := cmpleak.OpenResultCache(dir, cmpleak.ResultCacheOptions{})
+	store, err := resultcache.Open(dir, resultcache.Options{})
 	if err != nil {
 		t.Fatalf("cache unreadable after SIGKILL: %v", err)
 	}
@@ -261,11 +263,11 @@ func TestScenarioCacheWarmRunByteIdentical(t *testing.T) {
 	}
 	dir := t.TempDir()
 	path := writeScenario(t, dir, twoCellScenario)
-	sc, err := cmpleak.ParseScenario([]byte(twoCellScenario))
+	sc, err := scenario.Parse([]byte(twoCellScenario))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := sc.Expand(cmpleak.DefaultConfig())
+	cells, err := sc.Expand(config.Default())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,14 +24,11 @@ package cmpleak
 
 import (
 	"context"
-	"io"
 
 	"cmpleak/internal/config"
 	"cmpleak/internal/core"
 	"cmpleak/internal/decay"
 	"cmpleak/internal/experiment"
-	"cmpleak/internal/resultcache"
-	"cmpleak/internal/scenario"
 	"cmpleak/internal/sim"
 	"cmpleak/internal/workload"
 
@@ -71,10 +68,6 @@ type Sweep = experiment.Sweep
 // FigureTable is one reconstructed figure (rows = technique configurations,
 // columns = cache sizes or benchmarks).
 type FigureTable = experiment.Table
-
-// SyntheticWorkload configures the generic workload kernel for custom
-// experiments.
-type SyntheticWorkload = workload.SyntheticConfig
 
 // DefaultConfig returns the paper's reference system: a 4-core CMP with
 // 32 KB write-through L1s, 1 MB private L2 per core (4 MB total), a MESI
@@ -133,26 +126,11 @@ func DefaultSweepOptions(scale float64) SweepOptions {
 // SweepParallelism configures the in-process worker pool of RunSweeps: the
 // worker count (one engine per worker; 0 = GOMAXPROCS), an optional per-job
 // progress callback, the retry policy and an optional Reuse lookup (a
-// ResultCache's ReuseFor).
+// result cache's ReuseFor).
 type SweepParallelism = experiment.Parallelism
-
-// SweepJobEvent is one pool progress notification: the job's key, its cell
-// label, success or failure, and completed/total counts.
-type SweepJobEvent = experiment.JobEvent
 
 // NamedSweepOptions labels one sweep of a RunSweeps batch.
 type NamedSweepOptions = experiment.NamedOptions
-
-// SweepKey identifies one job of a sweep: (benchmark, size, technique).
-type SweepKey = experiment.Key
-
-// SweepRetryPolicy configures per-job retries of transient failures in the
-// worker pool (deterministic backoff; the zero value disables retries).
-type SweepRetryPolicy = experiment.RetryPolicy
-
-// SweepJobPanicError reports a job panic that was contained to its job: the
-// pool drains cleanly and returns this instead of crashing the process.
-type SweepJobPanicError = experiment.JobPanicError
 
 // RunSweeps executes every sweep of the batch (baselines plus every
 // technique for every benchmark and cache size) through one shared
@@ -164,82 +142,3 @@ type SweepJobPanicError = experiment.JobPanicError
 func RunSweeps(ctx context.Context, sweeps []NamedSweepOptions, p SweepParallelism) ([]*Sweep, error) {
 	return experiment.RunParallelAllContext(ctx, sweeps, p)
 }
-
-// ScenarioNamedOptions converts expanded cells to RunSweeps' batch input.
-func ScenarioNamedOptions(cells []ScenarioCell) []NamedSweepOptions {
-	return scenario.NamedOptions(cells)
-}
-
-// WriteSweepReport renders a sweep's report — one figure (fig = "3a".."6b")
-// or, with fig == "", the per-size headlines plus every figure in paper
-// order — as markdown tables (or CSV with csv set).  It is the single
-// renderer behind both `leaksweep` stdout and the leakserved service's
-// report endpoint, so their output is byte-identical by construction.
-func WriteSweepReport(w io.Writer, s *Sweep, fig string, csv bool) error {
-	return experiment.WriteReport(w, s, fig, csv)
-}
-
-// GoldenAnchor identifies the simulator's current bit-exact behaviour (the
-// recorded golden sweep digest).  Persistent result stores stamp every
-// record with it and never serve records stamped with a different one, so a
-// model change invalidates every cache at once.
-const GoldenAnchor = experiment.GoldenAnchor
-
-// ResultCache is a persistent content-addressed store of completed job
-// results, shared across runs and processes: append-only CRC-framed
-// segments, an in-memory index with O(1) lookup, LRU eviction under a byte
-// budget, and atomic compaction.  `leaksweep -cache` and the leakserved
-// service both sit on it.
-type ResultCache = resultcache.Store
-
-// ResultCacheRecord is one cached job result: the golden anchor and options
-// digest it was simulated under, the job key, and the full result.
-type ResultCacheRecord = resultcache.Record
-
-// ResultCacheOptions configures a ResultCache (anchor override and byte
-// budget); the zero value gives an unbounded store under the current
-// GoldenAnchor.
-type ResultCacheOptions = resultcache.Options
-
-// ResultCacheStats is a point-in-time snapshot of a store's counters.
-type ResultCacheStats = resultcache.Stats
-
-// OpenResultCache opens (creating if needed) the content-addressed result
-// store in dir.
-func OpenResultCache(dir string, opt ResultCacheOptions) (*ResultCache, error) {
-	return resultcache.Open(dir, opt)
-}
-
-// MergeResultCaches joins the result caches in every directory matching glob
-// (typically one per `leaksweep -shard i/n -cache DIRi` run) into an
-// in-memory ResultCache whose ReuseFor serves every job of the batch, so
-// RunSweeps simulates nothing.  It refuses a union that misses a job or
-// holds two different results for one, an empty glob, and any matched path
-// that is not a result cache directory.
-func MergeResultCaches(glob string, sweeps []NamedSweepOptions) (*ResultCache, error) {
-	return resultcache.Merge(glob, sweeps)
-}
-
-// ParseTechnique parses a textual technique specification ("baseline",
-// "protocol", "decay:512K", "sel_decay:64K", "adaptive:128K", or a compact
-// figure label like "decay512K").
-func ParseTechnique(s string) (TechniqueSpec, error) { return decay.ParseSpec(s) }
-
-// ParseCycles parses a cycle count with the paper's K/M suffixes ("512K",
-// "1M", "8192").
-func ParseCycles(s string) (Cycle, error) { return decay.ParseCycles(s) }
-
-// Scenario is one parsed declarative experiment matrix (see
-// internal/scenario for the schema); Expand turns it into self-contained
-// sweep options.
-type Scenario = scenario.File
-
-// ScenarioCell is one expanded experiment of a scenario: a label plus the
-// SweepOptions that reproduce it.
-type ScenarioCell = scenario.Cell
-
-// LoadScenario reads, parses and validates the scenario file at path.
-func LoadScenario(path string) (Scenario, error) { return scenario.Load(path) }
-
-// ParseScenario parses and validates scenario JSON held in memory.
-func ParseScenario(data []byte) (Scenario, error) { return scenario.Parse(data) }

@@ -22,7 +22,6 @@ import (
 
 	"cmpleak/internal/mem"
 	"cmpleak/internal/sim"
-	"cmpleak/internal/stats"
 )
 
 // Config describes one cache array.
@@ -33,7 +32,7 @@ type Config struct {
 	SizeBytes uint64
 	// LineBytes is the block size; must be a power of two, at least 2.
 	LineBytes uint64
-	// Assoc is the set associativity.
+	// Assoc is the set associativity, at most 16.
 	Assoc int
 	// LatencyCycles is the access (hit) latency.
 	LatencyCycles sim.Cycle
@@ -52,6 +51,9 @@ func (c Config) Validate() error {
 	}
 	if c.LineBytes < 2 {
 		return fmt.Errorf("cache %q: line size %d is below 2 bytes", c.Name, c.LineBytes)
+	}
+	if c.Assoc > maxAssoc {
+		return fmt.Errorf("cache %q: associativity %d exceeds %d", c.Name, c.Assoc, maxAssoc)
 	}
 	lines := c.SizeBytes / c.LineBytes
 	if lines == 0 || lines%uint64(c.Assoc) != 0 {
@@ -74,21 +76,21 @@ func (c Config) NumSets() int { return c.NumLines() / c.Assoc }
 func (c Config) Latency() sim.Cycle { return c.LatencyCycles + c.ExtraLatency }
 
 // Line is one cache block's metadata.  Data values are not simulated; only
-// the state needed for timing, coherence and energy is kept.  The block
+// the state needed for timing, coherence and energy is kept.  Whether the
+// line holds a block is its set's valid mask (see Cache.Valid), the block
 // address lives in the cache's dense tag array (see Cache.Tag) and the
 // decay arm tick in a per-bank array only decaying banks allocate, so each
 // field is stored once.  Whether a line is dirty is its coherence State's
 // (coherence.State.Dirty).
 type Line struct {
-	// Valid reports whether the line holds a block.
-	Valid bool
 	// State is the coherence state, owned by the coherence layer.
 	State uint8
 	// Powered reports whether the SRAM cells of this line are connected to
 	// the supply rail (Gated-Vdd on = powered).
 	Powered bool
 	// DecayArmed reports whether the decay logic is allowed to turn this
-	// line off (always true for plain Decay, selectively set for SD).
+	// line off (always true for plain Decay, selectively set for SD).  Only
+	// a valid line is armed: Install and Invalidate disarm.
 	DecayArmed bool
 }
 
@@ -107,27 +109,27 @@ type Cache struct {
 	// tags holds each way's block address, indexed like lines: the one
 	// copy of the tag, scanned by Lookup one 8-byte word per way (an 8-way
 	// set is one host cache line).  Invalid ways hold invalidTag — not
-	// block-aligned, so it can never match a looked-up block — which folds
-	// the valid check into the tag compare and keeps the hit path to a
+	// block-aligned, so it can never match a looked-up block — which
+	// mirrors validBits into the tag compare and keeps the hit path to a
 	// single replacement-state load.
 	tags []mem.Addr
 
+	// validBits is the one record of validity: bit w of a set's word is
+	// set while way w holds a block.  Victim finds the lowest-indexed
+	// invalid way with one mask and a trailing-zero count.
+	validBits []uint64
+	fullMask  uint64 // low assoc bits set
+
 	// Replacement state.  Instead of an 8-byte LRU stamp per line and an
 	// unbounded global stamp counter, each set keeps its ways as an explicit
-	// recency permutation: rank 0 is the MRU way, rank assoc-1 the LRU way.
-	// For assoc <= 16 the whole permutation packs into one uint64 of 4-bit
-	// ranks (lruOrder), so Touch is a constant shift/mask rotation and the
-	// LRU way is extracted from the top occupied nibble with no per-way
-	// scan; wider caches fall back to a byte array (lruWide) with the same
-	// semantics.  validBits mirrors the per-way Valid flags (assoc <= 64),
-	// so Victim finds the lowest-indexed invalid way with one mask and a
-	// trailing-zero count.  The permutation order reproduces stamp order
-	// exactly: every Touch promotes to MRU, everything else keeps its
-	// relative order, so victim choice is unchanged from the stamp scheme.
-	lruOrder  []uint64 // per set, assoc <= 16: nibble r holds the way at rank r
-	lruWide   []uint32 // per set*assoc+rank, assoc > 16
-	validBits []uint64 // per set, assoc <= 64: bit w mirrors lines[...].Valid
-	fullMask  uint64   // low assoc bits set
+	// recency permutation packed into one uint64 of 4-bit ranks: nibble r
+	// holds the way at rank r, rank 0 the MRU way and rank assoc-1 the LRU
+	// way (maxAssoc ways fit).  Touch is a constant shift/mask rotation and
+	// the LRU way is the top occupied nibble, with no per-way scan.  The
+	// permutation order reproduces stamp order exactly: every Touch promotes
+	// to MRU, everything else keeps its relative order, so victim choice is
+	// unchanged from the stamp scheme.
+	lruOrder []uint64
 
 	// Powered-cycle integration is kept as an aggregate updated at every
 	// power transition: onCycles is exact up to lastPowerAdv, and
@@ -151,13 +153,6 @@ type Cache struct {
 	armTick    []uint32
 	decayDue   [DecayLevels][]uint64
 	decaySat   []uint64
-
-	// Statistics.
-	Hits       stats.Counter
-	Misses     stats.Counter
-	Evictions  stats.Counter
-	Fills      stats.Counter
-	Writebacks stats.Counter
 }
 
 // New builds a cache; the configuration must validate.
@@ -170,11 +165,10 @@ func New(cfg Config) (*Cache, error) {
 }
 
 // Init makes c an empty cache of cfg in place, as New would build it, with
-// decay disabled and every statistic zero.  The line, tag and replacement
-// arrays (and EnableDecay's arm ticks and bitmaps) keep their backing
-// storage when it is large enough, so a simulator rebuilt for the next job
-// allocates nothing for its banks.  On a configuration error c is
-// unchanged.
+// decay disabled.  The line, tag, valid-mask and replacement arrays (and
+// EnableDecay's arm ticks and bitmaps) keep their backing storage when it
+// is large enough, so a simulator rebuilt for the next job allocates
+// nothing for its banks.  On a configuration error c is unchanged.
 func (c *Cache) Init(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -189,6 +183,9 @@ func (c *Cache) Init(cfg Config) error {
 		setMask:   uint64(sets - 1),
 		lines:     zeroed(old.lines, n),
 		tags:      resized(old.tags, n),
+		validBits: zeroed(old.validBits, sets),
+		fullMask:  ^uint64(0) >> (64 - uint(cfg.Assoc)),
+		lruOrder:  resized(old.lruOrder, sets),
 		// Decay stays off until EnableDecay, which reuses these arrays.
 		armTick:  old.armTick[:0],
 		decaySat: old.decaySat[:0],
@@ -199,33 +196,19 @@ func (c *Cache) Init(cfg Config) error {
 	for i := range c.tags {
 		c.tags[i] = invalidTag
 	}
-	if c.assoc <= packedAssocMax {
-		// Identity permutation; unused high nibbles hold 0xF so a stray
-		// match can never shadow a real way (rankOf takes the lowest match
-		// anyway, and real ways always sit below the unused region).
-		var init uint64
-		for r := 0; r < 16; r++ {
-			v := uint64(0xF)
-			if r < c.assoc {
-				v = uint64(r)
-			}
-			init |= v << (4 * r)
+	// Identity permutation; unused high nibbles hold 0xF so a stray match
+	// can never shadow a real way (Touch takes the lowest match, and real
+	// ways always sit below the unused region).
+	var init uint64
+	for r := 0; r < maxAssoc; r++ {
+		v := uint64(0xF)
+		if r < c.assoc {
+			v = uint64(r)
 		}
-		c.lruOrder = resized(old.lruOrder, sets)
-		for s := range c.lruOrder {
-			c.lruOrder[s] = init
-		}
-	} else {
-		c.lruWide = resized(old.lruWide, n)
-		for s := 0; s < sets; s++ {
-			for r := 0; r < c.assoc; r++ {
-				c.lruWide[s*c.assoc+r] = uint32(r)
-			}
-		}
+		init |= v << (4 * r)
 	}
-	if c.assoc <= 64 {
-		c.validBits = zeroed(old.validBits, sets)
-		c.fullMask = ^uint64(0) >> (64 - uint(c.assoc))
+	for s := range c.lruOrder {
+		c.lruOrder[s] = init
 	}
 	return nil
 }
@@ -298,13 +281,16 @@ func (c *Cache) Lookup(a mem.Addr) (set, way int, found bool) {
 // Line returns a pointer to the line at (set, way).
 func (c *Cache) Line(set, way int) *Line { return &c.lines[set*c.assoc+way] }
 
+// Valid reports whether (set, way) holds a block.
+func (c *Cache) Valid(set, way int) bool { return c.validBits[set]>>uint(way)&1 != 0 }
+
 // Tag returns the block address held at (set, way); it is meaningful only
 // while the line is valid.
 func (c *Cache) Tag(set, way int) mem.Addr { return c.tags[set*c.assoc+way] }
 
-// packedAssocMax is the widest associativity whose recency permutation fits
-// one uint64 of 4-bit ranks.
-const packedAssocMax = 16
+// maxAssoc is the widest associativity a cache accepts: its recency
+// permutation fits one uint64 of 4-bit ranks.
+const maxAssoc = 16
 
 // invalidTag marks an empty way in the dense tag array.  Block addresses
 // are LineBytes-aligned and Validate requires LineBytes >= 2, so no real
@@ -322,54 +308,29 @@ const (
 // (MRU) of its set's recency permutation, preserving the relative order of
 // every other way.
 func (c *Cache) Touch(set, way int) {
-	if c.lruOrder != nil {
-		order := c.lruOrder[set]
-		w := uint64(way)
-		if order&0xF == w {
-			return // already MRU
-		}
-		// Locate the nibble holding w: XOR makes it the lowest zero nibble,
-		// the classic (x-1)&^x&0x8 trick raises bit 4p+3 at its position.
-		x := order ^ (w * nibLSB)
-		p4 := uint(bits.TrailingZeros64((x-nibLSB) & ^x & nibMSB)) &^ 3
-		low := order & (uint64(1)<<p4 - 1)       // ranks below w's
-		high := order &^ (uint64(1)<<(p4+4) - 1) // ranks above w's
-		c.lruOrder[set] = high | low<<4 | w
-		return
+	order := c.lruOrder[set]
+	w := uint64(way)
+	if order&0xF == w {
+		return // already MRU
 	}
-	ord := c.lruWide[set*c.assoc : set*c.assoc+c.assoc]
-	if ord[0] == uint32(way) {
-		return
-	}
-	p := 1
-	for ord[p] != uint32(way) {
-		p++
-	}
-	copy(ord[1:p+1], ord[:p])
-	ord[0] = uint32(way)
+	// Locate the nibble holding w: XOR makes it the lowest zero nibble, the
+	// classic (x-1)&^x&0x8 trick raises bit 4p+3 at its position.
+	x := order ^ (w * nibLSB)
+	p4 := uint(bits.TrailingZeros64((x-nibLSB) & ^x & nibMSB)) &^ 3
+	low := order & (uint64(1)<<p4 - 1)       // ranks below w's
+	high := order &^ (uint64(1)<<(p4+4) - 1) // ranks above w's
+	c.lruOrder[set] = high | low<<4 | w
 }
 
 // Victim returns the way to replace in set: the lowest-indexed invalid way
 // if one exists, otherwise the least recently used way.  Both answers are
-// O(1) for the packed representation — a trailing-zero count over the
-// inverted valid mask, or the top occupied nibble of the permutation.
+// O(1): a trailing-zero count over the inverted valid mask, or the top
+// occupied nibble of the permutation.
 func (c *Cache) Victim(set int) int {
-	if c.validBits != nil {
-		if free := ^c.validBits[set] & c.fullMask; free != 0 {
-			return bits.TrailingZeros64(free)
-		}
-	} else {
-		base := set * c.assoc
-		for w := 0; w < c.assoc; w++ {
-			if !c.lines[base+w].Valid {
-				return w
-			}
-		}
+	if free := ^c.validBits[set] & c.fullMask; free != 0 {
+		return bits.TrailingZeros64(free)
 	}
-	if c.lruOrder != nil {
-		return int(c.lruOrder[set] >> (uint(c.assoc-1) * 4) & 0xF)
-	}
-	return int(c.lruWide[set*c.assoc+c.assoc-1])
+	return int(c.lruOrder[set] >> (uint(c.assoc-1) * 4) & 0xF)
 }
 
 // Install places the block containing a into (set, way), marking it valid
@@ -378,12 +339,8 @@ func (c *Cache) Victim(set int) int {
 func (c *Cache) Install(a mem.Addr, set, way int) *Line {
 	ln := &c.lines[set*c.assoc+way]
 	c.tags[set*c.assoc+way] = c.blockAddr(a)
-	ln.Valid = true
+	c.validBits[set] |= 1 << uint(way)
 	ln.DecayArmed = false
-	if c.validBits != nil {
-		c.validBits[set] |= 1 << uint(way)
-	}
-	c.Fills.Inc()
 	c.Touch(set, way)
 	return ln
 }
@@ -391,13 +348,9 @@ func (c *Cache) Install(a mem.Addr, set, way int) *Line {
 // Invalidate clears the valid bit of (set, way).  Power state is untouched;
 // the leakage technique decides whether invalidation implies gating.
 func (c *Cache) Invalidate(set, way int) {
-	ln := &c.lines[set*c.assoc+way]
-	ln.Valid = false
-	ln.DecayArmed = false
+	c.lines[set*c.assoc+way].DecayArmed = false
 	c.tags[set*c.assoc+way] = invalidTag
-	if c.validBits != nil {
-		c.validBits[set] &^= 1 << uint(way)
-	}
+	c.validBits[set] &^= 1 << uint(way)
 }
 
 // advancePower brings the powered-cycle aggregate up to cycle now.  Called
@@ -484,13 +437,13 @@ func (c *Cache) DecayCounter(set, way int) int {
 }
 
 // DecayTick advances the bank's global decay tick and appends to dst, in
-// index order, every valid, powered, armed line whose counter is saturated
-// after it and that was due this tick or is in the saturated set.  Both sets
-// are cleared as they are read: the caller returns the lines its turn-off
-// requests leave in place with KeepSaturated.  A due bit left behind by an
-// earlier reset of a line reset again since is stale and skipped; entries of
-// the saturated set are taken without reading their arm tick, so saturation
-// never depends on 32-bit wrap-around.
+// index order, every powered, armed (so valid) line whose counter is
+// saturated after it and that was due this tick or is in the saturated set.
+// Both sets are cleared as they are read: the caller returns the lines its
+// turn-off requests leave in place with KeepSaturated.  A due bit left
+// behind by an earlier reset of a line reset again since is stale and
+// skipped; entries of the saturated set are taken without reading their arm
+// tick, so saturation never depends on 32-bit wrap-around.
 func (c *Cache) DecayTick(dst []int) []int {
 	c.decayTicks++
 	t := c.decayTicks
@@ -505,8 +458,7 @@ func (c *Cache) DecayTick(dst []int) []int {
 		for ; cand != 0; cand &= cand - 1 {
 			b := bits.TrailingZeros64(cand)
 			idx := w<<6 | b
-			ln := &c.lines[idx]
-			if !ln.Valid || !ln.Powered || !ln.DecayArmed {
+			if ln := &c.lines[idx]; !ln.Powered || !ln.DecayArmed {
 				continue
 			}
 			if sat&(1<<uint(b)) == 0 && t-c.armTick[idx] < DecayLevels {
@@ -519,9 +471,10 @@ func (c *Cache) DecayTick(dst []int) []int {
 }
 
 // KeepSaturated returns the line at idx to the saturated set if it is still
-// valid, powered and armed, so the next tick requests its turn-off again.
+// powered and armed (so valid), so the next tick requests its turn-off
+// again.
 func (c *Cache) KeepSaturated(idx int) {
-	if ln := &c.lines[idx]; ln.Valid && ln.Powered && ln.DecayArmed {
+	if ln := &c.lines[idx]; ln.Powered && ln.DecayArmed {
 		c.decaySat[idx>>6] |= 1 << (uint(idx) & 63)
 	}
 }

@@ -148,9 +148,6 @@ func (l *L1Controller) Init(id int, eng *sim.Engine, cfg L1Config) error {
 // SetLowerLevel wires the controller to its private L2.
 func (l *L1Controller) SetLowerLevel(below LowerLevel) { l.below = below }
 
-// Cache exposes the underlying array (used by power models and tests).
-func (l *L1Controller) Cache() *cache.Cache { return l.cache }
-
 // WriteBuffer exposes the write buffer (used by the Table I pending-write
 // check and by tests).
 func (l *L1Controller) WriteBuffer() *cache.WriteBuffer { return l.wb }
@@ -207,12 +204,10 @@ func (l *L1Controller) Read(a mem.Addr, done func()) {
 	if hit {
 		l.LoadHits.Inc()
 		l.cache.Touch(set, way)
-		l.cache.Hits.Inc()
 		l.eng.ScheduleArg(l.cfg.Cache.Latency(), l.finishLoadFn, l.newReq(a, start, done))
 		return
 	}
 	l.LoadMisses.Inc()
-	l.cache.Misses.Inc()
 	l.requestFill(l.newReq(a, start, done))
 }
 
@@ -239,13 +234,8 @@ func (l *L1Controller) requestFill(req *loadReq) {
 func (l *L1Controller) fill(block mem.Addr) {
 	set, way, hit := l.cache.Lookup(block)
 	if !hit {
+		// Write-through L1: the victim is clean, so Install overwrites it.
 		way = l.cache.Victim(set)
-		victim := l.cache.Line(set, way)
-		if victim.Valid {
-			// Write-through L1: the victim is clean, silently dropped.
-			l.cache.Evictions.Inc()
-			l.cache.Invalidate(set, way)
-		}
 		l.cache.Install(block, set, way)
 	} else {
 		l.cache.Touch(set, way)
@@ -265,11 +255,9 @@ func (l *L1Controller) Write(a mem.Addr, done func()) {
 	set, way, hit := l.cache.Lookup(a)
 	if hit {
 		l.StoreHits.Inc()
-		l.cache.Hits.Inc()
 		l.cache.Touch(set, way)
 	} else {
 		l.StoreMisses.Inc()
-		l.cache.Misses.Inc()
 	}
 	l.tryEnqueueStore(l.block(a), start, done)
 }

@@ -72,6 +72,8 @@ func TestValidationCatchesErrors(t *testing.T) {
 		"bad technique":       func(s *System) { s.Technique = decay.Spec{Kind: decay.KindDecay} },
 		"invalid synthetic":   func(s *System) { s.Synthetic = &workload.SyntheticConfig{} },
 		"bad L1 cache config": func(s *System) { s.L1.Cache.Assoc = 0 },
+		"17-way L2":           func(s *System) { s.L2.Assoc, s.L2.SizeBytes = 17, 17*64*1024 },
+		"32-way L1":           func(s *System) { s.L1.Cache.Assoc = 32 },
 	}
 	for name, mutate := range mutations {
 		s := Default()

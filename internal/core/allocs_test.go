@@ -138,12 +138,13 @@ func TestSteadyStateLoadMissAllocationFree(t *testing.T) {
 
 // newSystemBytesPerLine is the host-memory budget of NewSystem per simulated
 // L2 line.  A 4-core 8 MB always-on system has 131 072 8-way L2 lines, each
-// holding a 4-byte cache.Line and an 8-byte tag, plus 2 bytes of per-set
-// replacement state (an 8-byte LRU permutation and an 8-byte valid mask per
-// 8 ways): 14 bytes.  The L1s, the workload streams, the thermal model and
-// the rest of NewSystem add under one byte per L2 line; the budget leaves
-// room for that and no room for another per-line field.
-const newSystemBytesPerLine = 16
+// holding a 3-byte cache.Line and an 8-byte tag, plus 2 bytes of per-set
+// valid mask and replacement state (an 8-byte valid mask and an 8-byte LRU
+// permutation per 8 ways): 13 bytes.  The L1s, the workload streams, the
+// thermal model and the rest of NewSystem add under one byte per L2 line
+// (13.81 in all); the budget leaves room for that and no room for another
+// per-line byte.
+const newSystemBytesPerLine = 14
 
 // TestNewSystemBytesPerLine guards the per-line layout of the L2 banks: the
 // bytes NewSystem allocates for the 4-core 8 MB baseline, per simulated L2

@@ -173,11 +173,10 @@ func (c *Controller) Now() sim.Cycle { return c.eng.Now() }
 
 // LineState implements decay.Controller.
 func (c *Controller) LineState(set, way int) coherence.State {
-	ln := c.arr.Line(set, way)
-	if !ln.Valid {
+	if !c.arr.Valid(set, way) {
 		return coherence.Invalid
 	}
-	return coherence.State(ln.State)
+	return coherence.State(c.arr.Line(set, way).State)
 }
 
 // setState records a coherence state change and fires the technique hook for
@@ -199,7 +198,7 @@ func (c *Controller) block(a mem.Addr) mem.Addr {
 // Accesses returns all processor-side accesses serviced.
 func (c *Controller) Accesses() uint64 { return c.Reads.Value() + c.Writes.Value() }
 
-// Misses returns all processor-side misses.
+// Misses returns all processor-side misses; it implements decay.Controller.
 func (c *Controller) Misses() uint64 { return c.ReadMisses.Value() + c.WriteMisses.Value() }
 
 // MissRate returns the processor-side miss rate.
@@ -215,14 +214,12 @@ func (c *Controller) Read(block mem.Addr, done cache.DoneFunc, arg any) {
 	set, way, hit := c.arr.Lookup(block)
 	if hit && c.LineState(set, way).Valid() {
 		c.ReadHits.Inc()
-		c.arr.Hits.Inc()
 		c.arr.Touch(set, way)
 		c.tech.OnHit(c, set, way)
 		c.mshr.ScheduleDone(c.eng, c.cfg.Cache.Latency(), done, arg, block)
 		return
 	}
 	c.ReadMisses.Inc()
-	c.arr.Misses.Inc()
 	c.noteDecayInducedMiss(block)
 	c.requestMiss(block, false, done, arg)
 }
@@ -248,7 +245,6 @@ func (c *Controller) Write(block mem.Addr, done cache.DoneFunc, arg any) {
 			// continuation rides a pooled record; the block comes back with
 			// the transaction.
 			c.WriteHits.Inc()
-			c.arr.Hits.Inc()
 			c.Upgrades.Inc()
 			c.arr.Touch(set, way)
 			u := c.freeUpgr
@@ -267,7 +263,6 @@ func (c *Controller) Write(block mem.Addr, done cache.DoneFunc, arg any) {
 		}
 	}
 	c.WriteMisses.Inc()
-	c.arr.Misses.Inc()
 	c.noteDecayInducedMiss(block)
 	c.requestMiss(block, true, done, arg)
 }
@@ -290,7 +285,6 @@ func (c *Controller) finishUpgrade(a any, txn coherence.Transaction, _ coherence
 	// Lost the line to a racing invalidation or turn-off: fall back to a
 	// full write miss.
 	c.WriteMisses.Inc()
-	c.arr.Misses.Inc()
 	c.requestMiss(block, true, done, arg)
 }
 
@@ -298,7 +292,6 @@ func (c *Controller) finishUpgrade(a any, txn coherence.Transaction, _ coherence
 // requested block (like every other completion path).
 func (c *Controller) writeHit(block mem.Addr, set, way int, done cache.DoneFunc, arg any) {
 	c.WriteHits.Inc()
-	c.arr.Hits.Inc()
 	c.arr.Touch(set, way)
 	c.tech.OnHit(c, set, way)
 	c.mshr.ScheduleDone(c.eng, c.cfg.Cache.Latency(), done, arg, block)
@@ -373,17 +366,13 @@ func (c *Controller) fill(block mem.Addr, res coherence.BusResult) {
 // evictForFill clears the victim way, writing back dirty data and preserving
 // inclusion by invalidating the L1 copy.
 func (c *Controller) evictForFill(set, way int) {
-	ln := c.arr.Line(set, way)
-	if !ln.Valid {
+	if !c.arr.Valid(set, way) {
 		return
 	}
 	victimBlock := c.arr.Tag(set, way)
-	st := coherence.State(ln.State)
 	c.Evictions.Inc()
-	c.arr.Evictions.Inc()
-	if st.Dirty() {
+	if coherence.State(c.arr.Line(set, way).State).Dirty() {
 		c.EvictionWritebacks.Inc()
-		c.arr.Writebacks.Inc()
 		txn := coherence.Transaction{Kind: coherence.WriteBack, Block: victimBlock, Requester: c.cfg.ID}
 		c.bus.Issue(txn, nil, nil)
 	}
@@ -463,8 +452,7 @@ func (c *Controller) invalidateByProtocol(set, way int) {
 // and Exclusive lines are gated immediately.  Transient lines and lines with
 // a pending write in the L1 write buffer defer the request (Table I).
 func (c *Controller) RequestTurnOff(set, way int) {
-	ln := c.arr.Line(set, way)
-	if !ln.Valid || !ln.Powered {
+	if !c.arr.Valid(set, way) || !c.arr.Line(set, way).Powered {
 		return
 	}
 	c.TurnOffRequests.Inc()
@@ -491,7 +479,6 @@ func (c *Controller) RequestTurnOff(set, way int) {
 		// Figure 2: M --Turn-off--> TD --(write-back done)--> I.
 		c.setStateRaw(set, way, coherence.TransientDirty)
 		c.TurnOffWritebacks.Inc()
-		c.arr.Writebacks.Inc()
 		txn := coherence.Transaction{Kind: coherence.WriteBack, Block: block, Requester: c.cfg.ID}
 		c.bus.Issue(txn, c.turnOffWBFn, nil)
 		return

@@ -33,7 +33,7 @@ const (
 func startAdaptive(eng *sim.Engine, ctrl Controller, initial sim.Cycle) {
 	minCycles, maxCycles := initial/adaptiveRange, initial*adaptiveRange
 	interval := max(initial, adaptiveMinCycles)
-	missesAtWin := ctrl.Array().Misses.Value()
+	missesAtWin := ctrl.Misses()
 	var ticksInWin uint64
 
 	sc := newTickScanner(ctrl, false)
@@ -43,7 +43,7 @@ func startAdaptive(eng *sim.Engine, ctrl Controller, initial sim.Cycle) {
 		ticksInWin++
 		if ticksInWin == adaptiveSampleWindows*cache.DecayLevels {
 			ticksInWin = 0
-			misses := ctrl.Array().Misses.Value()
+			misses := ctrl.Misses()
 			windowMisses := misses - missesAtWin
 			missesAtWin = misses
 			switch {

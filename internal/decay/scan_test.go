@@ -51,7 +51,7 @@ func (r *refScan) tick() {
 func (r *refScan) eligible(set, way int) bool {
 	ln := r.m.arr.Line(set, way)
 	st := r.m.LineState(set, way)
-	return ln.Valid && ln.Powered && ln.DecayArmed && st.Stable() &&
+	return r.m.arr.Valid(set, way) && ln.Powered && ln.DecayArmed && st.Stable() &&
 		!(r.skipModified && st == coherence.Modified)
 }
 
@@ -104,7 +104,7 @@ func (m *mockController) apply(spec Spec, op historyOp, ref *refScan) {
 			m.arr.Invalidate(set, way)
 			m.arr.Install(op.block, set, way)
 			m.arr.PowerOn(set, way, now)
-			m.arr.Misses.Inc()
+			m.misses++
 		}
 		setState(op.st)
 		spec.OnFill(m, set, way, op.st)
@@ -163,10 +163,11 @@ func requireSameLines(t *testing.T, tick uint64, got *mockController, ref *refSc
 	for idx := range ref.counters {
 		set, way := idx/assoc, idx%assoc
 		g, w := got.arr.Line(set, way), ref.m.arr.Line(set, way)
+		gv, wv := got.arr.Valid(set, way), ref.m.arr.Valid(set, way)
 		gs, ws := got.LineState(set, way), ref.m.LineState(set, way)
-		if g.Valid != w.Valid || g.Powered != w.Powered || g.DecayArmed != w.DecayArmed || gs != ws {
+		if gv != wv || g.Powered != w.Powered || g.DecayArmed != w.DecayArmed || gs != ws {
 			t.Fatalf("tick %d, line %d: (valid, powered, armed, state) = (%v, %v, %v, %v), reference (%v, %v, %v, %v)",
-				tick, idx, g.Valid, g.Powered, g.DecayArmed, gs, w.Valid, w.Powered, w.DecayArmed, ws)
+				tick, idx, gv, g.Powered, g.DecayArmed, gs, wv, w.Powered, w.DecayArmed, ws)
 		}
 		if ref.eligible(set, way) && got.arr.DecayCounter(set, way) != int(ref.counters[idx]) {
 			t.Fatalf("tick %d, line %d: counter %d, reference %d",

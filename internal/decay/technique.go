@@ -34,7 +34,8 @@ import (
 )
 
 // Controller is the view of the leakage-aware L2 controller a technique is
-// given.  It is implemented by internal/core.Controller.
+// given.  It is implemented by internal/core.Controller, which keeps every
+// access count: the cache array holds only line state.
 type Controller interface {
 	// ControllerID identifies the L2 (its core index).
 	ControllerID() int
@@ -46,8 +47,12 @@ type Controller interface {
 	// invalidation for Modified lines, immediate gating otherwise).  The
 	// controller may defer the request when the line is transient.
 	RequestTurnOff(set, way int)
-	// LineState returns the coherence state of a line.
+	// LineState returns the coherence state of a line (Invalid when the
+	// way holds no block).
 	LineState(set, way int) coherence.State
+	// Misses returns the processor-side L2 misses so far; Adaptive samples
+	// it per window.
+	Misses() uint64
 	// Now returns the current simulation cycle.
 	Now() sim.Cycle
 }
@@ -181,11 +186,12 @@ func (s Spec) OnFill(ctrl Controller, set, way int, st coherence.State) {
 	s.OnStateChange(ctrl, set, way, st)
 }
 
-// OnStateChange is invoked when a line enters the stationary state st.  A
-// decay-family technique resets the line's counter and arms it, except that
-// Selective Decay arms only on transitions into Shared or Exclusive: turning
-// off a Modified line forces an upper-level invalidation and a write-back,
-// which directly hurts performance.
+// OnStateChange is invoked when a valid line enters the stationary state
+// st; it is the only place a line is armed.  A decay-family technique
+// resets the line's counter and arms it, except that Selective Decay arms
+// only on transitions into Shared or Exclusive: turning off a Modified line
+// forces an upper-level invalidation and a write-back, which directly hurts
+// performance.
 func (s Spec) OnStateChange(ctrl Controller, set, way int, st coherence.State) {
 	if !s.Decays() {
 		return

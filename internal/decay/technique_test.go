@@ -35,6 +35,9 @@ type mockController struct {
 	// started a write-back; tdFills and tdSnoops the history operations
 	// that found a line in TD.
 	deferred, tdEntries, tdFills, tdSnoops int
+	// misses is what Misses reports: the processor-side misses a test
+	// declares.
+	misses uint64
 }
 
 func newMockController(eng *sim.Engine) *mockController {
@@ -54,6 +57,7 @@ func mockControllerSized(eng *sim.Engine, sizeBytes uint64) *mockController {
 func (m *mockController) ControllerID() int   { return m.id }
 func (m *mockController) Array() *cache.Cache { return m.arr }
 func (m *mockController) Now() sim.Cycle      { return m.eng.Now() }
+func (m *mockController) Misses() uint64      { return m.misses }
 
 func (m *mockController) LineState(set, way int) coherence.State {
 	if st, ok := m.states[[2]int{set, way}]; ok {
@@ -429,7 +433,7 @@ func TestAdaptiveModeDecaysAndAdapts(t *testing.T) {
 		tech.Start(eng, ctrl)
 		ctrl.install(tech, 0x9000, coherence.Exclusive)
 		for now := sim.Cycle(0); now < 60000; now += 50 {
-			ctrl.arr.Misses.Add(missesPerTick)
+			ctrl.misses += missesPerTick
 			eng.RunUntil(now + 50)
 		}
 		at := ctrl.turnOffAt

@@ -94,14 +94,14 @@ func writeError(w http.ResponseWriter, code int, kind, format string, args ...an
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, s.cfg.MaxBodyBytes+1))
+	body, err := io.ReadAll(io.LimitReader(req.Body, maxBodyBytes+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "", "reading body: %v", err)
 		return
 	}
-	if int64(len(body)) > s.cfg.MaxBodyBytes {
+	if len(body) > maxBodyBytes {
 		writeError(w, http.StatusRequestEntityTooLarge, "",
-			"scenario body exceeds %d bytes", s.cfg.MaxBodyBytes)
+			"scenario body exceeds %d bytes", maxBodyBytes)
 		return
 	}
 	high := false

@@ -62,8 +62,6 @@ type Config struct {
 	// QueueDepth bounds how many runs may wait behind the executing one;
 	// submissions beyond it are refused with 503 (0 = default 8).
 	QueueDepth int
-	// MaxBodyBytes bounds an uploaded scenario body (0 = default 1 MiB).
-	MaxBodyBytes int64
 	// Store, when non-nil, is the persistent result cache: every submitted
 	// cell's jobs are dedup'd against it before queueing, and every
 	// completed job is written through to it.
@@ -71,8 +69,9 @@ type Config struct {
 }
 
 const (
-	defaultQueueDepth   = 8
-	defaultMaxBodyBytes = 1 << 20
+	defaultQueueDepth = 8
+	// maxBodyBytes bounds an uploaded scenario body.
+	maxBodyBytes = 1 << 20
 )
 
 // State is a run's lifecycle state.
@@ -294,9 +293,6 @@ func New(cfg Config) *Server {
 func newServer(cfg Config, exec runFunc) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = defaultQueueDepth
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = defaultMaxBodyBytes
 	}
 	s := &Server{
 		cfg:      cfg,

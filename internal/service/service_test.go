@@ -394,7 +394,7 @@ func TestServiceErrorTaxonomy(t *testing.T) {
 	}
 
 	// Oversized body -> 413.
-	big := `{"version":1,"name":"` + strings.Repeat("x", defaultMaxBodyBytes) + `"}`
+	big := `{"version":1,"name":"` + strings.Repeat("x", maxBodyBytes) + `"}`
 	if code, _ := post(big, ""); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body = %d, want 413", code)
 	}
