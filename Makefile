@@ -35,7 +35,9 @@ test:
 # stream-refill, trace-replay (chunks decode in place from an in-memory
 # trace, or from each reader's one staging buffer when read from a file)
 # and stats-observe paths, the constant-allocation guard on the sweep
-# digest, the host-bytes-per-L2-line budget of core.NewSystem, the heap an
+# digest, the host-bytes-per-L2-line budget of core.NewSystem, the
+# host-bytes-per-L1-line budget of an L1's Init (TestL1InitBytesPerLine: an
+# L1 is a tag store with no per-line power or decay state), the heap an
 # opened trace file retains (its chunk index, not its bytes), and the
 # storage reuse of a simulated system rebuilt for the next job (a cache
 # bank's or an engine's re-Init allocates nothing, a whole core.System's
@@ -44,7 +46,7 @@ test:
 # message even when the main test run is filtered.
 test-allocs:
 	$(GO) test -count 1 -run 'AllocationFree|BytesPerLine|RetainedHeap|RebuildBytes' \
-		./internal/sim ./internal/cache ./internal/core ./internal/decay \
+		./internal/sim ./internal/cache ./internal/coherence ./internal/core ./internal/decay \
 		./internal/workload ./internal/stats ./internal/trace ./internal/experiment
 
 # test-faults runs the whole fault-tolerance surface under the race

@@ -1,7 +1,14 @@
-// Package cache implements the storage substrate shared by the L1 and L2
-// models: parameterisable set-associative arrays with true-LRU replacement,
-// per-line power (Gated-Vdd) book-keeping, miss-status holding registers
-// (MSHR) with request merging, and a coalescing write buffer.
+// Package cache implements the storage substrate of the L1 and L2 models:
+// a set-associative tag store with true-LRU replacement (Tags), the L2 bank
+// that adds per-line coherence, power (Gated-Vdd) and decay state to it
+// (Cache), miss-status holding registers (MSHR) with request merging, and a
+// coalescing write buffer.
+//
+// A write-through L1 needs only tags, validity and recency, so it holds a
+// Tags.  Only the L2 lines carry leakage state, as in the paper, so only a
+// Cache holds a line array, the powered-cycle aggregate and the decay
+// bookkeeping.  Cache embeds Tags; its Install and Invalidate also disarm
+// the line.
 //
 // The package is deliberately policy-free: coherence states are stored as an
 // opaque uint8 owned by the coherence layer, and the decision of when to
@@ -10,8 +17,8 @@
 // selection, LRU maintenance, and exact integration of powered-on cycles so
 // the occupation-rate metric of the paper (Figure 3a) can be computed.
 //
-// Storage is a single flat backing array indexed by set*assoc+way (sets are
-// a power of two, so the set index is a shift and mask of the address): no
+// Every per-line array is flat and indexed by set*assoc+way (sets are a
+// power of two, so the set index is a shift and mask of the address): no
 // per-set slice headers, no pointer chasing on the access path, and the
 // decay bookkeeping keys its bitmaps by plain integer indices.
 package cache
@@ -75,10 +82,10 @@ func (c Config) NumSets() int { return c.NumLines() / c.Assoc }
 // Latency returns the total hit latency including any decay penalty.
 func (c Config) Latency() sim.Cycle { return c.LatencyCycles + c.ExtraLatency }
 
-// Line is one cache block's metadata.  Data values are not simulated; only
+// Line is one L2 block's metadata.  Data values are not simulated; only
 // the state needed for timing, coherence and energy is kept.  Whether the
-// line holds a block is its set's valid mask (see Cache.Valid), the block
-// address lives in the cache's dense tag array (see Cache.Tag) and the
+// line holds a block is its set's valid mask (see Tags.Valid), the block
+// address lives in the dense tag array (see Tags.Tag) and the
 // decay arm tick in a per-bank array only decaying banks allocate, so each
 // field is stored once.  Whether a line is dirty is its coherence State's
 // (coherence.State.Dirty).
@@ -94,22 +101,21 @@ type Line struct {
 	DecayArmed bool
 }
 
-// Cache is a set-associative array over a single flat backing store.
-type Cache struct {
-	cfg     Config
-	assoc   int
-	numSets int
+// Tags is a set-associative tag store: the geometry, the dense tag array,
+// the per-set valid masks and the packed LRU.  It is all an L1 needs; an L2
+// bank is a Cache, which adds line state, power and decay to a Tags.
+type Tags struct {
+	cfg   Config
+	assoc int
 	// lineShift and setMask turn an address into a set index with one shift
 	// and one mask (LineBytes and the set count are powers of two).
 	lineShift uint
 	setMask   uint64
 
-	// lines is a flat array indexed by set*assoc+way.
-	lines []Line
-	// tags holds each way's block address, indexed like lines: the one
-	// copy of the tag, scanned by Lookup one 8-byte word per way (an 8-way
-	// set is one host cache line).  Invalid ways hold invalidTag — not
-	// block-aligned, so it can never match a looked-up block — which
+	// tags holds each way's block address, indexed by set*assoc+way: the
+	// one copy of the tag, scanned by Lookup one 8-byte word per way (an
+	// 8-way set is one host cache line).  Invalid ways hold invalidTag —
+	// not block-aligned, so it can never match a looked-up block — which
 	// mirrors validBits into the tag compare and keeps the hit path to a
 	// single replacement-state load.
 	tags []mem.Addr
@@ -130,6 +136,15 @@ type Cache struct {
 	// to MRU, everything else keeps its relative order, so victim choice is
 	// unchanged from the stamp scheme.
 	lruOrder []uint64
+}
+
+// Cache is an L2 bank: a Tags plus each line's coherence, power and decay
+// state, indexed like the tags.
+type Cache struct {
+	Tags
+
+	// lines is a flat array indexed by set*assoc+way.
+	lines []Line
 
 	// Powered-cycle integration is kept as an aggregate updated at every
 	// power transition: onCycles is exact up to lastPowerAdv, and
@@ -164,37 +179,27 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// Init makes c an empty cache of cfg in place, as New would build it, with
-// decay disabled.  The line, tag, valid-mask and replacement arrays (and
-// EnableDecay's arm ticks and bitmaps) keep their backing storage when it
-// is large enough, so a simulator rebuilt for the next job allocates
-// nothing for its banks.  On a configuration error c is unchanged.
-func (c *Cache) Init(cfg Config) error {
+// Init makes t an empty tag store of cfg in place.  The tag, valid-mask and
+// replacement arrays keep their backing storage when it is large enough, so
+// a simulator rebuilt for the next job allocates nothing for its caches.  On
+// a configuration error t is unchanged.
+func (t *Tags) Init(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	n, sets := cfg.NumLines(), cfg.NumSets()
-	old := *c
-	*c = Cache{
+	*t = Tags{
 		cfg:       cfg,
 		assoc:     cfg.Assoc,
-		numSets:   sets,
 		lineShift: uint(bits.TrailingZeros64(cfg.LineBytes)),
 		setMask:   uint64(sets - 1),
-		lines:     zeroed(old.lines, n),
-		tags:      resized(old.tags, n),
-		validBits: zeroed(old.validBits, sets),
+		tags:      resized(t.tags, n),
+		validBits: zeroed(t.validBits, sets),
 		fullMask:  ^uint64(0) >> (64 - uint(cfg.Assoc)),
-		lruOrder:  resized(old.lruOrder, sets),
-		// Decay stays off until EnableDecay, which reuses these arrays.
-		armTick:  old.armTick[:0],
-		decaySat: old.decaySat[:0],
+		lruOrder:  resized(t.lruOrder, sets),
 	}
-	for k := range c.decayDue {
-		c.decayDue[k] = old.decayDue[k][:0]
-	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
+	for i := range t.tags {
+		t.tags[i] = invalidTag
 	}
 	// Identity permutation; unused high nibbles hold 0xF so a stray match
 	// can never shadow a real way (Touch takes the lowest match, and real
@@ -202,13 +207,35 @@ func (c *Cache) Init(cfg Config) error {
 	var init uint64
 	for r := 0; r < maxAssoc; r++ {
 		v := uint64(0xF)
-		if r < c.assoc {
+		if r < t.assoc {
 			v = uint64(r)
 		}
 		init |= v << (4 * r)
 	}
-	for s := range c.lruOrder {
-		c.lruOrder[s] = init
+	for s := range t.lruOrder {
+		t.lruOrder[s] = init
+	}
+	return nil
+}
+
+// Init makes c an empty cache of cfg in place, as New would build it, with
+// decay disabled.  Its tag store (Tags.Init), line array, and EnableDecay's
+// arm ticks and bitmaps keep their backing storage when it is large enough.
+// On a configuration error c is unchanged.
+func (c *Cache) Init(cfg Config) error {
+	if err := c.Tags.Init(cfg); err != nil {
+		return err
+	}
+	old := *c
+	*c = Cache{
+		Tags:  old.Tags,
+		lines: zeroed(old.lines, cfg.NumLines()),
+		// Decay stays off until EnableDecay, which reuses these arrays.
+		armTick:  old.armTick[:0],
+		decaySat: old.decaySat[:0],
+	}
+	for k := range c.decayDue {
+		c.decayDue[k] = old.decayDue[k][:0]
 	}
 	return nil
 }
@@ -244,34 +271,29 @@ func MustNew(cfg Config) *Cache {
 }
 
 // Config returns the cache configuration.
-func (c *Cache) Config() Config { return c.cfg }
+func (t *Tags) Config() Config { return t.cfg }
 
-// Assoc returns the associativity (the way stride of the flat array).
-func (c *Cache) Assoc() int { return c.assoc }
+// Assoc returns the associativity (the way stride of the flat arrays).
+func (t *Tags) Assoc() int { return t.assoc }
 
 // NumLines returns the total number of lines.
-func (c *Cache) NumLines() int { return len(c.lines) }
+func (t *Tags) NumLines() int { return len(t.tags) }
 
 // SetIndex returns the set index for an address.
-func (c *Cache) SetIndex(a mem.Addr) int {
-	return int((uint64(a) >> c.lineShift) & c.setMask)
-}
-
-// blockAddr returns the block-aligned address.
-func (c *Cache) blockAddr(a mem.Addr) mem.Addr {
-	return mem.BlockAddr(a, c.cfg.LineBytes)
+func (t *Tags) SetIndex(a mem.Addr) int {
+	return int((uint64(a) >> t.lineShift) & t.setMask)
 }
 
 // Lookup finds the way holding the block containing a.  It returns the set
 // index, the way, and whether the block is present (valid).  Lookup does not
 // update LRU state or statistics; callers decide whether the access counts
 // as a hit (a powered-off line is not a hit even if the tag matches).
-func (c *Cache) Lookup(a mem.Addr) (set, way int, found bool) {
-	set = c.SetIndex(a)
-	tag := c.blockAddr(a)
-	base := set * c.assoc
-	for w, t := range c.tags[base : base+c.assoc] {
-		if t == tag {
+func (t *Tags) Lookup(a mem.Addr) (set, way int, found bool) {
+	set = t.SetIndex(a)
+	tag := mem.BlockAddr(a, t.cfg.LineBytes)
+	base := set * t.assoc
+	for w, x := range t.tags[base : base+t.assoc] {
+		if x == tag {
 			return set, w, true
 		}
 	}
@@ -282,11 +304,11 @@ func (c *Cache) Lookup(a mem.Addr) (set, way int, found bool) {
 func (c *Cache) Line(set, way int) *Line { return &c.lines[set*c.assoc+way] }
 
 // Valid reports whether (set, way) holds a block.
-func (c *Cache) Valid(set, way int) bool { return c.validBits[set]>>uint(way)&1 != 0 }
+func (t *Tags) Valid(set, way int) bool { return t.validBits[set]>>uint(way)&1 != 0 }
 
 // Tag returns the block address held at (set, way); it is meaningful only
 // while the line is valid.
-func (c *Cache) Tag(set, way int) mem.Addr { return c.tags[set*c.assoc+way] }
+func (t *Tags) Tag(set, way int) mem.Addr { return t.tags[set*t.assoc+way] }
 
 // maxAssoc is the widest associativity a cache accepts: its recency
 // permutation fits one uint64 of 4-bit ranks.
@@ -307,8 +329,8 @@ const (
 // Touch marks (set, way) as most recently used: it rotates way to rank 0
 // (MRU) of its set's recency permutation, preserving the relative order of
 // every other way.
-func (c *Cache) Touch(set, way int) {
-	order := c.lruOrder[set]
+func (t *Tags) Touch(set, way int) {
+	order := t.lruOrder[set]
 	w := uint64(way)
 	if order&0xF == w {
 		return // already MRU
@@ -319,38 +341,48 @@ func (c *Cache) Touch(set, way int) {
 	p4 := uint(bits.TrailingZeros64((x-nibLSB) & ^x & nibMSB)) &^ 3
 	low := order & (uint64(1)<<p4 - 1)       // ranks below w's
 	high := order &^ (uint64(1)<<(p4+4) - 1) // ranks above w's
-	c.lruOrder[set] = high | low<<4 | w
+	t.lruOrder[set] = high | low<<4 | w
 }
 
 // Victim returns the way to replace in set: the lowest-indexed invalid way
 // if one exists, otherwise the least recently used way.  Both answers are
 // O(1): a trailing-zero count over the inverted valid mask, or the top
 // occupied nibble of the permutation.
-func (c *Cache) Victim(set int) int {
-	if free := ^c.validBits[set] & c.fullMask; free != 0 {
+func (t *Tags) Victim(set int) int {
+	if free := ^t.validBits[set] & t.fullMask; free != 0 {
 		return bits.TrailingZeros64(free)
 	}
-	return int(c.lruOrder[set] >> (uint(c.assoc-1) * 4) & 0xF)
+	return int(t.lruOrder[set] >> (uint(t.assoc-1) * 4) & 0xF)
 }
 
 // Install places the block containing a into (set, way), marking it valid
 // and most recently used.  The previous occupant must already have been
 // handled (written back / invalidated) by the caller.
-func (c *Cache) Install(a mem.Addr, set, way int) *Line {
-	ln := &c.lines[set*c.assoc+way]
-	c.tags[set*c.assoc+way] = c.blockAddr(a)
-	c.validBits[set] |= 1 << uint(way)
-	ln.DecayArmed = false
-	c.Touch(set, way)
-	return ln
+func (t *Tags) Install(a mem.Addr, set, way int) {
+	t.tags[set*t.assoc+way] = mem.BlockAddr(a, t.cfg.LineBytes)
+	t.validBits[set] |= 1 << uint(way)
+	t.Touch(set, way)
 }
 
-// Invalidate clears the valid bit of (set, way).  Power state is untouched;
-// the leakage technique decides whether invalidation implies gating.
+// Invalidate clears the valid bit of (set, way).
+func (t *Tags) Invalidate(set, way int) {
+	t.tags[set*t.assoc+way] = invalidTag
+	t.validBits[set] &^= 1 << uint(way)
+}
+
+// Install is Tags.Install that also disarms the line: a new block starts
+// unarmed.
+func (c *Cache) Install(a mem.Addr, set, way int) {
+	c.Tags.Install(a, set, way)
+	c.lines[set*c.assoc+way].DecayArmed = false
+}
+
+// Invalidate is Tags.Invalidate that also disarms the line.  Power state is
+// untouched; the leakage technique decides whether invalidation implies
+// gating.
 func (c *Cache) Invalidate(set, way int) {
 	c.lines[set*c.assoc+way].DecayArmed = false
-	c.tags[set*c.assoc+way] = invalidTag
-	c.validBits[set] &^= 1 << uint(way)
+	c.Tags.Invalidate(set, way)
 }
 
 // advancePower brings the powered-cycle aggregate up to cycle now.  Called

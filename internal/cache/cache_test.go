@@ -210,7 +210,8 @@ func TestInvalidate(t *testing.T) {
 	a := mem.Addr(0x40)
 	set, _, _ := c.Lookup(a)
 	way := c.Victim(set)
-	ln := c.Install(a, set, way)
+	c.Install(a, set, way)
+	ln := c.Line(set, way)
 	ln.DecayArmed = true
 	c.Invalidate(set, way)
 	if c.Valid(set, way) || ln.DecayArmed || c.Tag(set, way) != invalidTag {
@@ -396,27 +397,39 @@ func TestPropertyPackedRankMatchesStampLRU(t *testing.T) {
 	}
 }
 
-// Property: over any sequence of lookups, fills and invalidations, the
-// valid mask and the tag sentinel agree on every way after every step (the
-// sentinel is Lookup's mirror of the one validity record), and every valid
-// line's tag is block-aligned and maps back to the set it occupies.
+// Property: over any sequence of lookups, fills, invalidations and decay
+// arming on a decaying bank, the valid mask and the tag sentinel agree on
+// every way after every step (the sentinel is Lookup's mirror of the one
+// validity record), every valid line's tag is block-aligned and maps back
+// to the set it occupies, and only a valid line is armed (DecayTick relies
+// on DecayArmed implying valid; Install and Invalidate disarm).
 func TestPropertyTagsConsistent(t *testing.T) {
+	cfg := smallConfig()
+	cfg.SizeBytes = 1024 // 4 sets of 4 ways, so short sequences evict
 	f := func(raw []uint32) bool {
-		c := MustNew(smallConfig())
+		c := MustNew(cfg)
+		c.EnableDecay()
 		for _, r := range raw {
-			// r's low two bits pick the operation and the rest one of 256
-			// blocks (two regions 2 GiB apart, each four times the cache's
-			// 64 lines), so sequences hit, evict and invalidate.
-			blk := uint64(r>>2&127) | uint64(r>>31)<<25
+			// r's low two bits pick the operation and the rest one of 64
+			// blocks (two regions 2 GiB apart, together four times the
+			// cache's 16 lines), so sequences hit, evict, arm and invalidate.
+			blk := uint64(r>>2&31) | uint64(r>>31)<<25
 			a := mem.Addr(blk<<6 | uint64(r>>9&63))
 			set, way, found := c.Lookup(a)
 			switch {
 			case found && r&3 == 0:
 				c.Invalidate(set, way)
+			case found && r&3 == 1:
+				c.Line(set, way).DecayArmed = true
+				c.ResetDecay(set, way)
 			case found:
 				c.Touch(set, way)
 			default:
-				c.Install(a, set, c.Victim(set))
+				way = c.Victim(set)
+				c.Install(a, set, way)
+				if c.Line(set, way).DecayArmed {
+					return false
+				}
 			}
 			for i := range c.lines {
 				set, way := i/c.Assoc(), i%c.Assoc()
@@ -425,6 +438,9 @@ func TestPropertyTagsConsistent(t *testing.T) {
 					return false
 				}
 				if c.Valid(set, way) && (mem.BlockOffset(tag, c.Config().LineBytes) != 0 || c.SetIndex(tag) != set) {
+					return false
+				}
+				if c.Line(set, way).DecayArmed && !c.Valid(set, way) {
 					return false
 				}
 			}
@@ -470,9 +486,9 @@ func useCache(c *Cache) {
 		a := mem.Addr(i * int(c.Config().LineBytes))
 		set, _, _ := c.Lookup(a)
 		way := c.Victim(set)
-		ln := c.Install(a, set, way)
+		c.Install(a, set, way)
 		c.PowerOn(set, way, sim.Cycle(i))
-		ln.DecayArmed = i%3 != 0
+		c.Line(set, way).DecayArmed = i%3 != 0
 		c.ResetDecay(set, way)
 		if i%5 == 0 {
 			c.Invalidate(set, way)

@@ -61,7 +61,6 @@ type MSHR struct {
 	Allocations stats.Counter
 	Merges      stats.Counter
 	FullStalls  stats.Counter
-	peak        int
 }
 
 // NewMSHR builds an MSHR with the given number of entries; capacity <= 0
@@ -118,9 +117,6 @@ func (m *MSHR) Allocate(block mem.Addr, isWrite bool) (*MSHREntry, bool) {
 	e.whead, e.wtail, e.nwait, e.next = nil, nil, 0, nil
 	m.entries.put(block, e)
 	m.Allocations.Inc()
-	if n := m.entries.len(); n > m.peak {
-		m.peak = n
-	}
 	return e, true
 }
 
@@ -198,6 +194,3 @@ func (m *MSHR) ScheduleDone(eng *sim.Engine, latency sim.Cycle, fn DoneFunc, arg
 
 // Outstanding returns the number of in-flight misses.
 func (m *MSHR) Outstanding() int { return m.entries.len() }
-
-// Peak returns the highest simultaneous occupancy observed.
-func (m *MSHR) Peak() int { return m.peak }

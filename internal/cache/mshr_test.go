@@ -165,19 +165,6 @@ func TestMSHRSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
-func TestMSHRPeak(t *testing.T) {
-	eng := sim.NewEngine()
-	m := NewMSHR(8)
-	m.Allocate(0x100, false)
-	m.Allocate(0x200, false)
-	m.Allocate(0x300, false)
-	m.CompleteDeliver(0x100, eng, 0)
-	m.Allocate(0x400, false)
-	if m.Peak() != 3 {
-		t.Fatalf("peak %d, want 3", m.Peak())
-	}
-}
-
 // Property: outstanding never exceeds capacity for a bounded MSHR.
 func TestPropertyMSHRCapacityBound(t *testing.T) {
 	eng := sim.NewEngine()

@@ -25,11 +25,8 @@ type WriteBuffer struct {
 	pending  AddrSet // blocks currently buffered
 
 	// Statistics.
-	Enqueued  stats.Counter
 	Coalesced stats.Counter
-	Drained   stats.Counter
 	FullStall stats.Counter
-	peak      int
 }
 
 // writeBufferMinRing sizes the smallest ring; a power of two.
@@ -82,10 +79,6 @@ func (b *WriteBuffer) Push(block mem.Addr) bool {
 	b.ring[b.tail&b.rmask] = block
 	b.tail++
 	b.pending.Add(block)
-	b.Enqueued.Inc()
-	if n := b.Len(); n > b.peak {
-		b.peak = n
-	}
 	return true
 }
 
@@ -98,7 +91,6 @@ func (b *WriteBuffer) Pop() (block mem.Addr, ok bool) {
 	block = b.ring[b.head&b.rmask]
 	b.head++
 	b.pending.Take(block)
-	b.Drained.Inc()
 	return block, true
 }
 
@@ -110,9 +102,6 @@ func (b *WriteBuffer) HasPending(block mem.Addr) bool {
 
 // Len returns the number of distinct blocks buffered.
 func (b *WriteBuffer) Len() int { return int(b.tail - b.head) }
-
-// Peak returns the highest occupancy observed.
-func (b *WriteBuffer) Peak() int { return b.peak }
 
 // growRing doubles the ring (unlimited-capacity buffers only), re-laying
 // the live entries out from index 0.

@@ -57,7 +57,7 @@ type L1Controller struct {
 	id    int
 	eng   *sim.Engine
 	cfg   L1Config
-	cache *cache.Cache
+	cache *cache.Tags
 	mshr  *cache.MSHR
 	wb    *cache.WriteBuffer
 	below LowerLevel
@@ -110,12 +110,12 @@ func NewL1Controller(id int, eng *sim.Engine, cfg L1Config) (*L1Controller, erro
 }
 
 // Init makes l in place the controller NewL1Controller would build, with no
-// lower level and zero statistics; its array, MSHR and write buffer are
-// rebuilt in their own storage (cache.Cache.Init and the others).
+// lower level and zero statistics; its tag store, MSHR and write buffer are
+// rebuilt in their own storage (cache.Tags.Init and the others).
 func (l *L1Controller) Init(id int, eng *sim.Engine, cfg L1Config) error {
 	arr, mshr, wb := l.cache, l.mshr, l.wb
 	if arr == nil {
-		arr, mshr, wb = new(cache.Cache), new(cache.MSHR), new(cache.WriteBuffer)
+		arr, mshr, wb = new(cache.Tags), new(cache.MSHR), new(cache.WriteBuffer)
 	}
 	if err := arr.Init(cfg.Cache); err != nil {
 		return err

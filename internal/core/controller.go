@@ -63,13 +63,10 @@ type Controller struct {
 	// Statistics.
 	Reads                  stats.Counter
 	Writes                 stats.Counter
-	ReadHits               stats.Counter
 	ReadMisses             stats.Counter
-	WriteHits              stats.Counter
 	WriteMisses            stats.Counter
 	Upgrades               stats.Counter
 	ProtocolInvalidations  stats.Counter
-	SnoopDowngrades        stats.Counter
 	Evictions              stats.Counter
 	EvictionWritebacks     stats.Counter
 	TurnOffRequests        stats.Counter
@@ -162,7 +159,7 @@ func (c *Controller) AttachL1(l1 *coherence.L1Controller) { c.l1 = l1 }
 // AttachTechnique wires the leakage technique observing this controller.
 func (c *Controller) AttachTechnique(t decay.Spec) { c.tech = t }
 
-// ControllerID implements coherence.Snooper and decay.Controller.
+// ControllerID implements coherence.Snooper.
 func (c *Controller) ControllerID() int { return c.cfg.ID }
 
 // Array implements decay.Controller.
@@ -213,7 +210,6 @@ func (c *Controller) Read(block mem.Addr, done cache.DoneFunc, arg any) {
 	c.Reads.Inc()
 	set, way, hit := c.arr.Lookup(block)
 	if hit && c.LineState(set, way).Valid() {
-		c.ReadHits.Inc()
 		c.arr.Touch(set, way)
 		c.tech.OnHit(c, set, way)
 		c.mshr.ScheduleDone(c.eng, c.cfg.Cache.Latency(), done, arg, block)
@@ -244,7 +240,6 @@ func (c *Controller) Write(block mem.Addr, done cache.DoneFunc, arg any) {
 			// Upgrade: invalidate other copies, no data transfer.  The
 			// continuation rides a pooled record; the block comes back with
 			// the transaction.
-			c.WriteHits.Inc()
 			c.Upgrades.Inc()
 			c.arr.Touch(set, way)
 			u := c.freeUpgr
@@ -291,7 +286,6 @@ func (c *Controller) finishUpgrade(a any, txn coherence.Transaction, _ coherence
 // writeHit finishes a write hit on a Modified line, delivering the caller's
 // requested block (like every other completion path).
 func (c *Controller) writeHit(block mem.Addr, set, way int, done cache.DoneFunc, arg any) {
-	c.WriteHits.Inc()
 	c.arr.Touch(set, way)
 	c.tech.OnHit(c, set, way)
 	c.mshr.ScheduleDone(c.eng, c.cfg.Cache.Latency(), done, arg, block)
@@ -410,11 +404,9 @@ func (c *Controller) Snoop(txn coherence.Transaction) coherence.SnoopResponse {
 		switch st {
 		case coherence.Modified, coherence.TransientDirty:
 			// Flush: supply the data, memory is updated, downgrade to S.
-			c.SnoopDowngrades.Inc()
 			c.setState(set, way, coherence.Shared)
 			return coherence.SnoopResponse{Shared: true, Dirty: true}
 		case coherence.Exclusive:
-			c.SnoopDowngrades.Inc()
 			c.setState(set, way, coherence.Shared)
 			return coherence.SnoopResponse{Shared: true}
 		default:

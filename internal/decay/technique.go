@@ -37,8 +37,6 @@ import (
 // given.  It is implemented by internal/core.Controller, which keeps every
 // access count: the cache array holds only line state.
 type Controller interface {
-	// ControllerID identifies the L2 (its core index).
-	ControllerID() int
 	// Array returns the underlying cache array for direct power gating and
 	// counter manipulation.
 	Array() *cache.Cache

@@ -15,7 +15,6 @@ import (
 // immediately performs the effect a real controller would have for a clean
 // line: invalidate and gate.
 type mockController struct {
-	id     int
 	eng    *sim.Engine
 	arr    *cache.Cache
 	states map[[2]int]coherence.State
@@ -54,7 +53,6 @@ func mockControllerSized(eng *sim.Engine, sizeBytes uint64) *mockController {
 	}
 }
 
-func (m *mockController) ControllerID() int   { return m.id }
 func (m *mockController) Array() *cache.Cache { return m.arr }
 func (m *mockController) Now() sim.Cycle      { return m.eng.Now() }
 func (m *mockController) Misses() uint64      { return m.misses }

@@ -264,15 +264,12 @@ func TestFigure3aValues(t *testing.T) {
 			}
 		}
 	}
-	// Cell and Row accessors.
+	// Cell accessor.
 	if _, ok := fig.Cell("protocol", "1MB"); !ok {
 		t.Fatal("Cell lookup failed")
 	}
 	if _, ok := fig.Cell("protocol", "64MB"); ok {
 		t.Fatal("Cell lookup for absent column should fail")
-	}
-	if _, ok := fig.Row("nope"); ok {
-		t.Fatal("Row lookup for absent series should fail")
 	}
 }
 

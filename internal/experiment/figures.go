@@ -48,16 +48,6 @@ func (t Table) Cell(rowLabel, column string) (float64, bool) {
 	return 0, false
 }
 
-// Row returns the series with the given label.
-func (t Table) Row(label string) (TableRow, bool) {
-	for _, r := range t.Rows {
-		if r.Label == label {
-			return r, true
-		}
-	}
-	return TableRow{}, false
-}
-
 // Markdown renders the table as a GitHub-style markdown table with
 // percentage formatting.
 func (t Table) Markdown() string {

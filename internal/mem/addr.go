@@ -23,18 +23,5 @@ func IsPowerOfTwo(v uint64) bool {
 	return v != 0 && v&(v-1) == 0
 }
 
-// Log2 returns floor(log2(v)); it panics for v == 0.
-func Log2(v uint64) uint {
-	if v == 0 {
-		panic("mem: Log2 of zero")
-	}
-	var n uint
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
-}
-
 // String renders an address in hex.
 func (a Addr) String() string { return fmt.Sprintf("0x%x", uint64(a)) }

@@ -49,21 +49,6 @@ func TestIsPowerOfTwo(t *testing.T) {
 	}
 }
 
-func TestLog2(t *testing.T) {
-	cases := map[uint64]uint{1: 0, 2: 1, 4: 2, 64: 6, 65536: 16}
-	for v, want := range cases {
-		if got := Log2(v); got != want {
-			t.Errorf("Log2(%d) = %d, want %d", v, got, want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Log2(0) did not panic")
-		}
-	}()
-	Log2(0)
-}
-
 func TestAddrString(t *testing.T) {
 	if Addr(0xff).String() != "0xff" {
 		t.Fatalf("Addr.String = %q", Addr(0xff).String())

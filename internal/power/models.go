@@ -57,41 +57,3 @@ func (b Breakdown) Total() float64 {
 	return b.CoreDynamic + b.CoreLeakage + b.L1Dynamic + b.L1Leakage +
 		b.L2Dynamic + b.L2Leakage + b.Bus + b.DecayOverhead
 }
-
-// L2LeakageShare returns the fraction of total energy spent on L2 leakage —
-// the quantity that bounds how much any leakage technique can save.
-func (b Breakdown) L2LeakageShare() float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	return b.L2Leakage / t
-}
-
-// Add returns the component-wise sum of two breakdowns.
-func (b Breakdown) Add(o Breakdown) Breakdown {
-	return Breakdown{
-		CoreDynamic:   b.CoreDynamic + o.CoreDynamic,
-		CoreLeakage:   b.CoreLeakage + o.CoreLeakage,
-		L1Dynamic:     b.L1Dynamic + o.L1Dynamic,
-		L1Leakage:     b.L1Leakage + o.L1Leakage,
-		L2Dynamic:     b.L2Dynamic + o.L2Dynamic,
-		L2Leakage:     b.L2Leakage + o.L2Leakage,
-		Bus:           b.Bus + o.Bus,
-		DecayOverhead: b.DecayOverhead + o.DecayOverhead,
-	}
-}
-
-// Scale returns the breakdown with every component multiplied by f.
-func (b Breakdown) Scale(f float64) Breakdown {
-	return Breakdown{
-		CoreDynamic:   b.CoreDynamic * f,
-		CoreLeakage:   b.CoreLeakage * f,
-		L1Dynamic:     b.L1Dynamic * f,
-		L1Leakage:     b.L1Leakage * f,
-		L2Dynamic:     b.L2Dynamic * f,
-		L2Leakage:     b.L2Leakage * f,
-		Bus:           b.Bus * f,
-		DecayOverhead: b.DecayOverhead * f,
-	}
-}

@@ -54,23 +54,12 @@ func step(s0, s1 uint64) (n0, n1, out uint64) {
 	return s1, n1, n1 + s1
 }
 
-// Uint32 returns 32 pseudo-random bits.
-func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a value in [0, n).  It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("sim: Intn with non-positive n")
 	}
 	return int(r.Uint64() % uint64(n))
-}
-
-// Uint64n returns a value in [0, n).  It panics if n == 0.
-func (r *Rand) Uint64n(n uint64) uint64 {
-	if n == 0 {
-		panic("sim: Uint64n with zero n")
-	}
-	return r.Uint64() % n
 }
 
 // Float64 returns a value in [0, 1).
@@ -145,7 +134,9 @@ func (g Geom) Sample(r *Rand) int {
 func (r *Rand) Geometric(mean float64) int { return NewGeom(mean).Sample(r) }
 
 // Zipf is a Zipf-like sampler over [0, n) with skew s, its power-law
-// constants computed once instead of on every draw.
+// constants computed once instead of on every draw.  s=0 is uniform and a
+// larger s concentrates mass on low indices; it samples by inverse-power
+// transform, which is accurate enough for locality modelling.
 type Zipf struct {
 	n int
 	s float64
@@ -197,12 +188,6 @@ func (z Zipf) Sample(r *Rand) int {
 	}
 	return idx
 }
-
-// Zipf returns a sample in [0, n) following an approximate Zipf-like
-// distribution with skew s (s=0 is uniform).  Larger s concentrates mass on
-// low indices; the implementation uses inverse-power transform sampling,
-// which is accurate enough for locality modelling.
-func (r *Rand) Zipf(n int, s float64) int { return NewZipf(n, s).Sample(r) }
 
 // powf is a^b for positive a; zero or negative a yields zero, which is the
 // safe value for the truncated power-law sampler above.

@@ -155,16 +155,8 @@ func (a *CycleAcc) Max() uint64 { return a.max }
 // Reset discards all samples.
 func (a *CycleAcc) Reset() { *a = CycleAcc{} }
 
-// Ratio returns num/den, or zero when den is zero.  It is the standard way
+// RatioU returns num/den, or zero when den is zero.  It is the standard way
 // the simulator computes rates (miss rate, occupation, ...).
-func Ratio(num, den float64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// RatioU is Ratio for unsigned counters.
 func RatioU(num, den uint64) float64 {
 	if den == 0 {
 		return 0

@@ -253,15 +253,6 @@ func PaperBenchmarks() []string {
 	return []string{"mpeg2enc", "mpeg2dec", "facerec", "WATER-NS", "FMM", "VOLREND"}
 }
 
-// TotalInstructions sums the instruction counts of a slice of entries.
-func TotalInstructions(entries []Entry) uint64 {
-	var n uint64
-	for _, e := range entries {
-		n += e.Instructions()
-	}
-	return n
-}
-
 // Drain consumes a stream completely and returns its entries; intended for
 // tests, not for simulation of long workloads.
 func Drain(s Stream) []Entry {
