@@ -31,6 +31,8 @@ test:
 	$(GO) test ./...
 
 # test-allocs re-runs the 0-allocs/op guards on the scheduler drain loop,
+# the record pool every memory-hierarchy component keeps its per-request
+# records in (TestPoolAllocationFree: Get after Put reuses a zeroed record),
 # the steady-state load-hit, load-miss, decay-tick, victim-selection,
 # stream-refill, trace-replay (chunks decode in place from an in-memory
 # trace, or from each reader's one staging buffer when read from a file)

@@ -14,10 +14,10 @@ import (
 // miss path schedules completions without allocating a closure per miss.
 type DoneFunc func(arg any, block mem.Addr)
 
-// Waiter is one merged request parked on an MSHR entry.  Nodes are pooled
-// on an intrusive free list owned by the MSHR; after the fill arrives they
-// double as the argument of the scheduled delivery event and return to the
-// pool when it fires.
+// Waiter is one merged request parked on an MSHR entry, linked in merge
+// order through next.  Nodes come from the MSHR's pool; after the fill
+// arrives they double as the argument of the scheduled delivery event and
+// return to the pool when it fires.
 type Waiter struct {
 	fn    DoneFunc
 	arg   any
@@ -37,7 +37,6 @@ type MSHREntry struct {
 
 	whead, wtail *Waiter
 	nwait        int
-	next         *MSHREntry // free-list link
 }
 
 // Waiters returns the number of merged requests.
@@ -49,11 +48,10 @@ func (e *MSHREntry) Waiters() int { return e.nwait }
 // Go map, since the handful of in-flight misses make a one-cache-line
 // linear probe strictly cheaper than map machinery.
 type MSHR struct {
-	capacity int
-	entries  addrTable[*MSHREntry]
-
-	freeEntries *MSHREntry
-	freeWaiters *Waiter
+	capacity   int
+	entries    addrTable[*MSHREntry]
+	entryPool  sim.Pool[MSHREntry]
+	waiterPool sim.Pool[Waiter]
 	// deliverFn is the pre-bound engine callback that fires one waiter.
 	deliverFn sim.ArgFunc
 
@@ -72,11 +70,12 @@ func NewMSHR(capacity int) *MSHR {
 }
 
 // Init makes m an empty MSHR of the given capacity in place, as NewMSHR
-// would build it, keeping the slots its block table has grown to.
+// would build it, keeping the slots its block table has grown to and its
+// record pools.
 func (m *MSHR) Init(capacity int) {
 	entries := m.entries
 	entries.reset()
-	*m = MSHR{capacity: capacity, entries: entries}
+	*m = MSHR{capacity: capacity, entries: entries, entryPool: m.entryPool, waiterPool: m.waiterPool}
 	m.deliverFn = m.deliver
 }
 
@@ -107,28 +106,17 @@ func (m *MSHR) Allocate(block mem.Addr, isWrite bool) (*MSHREntry, bool) {
 		m.FullStalls.Inc()
 		return nil, false
 	}
-	e := m.freeEntries
-	if e == nil {
-		e = &MSHREntry{}
-	} else {
-		m.freeEntries = e.next
-	}
+	e := m.entryPool.Get()
 	e.Block, e.IsWrite = block, isWrite
-	e.whead, e.wtail, e.nwait, e.next = nil, nil, 0, nil
 	m.entries.put(block, e)
 	m.Allocations.Inc()
 	return e, true
 }
 
-// newWaiter pops a pooled waiter node.
+// newWaiter takes a pooled waiter node.
 func (m *MSHR) newWaiter(fn DoneFunc, arg any) *Waiter {
-	w := m.freeWaiters
-	if w == nil {
-		w = &Waiter{}
-	} else {
-		m.freeWaiters = w.next
-	}
-	w.fn, w.arg, w.next = fn, arg, nil
+	w := m.waiterPool.Get()
+	w.fn, w.arg = fn, arg
 	return w
 }
 
@@ -152,9 +140,7 @@ func (m *MSHR) AddWaiter(e *MSHREntry, fn DoneFunc, arg any) {
 func (m *MSHR) deliver(a any) {
 	w := a.(*Waiter)
 	fn, arg, block := w.fn, w.arg, w.block
-	w.fn, w.arg = nil, nil
-	w.next = m.freeWaiters
-	m.freeWaiters = w
+	m.waiterPool.Put(w)
 	fn(arg, block)
 }
 
@@ -169,14 +155,11 @@ func (m *MSHR) CompleteDeliver(block mem.Addr, eng *sim.Engine, latency sim.Cycl
 	n := e.nwait
 	for w := e.whead; w != nil; {
 		next := w.next
-		w.next = nil
 		w.block = block
 		eng.ScheduleArg(latency, m.deliverFn, w)
 		w = next
 	}
-	e.whead, e.wtail, e.nwait = nil, nil, 0
-	e.next = m.freeEntries
-	m.freeEntries = e
+	m.entryPool.Put(e)
 	return n
 }
 

@@ -136,10 +136,10 @@ type Bus struct {
 
 	busyUntil sim.Cycle
 
-	// freeComp pools completion records so delivering a BusResult schedules
-	// a pre-bound pooled event instead of allocating a closure per
+	// comps pools completion records so delivering a BusResult schedules a
+	// pre-bound pooled event instead of allocating a closure per
 	// transaction.
-	freeComp   *busCompletion
+	comps      sim.Pool[busCompletion]
 	completeFn sim.ArgFunc
 
 	// Statistics.
@@ -162,7 +162,8 @@ func NewBus(eng *sim.Engine, memory *mem.Memory, cfg BusConfig) *Bus {
 }
 
 // Init makes b in place the idle bus NewBus would build, with no snoopers
-// attached and zero statistics; it keeps the snooper slice's storage.
+// attached and zero statistics; it keeps the snooper slice's storage and its
+// completion pool.
 func (b *Bus) Init(eng *sim.Engine, memory *mem.Memory, cfg BusConfig) {
 	if cfg.BlockBytes == 0 {
 		cfg.BlockBytes = 64
@@ -172,27 +173,24 @@ func (b *Bus) Init(eng *sim.Engine, memory *mem.Memory, cfg BusConfig) {
 	}
 	snoopers := b.snoopers
 	clear(snoopers)
-	*b = Bus{cfg: cfg, eng: eng, memory: memory, snoopers: snoopers[:0]}
+	*b = Bus{cfg: cfg, eng: eng, memory: memory, snoopers: snoopers[:0], comps: b.comps}
 	b.completeFn = b.complete
 }
 
 // busCompletion carries one transaction's callback, transaction and result
-// to its delivery cycle; records are pooled on an intrusive free list.
+// to its delivery cycle; records come from the bus's pool.
 type busCompletion struct {
 	done ResultFunc
 	arg  any
 	txn  Transaction
 	res  BusResult
-	next *busCompletion
 }
 
 // complete delivers a pooled completion (the engine-facing ArgFunc).
 func (b *Bus) complete(a any) {
 	c := a.(*busCompletion)
 	done, arg, txn, res := c.done, c.arg, c.txn, c.res
-	c.done, c.arg = nil, nil
-	c.next = b.freeComp
-	b.freeComp = c
+	b.comps.Put(c)
 	done(arg, txn, res)
 }
 
@@ -280,13 +278,8 @@ func (b *Bus) Issue(txn Transaction, done ResultFunc, arg any) sim.Cycle {
 	total := busPhase + extra
 	result := BusResult{Latency: total, Snoop: resp, FromMemory: fromMemory}
 	if done != nil {
-		c := b.freeComp
-		if c == nil {
-			c = &busCompletion{}
-		} else {
-			b.freeComp = c.next
-		}
-		c.done, c.arg, c.txn, c.res, c.next = done, arg, txn, result, nil
+		c := b.comps.Get()
+		c.done, c.arg, c.txn, c.res = done, arg, txn, result
 		b.eng.ScheduleArg(total, b.completeFn, c)
 	}
 	return total

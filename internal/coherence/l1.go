@@ -71,10 +71,10 @@ type L1Controller struct {
 	stalledStores []pendingStore
 	stalledHead   int
 
-	// freeReqs pools per-load request records; together with the pre-bound
+	// reqs pools per-load request records; together with the pre-bound
 	// callbacks below they keep the whole load path — hit, miss, MSHR merge
 	// and L2 fill — free of per-event allocations.
-	freeReqs       *loadReq
+	reqs           sim.Pool[loadReq]
 	finishLoadFn   sim.ArgFunc
 	retryFillFn    sim.ArgFunc
 	finishLoadDone cache.DoneFunc
@@ -111,7 +111,8 @@ func NewL1Controller(id int, eng *sim.Engine, cfg L1Config) (*L1Controller, erro
 
 // Init makes l in place the controller NewL1Controller would build, with no
 // lower level and zero statistics; its tag store, MSHR and write buffer are
-// rebuilt in their own storage (cache.Tags.Init and the others).
+// rebuilt in their own storage (cache.Tags.Init and the others), and it
+// keeps its request pool.
 func (l *L1Controller) Init(id int, eng *sim.Engine, cfg L1Config) error {
 	arr, mshr, wb := l.cache, l.mshr, l.wb
 	if arr == nil {
@@ -135,6 +136,7 @@ func (l *L1Controller) Init(id int, eng *sim.Engine, cfg L1Config) error {
 		cache: arr,
 		mshr:  mshr,
 		wb:    wb,
+		reqs:  l.reqs,
 	}
 	l.finishLoadFn = func(a any) { l.finishLoad(a.(*loadReq)) }
 	l.retryFillFn = func(a any) { l.requestFill(a.(*loadReq)) }
@@ -161,24 +163,18 @@ func (l *L1Controller) block(a mem.Addr) mem.Addr {
 }
 
 // loadReq carries the per-load state (issue cycle for AMAT, completion
-// callback) through the cache pipeline.  Records are pooled on an intrusive
-// free list so the load path allocates nothing in steady state.
+// callback) through the cache pipeline.  Records are pooled so the load
+// path allocates nothing in steady state.
 type loadReq struct {
 	addr  mem.Addr
 	start sim.Cycle
 	done  func()
-	next  *loadReq
 }
 
-// newReq pops a pooled request record.
+// newReq takes a pooled request record.
 func (l *L1Controller) newReq(a mem.Addr, start sim.Cycle, done func()) *loadReq {
-	req := l.freeReqs
-	if req == nil {
-		req = &loadReq{}
-	} else {
-		l.freeReqs = req.next
-	}
-	req.addr, req.start, req.done, req.next = a, start, done, nil
+	req := l.reqs.Get()
+	req.addr, req.start, req.done = a, start, done
 	return req
 }
 
@@ -187,9 +183,7 @@ func (l *L1Controller) newReq(a mem.Addr, start sim.Cycle, done func()) *loadReq
 func (l *L1Controller) finishLoad(req *loadReq) {
 	l.LoadLatency.Observe(uint64(l.eng.Now() - req.start))
 	done := req.done
-	req.done = nil
-	req.next = l.freeReqs
-	l.freeReqs = req
+	l.reqs.Put(req)
 	if done != nil {
 		done()
 	}

@@ -1,6 +1,6 @@
 // Package coherence implements the MESI snoopy protocol substrate of the
 // private-L2 CMP described in the paper: coherence states (including the
-// TC/TD transient states introduced for the turn-off primitive of Figure 2),
+// TD transient state introduced for the turn-off primitive of Figure 2),
 // the shared snoopy bus, bus transactions, and the write-through L1
 // controller with its write buffer and MSHR.
 //
@@ -11,8 +11,13 @@ package coherence
 
 import "fmt"
 
-// State is a MESI coherence state extended with the transient states of the
-// paper's Figure 2.
+// State is a MESI coherence state extended with the TD transient state of
+// the paper's Figure 2.
+//
+// Figure 2 also has TC, a clean line waiting for the upper level to
+// acknowledge an invalidation before it is turned off.  It is not modelled:
+// the L1 invalidation completes at once (L1Controller.InvalidateBlock), so
+// a clean line is gated in the same step and no line would ever be in TC.
 type State uint8
 
 const (
@@ -25,11 +30,8 @@ const (
 	Exclusive
 	// Modified: the line is dirty and no other cache holds a copy.
 	Modified
-	// TransientClean (TC) is a clean line waiting for the upper level to
-	// acknowledge an invalidation before it can be turned off.
-	TransientClean
-	// TransientDirty (TD) is a dirty line waiting for upper-level
-	// invalidation and write-back before it can be turned off.
+	// TransientDirty (TD) is a dirty line whose L1 copy is invalidated,
+	// waiting for its write-back before it can be turned off.
 	TransientDirty
 )
 
@@ -44,8 +46,6 @@ func (s State) String() string {
 		return "E"
 	case Modified:
 		return "M"
-	case TransientClean:
-		return "TC"
 	case TransientDirty:
 		return "TD"
 	default:
@@ -62,11 +62,6 @@ func (s State) Stable() bool {
 	default:
 		return false
 	}
-}
-
-// Transient reports whether the state is TC or TD.
-func (s State) Transient() bool {
-	return s == TransientClean || s == TransientDirty
 }
 
 // Dirty reports whether the state implies data newer than memory.

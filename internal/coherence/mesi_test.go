@@ -8,7 +8,6 @@ func TestStateString(t *testing.T) {
 		Shared:         "S",
 		Exclusive:      "E",
 		Modified:       "M",
-		TransientClean: "TC",
 		TransientDirty: "TD",
 	}
 	for s, want := range cases {
@@ -27,13 +26,8 @@ func TestStateStable(t *testing.T) {
 			t.Errorf("%v should be stable", s)
 		}
 	}
-	for _, s := range []State{TransientClean, TransientDirty} {
-		if s.Stable() {
-			t.Errorf("%v should not be stable", s)
-		}
-		if !s.Transient() {
-			t.Errorf("%v should be transient", s)
-		}
+	if TransientDirty.Stable() {
+		t.Error("TD should not be stable")
 	}
 }
 
@@ -41,7 +35,7 @@ func TestStateDirty(t *testing.T) {
 	if !Modified.Dirty() || !TransientDirty.Dirty() {
 		t.Error("M and TD are dirty")
 	}
-	for _, s := range []State{Invalid, Shared, Exclusive, TransientClean} {
+	for _, s := range []State{Invalid, Shared, Exclusive} {
 		if s.Dirty() {
 			t.Errorf("%v should not be dirty", s)
 		}
@@ -52,7 +46,7 @@ func TestStateValid(t *testing.T) {
 	if Invalid.Valid() {
 		t.Error("Invalid should not be valid")
 	}
-	for _, s := range []State{Shared, Exclusive, Modified, TransientClean, TransientDirty} {
+	for _, s := range []State{Shared, Exclusive, Modified, TransientDirty} {
 		if !s.Valid() {
 			t.Errorf("%v should be valid", s)
 		}

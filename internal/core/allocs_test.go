@@ -52,19 +52,17 @@ func newLoadPathRig(tb testing.TB, tech decay.Spec) (*sim.Engine, *coherence.L1C
 	if err != nil {
 		tb.Fatal(err)
 	}
-	l2, err := NewController(eng, bus, ControllerConfig{
+	l2, err := NewController(eng, bus, l1, ControllerConfig{
 		ID: 0,
 		Cache: cache.Config{
 			Name: "L2-alloc", SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4, LatencyCycles: 10,
-			ExtraLatency: tech.ExtraAccessLatency(),
 		},
 		MSHREntries: 16,
+		Technique:   tech,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	l2.AttachL1(l1)
-	l2.AttachTechnique(tech)
 	l1.SetLowerLevel(l2)
 	tech.Start(eng, l2)
 	return eng, l1, l2

@@ -1,3 +1,7 @@
+// Package core implements the paper's contribution: the coherence-safe
+// mechanism to turn off L2 cache lines in a CMP (Section III, Figure 2 and
+// Table I) and the leakage-aware private-L2 controller and CMP system that
+// the three techniques of Section IV run on.
 package core
 
 import (
@@ -9,17 +13,21 @@ import (
 	"cmpleak/internal/stats"
 )
 
+// retryCycles is the back-off of a miss that found the MSHR full.
+const retryCycles sim.Cycle = 4
+
 // ControllerConfig parameterises one leakage-aware private L2 controller.
 type ControllerConfig struct {
 	// ID is the core index this L2 belongs to.
 	ID int
-	// Cache is the L2 array geometry (ExtraLatency should already include
-	// the technique's access penalty).
+	// Cache is the L2 array geometry.  Init adds the technique's access
+	// penalty to its ExtraLatency.
 	Cache cache.Config
 	// MSHREntries bounds outstanding misses (0 = unlimited).
 	MSHREntries int
-	// RetryCycles is the back-off when the MSHR is full.
-	RetryCycles sim.Cycle
+	// Technique is the leakage technique observing this controller; the
+	// zero Spec is the always-on baseline.
+	Technique decay.Spec
 }
 
 // Controller is the leakage-aware, coherent, private L2 cache controller —
@@ -28,7 +36,7 @@ type ControllerConfig struct {
 //   - coherence.LowerLevel: the processor side (PrRd/PrWr from the L1),
 //   - coherence.Snooper: the bus side of the MESI protocol,
 //   - decay.Controller: the turn-off primitive offered to the techniques,
-//     following the modified FSM of Figure 2 (TC/TD transient states,
+//     following the modified FSM of Figure 2 (the TD transient state,
 //     upper-level invalidation and write-back for Modified lines).
 type Controller struct {
 	cfg  ControllerConfig
@@ -37,9 +45,6 @@ type Controller struct {
 	mshr *cache.MSHR
 	bus  *coherence.Bus
 	l1   *coherence.L1Controller
-	// tech is the leakage technique observing this controller; the zero
-	// Spec is the always-on baseline.
-	tech decay.Spec
 
 	// decayedBlocks remembers blocks removed by a decay turn-off so that a
 	// subsequent miss to them can be attributed to the technique; it is a
@@ -47,12 +52,12 @@ type Controller struct {
 	// write buffer's coalesce check) because it sits on the miss path.
 	decayedBlocks cache.AddrSet
 
-	// freeRetry pools MSHR-full retry records so back-offs schedule a
-	// pre-bound pooled event instead of a fresh closure per retry; freeUpgr
+	// retries pools MSHR-full retry records so back-offs schedule a
+	// pre-bound pooled event instead of a fresh closure per retry; upgrades
 	// pools the continuations of BusUpgr transactions the same way.
-	freeRetry *missRetry
-	freeUpgr  *upgradeReq
-	retryFn   sim.ArgFunc
+	retries  sim.Pool[missRetry]
+	upgrades sim.Pool[upgradeReq]
+	retryFn  sim.ArgFunc
 	// Pre-bound bus completions: the bus hands the transaction back, so the
 	// fill and turn-off write-back continuations recover the block from
 	// txn.Block instead of capturing it in a per-miss closure.
@@ -78,22 +83,23 @@ type Controller struct {
 	RetryEvents            stats.Counter
 }
 
-// NewController builds the controller.  The L1 and technique are attached
-// afterwards by the system (AttachL1 / AttachTechnique) because the three
-// objects reference each other.
-func NewController(eng *sim.Engine, bus *coherence.Bus, cfg ControllerConfig) (*Controller, error) {
+// NewController builds the controller below l1 and attaches it to bus.
+// The caller still points l1 at it (coherence.L1Controller.SetLowerLevel).
+func NewController(eng *sim.Engine, bus *coherence.Bus, l1 *coherence.L1Controller, cfg ControllerConfig) (*Controller, error) {
 	c := new(Controller)
-	if err := c.Init(eng, bus, cfg); err != nil {
+	if err := c.Init(eng, bus, l1, cfg); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// Init makes c in place the controller NewController would build and
-// attaches it to bus.  Its L2 array, MSHR and decayed-block set are rebuilt
-// in their own storage (cache.Cache.Init and the others), so a bank of the
-// size c held before allocates nothing.
-func (c *Controller) Init(eng *sim.Engine, bus *coherence.Bus, cfg ControllerConfig) error {
+// Init makes c in place the controller NewController would build.  The L2
+// array's ExtraLatency gains the technique's access penalty.  The array,
+// MSHR and decayed-block set are rebuilt in their own storage
+// (cache.Cache.Init and the others) and the record pools are kept, so a
+// bank of the size c held before allocates nothing.
+func (c *Controller) Init(eng *sim.Engine, bus *coherence.Bus, l1 *coherence.L1Controller, cfg ControllerConfig) error {
+	cfg.Cache.ExtraLatency += cfg.Technique.ExtraAccessLatency()
 	arr, mshr := c.arr, c.mshr
 	if arr == nil {
 		arr, mshr = new(cache.Cache), new(cache.MSHR)
@@ -104,16 +110,16 @@ func (c *Controller) Init(eng *sim.Engine, bus *coherence.Bus, cfg ControllerCon
 	mshr.Init(cfg.MSHREntries)
 	decayed := c.decayedBlocks
 	decayed.Init()
-	if cfg.RetryCycles == 0 {
-		cfg.RetryCycles = 4
-	}
 	*c = Controller{
 		cfg:           cfg,
 		eng:           eng,
 		arr:           arr,
 		mshr:          mshr,
 		bus:           bus,
+		l1:            l1,
 		decayedBlocks: decayed,
+		retries:       c.retries,
+		upgrades:      c.upgrades,
 	}
 	c.retryFn = c.retryMiss
 	c.fillFn = func(_ any, txn coherence.Transaction, res coherence.BusResult) {
@@ -126,38 +132,28 @@ func (c *Controller) Init(eng *sim.Engine, bus *coherence.Bus, cfg ControllerCon
 }
 
 // missRetry carries a deferred requestMiss through its back-off; records
-// are pooled on an intrusive free list.
+// come from the controller's pool.
 type missRetry struct {
 	block   mem.Addr
 	isWrite bool
 	done    cache.DoneFunc
 	arg     any
-	next    *missRetry
 }
 
 // retryMiss re-attempts a miss after an MSHR-full back-off.
 func (c *Controller) retryMiss(a any) {
 	r := a.(*missRetry)
 	block, isWrite, done, arg := r.block, r.isWrite, r.done, r.arg
-	r.done, r.arg = nil, nil
-	r.next = c.freeRetry
-	c.freeRetry = r
+	c.retries.Put(r)
 	c.requestMiss(block, isWrite, done, arg)
 }
 
 // upgradeReq carries a BusUpgr continuation (the requester's completion)
-// through the bus round trip; records are pooled on an intrusive free list.
+// through the bus round trip; records come from the controller's pool.
 type upgradeReq struct {
 	done cache.DoneFunc
 	arg  any
-	next *upgradeReq
 }
-
-// AttachL1 wires the upper-level cache used for inclusion maintenance.
-func (c *Controller) AttachL1(l1 *coherence.L1Controller) { c.l1 = l1 }
-
-// AttachTechnique wires the leakage technique observing this controller.
-func (c *Controller) AttachTechnique(t decay.Spec) { c.tech = t }
 
 // ControllerID implements coherence.Snooper.
 func (c *Controller) ControllerID() int { return c.cfg.ID }
@@ -183,7 +179,7 @@ func (c *Controller) setState(set, way int, newState coherence.State) {
 	old := coherence.State(ln.State)
 	ln.State = uint8(newState)
 	if old != newState && newState.Stable() && newState != coherence.Invalid {
-		c.tech.OnStateChange(c, set, way, newState)
+		c.cfg.Technique.OnStateChange(c, set, way, newState)
 	}
 }
 
@@ -211,7 +207,7 @@ func (c *Controller) Read(block mem.Addr, done cache.DoneFunc, arg any) {
 	set, way, hit := c.arr.Lookup(block)
 	if hit && c.LineState(set, way).Valid() {
 		c.arr.Touch(set, way)
-		c.tech.OnHit(c, set, way)
+		c.cfg.Technique.OnHit(c, set, way)
 		c.mshr.ScheduleDone(c.eng, c.cfg.Cache.Latency(), done, arg, block)
 		return
 	}
@@ -242,13 +238,8 @@ func (c *Controller) Write(block mem.Addr, done cache.DoneFunc, arg any) {
 			// the transaction.
 			c.Upgrades.Inc()
 			c.arr.Touch(set, way)
-			u := c.freeUpgr
-			if u == nil {
-				u = &upgradeReq{}
-			} else {
-				c.freeUpgr = u.next
-			}
-			u.done, u.arg, u.next = done, arg, nil
+			u := c.upgrades.Get()
+			u.done, u.arg = done, arg
 			txn := coherence.Transaction{Kind: coherence.BusUpgr, Block: block, Requester: c.cfg.ID}
 			c.bus.Issue(txn, c.upgradeFn, u)
 			return
@@ -266,14 +257,12 @@ func (c *Controller) Write(block mem.Addr, done cache.DoneFunc, arg any) {
 func (c *Controller) finishUpgrade(a any, txn coherence.Transaction, _ coherence.BusResult) {
 	u := a.(*upgradeReq)
 	done, arg := u.done, u.arg
-	u.done, u.arg = nil, nil
-	u.next = c.freeUpgr
-	c.freeUpgr = u
+	c.upgrades.Put(u)
 	block := txn.Block
 	s2, w2, still := c.arr.Lookup(block)
 	if still && c.LineState(s2, w2) == coherence.Shared {
 		c.setState(s2, w2, coherence.Modified)
-		c.tech.OnHit(c, s2, w2)
+		c.cfg.Technique.OnHit(c, s2, w2)
 		c.mshr.ScheduleDone(c.eng, c.cfg.Cache.Latency(), done, arg, block)
 		return
 	}
@@ -287,7 +276,7 @@ func (c *Controller) finishUpgrade(a any, txn coherence.Transaction, _ coherence
 // requested block (like every other completion path).
 func (c *Controller) writeHit(block mem.Addr, set, way int, done cache.DoneFunc, arg any) {
 	c.arr.Touch(set, way)
-	c.tech.OnHit(c, set, way)
+	c.cfg.Technique.OnHit(c, set, way)
 	c.mshr.ScheduleDone(c.eng, c.cfg.Cache.Latency(), done, arg, block)
 }
 
@@ -306,14 +295,9 @@ func (c *Controller) requestMiss(block mem.Addr, isWrite bool, done cache.DoneFu
 	entry, isNew := c.mshr.Allocate(block, isWrite)
 	if entry == nil {
 		c.RetryEvents.Inc()
-		r := c.freeRetry
-		if r == nil {
-			r = &missRetry{}
-		} else {
-			c.freeRetry = r.next
-		}
-		r.block, r.isWrite, r.done, r.arg, r.next = block, isWrite, done, arg, nil
-		c.eng.ScheduleArg(c.cfg.RetryCycles, c.retryFn, r)
+		r := c.retries.Get()
+		r.block, r.isWrite, r.done, r.arg = block, isWrite, done, arg
+		c.eng.ScheduleArg(retryCycles, c.retryFn, r)
 		return
 	}
 	c.mshr.AddWaiter(entry, done, arg)
@@ -353,7 +337,7 @@ func (c *Controller) fill(block mem.Addr, res coherence.BusResult) {
 		st = coherence.Exclusive
 	}
 	c.setStateRaw(set, way, st)
-	c.tech.OnFill(c, set, way, st)
+	c.cfg.Technique.OnStateChange(c, set, way, st)
 	c.mshr.CompleteDeliver(block, c.eng, c.cfg.Cache.Latency())
 }
 
@@ -370,9 +354,7 @@ func (c *Controller) evictForFill(set, way int) {
 		txn := coherence.Transaction{Kind: coherence.WriteBack, Block: victimBlock, Requester: c.cfg.ID}
 		c.bus.Issue(txn, nil, nil)
 	}
-	if c.l1 != nil {
-		c.l1.InvalidateBlock(victimBlock)
-	}
+	c.l1.InvalidateBlock(victimBlock)
 	c.arr.Invalidate(set, way)
 	// The way is reused immediately by the incoming fill, so the line is
 	// not gated here; the technique only observes true protocol
@@ -426,12 +408,10 @@ func (c *Controller) Snoop(txn coherence.Transaction) coherence.SnoopResponse {
 func (c *Controller) invalidateByProtocol(set, way int) {
 	block := c.arr.Tag(set, way)
 	c.ProtocolInvalidations.Inc()
-	if c.l1 != nil {
-		c.l1.InvalidateBlock(block)
-	}
+	c.l1.InvalidateBlock(block)
 	c.arr.Invalidate(set, way)
 	c.setStateRaw(set, way, coherence.Invalid)
-	c.tech.OnProtocolInvalidate(c, set, way)
+	c.cfg.Technique.OnProtocolInvalidate(c, set, way)
 }
 
 // ---------------------------------------------------------------------------
@@ -439,43 +419,45 @@ func (c *Controller) invalidateByProtocol(set, way int) {
 // ---------------------------------------------------------------------------
 
 // RequestTurnOff implements the Figure 2 turn-off protocol for the line at
-// (set, way).  Modified lines transition through TD: the upper level is
-// invalidated and the block written back before the line is gated.  Shared
-// and Exclusive lines are gated immediately.  Transient lines and lines with
-// a pending write in the L1 write buffer defer the request (Table I).
+// (set, way), as Table I decides it for a CMP with private L2s and
+// write-through L1s:
+//
+//   - Modified: the L1 copy is invalidated (inclusion) and the line enters
+//     TD while its block is written back; the write-back's completion
+//     gates it.
+//   - Shared or Exclusive with no store to the block pending in the L1
+//     write buffer: the line is gated at once.  Under StrictInclusion the
+//     L1 copy is invalidated first.
+//   - Anything else (a pending store, or TD already) defers the request.
 func (c *Controller) RequestTurnOff(set, way int) {
 	if !c.arr.Valid(set, way) || !c.arr.Line(set, way).Powered {
 		return
 	}
 	c.TurnOffRequests.Inc()
 	block := c.arr.Tag(set, way)
-	st := c.LineState(set, way)
-	pending := c.l1 != nil && c.l1.HasPendingWrite(block)
-	action := DecisionForState(st, pending)
-	if !action.CanTurnOff {
-		c.TurnOffDeferred.Inc()
-		return
-	}
-
-	if action.MustInvalidateUpper {
-		if c.l1 != nil && c.l1.InvalidateBlock(block) {
-			c.TurnOffL1Invalidations.Inc()
-		}
-	} else if c.tech.StrictInclusion && c.l1 != nil {
-		if c.l1.InvalidateBlock(block) {
-			c.TurnOffL1Invalidations.Inc()
-		}
-	}
-
-	if action.MustWriteBack {
+	switch st := c.LineState(set, way); {
+	case st == coherence.Modified:
 		// Figure 2: M --Turn-off--> TD --(write-back done)--> I.
+		c.invalidateL1ForTurnOff(block)
 		c.setStateRaw(set, way, coherence.TransientDirty)
 		c.TurnOffWritebacks.Inc()
 		txn := coherence.Transaction{Kind: coherence.WriteBack, Block: block, Requester: c.cfg.ID}
 		c.bus.Issue(txn, c.turnOffWBFn, nil)
-		return
+	case (st == coherence.Shared || st == coherence.Exclusive) && !c.l1.HasPendingWrite(block):
+		if c.cfg.Technique.StrictInclusion {
+			c.invalidateL1ForTurnOff(block)
+		}
+		c.completeTurnOff(set, way, block)
+	default:
+		c.TurnOffDeferred.Inc()
 	}
-	c.completeTurnOff(set, way, block)
+}
+
+// invalidateL1ForTurnOff removes the L1 copy of a block being turned off.
+func (c *Controller) invalidateL1ForTurnOff(block mem.Addr) {
+	if c.l1.InvalidateBlock(block) {
+		c.TurnOffL1Invalidations.Inc()
+	}
 }
 
 // finishTurnOffWriteBack gates a TransientDirty line once its write-back

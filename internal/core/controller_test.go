@@ -33,18 +33,17 @@ func newTestRig(t *testing.T, tech decay.Spec) *testRig {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l2, err := NewController(eng, bus, ControllerConfig{
+		l2, err := NewController(eng, bus, l1, ControllerConfig{
 			ID: i,
 			Cache: cache.Config{
 				Name: "L2-rig", SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4, LatencyCycles: 10,
 			},
 			MSHREntries: 16,
+			Technique:   tech,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		l2.AttachL1(l1)
-		l2.AttachTechnique(tech)
 		l1.SetLowerLevel(l2)
 		tech.Start(eng, l2)
 		rig.l1s = append(rig.l1s, l1)
@@ -284,6 +283,31 @@ func TestTurnOffModifiedLineWritesBackAndInvalidatesL1(t *testing.T) {
 	}
 }
 
+func TestTurnOffTransientLineDefers(t *testing.T) {
+	// Figure 2: a turn-off only starts from a stationary state, so a second
+	// request on a line still in TD is deferred and issues nothing.
+	rig := newTestRig(t, protocol)
+	rig.write(0, 0xa800)
+	set, way, _ := rig.l2s[0].Array().Lookup(0xa800)
+	rig.l2s[0].RequestTurnOff(set, way)
+	txns := rig.bus.Transactions.Value()
+	rig.l2s[0].RequestTurnOff(set, way)
+	c := rig.l2s[0]
+	if c.TurnOffRequests.Value() != 2 || c.TurnOffDeferred.Value() != 1 {
+		t.Fatalf("requests %d, deferred %d; want 2 and 1", c.TurnOffRequests.Value(), c.TurnOffDeferred.Value())
+	}
+	if st := c.LineState(set, way); st != coherence.TransientDirty {
+		t.Fatalf("deferred request moved the line to %v, want TD", st)
+	}
+	if rig.bus.Transactions.Value() != txns || c.TurnOffWritebacks.Value() != 1 {
+		t.Fatal("a deferred request must not issue a second write-back")
+	}
+	rig.eng.Run()
+	if c.TurnOffsCompleted.Value() != 1 {
+		t.Fatalf("%d turn-offs completed, want 1", c.TurnOffsCompleted.Value())
+	}
+}
+
 func TestTurnOffDeferredWhilePendingWrite(t *testing.T) {
 	// A store sitting in the L1 write buffer must defer the turn-off
 	// (Table I "pending write" condition).  Use a second store behind a
@@ -359,11 +383,35 @@ func TestControllerStatsAccessors(t *testing.T) {
 	}
 }
 
+func TestControllerInitAddsTechniquePenalty(t *testing.T) {
+	// Init adds the technique's access penalty to the configured
+	// ExtraLatency instead of replacing it.
+	eng := sim.NewEngine()
+	memory := mem.New(eng, mem.DefaultConfig())
+	bus := coherence.NewBus(eng, memory, coherence.DefaultBusConfig())
+	geom := cache.Config{Name: "L2", SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4, LatencyCycles: 10, ExtraLatency: 2}
+	for _, tc := range []struct {
+		tech decay.Spec
+		want sim.Cycle
+	}{
+		{decay.Spec{Kind: decay.KindProtocol}, 2},
+		{decay.Spec{Kind: decay.KindDecay, DecayCycles: 1 << 16}, 3},
+	} {
+		c, err := NewController(eng, bus, nil, ControllerConfig{Cache: geom, Technique: tc.tech})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Array().Config().ExtraLatency; got != tc.want {
+			t.Errorf("%s: ExtraLatency %d, want %d", tc.tech.Name(), got, tc.want)
+		}
+	}
+}
+
 func TestControllerRejectsBadCacheConfig(t *testing.T) {
 	eng := sim.NewEngine()
 	memory := mem.New(eng, mem.DefaultConfig())
 	bus := coherence.NewBus(eng, memory, coherence.DefaultBusConfig())
-	if _, err := NewController(eng, bus, ControllerConfig{Cache: cache.Config{}}); err == nil {
+	if _, err := NewController(eng, bus, nil, ControllerConfig{Cache: cache.Config{}}); err == nil {
 		t.Fatal("invalid cache geometry accepted")
 	}
 }

@@ -139,17 +139,15 @@ func (s *System) Rebuild(cfg config.System, gen workload.Generator) error {
 
 		l2cfg := cfg.L2
 		l2cfg.Name = fmt.Sprintf("L2-%d", i)
-		l2cfg.ExtraLatency = cfg.Technique.ExtraAccessLatency()
-		err := ctrl.Init(eng, bus, ControllerConfig{
+		err := ctrl.Init(eng, bus, l1, ControllerConfig{
 			ID:          i,
 			Cache:       l2cfg,
 			MSHREntries: cfg.L2MSHREntries,
+			Technique:   cfg.Technique,
 		})
 		if err != nil {
 			return err
 		}
-		ctrl.AttachL1(l1)
-		ctrl.AttachTechnique(cfg.Technique)
 		l1.SetLowerLevel(ctrl)
 
 		if err := core.Init(i, eng, coreCfg, l1, s.streams[i]); err != nil {

@@ -19,13 +19,13 @@ import "cmpleak/internal/coherence"
 // tick array that cache.Cache.EnableDecay zeroes.  It holds
 // because every way into that condition resets the counter:
 //
-//   - a fill: Install disarms, then OnFill arms and resets;
+//   - a fill: Install disarms, then OnStateChange arms and resets;
 //   - arming, including Selective Decay's transitions into Shared or
 //     Exclusive: only OnStateChange arms, and it resets;
-//   - leaving TD, the only transient state (TC is never entered, and TD only
-//     from RequestTurnOff): a snoop downgrade to Shared goes through
-//     OnStateChange, a fill on the TD line through OnFill, and completion or
-//     a protocol invalidation invalidates the line;
+//   - leaving TD, the only transient state (TC is not modelled, and TD is
+//     entered only from RequestTurnOff): a snoop downgrade to Shared and a
+//     fill on the TD line go through OnStateChange, and completion or a
+//     protocol invalidation invalidates the line;
 //   - Invalidate disarms, and power only returns with a fill.
 //
 // So a line that falls out of the condition can be dropped from the tick's

@@ -107,7 +107,7 @@ func (m *mockController) apply(spec Spec, op historyOp, ref *refScan) {
 			m.misses++
 		}
 		setState(op.st)
-		spec.OnFill(m, set, way, op.st)
+		spec.OnStateChange(m, set, way, op.st)
 		resetRef()
 	case op.kind == opPending:
 		m.pending[op.block] = true

@@ -19,9 +19,10 @@
 // decay.  Adaptive is a related-work extension (Zhou et al.'s Adaptive Mode
 // Control) that retunes the decay interval from the sampled miss rate.
 //
-// The L2 controller calls the Spec's hook methods (fill, hit, state change,
-// protocol invalidation); the Spec acts on the controller through the
-// Controller interface (power gating and the Figure 2 turn-off request).
+// The L2 controller calls the Spec's hook methods (state change, a fill
+// included; hit; protocol invalidation); the Spec acts on the controller
+// through the Controller interface (power gating and the Figure 2 turn-off
+// request).
 package decay
 
 import (
@@ -178,14 +179,9 @@ func (s Spec) Start(eng *sim.Engine, ctrl Controller) {
 	}
 }
 
-// OnFill is invoked when a line is installed with its initial state; it arms
-// the line exactly as a transition into that state does.
-func (s Spec) OnFill(ctrl Controller, set, way int, st coherence.State) {
-	s.OnStateChange(ctrl, set, way, st)
-}
-
 // OnStateChange is invoked when a valid line enters the stationary state
-// st; it is the only place a line is armed.  A decay-family technique
+// st, a fill's initial state included; it is the only place a line is
+// armed.  A decay-family technique
 // resets the line's counter and arms it, except that Selective Decay arms
 // only on transitions into Shared or Exclusive: turning off a Modified line
 // forces an upper-level invalidation and a write-back, which directly hurts

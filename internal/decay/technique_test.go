@@ -92,7 +92,7 @@ func (m *mockController) install(t Spec, a mem.Addr, st coherence.State) (set, w
 		m.arr.PowerOn(set, way, m.eng.Now())
 	}
 	m.states[[2]int{set, way}] = st
-	t.OnFill(m, set, way, st)
+	t.OnStateChange(m, set, way, st)
 	return set, way
 }
 

@@ -3,7 +3,6 @@ package faultinject
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 func TestDisarmedHitIsNil(t *testing.T) {
@@ -18,14 +17,14 @@ func TestDisarmedHitIsNil(t *testing.T) {
 
 func TestErrorSchedule(t *testing.T) {
 	defer Disarm()
-	if err := Arm(Plan{Specs: []Spec{{Point: "p", Kind: KindError, After: 2, Every: 2, Times: 2, Msg: "boom"}}}); err != nil {
+	if err := Arm(Plan{Specs: []Spec{{Point: "p", Kind: KindError, After: 2, Times: 2, Msg: "boom"}}}); err != nil {
 		t.Fatal(err)
 	}
 	if !Enabled() {
 		t.Fatal("Enabled() false after Arm")
 	}
-	// Hits 1,2 skipped (After=2); hits 3,5 trigger (Every=2, Times=2);
-	// everything later is exhausted.
+	// Hits 1,2 skipped (After=2); hits 3,4 trigger (Times=2); everything
+	// later is exhausted.
 	var fired []int
 	for i := 1; i <= 8; i++ {
 		if err := Hit("p"); err != nil {
@@ -39,8 +38,8 @@ func TestErrorSchedule(t *testing.T) {
 			}
 		}
 	}
-	if len(fired) != 2 || fired[0] != 3 || fired[1] != 5 {
-		t.Fatalf("fired at hits %v, want [3 5]", fired)
+	if len(fired) != 2 || fired[0] != 3 || fired[1] != 4 {
+		t.Fatalf("fired at hits %v, want [3 4]", fired)
 	}
 	if got := Hits("p"); got != 8 {
 		t.Fatalf("Hits = %d, want 8", got)
@@ -65,48 +64,16 @@ func TestPanicKind(t *testing.T) {
 	Hit("p")
 }
 
-func TestDelayKind(t *testing.T) {
+func TestTransientFlag(t *testing.T) {
 	defer Disarm()
-	if err := Arm(Plan{Specs: []Spec{{Point: "p", Kind: KindDelay, Delay: 20 * time.Millisecond}}}); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if err := Hit("p"); err != nil {
-		t.Fatalf("delay spec returned error %v", err)
-	}
-	if d := time.Since(start); d < 15*time.Millisecond {
-		t.Fatalf("Hit returned after %s, want >= ~20ms", d)
-	}
-}
-
-func TestTransientFlagAndProbDeterminism(t *testing.T) {
-	defer Disarm()
-	run := func() []int {
-		if err := Arm(Plan{Seed: 42, Specs: []Spec{{Point: "p", Kind: KindError, Prob: 0.5, Transient: true}}}); err != nil {
+	for _, transient := range []bool{false, true} {
+		if err := Arm(Plan{Specs: []Spec{{Point: "p", Kind: KindError, Transient: transient}}}); err != nil {
 			t.Fatal(err)
 		}
-		var fired []int
-		for i := 1; i <= 64; i++ {
-			if err := Hit("p"); err != nil {
-				fired = append(fired, i)
-				var tr interface{ Transient() bool }
-				if !errors.As(err, &tr) || !tr.Transient() {
-					t.Fatalf("hit %d: injected error not classified transient", i)
-				}
-			}
-		}
-		return fired
-	}
-	a, b := run(), run()
-	if len(a) == 0 || len(a) == 64 {
-		t.Fatalf("Prob=0.5 fired %d/64 times; schedule looks degenerate", len(a))
-	}
-	if len(a) != len(b) {
-		t.Fatalf("two runs of the same plan fired %d vs %d times", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("trigger schedules diverged at %d: %v vs %v", i, a, b)
+		err := Hit("p")
+		var tr interface{ Transient() bool }
+		if !errors.As(err, &tr) || tr.Transient() != transient {
+			t.Fatalf("Transient %v: injected error %v not classified to match", transient, err)
 		}
 	}
 }
@@ -115,9 +82,6 @@ func TestArmRejectsBadSpecs(t *testing.T) {
 	defer Disarm()
 	if err := Arm(Plan{Specs: []Spec{{Point: ""}}}); err == nil {
 		t.Fatal("empty point accepted")
-	}
-	if err := Arm(Plan{Specs: []Spec{{Point: "p", Prob: 1.5}}}); err == nil {
-		t.Fatal("Prob > 1 accepted")
 	}
 }
 

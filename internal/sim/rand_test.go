@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -173,7 +174,7 @@ func TestPropertySeedRestart(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
