@@ -20,7 +20,11 @@ import (
 )
 
 // goldenStreamDigests maps a benchmark name to the digests of its four
-// per-core streams at seed 1 and scale 0.05.
+// per-core streams at seed 1 and scale 0.05.  "synthetic" and
+// "synthetic-streaming" are the SyntheticConfig kernel (NewSynthetic) with
+// DefaultSyntheticConfig, the second with Streaming set.  The
+// "stat:refs=256K,phase=512,states=5" spec runs a few dozen phase instances
+// per core at this scale, so its digests cover the Markov transition draws.
 var goldenStreamDigests = map[string][4]string{
 	"mpeg2enc": {
 		"de06b45330ae6133b8fef20e94ef105a655c7b43599bd0d023b6eec5e01d59d5",
@@ -64,6 +68,24 @@ var goldenStreamDigests = map[string][4]string{
 		"ecf0eb7ff5b6925c146fa0f099afb781af3835494cf5593cc910585010a0b23f",
 		"ae16fab11a828892bb1230fc6c9491dc2c009a67355580e93bb6043e6be3962a",
 	},
+	"synthetic": {
+		"3f939c3ff19cff576dae24927519145a4cf39dca54c5265410b4269c73f408d4",
+		"1697fea9814be8624c637b3f24eed85cae547c99128b16c5bfecc0c2fdcbb264",
+		"b82a48260e883e12edeffc48fa34539d31c871c2648d4e80da0643d9d2464a0c",
+		"5a4211b0c26ee8e4facb5a0ad76132dbba9bc23b622f1b7426b31d97bb281e17",
+	},
+	"synthetic-streaming": {
+		"e8cd6168e8beefe6cb59b8b1f7bf3c772d3cfd29531b474c06f3a7ed25371942",
+		"b167f286fe490beda308aa8a71edc463119d65cd229297e3623278836d2d02c3",
+		"0842cc127c3b37d509516cbfaa9d16091c49a7a08d65272077f2c2fb6e0e2d8d",
+		"8bb40c1bf1013475f62ec8d24615ad9697afe20bfd8aa4febc1fedae9c540f6e",
+	},
+	"stat:refs=256K,phase=512,states=5": {
+		"948c0856cb1474281467d837a3df701d297f33d9ad7ae243de3bebd99c0e3495",
+		"aa9dfb1a4d8b4c47d905d7cce3acbe8ebd05e43f2ea2da0a8c3880c5618d323d",
+		"baf607fc4032a2021f3a381b4d2a4778b2fa1d3896367ce953492a79e8c0958c",
+		"fdcc6be7fd193b906dd78111d3d163def7653e34f87af9a7725b25c9ab9985bd",
+	},
 	"mix:duo=FMM|VOLREND": {
 		"38ece7046a995d03a7731611929eba2179a3c1358efdbf76a45d493516065c18",
 		"ebb2cb106767dfffa58f04912dc2d84459e9a087c49588db7a68c4293e3aa9c8",
@@ -89,10 +111,26 @@ func streamDigest(s Stream) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// goldenGenerator builds the named generator of goldenStreamDigests at
+// scale 0.05.
+func goldenGenerator(name string) (Generator, error) {
+	const scale = 0.05
+	switch name {
+	case "synthetic":
+		return NewSynthetic(DefaultSyntheticConfig(), scale)
+	case "synthetic-streaming":
+		cfg := DefaultSyntheticConfig()
+		cfg.Streaming = true
+		return NewSynthetic(cfg, scale)
+	}
+	return ByName(name, scale)
+}
+
 func TestGoldenStreamDigests(t *testing.T) {
-	names := append(PaperBenchmarks(), "stat:refs=4K,states=4,loc=0.8", "mix:duo=FMM|VOLREND")
+	names := append(PaperBenchmarks(), "synthetic", "synthetic-streaming",
+		"stat:refs=4K,states=4,loc=0.8", "stat:refs=256K,phase=512,states=5", "mix:duo=FMM|VOLREND")
 	for _, name := range names {
-		g, err := ByName(name, 0.05)
+		g, err := goldenGenerator(name)
 		if err != nil {
 			t.Fatal(err)
 		}
