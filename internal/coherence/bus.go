@@ -264,15 +264,15 @@ func (b *Bus) Issue(txn Transaction, done ResultFunc, arg any) sim.Cycle {
 			// account as posted write traffic.
 			b.CacheToCache.Inc()
 			extra = b.cfg.CacheToCacheExtra
-			b.memory.Access(mem.Write, nil)
+			b.memory.Access(mem.Write)
 		} else {
 			fromMemory = true
-			extra = b.memory.Access(mem.Read, nil)
+			extra = b.memory.Access(mem.Read)
 		}
 	case BusUpgr:
 		extra = 0
 	case WriteBack:
-		extra = b.memory.Access(mem.Write, nil)
+		extra = b.memory.Access(mem.Write)
 	}
 
 	total := busPhase + extra

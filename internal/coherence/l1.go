@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"fmt"
+
 	"cmpleak/internal/cache"
 	"cmpleak/internal/mem"
 	"cmpleak/internal/sim"
@@ -25,9 +27,10 @@ type L1Config struct {
 	MSHREntries      int
 	WriteBufferSlots int
 	// RetryCycles is the back-off used when the MSHR or write buffer is
-	// full.
+	// full; it must be positive.
 	RetryCycles sim.Cycle
-	// DrainGapCycles separates consecutive write-buffer drains toward L2.
+	// DrainGapCycles separates consecutive write-buffer drains toward L2;
+	// it must be positive.
 	DrainGapCycles sim.Cycle
 }
 
@@ -114,6 +117,14 @@ func NewL1Controller(id int, eng *sim.Engine, cfg L1Config) (*L1Controller, erro
 // rebuilt in their own storage (cache.Tags.Init and the others), and it
 // keeps its request pool.
 func (l *L1Controller) Init(id int, eng *sim.Engine, cfg L1Config) error {
+	// A zero back-off would re-poll a full MSHR or write buffer within the
+	// same cycle without end.
+	if cfg.RetryCycles == 0 {
+		return fmt.Errorf("coherence: %s: RetryCycles must be positive", cfg.Cache.Name)
+	}
+	if cfg.DrainGapCycles == 0 {
+		return fmt.Errorf("coherence: %s: DrainGapCycles must be positive", cfg.Cache.Name)
+	}
 	arr, mshr, wb := l.cache, l.mshr, l.wb
 	if arr == nil {
 		arr, mshr, wb = new(cache.Tags), new(cache.MSHR), new(cache.WriteBuffer)
@@ -123,12 +134,6 @@ func (l *L1Controller) Init(id int, eng *sim.Engine, cfg L1Config) error {
 	}
 	mshr.Init(cfg.MSHREntries)
 	wb.Init(cfg.WriteBufferSlots)
-	if cfg.RetryCycles == 0 {
-		cfg.RetryCycles = 4
-	}
-	if cfg.DrainGapCycles == 0 {
-		cfg.DrainGapCycles = 1
-	}
 	*l = L1Controller{
 		id:    id,
 		eng:   eng,

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"strings"
 	"testing"
 
 	"cmpleak/internal/cache"
@@ -202,6 +203,23 @@ func TestL1RejectsBadConfig(t *testing.T) {
 	cfg.Cache.LineBytes = 48
 	if _, err := NewL1Controller(0, eng, cfg); err == nil {
 		t.Fatal("invalid cache geometry accepted")
+	}
+}
+
+// DefaultL1Config is the one place the retry back-off and the drain gap are
+// defaulted: Init refuses a zero for either rather than filling one in.
+func TestL1InitRefusesZeroCycles(t *testing.T) {
+	for name, zero := range map[string]func(*L1Config){
+		"RetryCycles":    func(c *L1Config) { c.RetryCycles = 0 },
+		"DrainGapCycles": func(c *L1Config) { c.DrainGapCycles = 0 },
+	} {
+		cfg := DefaultL1Config("L1-zero")
+		zero(&cfg)
+		var l L1Controller
+		err := l.Init(0, sim.NewEngine(), cfg)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("Init with zero %s: err = %v, want one naming %s", name, err, name)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"cmpleak/internal/cache"
 	"cmpleak/internal/coherence"
+	"cmpleak/internal/cpu"
 	"cmpleak/internal/decay"
 	"cmpleak/internal/mem"
 	"cmpleak/internal/power"
@@ -22,7 +23,7 @@ type System struct {
 	// Cores is the number of processors (the paper uses 4).
 	Cores int
 	// Core holds the per-core microarchitecture parameters.
-	Core CoreParams
+	Core cpu.Config
 	// L1 is the per-core L1 configuration template; the name is suffixed
 	// with the core index at build time.
 	L1 coherence.L1Config
@@ -59,26 +60,14 @@ type System struct {
 	MaxCycles sim.Cycle
 }
 
-// CoreParams mirrors cpu.Config without importing it here (the core package
-// performs the conversion); it keeps config free of a dependency on cpu.
-type CoreParams struct {
-	IssueWidth           int
-	MaxOutstandingLoads  int
-	MaxOutstandingStores int
-}
-
 // Default returns the paper's reference system: 4 cores, 1 MB private L2
 // per core (4 MB total), 32 KB write-through L1s, MESI snoopy bus, fixed
 // 512K-cycle decay.
 func Default() System {
 	return System{
 		Cores: 4,
-		Core: CoreParams{
-			IssueWidth:           4,
-			MaxOutstandingLoads:  8,
-			MaxOutstandingStores: 8,
-		},
-		L1: coherence.DefaultL1Config("L1"),
+		Core:  cpu.DefaultConfig(),
+		L1:    coherence.DefaultL1Config("L1"),
 		L2: cache.Config{
 			Name:          "L2",
 			SizeBytes:     1 * 1024 * 1024,
@@ -155,8 +144,8 @@ func (s System) Validate() error {
 	if s.Cores > thermal.MaxCores {
 		return fmt.Errorf("config: the floorplan supports at most %d cores, got %d", thermal.MaxCores, s.Cores)
 	}
-	if s.Core.IssueWidth <= 0 || s.Core.MaxOutstandingLoads <= 0 || s.Core.MaxOutstandingStores <= 0 {
-		return fmt.Errorf("config: core parameters must be positive")
+	if err := s.Core.Validate(); err != nil {
+		return fmt.Errorf("config: core: %w", err)
 	}
 	if err := s.L1.Cache.Validate(); err != nil {
 		return fmt.Errorf("config: L1: %w", err)

@@ -15,6 +15,7 @@ import (
 
 	"cmpleak/internal/config"
 	"cmpleak/internal/decay"
+	"cmpleak/internal/sim"
 )
 
 // relationCell is one (benchmark, size, scale, seed) point a relation is
@@ -145,6 +146,42 @@ func TestRelationDecayBeyondRunEqualsProtocol(t *testing.T) {
 		}
 		if d := firstDifference(t, first, prot, powerFields); d != "" {
 			t.Errorf("%v: %s and protocol with a one-cycle L2 penalty differ in %s", c, family[0].Name(), d)
+		}
+	}
+}
+
+// TestRelationSelectiveDecayWithoutStoresEqualsDecay is R3: Selective Decay
+// differs from Decay only in sparing Modified lines, and a workload with
+// no stores never makes a line Modified.  On one the two differ only in
+// their labels.
+func TestRelationSelectiveDecayWithoutStoresEqualsDecay(t *testing.T) {
+	labels := []string{"Label", "Technique"}
+	c := relationCell{"stat:refs=64K,write=0", 1, 1, 1}
+	for _, interval := range []sim.Cycle{8 << 10, 64 << 10} {
+		dec := runRelation(t, c.config(decay.Spec{Kind: decay.KindDecay, DecayCycles: interval}))
+		sel := runRelation(t, c.config(decay.Spec{Kind: decay.KindSelectiveDecay, DecayCycles: interval}))
+		if d := firstDifference(t, dec, sel, labels); d != "" {
+			t.Errorf("%v decay %d: decay and sel_decay differ in %s", c, interval, d)
+		}
+		if dec.TurnOffsCompleted == 0 {
+			t.Errorf("%v decay %d: no line was turned off; the relation is vacuous", c, interval)
+		}
+	}
+}
+
+// TestRelationStrictInclusionOffDecay is R4: StrictInclusion only adds an
+// L1 invalidation to a decay turn-off of a clean line, so under the
+// baseline, which turns nothing off, and Protocol, which gates only lines
+// the protocol already invalidated, it changes no Result field.
+func TestRelationStrictInclusionOffDecay(t *testing.T) {
+	for _, bench := range []string{"FMM", "mpeg2dec"} {
+		c := relationCell{bench, 4, 0.1, 1}
+		for _, spec := range []decay.Spec{config.Baseline(), {Kind: decay.KindProtocol}} {
+			strict := spec
+			strict.StrictInclusion = true
+			if d := firstDifference(t, runRelation(t, c.config(spec)), runRelation(t, c.config(strict)), nil); d != "" {
+				t.Errorf("%v: %s with and without StrictInclusion differ in %s", c, spec.Name(), d)
+			}
 		}
 	}
 }

@@ -115,11 +115,6 @@ func (s *System) Rebuild(cfg config.System, gen workload.Generator) error {
 		streams: gen.Streams(cfg.Cores, cfg.Seed),
 	}
 
-	coreCfg := cpu.Config{
-		IssueWidth:           cfg.Core.IssueWidth,
-		MaxOutstandingLoads:  cfg.Core.MaxOutstandingLoads,
-		MaxOutstandingStores: cfg.Core.MaxOutstandingStores,
-	}
 	onDone := func(int) {
 		s.coresDone++
 		if s.coresDone >= len(s.cores) {
@@ -150,7 +145,7 @@ func (s *System) Rebuild(cfg config.System, gen workload.Generator) error {
 		}
 		l1.SetLowerLevel(ctrl)
 
-		if err := core.Init(i, eng, coreCfg, l1, s.streams[i]); err != nil {
+		if err := core.Init(i, eng, cfg.Core, l1, s.streams[i]); err != nil {
 			return err
 		}
 		core.OnDone(onDone)

@@ -59,15 +59,10 @@ func TestAddrString(t *testing.T) {
 func TestMemoryReadLatency(t *testing.T) {
 	eng := sim.NewEngine()
 	m := New(eng, Config{LatencyCycles: 100, BandwidthBytesPerCycle: 8, BlockSize: 64})
-	doneAt := sim.Cycle(0)
-	lat := m.Access(Read, func() { doneAt = eng.Now() })
-	eng.Run()
+	lat := m.Access(Read)
 	// 100 latency + 64/8 = 8 occupancy.
 	if lat != 108 {
 		t.Fatalf("read latency %d, want 108", lat)
-	}
-	if doneAt != 108 {
-		t.Fatalf("completion at %d, want 108", doneAt)
 	}
 	if m.Reads.Value() != 1 || m.BytesRead.Value() != 64 {
 		t.Fatalf("read accounting wrong: %d reads, %d bytes", m.Reads.Value(), m.BytesRead.Value())
@@ -77,7 +72,7 @@ func TestMemoryReadLatency(t *testing.T) {
 func TestMemoryWritePosted(t *testing.T) {
 	eng := sim.NewEngine()
 	m := New(eng, Config{LatencyCycles: 100, BandwidthBytesPerCycle: 8, BlockSize: 64})
-	lat := m.Access(Write, nil)
+	lat := m.Access(Write)
 	if lat != 8 {
 		t.Fatalf("posted write latency %d, want 8 (occupancy only)", lat)
 	}
@@ -91,8 +86,8 @@ func TestMemoryChannelContention(t *testing.T) {
 	m := New(eng, Config{LatencyCycles: 10, BandwidthBytesPerCycle: 8, BlockSize: 64})
 	// Two back-to-back reads at cycle 0: the second must wait 8 cycles of
 	// channel occupancy from the first.
-	l1 := m.Access(Read, nil)
-	l2 := m.Access(Read, nil)
+	l1 := m.Access(Read)
+	l2 := m.Access(Read)
 	if l1 != 18 {
 		t.Fatalf("first read latency %d, want 18", l1)
 	}
@@ -107,9 +102,9 @@ func TestMemoryChannelContention(t *testing.T) {
 func TestMemoryTotals(t *testing.T) {
 	eng := sim.NewEngine()
 	m := New(eng, DefaultConfig())
-	m.Access(Read, nil)
-	m.Access(Write, nil)
-	m.Access(Write, nil)
+	m.Access(Read)
+	m.Access(Write)
+	m.Access(Write)
 	if m.TotalAccesses() != 3 {
 		t.Fatalf("TotalAccesses %d, want 3", m.TotalAccesses())
 	}

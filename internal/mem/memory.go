@@ -87,10 +87,10 @@ func (m *Memory) transferCycles() sim.Cycle {
 	return c
 }
 
-// Access issues a block transfer of the given kind and invokes done when the
-// data would be available (reads) or accepted (writes).  The returned value
-// is the total latency charged to the request.
-func (m *Memory) Access(kind AccessKind, done func()) sim.Cycle {
+// Access issues a block transfer of the given kind and returns the latency
+// charged to the request: until the data would be available (reads) or
+// accepted (writes).
+func (m *Memory) Access(kind AccessKind) sim.Cycle {
 	now := m.eng.Now()
 	start := now
 	if m.busyUntil > start {
@@ -111,9 +111,6 @@ func (m *Memory) Access(kind AccessKind, done func()) sim.Cycle {
 		m.BytesWritten.Add(m.cfg.BlockSize)
 		// Writes are posted: the requester only waits for channel admission.
 		latency = (start - now) + occupancy
-	}
-	if done != nil {
-		m.eng.Schedule(latency, done)
 	}
 	return latency
 }

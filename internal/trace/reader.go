@@ -333,9 +333,6 @@ type Reader struct {
 // since Verify (ErrCorrupt) sets it.
 func (r *Reader) Err() error { return r.err }
 
-// Core returns the stream's core index.
-func (r *Reader) Core() int { return r.core }
-
 // nextChunk stages the next chunk owned by this core; false at end of trace
 // or on a staging error.
 func (r *Reader) nextChunk() bool {

@@ -186,29 +186,28 @@ func parseNonNeg(s string, hi float64) (float64, error) {
 	return v, nil
 }
 
-// statGenerator is the resolved Markov phase-mixture benchmark.  All
-// derived tables (per-state phase parameters, transition rows) are built at
-// construction from the spec hash, so building one is cheap and pure —
-// scenario validation resolves stat specs statically.
-type statGenerator struct {
-	raw   string
-	spec  statSpec
-	scale float64
-	// stateParams[s] is state s's phase template (refs filled per instance).
-	stateParams []phaseParams
+// markovWalk is the phase program of a stat spec: its phasedBenchmark's
+// phases are the states.  All derived tables (per-state phase parameters,
+// transition rows) are built at construction from the spec hash, so
+// building one is cheap and pure — scenario validation resolves stat specs
+// statically.
+type markovWalk struct {
 	// trans[s] is state s's cumulative transition distribution over states.
 	trans [][]float64
+	// meanRefs is the mean references per phase instance; budget is the
+	// scaled reference count per core.
+	meanRefs float64
+	budget   int
 }
 
 const statLineBytes = 64
 
 // newStat parses the spec and derives the phase-state tables.
-func newStat(raw string, scale float64) (*statGenerator, error) {
+func newStat(raw string, scale float64) (*phasedBenchmark, error) {
 	spec, err := parseStatSpec(raw)
 	if err != nil {
 		return nil, err
 	}
-	g := &statGenerator{raw: raw, spec: spec, scale: scale}
 
 	// Every derived number comes from the spec hash, never from the seed:
 	// the spec names a fixed program, the seed only picks sample paths.
@@ -218,8 +217,8 @@ func newStat(raw string, scale float64) (*statGenerator, error) {
 
 	privBlocks := maxU64(spec.footBytes/statLineBytes, 1)
 	sharedBlocks := maxU64(spec.sharedBytes/statLineBytes, 1)
-	g.stateParams = make([]phaseParams, spec.states)
-	for s := range g.stateParams {
+	states := make([]phaseParams, spec.states)
+	for s := range states {
 		p := phaseParams{
 			meanCompute:     spec.comp * (0.5 + rng.Float64()),
 			storeFrac:       clamp01(spec.write * (0.6 + 0.8*rng.Float64())),
@@ -239,11 +238,11 @@ func newStat(raw string, scale float64) (*statGenerator, error) {
 		if rng.Bool(0.5) {
 			p.hotWindowFrac = 0.1 + 0.3*rng.Float64()
 		}
-		g.stateParams[s] = p
+		states[s] = p
 	}
 
-	g.trans = make([][]float64, spec.states)
-	for s := range g.trans {
+	trans := make([][]float64, spec.states)
+	for s := range trans {
 		w := make([]float64, spec.states)
 		total := 0.0
 		for j := range w {
@@ -259,104 +258,48 @@ func newStat(raw string, scale float64) (*statGenerator, error) {
 			w[j] = acc
 		}
 		w[len(w)-1] = 1 // guard against rounding
-		g.trans[s] = w
+		trans[s] = w
 	}
-	return g, nil
+	return &phasedBenchmark{
+		name:        "stat:" + raw,
+		privBytes:   spec.footBytes,
+		sharedBytes: spec.sharedBytes,
+		lineBytes:   statLineBytes,
+		phases:      states,
+		walk: &markovWalk{
+			trans:    trans,
+			meanRefs: float64(spec.phase),
+			budget:   scaleRefs(spec.refs, scale),
+		},
+		scale: scale,
+	}, nil
 }
 
-// Name implements Generator with the self-describing spec string.
-func (g *statGenerator) Name() string { return "stat:" + g.raw }
-
-// Streams implements Generator: per-core RNGs are derived exactly like the
-// phased benchmarks', each stream walking its own path through the shared
-// Markov program.
-func (g *statGenerator) Streams(cores int, seed uint64) []Stream {
-	if cores <= 0 {
-		cores = 1
+// next draws the stream's next Markov state and the length of its phase
+// instance; false once the reference budget is spent.  The first state is
+// drawn uniformly, so cores start spread across the states, not in
+// lockstep; each later one takes one draw over the current state's
+// transition row.  An instance's length is geometric, clipped to what is
+// left of the budget, and its hot window shifts with the instance number.
+func (w *markovWalk) next(s *programStream, states []phaseParams) (phaseParams, uint64, bool) {
+	if s.drawn >= w.budget {
+		return phaseParams{}, 0, false
 	}
-	regs := newRegions(cores, g.spec.footBytes, g.spec.sharedBytes, statLineBytes)
-	streams := make([]Stream, cores)
-	for c := 0; c < cores; c++ {
-		streams[c] = &statStream{
-			g:            g,
-			regs:         regs,
-			core:         c,
-			remaining:    scaleRefs(g.spec.refs, g.scale),
-			rng:          sim.NewRand(seed*1315423911 + uint64(c)*2654435761 + 97),
-			recentPriv:   newRecentBlocks(48),
-			recentShared: newRecentBlocks(48),
-		}
-	}
-	return streams
-}
-
-// statStream is one core's Markov phase walk.  Like phasedStream, phaseGen
-// writes straight into the caller's buffer and the stream resumes
-// mid-phase, so the entry sequence is identical at every batch size.
-type statStream struct {
-	g    *statGenerator
-	regs regions
-	core int
-	rng  *sim.Rand
-
-	remaining int // references left of the scaled per-core budget
-	state     int
-	instance  uint64 // phase-instance counter (the hot-window shift)
-	started   bool
-	active    bool
-	gen       phaseGen
-
-	recentPriv   *recentBlocks
-	recentShared *recentBlocks
-}
-
-// nextPhase draws the next Markov state and starts a phase instance there;
-// false once the reference budget is spent.
-func (s *statStream) nextPhase() bool {
-	if s.remaining <= 0 {
-		return false
-	}
-	if !s.started {
-		// Cores start spread across the states, not in lockstep at state 0.
-		s.state = s.rng.Intn(s.g.spec.states)
-		s.started = true
+	if s.instance == 0 {
+		s.state = s.rng.Intn(len(states))
 	} else {
 		u := s.rng.Float64()
-		row := s.g.trans[s.state]
+		row := w.trans[s.state]
 		next := 0
 		for next < len(row)-1 && u >= row[next] {
 			next++
 		}
 		s.state = next
 	}
-	p := s.g.stateParams[s.state]
-	n := s.rng.Geometric(float64(s.g.spec.phase))
-	if n > s.remaining {
-		n = s.remaining
-	}
-	p.refs = n
-	s.remaining -= n
-	s.gen.start(p, s.core, s.instance)
-	s.instance++
-	s.recentPriv.reset()
-	s.recentShared.reset()
-	s.active = true
-	return true
-}
-
-// NextBatch implements Stream.
-func (s *statStream) NextBatch(buf []Entry) int {
-	n := 0
-	for n < len(buf) {
-		if !s.active && !s.nextPhase() {
-			break
-		}
-		n += s.gen.generate(s.rng, s.regs, s.recentPriv, s.recentShared, buf[n:])
-		if s.gen.done() {
-			s.active = false
-		}
-	}
-	return n
+	p := states[s.state]
+	p.refs = min(s.rng.Geometric(w.meanRefs), w.budget-s.drawn)
+	s.drawn += p.refs
+	return p, s.instance, true
 }
 
 func clamp01(v float64) float64 {

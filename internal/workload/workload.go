@@ -108,8 +108,8 @@ type Generator interface {
 	// Streams returns one stream per core; all streams of one call share
 	// the benchmark's shared data regions.  The streams of one call share
 	// no mutable state, so each may be drained on its own goroutine
-	// (trace.Capture does): phased and stat streams own their RNG, phase
-	// generator and read-modify-write pools and only read the generator
+	// (trace.Capture does): a phase program's stream owns its RNG, phase
+	// generator and read-modify-write pools and only reads the generator
 	// and the region layout; a mix's streams, offsetStream wrappers
 	// included, are its elements' streams; a trace's streams are Readers,
 	// each its own cursor over the immutable File.
@@ -364,7 +364,7 @@ type phaseParams struct {
 	rmwFrac float64
 	// hotWindowFrac, when non-zero, restricts Zipf-sampled private accesses
 	// of each phase instance to a window of this fraction of the private
-	// region.  The window moves between iterations (see generatePhase's
+	// region.  The window moves between phase instances (see phaseGen.start's
 	// windowShift), creating the generational behaviour decay exploits:
 	// blocks outside the current window are dead until the sweep returns.
 	hotWindowFrac float64
@@ -418,8 +418,8 @@ func (rb *recentBlocks) pick(rng *sim.Rand) (mem.Addr, bool) {
 }
 
 // phaseGen is the resumable generator of one phase instance (one phase of
-// one iteration on one core).  Suspending between entries is what lets the
-// phased benchmarks produce batches natively: generate fills a caller-owned
+// one iteration on one core).  Suspending between entries is what lets a
+// phase program's stream produce batches natively: generate fills a caller-owned
 // slice and the stream picks up exactly where it stopped, so the entry
 // sequence is identical for every batch size, including batch size one.
 type phaseGen struct {
@@ -447,8 +447,8 @@ type phaseGen struct {
 }
 
 // start initialises the generator for one phase instance.  windowShift
-// selects which hot window of the private region this instance sweeps
-// (typically the iteration number).
+// selects which hot window of the private region this instance sweeps: the
+// iteration of a fixed list, the instance number of a Markov walk.
 func (g *phaseGen) start(p phaseParams, core int, windowShift uint64) {
 	g.p = p
 	g.core = core
