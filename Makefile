@@ -70,7 +70,7 @@ test-faults:
 # at submit past a full queue, concurrent clients) and leakserved's flag
 # validation, opt-in /debug/pprof and shutdown under an open event stream.
 test-service:
-	$(GO) test -race -count 1 ./internal/frame ./internal/resultcache ./internal/service ./cmd/leakserved
+	$(GO) test -race -count 1 ./internal/resultcache ./internal/service ./cmd/leakserved
 
 # race runs the full suite under the race detector.  The timing model is
 # single-goroutine by design, but trace readers, shard merges and the

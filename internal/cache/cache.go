@@ -172,21 +172,19 @@ type Cache struct {
 
 // New builds a cache; the configuration must validate.
 func New(cfg Config) (*Cache, error) {
-	c := new(Cache)
-	if err := c.Init(cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	c := new(Cache)
+	c.Init(cfg)
 	return c, nil
 }
 
-// Init makes t an empty tag store of cfg in place.  The tag, valid-mask and
-// replacement arrays keep their backing storage when it is large enough, so
-// a simulator rebuilt for the next job allocates nothing for its caches.  On
-// a configuration error t is unchanged.
-func (t *Tags) Init(cfg Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
+// Init makes t an empty tag store of cfg, which must validate, in place.
+// The tag, valid-mask and replacement arrays keep their backing storage
+// when it is large enough, so a simulator rebuilt for the next job
+// allocates nothing for its caches.
+func (t *Tags) Init(cfg Config) {
 	n, sets := cfg.NumLines(), cfg.NumSets()
 	*t = Tags{
 		cfg:       cfg,
@@ -215,17 +213,14 @@ func (t *Tags) Init(cfg Config) error {
 	for s := range t.lruOrder {
 		t.lruOrder[s] = init
 	}
-	return nil
 }
 
-// Init makes c an empty cache of cfg in place, as New would build it, with
-// decay disabled.  Its tag store (Tags.Init), line array, and EnableDecay's
-// arm ticks and bitmaps keep their backing storage when it is large enough.
-// On a configuration error c is unchanged.
-func (c *Cache) Init(cfg Config) error {
-	if err := c.Tags.Init(cfg); err != nil {
-		return err
-	}
+// Init makes c an empty cache of cfg, which must validate, in place, as New
+// would build it, with decay disabled.  Its tag store (Tags.Init), line
+// array, and EnableDecay's arm ticks and bitmaps keep their backing storage
+// when it is large enough.
+func (c *Cache) Init(cfg Config) {
+	c.Tags.Init(cfg)
 	old := *c
 	*c = Cache{
 		Tags:  old.Tags,
@@ -237,7 +232,6 @@ func (c *Cache) Init(cfg Config) error {
 	for k := range c.decayDue {
 		c.decayDue[k] = old.decayDue[k][:0]
 	}
-	return nil
 }
 
 // resized returns s resliced to n elements when its capacity allows, else

@@ -61,17 +61,20 @@ type MSHR struct {
 	FullStalls  stats.Counter
 }
 
-// NewMSHR builds an MSHR with the given number of entries; capacity <= 0
-// means unlimited.
+// NewMSHR builds an MSHR with the given number of entries; it panics unless
+// capacity is at least 1.
 func NewMSHR(capacity int) *MSHR {
+	if capacity < 1 {
+		panic("cache: MSHR capacity must be at least 1")
+	}
 	m := new(MSHR)
 	m.Init(capacity)
 	return m
 }
 
-// Init makes m an empty MSHR of the given capacity in place, as NewMSHR
-// would build it, keeping the slots its block table has grown to and its
-// record pools.
+// Init makes m an empty MSHR of the given capacity (at least 1) in place,
+// as NewMSHR would build it, keeping the slots its block table has grown to
+// and its record pools.
 func (m *MSHR) Init(capacity int) {
 	entries := m.entries
 	entries.reset()
@@ -87,7 +90,7 @@ func (m *MSHR) Lookup(block mem.Addr) *MSHREntry {
 
 // Full reports whether a new allocation would exceed capacity.
 func (m *MSHR) Full() bool {
-	return m.capacity > 0 && m.entries.len() >= m.capacity
+	return m.entries.len() >= m.capacity
 }
 
 // Allocate returns the entry for block, creating it when absent.  The second

@@ -12,10 +12,9 @@ import (
 // a pending write in the buffer may not be considered clean by the turn-off
 // logic.
 //
-// The FIFO is a power-of-two ring (the previous slice-off-the-front queue
-// walked its backing array forward and reallocated every few pushes) and
-// membership is an open-addressing AddrSet (the previous map paid hash
-// setup and growth churn on every store of the run).
+// The FIFO is a power-of-two ring no smaller than the capacity, so a push
+// the capacity admits always has a slot, and membership is an
+// open-addressing AddrSet.
 type WriteBuffer struct {
 	capacity int
 	ring     []mem.Addr // power-of-two ring; live entries are [head, tail)
@@ -29,21 +28,21 @@ type WriteBuffer struct {
 	FullStall stats.Counter
 }
 
-// writeBufferMinRing sizes the smallest ring; a power of two.
-const writeBufferMinRing = 16
-
-// NewWriteBuffer builds a buffer holding up to capacity distinct blocks;
-// capacity <= 0 means unlimited.
+// NewWriteBuffer builds a buffer holding up to capacity distinct blocks; it
+// panics unless capacity is at least 1.
 func NewWriteBuffer(capacity int) *WriteBuffer {
+	if capacity < 1 {
+		panic("cache: write-buffer capacity must be at least 1")
+	}
 	b := new(WriteBuffer)
 	b.Init(capacity)
 	return b
 }
 
-// Init makes b an empty buffer of the given capacity in place, as
-// NewWriteBuffer would build it, reusing its ring and coalesce set.
+// Init makes b an empty buffer of the given capacity (at least 1) in place,
+// as NewWriteBuffer would build it, reusing its ring and coalesce set.
 func (b *WriteBuffer) Init(capacity int) {
-	ring := writeBufferMinRing
+	ring := 1
 	for ring < capacity {
 		ring *= 2
 	}
@@ -59,7 +58,7 @@ func (b *WriteBuffer) Init(capacity int) {
 
 // Full reports whether a new block cannot currently be accepted.
 func (b *WriteBuffer) Full() bool {
-	return b.capacity > 0 && b.Len() >= b.capacity
+	return b.Len() >= b.capacity
 }
 
 // Push records a store to block.  It returns false (and counts a stall) when
@@ -72,9 +71,6 @@ func (b *WriteBuffer) Push(block mem.Addr) bool {
 	if b.Full() {
 		b.FullStall.Inc()
 		return false
-	}
-	if b.tail-b.head == uint64(len(b.ring)) {
-		b.growRing()
 	}
 	b.ring[b.tail&b.rmask] = block
 	b.tail++
@@ -102,16 +98,3 @@ func (b *WriteBuffer) HasPending(block mem.Addr) bool {
 
 // Len returns the number of distinct blocks buffered.
 func (b *WriteBuffer) Len() int { return int(b.tail - b.head) }
-
-// growRing doubles the ring (unlimited-capacity buffers only), re-laying
-// the live entries out from index 0.
-func (b *WriteBuffer) growRing() {
-	old := b.ring
-	n := b.tail - b.head
-	b.ring = make([]mem.Addr, len(old)*2)
-	for i := uint64(0); i < n; i++ {
-		b.ring[i] = old[(b.head+i)&b.rmask]
-	}
-	b.rmask = uint64(len(b.ring)) - 1
-	b.head, b.tail = 0, n
-}

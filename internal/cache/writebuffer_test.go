@@ -74,16 +74,15 @@ func TestWriteBufferHasPending(t *testing.T) {
 	}
 }
 
-func TestWriteBufferUnlimited(t *testing.T) {
-	b := NewWriteBuffer(0)
-	for i := 0; i < 100; i++ {
-		if !b.Push(mem.Addr(i * 64)) {
-			t.Fatal("unlimited buffer rejected a push")
+// A buffer of no slots would refuse every store forever: NewWriteBuffer
+// refuses the capacity instead.
+func TestWriteBufferRefusesZeroCapacity(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewWriteBuffer(0) did not panic")
 		}
-	}
-	if b.Len() != 100 {
-		t.Fatalf("len %d, want 100", b.Len())
-	}
+	}()
+	NewWriteBuffer(0)
 }
 
 // Property: the buffer never holds more distinct blocks than its capacity,

@@ -24,11 +24,8 @@ func TestL1InitBytesPerLine(t *testing.T) {
 	l := new(L1Controller)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := l.Init(0, eng, cfg)
+	l.Init(0, eng, cfg)
 	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
 	runtime.KeepAlive(l)
 	perLine := float64(after.TotalAlloc-before.TotalAlloc) / float64(lines)
 	if perLine > l1InitBytesPerLine {

@@ -126,6 +126,18 @@ func DefaultBusConfig() BusConfig {
 	}
 }
 
+// Validate checks that the coherence granularity and the data bandwidth are
+// positive.
+func (c BusConfig) Validate() error {
+	if c.BlockBytes == 0 {
+		return fmt.Errorf("coherence: bus BlockBytes must be positive")
+	}
+	if c.BytesPerCycle <= 0 {
+		return fmt.Errorf("coherence: bus BytesPerCycle must be positive")
+	}
+	return nil
+}
+
 // Bus is the shared snoopy interconnect between the private L2 caches and
 // the path to memory.
 type Bus struct {
@@ -154,7 +166,7 @@ type Bus struct {
 	PerKind [4]stats.Counter
 }
 
-// NewBus builds a bus bound to the engine and memory.
+// NewBus builds a bus bound to the engine and memory; cfg must validate.
 func NewBus(eng *sim.Engine, memory *mem.Memory, cfg BusConfig) *Bus {
 	b := new(Bus)
 	b.Init(eng, memory, cfg)
@@ -162,15 +174,9 @@ func NewBus(eng *sim.Engine, memory *mem.Memory, cfg BusConfig) *Bus {
 }
 
 // Init makes b in place the idle bus NewBus would build, with no snoopers
-// attached and zero statistics; it keeps the snooper slice's storage and its
-// completion pool.
+// attached and zero statistics; cfg must validate.  It keeps the snooper
+// slice's storage and its completion pool.
 func (b *Bus) Init(eng *sim.Engine, memory *mem.Memory, cfg BusConfig) {
-	if cfg.BlockBytes == 0 {
-		cfg.BlockBytes = 64
-	}
-	if cfg.BytesPerCycle <= 0 {
-		cfg.BytesPerCycle = 16
-	}
 	snoopers := b.snoopers
 	clear(snoopers)
 	*b = Bus{cfg: cfg, eng: eng, memory: memory, snoopers: snoopers[:0], comps: b.comps}

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"strings"
 	"testing"
 
 	"cmpleak/internal/mem"
@@ -168,11 +169,25 @@ func TestBusUtilization(t *testing.T) {
 	}
 }
 
-func TestBusDefaultsApplied(t *testing.T) {
+// A zero block size or bandwidth is refused by Validate; Init stores the
+// configuration it is given unchanged.
+func TestBusConfigRefusesZero(t *testing.T) {
+	if err := DefaultBusConfig().Validate(); err != nil {
+		t.Fatalf("default bus config refused: %v", err)
+	}
+	for name, zero := range map[string]func(*BusConfig){
+		"BlockBytes":    func(c *BusConfig) { c.BlockBytes = 0 },
+		"BytesPerCycle": func(c *BusConfig) { c.BytesPerCycle = 0 },
+	} {
+		cfg := DefaultBusConfig()
+		zero(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("zero %s: err = %v, want one naming %s", name, err, name)
+		}
+	}
 	eng := sim.NewEngine()
-	m := mem.New(eng, mem.DefaultConfig())
-	b := NewBus(eng, m, BusConfig{ArbitrationCycles: 1, AddressCycles: 1})
-	if b.Config().BlockBytes == 0 || b.Config().BytesPerCycle <= 0 {
-		t.Fatal("defaults not applied")
+	cfg := BusConfig{ArbitrationCycles: 1, AddressCycles: 1, BytesPerCycle: 4, BlockBytes: 32}
+	if got := NewBus(eng, mem.New(eng, mem.DefaultConfig()), cfg).Config(); got != cfg {
+		t.Fatalf("bus stored %+v, want %+v", got, cfg)
 	}
 }

@@ -23,7 +23,9 @@ type LowerLevel interface {
 
 // L1Config parameterises one private L1 data cache.
 type L1Config struct {
-	Cache            cache.Config
+	Cache cache.Config
+	// MSHREntries and WriteBufferSlots bound the outstanding load misses
+	// and the buffered stores; each must be at least 1.
 	MSHREntries      int
 	WriteBufferSlots int
 	// RetryCycles is the back-off used when the MSHR or write buffer is
@@ -32,6 +34,29 @@ type L1Config struct {
 	// DrainGapCycles separates consecutive write-buffer drains toward L2;
 	// it must be positive.
 	DrainGapCycles sim.Cycle
+}
+
+// Validate checks the cache geometry and that the MSHR, the write buffer
+// and both back-offs are non-zero: with no MSHR entry or write-buffer slot
+// a miss or store would wait forever, and a zero back-off would re-poll a
+// full MSHR or write buffer within the same cycle without end.
+func (c L1Config) Validate() error {
+	if err := c.Cache.Validate(); err != nil {
+		return err
+	}
+	if c.MSHREntries < 1 {
+		return fmt.Errorf("coherence: %s: MSHREntries must be at least 1", c.Cache.Name)
+	}
+	if c.WriteBufferSlots < 1 {
+		return fmt.Errorf("coherence: %s: WriteBufferSlots must be at least 1", c.Cache.Name)
+	}
+	if c.RetryCycles == 0 {
+		return fmt.Errorf("coherence: %s: RetryCycles must be positive", c.Cache.Name)
+	}
+	if c.DrainGapCycles == 0 {
+		return fmt.Errorf("coherence: %s: DrainGapCycles must be positive", c.Cache.Name)
+	}
+	return nil
 }
 
 // DefaultL1Config returns a 32 KB, 4-way, write-through L1 with an 8-entry
@@ -67,12 +92,10 @@ type L1Controller struct {
 
 	draining bool
 	// stalledStores queues stores that found the write buffer full; they
-	// are admitted in FIFO order as drains free slots (no polling).  The
-	// slice is consumed through stalledHead and compacted when it empties,
-	// so neither the backing array nor the pinned done closures of consumed
-	// entries are retained.
+	// are admitted in FIFO order as drains free slots (no polling).  A
+	// stalled store has not been accepted, so it still counts toward its
+	// core's MaxOutstandingStores, which bounds the queue.
 	stalledStores []pendingStore
-	stalledHead   int
 
 	// reqs pools per-load request records; together with the pre-bound
 	// callbacks below they keep the whole load path — hit, miss, MSHR merge
@@ -105,33 +128,24 @@ type L1Controller struct {
 // NewL1Controller builds an L1 controller; below may be set later with
 // SetLowerLevel (the system wires L1 and L2 together after both exist).
 func NewL1Controller(id int, eng *sim.Engine, cfg L1Config) (*L1Controller, error) {
-	l := new(L1Controller)
-	if err := l.Init(id, eng, cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	l := new(L1Controller)
+	l.Init(id, eng, cfg)
 	return l, nil
 }
 
 // Init makes l in place the controller NewL1Controller would build, with no
-// lower level and zero statistics; its tag store, MSHR and write buffer are
-// rebuilt in their own storage (cache.Tags.Init and the others), and it
-// keeps its request pool.
-func (l *L1Controller) Init(id int, eng *sim.Engine, cfg L1Config) error {
-	// A zero back-off would re-poll a full MSHR or write buffer within the
-	// same cycle without end.
-	if cfg.RetryCycles == 0 {
-		return fmt.Errorf("coherence: %s: RetryCycles must be positive", cfg.Cache.Name)
-	}
-	if cfg.DrainGapCycles == 0 {
-		return fmt.Errorf("coherence: %s: DrainGapCycles must be positive", cfg.Cache.Name)
-	}
+// lower level and zero statistics; cfg must validate.  Its tag store, MSHR
+// and write buffer are rebuilt in their own storage (cache.Tags.Init and
+// the others), and it keeps its request pool.
+func (l *L1Controller) Init(id int, eng *sim.Engine, cfg L1Config) {
 	arr, mshr, wb := l.cache, l.mshr, l.wb
 	if arr == nil {
 		arr, mshr, wb = new(cache.Tags), new(cache.MSHR), new(cache.WriteBuffer)
 	}
-	if err := arr.Init(cfg.Cache); err != nil {
-		return err
-	}
+	arr.Init(cfg.Cache)
 	mshr.Init(cfg.MSHREntries)
 	wb.Init(cfg.WriteBufferSlots)
 	*l = L1Controller{
@@ -149,7 +163,6 @@ func (l *L1Controller) Init(id int, eng *sim.Engine, cfg L1Config) error {
 	l.fillDone = func(_ any, block mem.Addr) { l.fill(block) }
 	l.drainDoneFn = func(any, mem.Addr) { l.drainDone() }
 	l.startDrainFn = l.startDrain
-	return nil
 }
 
 // SetLowerLevel wires the controller to its private L2.
@@ -290,40 +303,21 @@ func (l *L1Controller) acceptStore(start sim.Cycle, done func()) {
 }
 
 // admitStalledStores moves queued stores into the write buffer while space
-// is available, oldest first.  Consumed slots are zeroed immediately so the
-// done closures are not pinned, and the backing array is reclaimed both
-// when the queue empties and — so that a queue which never fully drains
-// under sustained pressure cannot grow without bound — whenever the
-// consumed prefix reaches half of a non-trivial backing array.
+// is available, oldest first.
 func (l *L1Controller) admitStalledStores() {
-	for l.stalledHead < len(l.stalledStores) {
-		ps := l.stalledStores[l.stalledHead]
+	n := 0
+	for _, ps := range l.stalledStores {
 		if !l.wb.Push(ps.block) {
-			l.compactStalledStores()
-			return
+			break
 		}
-		l.stalledStores[l.stalledHead] = pendingStore{}
-		l.stalledHead++
 		l.acceptStore(ps.start, ps.done)
+		n++
 	}
-	l.stalledStores = l.stalledStores[:0]
-	l.stalledHead = 0
-}
-
-// compactStalledStores slides the live entries to the front of the backing
-// array once the zeroed prefix dominates it, bounding the queue's footprint
-// by O(live entries) instead of O(stalls ever observed).
-func (l *L1Controller) compactStalledStores() {
-	if l.stalledHead < 16 || l.stalledHead*2 < len(l.stalledStores) {
-		return
+	if n > 0 {
+		rest := copy(l.stalledStores, l.stalledStores[n:])
+		clear(l.stalledStores[rest:])
+		l.stalledStores = l.stalledStores[:rest]
 	}
-	n := copy(l.stalledStores, l.stalledStores[l.stalledHead:])
-	tail := l.stalledStores[n:]
-	for i := range tail {
-		tail[i] = pendingStore{}
-	}
-	l.stalledStores = l.stalledStores[:n]
-	l.stalledHead = 0
 }
 
 // startDrain begins (or continues) propagating buffered stores to the L2.

@@ -206,26 +206,28 @@ func TestL1RejectsBadConfig(t *testing.T) {
 	}
 }
 
-// DefaultL1Config is the one place the retry back-off and the drain gap are
-// defaulted: Init refuses a zero for either rather than filling one in.
+// DefaultL1Config is the one place the retry back-off, the drain gap and
+// the MSHR and write-buffer sizes are defaulted: NewL1Controller refuses a
+// zero for any of them rather than filling one in.
 func TestL1InitRefusesZeroCycles(t *testing.T) {
 	for name, zero := range map[string]func(*L1Config){
-		"RetryCycles":    func(c *L1Config) { c.RetryCycles = 0 },
-		"DrainGapCycles": func(c *L1Config) { c.DrainGapCycles = 0 },
+		"RetryCycles":      func(c *L1Config) { c.RetryCycles = 0 },
+		"DrainGapCycles":   func(c *L1Config) { c.DrainGapCycles = 0 },
+		"MSHREntries":      func(c *L1Config) { c.MSHREntries = 0 },
+		"WriteBufferSlots": func(c *L1Config) { c.WriteBufferSlots = 0 },
 	} {
 		cfg := DefaultL1Config("L1-zero")
 		zero(&cfg)
-		var l L1Controller
-		err := l.Init(0, sim.NewEngine(), cfg)
+		_, err := NewL1Controller(0, sim.NewEngine(), cfg)
 		if err == nil || !strings.Contains(err.Error(), name) {
-			t.Errorf("Init with zero %s: err = %v, want one naming %s", name, err, name)
+			t.Errorf("NewL1Controller with zero %s: err = %v, want one naming %s", name, err, name)
 		}
 	}
 }
 
 // Stores that found the write buffer full must be admitted in FIFO order as
 // drains free slots, with their done callbacks and acceptance delays
-// reflecting that order — the contract of the head-indexed stall queue.
+// reflecting that order — the contract of the FIFO stall queue.
 func TestL1StalledStoresAdmittedFIFO(t *testing.T) {
 	eng := sim.NewEngine()
 	l2 := &fakeL2{eng: eng, readLatency: 20, writeLatency: 200}
@@ -276,7 +278,7 @@ func TestL1StalledStoresAdmittedFIFO(t *testing.T) {
 }
 
 // Under sustained pressure the stall queue churns (one admit per drain, one
-// new stall behind it) without ever emptying; the backing array must stay
+// new stall behind it) without ever emptying; its backing array must stay
 // bounded by the live entry count instead of growing with every stall ever
 // observed.
 func TestL1StalledStoreQueueFootprintBounded(t *testing.T) {
@@ -288,8 +290,7 @@ func TestL1StalledStoreQueueFootprintBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	l1.wb.Push(0xF000) // occupy the single slot so new stores always stall
-	// One resident entry keeps the queue non-empty across every step, so
-	// the empty-queue reset never fires and only compaction can bound it.
+	// One resident entry keeps the queue non-empty across every step.
 	l1.stalledStores = append(l1.stalledStores, pendingStore{block: 0x10000})
 	var admitted []mem.Addr
 	for i := 1; i <= 1000; i++ {
@@ -297,14 +298,14 @@ func TestL1StalledStoreQueueFootprintBounded(t *testing.T) {
 		got, _ := l1.wb.Pop() // a drain frees the slot
 		admitted = append(admitted, got)
 		l1.admitStalledStores() // admits the oldest; the next entry stalls again
-		if live := len(l1.stalledStores) - l1.stalledHead; live != 1 {
+		if live := len(l1.stalledStores); live != 1 {
 			t.Fatalf("fixture broken: %d live stalls after step %d, want 1", live, i)
 		}
-		if n := len(l1.stalledStores); n > 64 {
+		if n := cap(l1.stalledStores); n > 64 {
 			t.Fatalf("backing array grew to %d entries with 1 live stall after %d churn steps", n, i)
 		}
 	}
-	// FIFO preserved across compactions: drains saw the blocks in stall order.
+	// FIFO preserved: drains saw the blocks in stall order.
 	for i := 1; i < len(admitted); i++ {
 		if admitted[i] != mem.Addr(0x10000+(i-1)*64) {
 			t.Fatalf("drain %d saw block %#x, want FIFO order", i, admitted[i])

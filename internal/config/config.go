@@ -29,7 +29,8 @@ type System struct {
 	L1 coherence.L1Config
 	// L2 is the per-core private L2 template (size is per core, not total).
 	L2 cache.Config
-	// L2MSHREntries bounds outstanding L2 misses per controller.
+	// L2MSHREntries bounds outstanding L2 misses per controller; it must
+	// be at least 1.
 	L2MSHREntries int
 	// Bus is the shared snoopy bus configuration.
 	Bus coherence.BusConfig
@@ -136,7 +137,9 @@ func (s System) TotalL2Bytes() uint64 {
 	return s.L2.SizeBytes * uint64(s.Cores)
 }
 
-// Validate checks the whole configuration for consistency.
+// Validate checks the whole configuration for consistency.  It is the one
+// check of a simulated system's parameters: core.System.Rebuild calls it
+// first, and the components it builds trust their configuration.
 func (s System) Validate() error {
 	if s.Cores <= 0 {
 		return fmt.Errorf("config: Cores must be positive")
@@ -147,7 +150,7 @@ func (s System) Validate() error {
 	if err := s.Core.Validate(); err != nil {
 		return fmt.Errorf("config: core: %w", err)
 	}
-	if err := s.L1.Cache.Validate(); err != nil {
+	if err := s.L1.Validate(); err != nil {
 		return fmt.Errorf("config: L1: %w", err)
 	}
 	if err := s.L2.Validate(); err != nil {
@@ -161,8 +164,14 @@ func (s System) Validate() error {
 		return fmt.Errorf("config: inclusion requires L2 (%d B) to be at least as large as L1 (%d B)",
 			s.L2.SizeBytes, s.L1.Cache.SizeBytes)
 	}
-	if s.L2MSHREntries < 0 {
-		return fmt.Errorf("config: L2MSHREntries must be non-negative")
+	if s.L2MSHREntries < 1 {
+		return fmt.Errorf("config: L2MSHREntries must be at least 1")
+	}
+	if err := s.Bus.Validate(); err != nil {
+		return fmt.Errorf("config: %w", err)
+	}
+	if err := s.Memory.Validate(); err != nil {
+		return fmt.Errorf("config: %w", err)
 	}
 	if err := s.Power.Validate(); err != nil {
 		return fmt.Errorf("config: %w", err)
@@ -207,10 +216,12 @@ func (s System) Workload() (workload.Generator, error) {
 // Label returns a short human-readable description of the configuration,
 // used in reports ("WATER-NS 4MB decay512K").
 func (s System) Label() string {
-	return fmt.Sprintf("%s %dMB %s", s.benchmarkName(), s.TotalL2Bytes()/(1024*1024), s.Technique.Name())
+	return fmt.Sprintf("%s %dMB %s", s.BenchmarkName(), s.TotalL2Bytes()/(1024*1024), s.Technique.Name())
 }
 
-func (s System) benchmarkName() string {
+// BenchmarkName names the workload: the synthetic kernel's name (or
+// "synthetic") when one is set, else Benchmark.
+func (s System) BenchmarkName() string {
 	if s.Synthetic != nil {
 		if s.Synthetic.Name != "" {
 			return s.Synthetic.Name

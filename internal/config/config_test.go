@@ -63,6 +63,15 @@ func TestValidationCatchesErrors(t *testing.T) {
 		"line size mismatch":  func(s *System) { s.L2.LineBytes = 128 },
 		"L1 larger than L2":   func(s *System) { s.L1.Cache.SizeBytes = 8 * 1024 * 1024 },
 		"negative mshr":       func(s *System) { s.L2MSHREntries = -1 },
+		"zero L2 mshr":        func(s *System) { s.L2MSHREntries = 0 },
+		"zero L1 mshr":        func(s *System) { s.L1.MSHREntries = 0 },
+		"zero write buffer":   func(s *System) { s.L1.WriteBufferSlots = 0 },
+		"zero L1 retry":       func(s *System) { s.L1.RetryCycles = 0 },
+		"zero drain gap":      func(s *System) { s.L1.DrainGapCycles = 0 },
+		"zero bus block":      func(s *System) { s.Bus.BlockBytes = 0 },
+		"zero bus bandwidth":  func(s *System) { s.Bus.BytesPerCycle = 0 },
+		"zero memory block":   func(s *System) { s.Memory.BlockSize = 0 },
+		"zero mem bandwidth":  func(s *System) { s.Memory.BandwidthBytesPerCycle = 0 },
 		"bad power":           func(s *System) { s.Power.ClockHz = 0 },
 		"bad thermal":         func(s *System) { s.Thermal.LateralR = 0 },
 		"zero sample":         func(s *System) { s.ThermalSampleCycles = 0 },
@@ -108,7 +117,7 @@ func TestSyntheticWorkloadSelection(t *testing.T) {
 	if g.Name() != "synthetic" {
 		t.Fatalf("workload name %q", g.Name())
 	}
-	if s.Label() == "" || s.benchmarkName() != "synthetic" {
+	if s.Label() == "" || s.BenchmarkName() != "synthetic" {
 		t.Fatal("label of synthetic config broken")
 	}
 }

@@ -5,6 +5,8 @@
 package core
 
 import (
+	"fmt"
+
 	"cmpleak/internal/cache"
 	"cmpleak/internal/coherence"
 	"cmpleak/internal/decay"
@@ -23,7 +25,7 @@ type ControllerConfig struct {
 	// Cache is the L2 array geometry.  Init adds the technique's access
 	// penalty to its ExtraLatency.
 	Cache cache.Config
-	// MSHREntries bounds outstanding misses (0 = unlimited).
+	// MSHREntries bounds outstanding misses; it must be at least 1.
 	MSHREntries int
 	// Technique is the leakage technique observing this controller; the
 	// zero Spec is the always-on baseline.
@@ -86,27 +88,30 @@ type Controller struct {
 // NewController builds the controller below l1 and attaches it to bus.
 // The caller still points l1 at it (coherence.L1Controller.SetLowerLevel).
 func NewController(eng *sim.Engine, bus *coherence.Bus, l1 *coherence.L1Controller, cfg ControllerConfig) (*Controller, error) {
-	c := new(Controller)
-	if err := c.Init(eng, bus, l1, cfg); err != nil {
+	if err := cfg.Cache.Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.MSHREntries < 1 {
+		return nil, fmt.Errorf("core: %s: MSHREntries must be at least 1", cfg.Cache.Name)
+	}
+	c := new(Controller)
+	c.Init(eng, bus, l1, cfg)
 	return c, nil
 }
 
-// Init makes c in place the controller NewController would build.  The L2
-// array's ExtraLatency gains the technique's access penalty.  The array,
-// MSHR and decayed-block set are rebuilt in their own storage
-// (cache.Cache.Init and the others) and the record pools are kept, so a
-// bank of the size c held before allocates nothing.
-func (c *Controller) Init(eng *sim.Engine, bus *coherence.Bus, l1 *coherence.L1Controller, cfg ControllerConfig) error {
+// Init makes c in place the controller NewController would build; cfg must
+// pass NewController's checks.  The L2 array's ExtraLatency gains the
+// technique's access penalty.  The array, MSHR and decayed-block set are
+// rebuilt in their own storage (cache.Cache.Init and the others) and the
+// record pools are kept, so a bank of the size c held before allocates
+// nothing.
+func (c *Controller) Init(eng *sim.Engine, bus *coherence.Bus, l1 *coherence.L1Controller, cfg ControllerConfig) {
 	cfg.Cache.ExtraLatency += cfg.Technique.ExtraAccessLatency()
 	arr, mshr := c.arr, c.mshr
 	if arr == nil {
 		arr, mshr = new(cache.Cache), new(cache.MSHR)
 	}
-	if err := arr.Init(cfg.Cache); err != nil {
-		return err
-	}
+	arr.Init(cfg.Cache)
 	mshr.Init(cfg.MSHREntries)
 	decayed := c.decayedBlocks
 	decayed.Init()
@@ -128,7 +133,6 @@ func (c *Controller) Init(eng *sim.Engine, bus *coherence.Bus, l1 *coherence.L1C
 	c.upgradeFn = c.finishUpgrade
 	c.turnOffWBFn = c.finishTurnOffWriteBack
 	bus.Attach(c)
-	return nil
 }
 
 // missRetry carries a deferred requestMiss through its back-off; records

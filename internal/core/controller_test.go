@@ -397,7 +397,7 @@ func TestControllerInitAddsTechniquePenalty(t *testing.T) {
 		{decay.Spec{Kind: decay.KindProtocol}, 2},
 		{decay.Spec{Kind: decay.KindDecay, DecayCycles: 1 << 16}, 3},
 	} {
-		c, err := NewController(eng, bus, nil, ControllerConfig{Cache: geom, Technique: tc.tech})
+		c, err := NewController(eng, bus, nil, ControllerConfig{Cache: geom, MSHREntries: 16, Technique: tc.tech})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,7 +411,11 @@ func TestControllerRejectsBadCacheConfig(t *testing.T) {
 	eng := sim.NewEngine()
 	memory := mem.New(eng, mem.DefaultConfig())
 	bus := coherence.NewBus(eng, memory, coherence.DefaultBusConfig())
-	if _, err := NewController(eng, bus, nil, ControllerConfig{Cache: cache.Config{}}); err == nil {
+	if _, err := NewController(eng, bus, nil, ControllerConfig{Cache: cache.Config{}, MSHREntries: 16}); err == nil {
 		t.Fatal("invalid cache geometry accepted")
+	}
+	geom := cache.Config{Name: "L2", SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 4, LatencyCycles: 10}
+	if _, err := NewController(eng, bus, nil, ControllerConfig{Cache: geom}); err == nil {
+		t.Fatal("zero MSHREntries accepted")
 	}
 }

@@ -76,11 +76,13 @@ func NewSystemFrom(cfg config.System, gen workload.Generator) (*System, error) {
 // Result does not depend on whether its System was new or rebuilt.
 //
 // Rebuild starts from whatever state s is in — a finished run, a run that
-// failed or panicked, a failed Rebuild — but after a failed Rebuild, s must
-// not Run until a Rebuild succeeds.  The sweep pool gives each worker one
-// System and rebuilds it for every job (experiment.RunParallelAllContext);
-// it still discards a worker's System after a failed job, so a fault cannot
-// reach the next job through storage the two shared.
+// failed or panicked.  It makes every check (cfg.Validate, the workload,
+// the thermal model) before it touches s, so a failed Rebuild leaves s as
+// it was, and each component's Init trusts the validated configuration.
+// The sweep pool gives each worker one System and rebuilds it for every job
+// (experiment.RunParallelAllContext); it still discards a worker's System
+// after a failed job, so a fault cannot reach the next job through storage
+// the two shared.
 func (s *System) Rebuild(cfg config.System, gen workload.Generator) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -128,26 +130,19 @@ func (s *System) Rebuild(cfg config.System, gen workload.Generator) error {
 		l1, ctrl, core := s.l1s[i], s.l2s[i], s.cores[i]
 		l1cfg := cfg.L1
 		l1cfg.Cache.Name = fmt.Sprintf("L1-%d", i)
-		if err := l1.Init(i, eng, l1cfg); err != nil {
-			return err
-		}
+		l1.Init(i, eng, l1cfg)
 
 		l2cfg := cfg.L2
 		l2cfg.Name = fmt.Sprintf("L2-%d", i)
-		err := ctrl.Init(eng, bus, l1, ControllerConfig{
+		ctrl.Init(eng, bus, l1, ControllerConfig{
 			ID:          i,
 			Cache:       l2cfg,
 			MSHREntries: cfg.L2MSHREntries,
 			Technique:   cfg.Technique,
 		})
-		if err != nil {
-			return err
-		}
 		l1.SetLowerLevel(ctrl)
 
-		if err := core.Init(i, eng, cfg.Core, l1, s.streams[i]); err != nil {
-			return err
-		}
+		core.Init(i, eng, cfg.Core, l1, s.streams[i])
 		core.OnDone(onDone)
 	}
 
@@ -354,7 +349,7 @@ func (s *System) collect() Result {
 	now := s.eng.Now()
 	res := Result{
 		Label:        s.cfg.Label(),
-		Benchmark:    s.benchmarkName(),
+		Benchmark:    s.cfg.BenchmarkName(),
 		Technique:    s.cfg.Technique.Name(),
 		TotalL2Bytes: s.cfg.TotalL2Bytes(),
 		Cycles:       now,
@@ -413,16 +408,6 @@ func (s *System) collect() Result {
 	}
 	res.MemoryBytes = s.memory.TotalBytes()
 	return res
-}
-
-func (s *System) benchmarkName() string {
-	if s.cfg.Synthetic != nil {
-		if s.cfg.Synthetic.Name != "" {
-			return s.cfg.Synthetic.Name
-		}
-		return "synthetic"
-	}
-	return s.cfg.Benchmark
 }
 
 // Run builds a system from the configuration and runs it; it is the

@@ -191,6 +191,34 @@ func TestSystemRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
+// TestRebuildFailsBeforeBuilding pins that a Rebuild refused by a
+// configuration check leaves the System as it was: an unrun System for A,
+// asked to rebuild for a config Validate refuses, still runs A exactly as a
+// new System for A does.
+func TestRebuildFailsBeforeBuilding(t *testing.T) {
+	a := smallConfig(decay.Spec{Kind: decay.KindDecay, DecayCycles: 8 * 1024})
+	want, err := Run(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSystem(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := a
+	bad.L1.RetryCycles = 0
+	if err := s.Rebuild(bad, nil); err == nil {
+		t.Fatal("Rebuild accepted a zero L1 RetryCycles")
+	}
+	got, err := s.Run()
+	if err != nil {
+		t.Fatalf("Run after a refused Rebuild: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Run after a refused Rebuild differs from a new System's:\n  got:  %+v\n  want: %+v", got, want)
+	}
+}
+
 func TestSystemMaxCyclesGuard(t *testing.T) {
 	cfg := smallConfig(config.Baseline())
 	cfg.MaxCycles = 100 // absurdly small: the run cannot complete

@@ -112,23 +112,21 @@ type Core struct {
 
 // New builds a core over the given L1 port and workload stream.
 func New(id int, eng *sim.Engine, cfg Config, l1 MemoryPort, stream workload.Stream) (*Core, error) {
-	c := new(Core)
-	if err := c.Init(id, eng, cfg, l1, stream); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if l1 == nil || stream == nil {
+		return nil, fmt.Errorf("cpu: L1 port and stream are required")
+	}
+	c := new(Core)
+	c.Init(id, eng, cfg, l1, stream)
 	return c, nil
 }
 
 // Init makes c in place the core New would build, not started and with
-// zero statistics, keeping its batch buffer.  The OnDone callback is
-// cleared.
-func (c *Core) Init(id int, eng *sim.Engine, cfg Config, l1 MemoryPort, stream workload.Stream) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if l1 == nil || stream == nil {
-		return fmt.Errorf("cpu: L1 port and stream are required")
-	}
+// zero statistics, keeping its batch buffer; cfg must validate and l1 and
+// stream must be non-nil.  The OnDone callback is cleared.
+func (c *Core) Init(id int, eng *sim.Engine, cfg Config, l1 MemoryPort, stream workload.Stream) {
 	buf := c.buf
 	if cap(buf) < batchEntries {
 		buf = make([]workload.Entry, batchEntries)
@@ -154,7 +152,6 @@ func (c *Core) Init(id int, eng *sim.Engine, cfg Config, l1 MemoryPort, stream w
 		c.resumeIfBlocked()
 		c.maybeFinish()
 	}
-	return nil
 }
 
 // ID returns the core index.

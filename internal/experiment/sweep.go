@@ -55,17 +55,12 @@ type Options struct {
 func DefaultOptions(scale float64) Options {
 	return Options{
 		Base:         config.Default(),
-		Benchmarks:   append([]string(nil), paperBenchmarkOrder()...),
+		Benchmarks:   workload.PaperBenchmarks(),
 		CacheSizesMB: config.PaperCacheSizesMB(),
 		Techniques:   config.PaperTechniques(),
 		Scale:        scale,
 		Seed:         1,
 	}
-}
-
-// paperBenchmarkOrder is the Figure 6 ordering.
-func paperBenchmarkOrder() []string {
-	return []string{"mpeg2enc", "mpeg2dec", "facerec", "WATER-NS", "FMM", "VOLREND"}
 }
 
 // Validate checks the options.  Every axis must list distinct values — and

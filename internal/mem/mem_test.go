@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -113,11 +114,25 @@ func TestMemoryTotals(t *testing.T) {
 	}
 }
 
-func TestMemoryDefaultsApplied(t *testing.T) {
-	eng := sim.NewEngine()
-	m := New(eng, Config{LatencyCycles: 5})
-	if m.Config().BlockSize == 0 || m.Config().BandwidthBytesPerCycle <= 0 {
-		t.Fatal("defaults not applied for zero-valued config fields")
+// A zero block size or bandwidth is refused by Validate; Init stores the
+// configuration it is given unchanged.
+func TestMemoryConfigRefusesZero(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("default memory config refused: %v", err)
+	}
+	for name, zero := range map[string]func(*Config){
+		"BlockSize":              func(c *Config) { c.BlockSize = 0 },
+		"BandwidthBytesPerCycle": func(c *Config) { c.BandwidthBytesPerCycle = 0 },
+	} {
+		cfg := DefaultConfig()
+		zero(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("zero %s: err = %v, want one naming %s", name, err, name)
+		}
+	}
+	cfg := Config{LatencyCycles: 5, BandwidthBytesPerCycle: 2, BlockSize: 32}
+	if got := New(sim.NewEngine(), cfg).Config(); got != cfg {
+		t.Fatalf("memory stored %+v, want %+v", got, cfg)
 	}
 }
 

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"fmt"
+
 	"cmpleak/internal/sim"
 	"cmpleak/internal/stats"
 )
@@ -38,6 +40,18 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate checks that the transfer granularity and the channel bandwidth
+// are positive.
+func (c Config) Validate() error {
+	if c.BlockSize == 0 {
+		return fmt.Errorf("mem: BlockSize must be positive")
+	}
+	if c.BandwidthBytesPerCycle <= 0 {
+		return fmt.Errorf("mem: BandwidthBytesPerCycle must be positive")
+	}
+	return nil
+}
+
 // Memory models the off-chip DRAM: a fixed latency plus a channel that can
 // serialize transfers when oversubscribed.  It also accounts traffic so the
 // experiment layer can compute the memory-bandwidth increase of Figure 4a.
@@ -57,21 +71,16 @@ type Memory struct {
 	StallCycles stats.Counter
 }
 
-// New returns a Memory bound to the engine.
+// New returns a Memory bound to the engine; cfg must validate.
 func New(eng *sim.Engine, cfg Config) *Memory {
 	m := new(Memory)
 	m.Init(eng, cfg)
 	return m
 }
 
-// Init makes m in place the idle, zero-traffic memory New would build.
+// Init makes m in place the idle, zero-traffic memory New would build; cfg
+// must validate.
 func (m *Memory) Init(eng *sim.Engine, cfg Config) {
-	if cfg.BlockSize == 0 {
-		cfg.BlockSize = 64
-	}
-	if cfg.BandwidthBytesPerCycle <= 0 {
-		cfg.BandwidthBytesPerCycle = 8
-	}
 	*m = Memory{cfg: cfg, eng: eng}
 }
 

@@ -1,4 +1,4 @@
-package frame
+package resultcache
 
 import (
 	"bytes"
@@ -8,9 +8,9 @@ import (
 
 // collect walks data and returns the accepted payload copies plus the valid
 // prefix length.
-func collect(data []byte, maxPayload uint32) ([][]byte, int) {
+func collect(data []byte) ([][]byte, int) {
 	var got [][]byte
-	n := Walk(data, maxPayload, func(p []byte) bool {
+	n := walkFrames(data, func(p []byte) bool {
 		got = append(got, append([]byte(nil), p...))
 		return true
 	})
@@ -22,13 +22,13 @@ func TestRoundTrip(t *testing.T) {
 	var buf []byte
 	want := 0
 	for _, p := range payloads {
-		buf = Append(buf, p)
-		want += Size(len(p))
+		buf = appendFrame(buf, p)
+		want += frameSize(len(p))
 	}
 	if len(buf) != want {
 		t.Fatalf("encoded %d bytes, Size sums to %d", len(buf), want)
 	}
-	got, valid := collect(buf, 0)
+	got, valid := collect(buf)
 	if valid != len(buf) {
 		t.Fatalf("valid prefix %d, want %d", valid, len(buf))
 	}
@@ -43,32 +43,32 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestWalkStopsAtTornHeader(t *testing.T) {
-	buf := Append(nil, []byte("whole"))
+	buf := appendFrame(nil, []byte("whole"))
 	whole := len(buf)
 	buf = append(buf, 0x01, 0x02, 0x03) // 3 bytes cannot hold a header
-	got, valid := collect(buf, 0)
+	got, valid := collect(buf)
 	if len(got) != 1 || valid != whole {
 		t.Fatalf("got %d payloads, valid %d; want 1 payload, valid %d", len(got), valid, whole)
 	}
 }
 
 func TestWalkStopsAtTruncatedPayload(t *testing.T) {
-	buf := Append(nil, []byte("whole"))
+	buf := appendFrame(nil, []byte("whole"))
 	whole := len(buf)
-	buf = Append(buf, []byte("truncated tail"))
+	buf = appendFrame(buf, []byte("truncated tail"))
 	buf = buf[:len(buf)-5]
-	got, valid := collect(buf, 0)
+	got, valid := collect(buf)
 	if len(got) != 1 || valid != whole {
 		t.Fatalf("got %d payloads, valid %d; want 1 payload, valid %d", len(got), valid, whole)
 	}
 }
 
 func TestWalkStopsAtCorruptPayload(t *testing.T) {
-	buf := Append(nil, []byte("first"))
+	buf := appendFrame(nil, []byte("first"))
 	whole := len(buf)
-	buf = Append(buf, []byte("second"))
+	buf = appendFrame(buf, []byte("second"))
 	buf[len(buf)-1] ^= 0xff
-	got, valid := collect(buf, 0)
+	got, valid := collect(buf)
 	if len(got) != 1 || valid != whole {
 		t.Fatalf("got %d payloads, valid %d; want 1 payload, valid %d", len(got), valid, whole)
 	}
@@ -77,33 +77,33 @@ func TestWalkStopsAtCorruptPayload(t *testing.T) {
 func TestWalkBoundsPayloadLength(t *testing.T) {
 	// A frame whose length field claims more than maxPayload stops the walk
 	// even when the data after it happens to be long enough.
-	var hdr [HeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], 1<<30)
-	buf := append(Append(nil, []byte("ok")), hdr[:]...)
+	var hdr [frameHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], maxPayload+1)
+	buf := append(appendFrame(nil, []byte("ok")), hdr[:]...)
 	buf = append(buf, make([]byte, 64)...)
-	got, valid := collect(buf, 1<<20)
-	if len(got) != 1 || valid != Size(2) {
-		t.Fatalf("got %d payloads, valid %d; want 1 payload, valid %d", len(got), valid, Size(2))
+	got, valid := collect(buf)
+	if len(got) != 1 || valid != frameSize(2) {
+		t.Fatalf("got %d payloads, valid %d; want 1 payload, valid %d", len(got), valid, frameSize(2))
 	}
 }
 
 func TestWalkStopsWhenFnRejects(t *testing.T) {
-	buf := Append(Append(Append(nil, []byte("a")), []byte("bad")), []byte("c"))
+	buf := appendFrame(appendFrame(appendFrame(nil, []byte("a")), []byte("bad")), []byte("c"))
 	var seen []string
-	valid := Walk(buf, 0, func(p []byte) bool {
+	valid := walkFrames(buf, func(p []byte) bool {
 		if string(p) == "bad" {
 			return false
 		}
 		seen = append(seen, string(p))
 		return true
 	})
-	if len(seen) != 1 || seen[0] != "a" || valid != Size(1) {
-		t.Fatalf("seen %v, valid %d; want [a], valid %d", seen, valid, Size(1))
+	if len(seen) != 1 || seen[0] != "a" || valid != frameSize(1) {
+		t.Fatalf("seen %v, valid %d; want [a], valid %d", seen, valid, frameSize(1))
 	}
 }
 
 func TestWalkEmpty(t *testing.T) {
-	if got, valid := collect(nil, 0); len(got) != 0 || valid != 0 {
+	if got, valid := collect(nil); len(got) != 0 || valid != 0 {
 		t.Fatalf("empty walk returned %d payloads, valid %d", len(got), valid)
 	}
 }

@@ -24,11 +24,12 @@
 // # On-disk layout
 //
 // A store is a directory of append-only segment files, seg-NNNNNNNN.cas,
-// each a "CMPLCAS1" magic followed by internal/frame frames whose payloads
-// are JSON Records.  Appends go to the highest-numbered segment, one write
-// per record with batched fsync: a kill loses at most the record in
-// flight, and a torn tail is truncated (durably) on open.  Within and across segments, the last record for a key wins, so
-// compaction can leave duplicates behind without ambiguity.
+// each a "CMPLCAS1" magic followed by length-prefixed, CRC-checked frames
+// (frame.go) whose payloads are JSON Records.  Appends go to the
+// highest-numbered segment, one write per record with batched fsync: a kill
+// loses at most the record in flight, and a torn tail is truncated
+// (durably) on open.  Within and across segments, the last record for a key
+// wins, so compaction can leave duplicates behind without ambiguity.
 //
 // # Eviction and compaction
 //
@@ -63,7 +64,6 @@ import (
 
 	"cmpleak/internal/core"
 	"cmpleak/internal/experiment"
-	"cmpleak/internal/frame"
 )
 
 // segMagic opens every segment file; the trailing digit is the format
@@ -214,12 +214,12 @@ func decodeSegment(data []byte, fn func(rec Record, framedSize int64)) (int, err
 	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
 		return 0, fmt.Errorf("%w: missing %q magic", ErrStore, segMagic)
 	}
-	valid := frame.Walk(data[len(segMagic):], maxPayload, func(payload []byte) bool {
+	valid := walkFrames(data[len(segMagic):], func(payload []byte) bool {
 		var rec Record
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return false // CRC-valid but undecodable: start of garbage
 		}
-		fn(rec, int64(frame.Size(len(payload))))
+		fn(rec, int64(frameSize(len(payload))))
 		return true
 	})
 	return len(segMagic) + valid, nil
@@ -384,7 +384,7 @@ func (s *Store) Put(rec Record) error {
 	if err != nil {
 		return fmt.Errorf("resultcache: encoding record: %w", err)
 	}
-	buf := frame.Append(nil, payload)
+	buf := appendFrame(nil, payload)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -469,8 +469,8 @@ func (s *Store) compactLocked() error {
 			os.Remove(tmp)
 			return fmt.Errorf("resultcache: compacting: %w", err)
 		}
-		buf = frame.Append(buf, payload)
-		e.size = int64(frame.Size(len(payload)))
+		buf = appendFrame(buf, payload)
+		e.size = int64(frameSize(len(payload)))
 	}
 	if _, err := f.Write(buf); err != nil {
 		f.Close()
