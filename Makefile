@@ -30,26 +30,29 @@ build:
 test:
 	$(GO) test ./...
 
-# test-allocs re-runs the 0-allocs/op guards on the scheduler drain loop,
-# the record pool every memory-hierarchy component keeps its per-request
-# records in (TestPoolAllocationFree: Get after Put reuses a zeroed record),
-# the steady-state load-hit, load-miss, decay-tick, victim-selection,
-# stream-refill, trace-replay (chunks decode in place from an in-memory
-# trace, or from each reader's one staging buffer when read from a file)
-# and stats-observe paths, the constant-allocation guard on the sweep
-# digest, the host-bytes-per-L2-line budget of core.NewSystem, the
-# host-bytes-per-L1-line budget of an L1's Init (TestL1InitBytesPerLine: an
-# L1 is a tag store with no per-line power or decay state), the heap an
-# opened trace file retains (its chunk index, not its bytes), and the
-# storage reuse of a simulated system rebuilt for the next job (a cache
-# bank's or an engine's re-Init allocates nothing, a whole core.System's
-# Rebuild under 5% of a new build's bytes), explicitly, so an allocation
-# regression or per-line state that grows back fails CI with a focused
-# message even when the main test run is filtered.
+# test-allocs re-runs the 0-allocs/op guards on the scheduler drain loop
+# (events placed at completion marks included), the record pool every
+# memory-hierarchy component keeps its per-request records in
+# (TestPoolAllocationFree: Get after Put reuses a zeroed record), the
+# steady-state load-hit, load-miss, store (stalled stores included),
+# decay-tick, victim-selection, stream-refill, trace-replay (chunks decode
+# in place from an in-memory trace, or from each reader's one staging
+# buffer when read from a file) and stats-observe paths, a core that blocks
+# on hit completions held as marks (TestBlockedOnHitsAllocationFree), the
+# constant-allocation guard on the sweep digest, the host-bytes-per-L2-line
+# budget of core.NewSystem, the host-bytes-per-L1-line budget of an L1's
+# Init (TestL1InitBytesPerLine: an L1 is a tag store with no per-line power
+# or decay state), the heap an opened trace file retains (its chunk index,
+# not its bytes), and the storage reuse of a simulated system rebuilt for
+# the next job (a cache bank's or an engine's re-Init allocates nothing, a
+# whole core.System's Rebuild under 5% of a new build's bytes, and its
+# Rebuild plus Run within a measured byte budget), explicitly, so an
+# allocation regression or per-line state that grows back fails CI with a
+# focused message even when the main test run is filtered.
 test-allocs:
 	$(GO) test -count 1 -run 'AllocationFree|BytesPerLine|RetainedHeap|RebuildBytes' \
 		./internal/sim ./internal/cache ./internal/coherence ./internal/core ./internal/decay \
-		./internal/workload ./internal/stats ./internal/trace ./internal/experiment
+		./internal/cpu ./internal/workload ./internal/stats ./internal/trace ./internal/experiment
 
 # test-faults runs the whole fault-tolerance surface under the race
 # detector: fault injection, panic containment, retry/backoff, context
@@ -100,7 +103,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzServeScenario -fuzztime $(FUZZTIME) ./internal/service
 
 # bench-smoke proves the benchmark harness still runs end to end: one
-# iteration of the scheduler, geometric-sampler (BenchmarkGeometric),
+# iteration of the scheduler (placing events at marks included:
+# BenchmarkScheduleAtMark), geometric-sampler (BenchmarkGeometric),
 # cache-table, stream-ingest, trace decode and encode, parallel trace
 # recording (BenchmarkCapture), warm service-resubmission, warm
 # service-submit (a repeated body done at submit) and warm service-report

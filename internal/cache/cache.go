@@ -163,11 +163,13 @@ type Cache struct {
 	// while decayTicks%DecayLevels == k, which saturate DecayLevels ticks
 	// later unless reset again; decaySat holds saturated lines that survived
 	// their turn-off request (deferred, or writing back), which every tick
-	// requests again.
+	// requests again.  decayList is the list DecayTick returns, its array
+	// reused by every tick and kept by Init.
 	decayTicks uint32
 	armTick    []uint32
 	decayDue   [DecayLevels][]uint64
 	decaySat   []uint64
+	decayList  []int
 }
 
 // New builds a cache; the configuration must validate.
@@ -226,8 +228,9 @@ func (c *Cache) Init(cfg Config) {
 		Tags:  old.Tags,
 		lines: zeroed(old.lines, cfg.NumLines()),
 		// Decay stays off until EnableDecay, which reuses these arrays.
-		armTick:  old.armTick[:0],
-		decaySat: old.decaySat[:0],
+		armTick:   old.armTick[:0],
+		decaySat:  old.decaySat[:0],
+		decayList: old.decayList[:0],
 	}
 	for k := range c.decayDue {
 		c.decayDue[k] = old.decayDue[k][:0]
@@ -462,15 +465,18 @@ func (c *Cache) DecayCounter(set, way int) int {
 	return int(min(c.decayTicks-c.armTick[set*c.assoc+way], DecayLevels))
 }
 
-// DecayTick advances the bank's global decay tick and appends to dst, in
-// index order, every powered, armed (so valid) line whose counter is
-// saturated after it and that was due this tick or is in the saturated set.
-// Both sets are cleared as they are read: the caller returns the lines its
-// turn-off requests leave in place with KeepSaturated.  A due bit left
-// behind by an earlier reset of a line reset again since is stale and
-// skipped; entries of the saturated set are taken without reading their arm
-// tick, so saturation never depends on 32-bit wrap-around.
-func (c *Cache) DecayTick(dst []int) []int {
+// DecayTick advances the bank's global decay tick and returns, in index
+// order, every powered, armed (so valid) line whose counter is saturated
+// after it and that was due this tick or is in the saturated set.  The list
+// lives in the bank: the caller may reorder or filter it in place, and it
+// is valid until the next DecayTick.  Both sets are cleared as they are
+// read: the caller returns the lines its turn-off requests leave in place
+// with KeepSaturated.  A due bit left behind by an earlier reset of a line
+// reset again since is stale and skipped; entries of the saturated set are
+// taken without reading their arm tick, so saturation never depends on
+// 32-bit wrap-around.
+func (c *Cache) DecayTick() []int {
+	dst := c.decayList[:0]
 	c.decayTicks++
 	t := c.decayTicks
 	due := c.decayDue[t%DecayLevels]
@@ -493,6 +499,7 @@ func (c *Cache) DecayTick(dst []int) []int {
 			dst = append(dst, idx)
 		}
 	}
+	c.decayList = dst
 	return dst
 }
 

@@ -496,7 +496,7 @@ func useCache(c *Cache) {
 			c.PowerOff(set, way, sim.Cycle(i))
 		}
 		if i%7 == 0 {
-			for _, idx := range c.DecayTick(nil) {
+			for _, idx := range c.DecayTick() {
 				c.KeepSaturated(idx)
 			}
 		}
@@ -524,6 +524,12 @@ func TestInitMatchesNew(t *testing.T) {
 		// both, which also checks Init left no stale arm tick or bitmap.
 		c.EnableDecay()
 		fresh.EnableDecay()
+		// The due list keeps its array for the next tick, and must be
+		// empty.
+		if len(c.decayList) != 0 {
+			t.Fatalf("%s: Init left %d lines on the due list", cfg.Name, len(c.decayList))
+		}
+		c.decayList, fresh.decayList = nil, nil
 		if !reflect.DeepEqual(c, fresh) {
 			t.Fatalf("%s: Init of a used cache differs from New", cfg.Name)
 		}

@@ -90,6 +90,13 @@ type L1Controller struct {
 	wb    *cache.WriteBuffer
 	below LowerLevel
 
+	// lastHit is the block of the last access that hit, or noHit.  It is
+	// the most recently touched line of the whole L1, so the most recently
+	// used way of its set, and a repeat access to it hits without Lookup or
+	// Touch.  fill and InvalidateBlock, the only other writers of the tag
+	// store, reset it.
+	lastHit mem.Addr
+
 	draining bool
 	// stalledStores queues stores that found the write buffer full; they
 	// are admitted in FIFO order as drains free slots (no polling).  A
@@ -97,11 +104,10 @@ type L1Controller struct {
 	// core's MaxOutstandingStores, which bounds the queue.
 	stalledStores []pendingStore
 
-	// reqs pools per-load request records; together with the pre-bound
+	// reqs pools per-miss request records; together with the pre-bound
 	// callbacks below they keep the whole load path — hit, miss, MSHR merge
 	// and L2 fill — free of per-event allocations.
 	reqs           sim.Pool[loadReq]
-	finishLoadFn   sim.ArgFunc
 	retryFillFn    sim.ArgFunc
 	finishLoadDone cache.DoneFunc
 	fillDone       cache.DoneFunc
@@ -139,7 +145,8 @@ func NewL1Controller(id int, eng *sim.Engine, cfg L1Config) (*L1Controller, erro
 // Init makes l in place the controller NewL1Controller would build, with no
 // lower level and zero statistics; cfg must validate.  Its tag store, MSHR
 // and write buffer are rebuilt in their own storage (cache.Tags.Init and
-// the others), and it keeps its request pool.
+// the others), and it keeps its request pool and its stalled-store queue's
+// array.
 func (l *L1Controller) Init(id int, eng *sim.Engine, cfg L1Config) {
 	arr, mshr, wb := l.cache, l.mshr, l.wb
 	if arr == nil {
@@ -156,8 +163,12 @@ func (l *L1Controller) Init(id int, eng *sim.Engine, cfg L1Config) {
 		mshr:  mshr,
 		wb:    wb,
 		reqs:  l.reqs,
+		// A finished run leaves no store stalled; clear drops a stale
+		// callback all the same.
+		stalledStores: l.stalledStores[:0],
+		lastHit:       noHit,
 	}
-	l.finishLoadFn = func(a any) { l.finishLoad(a.(*loadReq)) }
+	clear(l.stalledStores[:cap(l.stalledStores)])
 	l.retryFillFn = func(a any) { l.requestFill(a.(*loadReq)) }
 	l.finishLoadDone = func(a any, _ mem.Addr) { l.finishLoad(a.(*loadReq)) }
 	l.fillDone = func(_ any, block mem.Addr) { l.fill(block) }
@@ -180,7 +191,28 @@ func (l *L1Controller) block(a mem.Addr) mem.Addr {
 	return mem.BlockAddr(a, l.cfg.Cache.LineBytes)
 }
 
-// loadReq carries the per-load state (issue cycle for AMAT, completion
+// noHit is lastHit's empty value.  Block addresses are multiples of the
+// line size, at least 2, so 1 is never one (cache.Tags marks an empty way
+// the same way).
+const noHit mem.Addr = 1
+
+// hit reports whether the block holding a is present and, when it is,
+// makes it the most recently used way of its set.
+func (l *L1Controller) hit(a mem.Addr) bool {
+	block := l.block(a)
+	if block == l.lastHit {
+		return true
+	}
+	set, way, ok := l.cache.Lookup(a)
+	if !ok {
+		return false
+	}
+	l.cache.Touch(set, way)
+	l.lastHit = block
+	return true
+}
+
+// loadReq carries the per-miss state (issue cycle for AMAT, completion
 // callback) through the cache pipeline.  Records are pooled so the load
 // path allocates nothing in steady state.
 type loadReq struct {
@@ -207,20 +239,23 @@ func (l *L1Controller) finishLoad(req *loadReq) {
 	}
 }
 
-// Read services a load.  done fires when the data is available; the
-// controller records the observed latency for AMAT.
-func (l *L1Controller) Read(a mem.Addr, done func()) {
+// Read services a load and records its latency for AMAT.  A hit completes
+// the L1 latency after issue without an engine event: Read returns the
+// completion's mark (sim.Engine.MarkAt) and true, and never calls done.  Its
+// latency is recorded at issue, which the order-free sum, count, minimum
+// and maximum of LoadLatency allow.  A miss returns false, and done fires
+// when the fill delivers the data.
+func (l *L1Controller) Read(a mem.Addr, done func()) (sim.Mark, bool) {
 	l.Loads.Inc()
-	start := l.eng.Now()
-	set, way, hit := l.cache.Lookup(a)
-	if hit {
+	if l.hit(a) {
 		l.LoadHits.Inc()
-		l.cache.Touch(set, way)
-		l.eng.ScheduleArg(l.cfg.Cache.Latency(), l.finishLoadFn, l.newReq(a, start, done))
-		return
+		lat := l.cfg.Cache.Latency()
+		l.LoadLatency.Observe(uint64(lat))
+		return l.eng.MarkAt(lat), true
 	}
 	l.LoadMisses.Inc()
-	l.requestFill(l.newReq(a, start, done))
+	l.requestFill(l.newReq(a, l.eng.Now(), done))
+	return sim.Mark{}, false
 }
 
 // requestFill allocates an MSHR entry (retrying while full) and, for primary
@@ -244,6 +279,7 @@ func (l *L1Controller) requestFill(req *loadReq) {
 
 // fill installs a block returned by the L2 and wakes all merged waiters.
 func (l *L1Controller) fill(block mem.Addr) {
+	l.lastHit = noHit
 	set, way, hit := l.cache.Lookup(block)
 	if !hit {
 		// Write-through L1: the victim is clean, so Install overwrites it.
@@ -258,20 +294,29 @@ func (l *L1Controller) fill(block mem.Addr) {
 
 // Write services a store.  The L1 is write-through no-write-allocate: the
 // line is updated only on a hit, and the store always enters the write
-// buffer for propagation to the L2.  done fires when the store has been
-// accepted into the write buffer (weak consistency: the core does not wait
-// for the L2).
-func (l *L1Controller) Write(a mem.Addr, done func()) {
+// buffer for propagation to the L2.  The store completes the L1 latency
+// after the write buffer accepts it (weak consistency: the core does not
+// wait for the L2).  A store the buffer takes at once completes without an
+// engine event: Write returns the completion's mark and true, and never
+// calls done.  A store that finds the buffer full queues until a drain
+// frees a slot; Write returns false, and done fires when it completes.
+func (l *L1Controller) Write(a mem.Addr, done func()) (sim.Mark, bool) {
 	l.Stores.Inc()
-	start := l.eng.Now()
-	set, way, hit := l.cache.Lookup(a)
-	if hit {
+	if l.hit(a) {
 		l.StoreHits.Inc()
-		l.cache.Touch(set, way)
 	} else {
 		l.StoreMisses.Inc()
 	}
-	l.tryEnqueueStore(l.block(a), start, done)
+	block := l.block(a)
+	if !l.wb.Push(block) {
+		l.RetryEvents.Inc()
+		l.stalledStores = append(l.stalledStores, pendingStore{block: block, start: l.eng.Now(), done: done})
+		return sim.Mark{}, false
+	}
+	l.StoreAcceptDelay.Observe(0)
+	m := l.eng.MarkAt(l.cfg.Cache.Latency())
+	l.startDrain()
+	return m, true
 }
 
 // pendingStore is a store waiting for a write-buffer slot.
@@ -281,20 +326,8 @@ type pendingStore struct {
 	done  func()
 }
 
-// tryEnqueueStore pushes the store into the write buffer; when the buffer is
-// full the store queues and is admitted as soon as a drain frees a slot.
-func (l *L1Controller) tryEnqueueStore(block mem.Addr, start sim.Cycle, done func()) {
-	if !l.wb.Push(block) {
-		l.RetryEvents.Inc()
-		l.stalledStores = append(l.stalledStores, pendingStore{block: block, start: start, done: done})
-		return
-	}
-	l.acceptStore(start, done)
-	l.startDrain()
-}
-
-// acceptStore completes the processor side of a store once it sits in the
-// write buffer.
+// acceptStore completes the processor side of a stalled store once it sits
+// in the write buffer.
 func (l *L1Controller) acceptStore(start sim.Cycle, done func()) {
 	l.StoreAcceptDelay.Observe(uint64(l.eng.Now() - start))
 	if done != nil {
@@ -353,6 +386,7 @@ func (l *L1Controller) InvalidateBlock(block mem.Addr) bool {
 	}
 	l.BackInvalidates.Inc()
 	l.cache.Invalidate(set, way)
+	l.lastHit = noHit
 	return true
 }
 

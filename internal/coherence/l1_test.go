@@ -33,6 +33,27 @@ func (f *fakeL2) Write(block mem.Addr, done cache.DoneFunc, arg any) {
 	}
 }
 
+// completeAt runs done where an access completes: at the mark Read or Write
+// returned, as the core does once it must see the completion, or never
+// when the access calls done itself.
+func completeAt(eng *sim.Engine, m sim.Mark, ok bool, done func()) {
+	if ok && done != nil {
+		eng.ScheduleArgAtMark(m, func(any) { done() }, nil)
+	}
+}
+
+// read and write issue an access whose completion runs done, whether the
+// L1 returns a mark or calls done itself.
+func read(l1 *L1Controller, a mem.Addr, done func()) {
+	m, ok := l1.Read(a, done)
+	completeAt(l1.eng, m, ok, done)
+}
+
+func write(l1 *L1Controller, a mem.Addr, done func()) {
+	m, ok := l1.Write(a, done)
+	completeAt(l1.eng, m, ok, done)
+}
+
 func newL1UnderTest(t *testing.T) (*sim.Engine, *fakeL2, *L1Controller) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -48,8 +69,10 @@ func newL1UnderTest(t *testing.T) (*sim.Engine, *fakeL2, *L1Controller) {
 
 func TestL1ReadMissThenHit(t *testing.T) {
 	eng, l2, l1 := newL1UnderTest(t)
-	var firstDone, secondDone sim.Cycle
-	l1.Read(0x1000, func() { firstDone = eng.Now() })
+	var firstDone sim.Cycle
+	if _, ok := l1.Read(0x1000, func() { firstDone = eng.Now() }); ok {
+		t.Fatal("a miss returned a completion mark")
+	}
 	eng.Run()
 	if len(l2.reads) != 1 || l2.reads[0] != 0x1000 {
 		t.Fatalf("L2 saw reads %v, want [0x1000]", l2.reads)
@@ -61,24 +84,110 @@ func TestL1ReadMissThenHit(t *testing.T) {
 		t.Fatal("miss not counted")
 	}
 
-	l1.Read(0x1000, func() { secondDone = eng.Now() })
+	// A hit completes at a mark the L1 latency ahead, with no event queued
+	// and without calling done.
+	called := false
+	m, ok := l1.Read(0x1000, func() { called = true })
+	if !ok || m.When != firstDone+l1.cfg.Cache.Latency() {
+		t.Fatalf("hit returned mark %+v, %v; want one at cycle %d", m, ok, firstDone+l1.cfg.Cache.Latency())
+	}
+	if eng.Pending() != 0 {
+		t.Fatalf("hit queued %d events, want 0", eng.Pending())
+	}
 	eng.Run()
+	if called {
+		t.Fatal("hit called done")
+	}
 	if len(l2.reads) != 1 {
 		t.Fatal("hit should not reach the L2")
 	}
 	if l1.LoadHits.Value() != 1 {
 		t.Fatal("hit not counted")
 	}
-	if secondDone-firstDone >= firstDone {
-		t.Fatalf("hit latency (%d) should be far smaller than miss latency (%d)", secondDone-firstDone, firstDone)
+	if m.When-firstDone >= firstDone {
+		t.Fatalf("hit latency (%d) should be far smaller than miss latency (%d)", m.When-firstDone, firstDone)
+	}
+	// Its latency is recorded at issue.
+	if n, sum := l1.LoadLatency.Count(), l1.LoadLatency.Sum(); n != 2 || sum != uint64(firstDone+l1.cfg.Cache.Latency()) {
+		t.Fatalf("latency count %d sum %d, want 2 and %d", n, sum, firstDone+l1.cfg.Cache.Latency())
+	}
+}
+
+// A hit's mark sits where the completion event of the former contract
+// would have been scheduled: after the events scheduled before the access,
+// before those scheduled after it.
+func TestL1HitMarkKeepsScheduleOrder(t *testing.T) {
+	eng, _, l1 := newL1UnderTest(t)
+	read(l1, 0x1000, nil)
+	eng.Run()
+	lat := l1.cfg.Cache.Latency()
+	var order []string
+	eng.Schedule(lat, func() { order = append(order, "before") })
+	read(l1, 0x1000, func() { order = append(order, "hit") })
+	write(l1, 0x1000, func() { order = append(order, "store") })
+	eng.Schedule(lat, func() { order = append(order, "after") })
+	eng.Run()
+	if got := strings.Join(order, ","); got != "before,hit,store,after" {
+		t.Fatalf("completion order %s, want before,hit,store,after", got)
+	}
+}
+
+// The L1 remembers the block that hit last and answers a repeat access
+// without a lookup; a back-invalidation of that block must make the next
+// access miss.
+func TestL1LastHitBlockInvalidatedMisses(t *testing.T) {
+	eng, l2, l1 := newL1UnderTest(t)
+	read(l1, 0x5000, nil)
+	eng.Run()
+	if _, ok := l1.Read(0x5008, nil); !ok {
+		t.Fatal("fixture broken: the filled block did not hit")
+	}
+	if !l1.InvalidateBlock(0x5000) {
+		t.Fatal("back-invalidation found no copy")
+	}
+	if _, ok := l1.Read(0x5000, nil); ok {
+		t.Fatal("a back-invalidated block that hit last hit again")
+	}
+	eng.Run()
+	if l1.LoadMisses.Value() != 2 || len(l2.reads) != 2 {
+		t.Fatalf("misses %d, L2 reads %d; want 2 and 2", l1.LoadMisses.Value(), len(l2.reads))
+	}
+}
+
+// With one way per set a fill evicts the block that hit last; the next
+// access to it must miss.
+func TestL1LastHitBlockEvictedMisses(t *testing.T) {
+	eng := sim.NewEngine()
+	l2 := &fakeL2{eng: eng, readLatency: 20, writeLatency: 10}
+	cfg := DefaultL1Config("L1-direct")
+	cfg.Cache.Assoc = 1
+	l1, err := NewL1Controller(0, eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l1.SetLowerLevel(l2)
+	read(l1, 0x5000, nil)
+	eng.Run()
+	if _, ok := l1.Write(0x5000, nil); !ok || l1.StoreHits.Value() != 1 {
+		t.Fatal("fixture broken: the filled block did not take a store hit")
+	}
+	eng.Run()
+	read(l1, 0x5000+mem.Addr(cfg.Cache.SizeBytes), nil) // same set
+	eng.Run()
+	if _, ok := l1.Read(0x5000, nil); ok {
+		t.Fatal("a block evicted by a fill after it hit last hit again")
+	}
+	eng.Run()
+	if l1.LoadMisses.Value() != 3 {
+		t.Fatalf("load misses %d, want 3", l1.LoadMisses.Value())
 	}
 }
 
 func TestL1ReadMergesSecondaryMisses(t *testing.T) {
 	eng, l2, l1 := newL1UnderTest(t)
 	completions := 0
-	l1.Read(0x2000, func() { completions++ })
-	l1.Read(0x2008, func() { completions++ }) // same 64-byte block
+	read(l1, 0x2000, func() { completions++ })
+	read(l1, 0x2008, func() { completions++ }) // same 64-byte block
 	eng.Run()
 	if len(l2.reads) != 1 {
 		t.Fatalf("secondary miss issued %d L2 reads, want 1", len(l2.reads))
@@ -92,7 +201,7 @@ func TestL1WriteThroughAlwaysReachesL2(t *testing.T) {
 	eng, l2, l1 := newL1UnderTest(t)
 	done := 0
 	// Store miss: no-write-allocate, still propagated.
-	l1.Write(0x3000, func() { done++ })
+	write(l1, 0x3000, func() { done++ })
 	eng.Run()
 	if len(l2.writes) != 1 || l2.writes[0] != 0x3000 {
 		t.Fatalf("L2 saw writes %v, want [0x3000]", l2.writes)
@@ -103,7 +212,7 @@ func TestL1WriteThroughAlwaysReachesL2(t *testing.T) {
 	// Bring the block in, then a store hit must also be written through.
 	l1.Read(0x3000, nil)
 	eng.Run()
-	l1.Write(0x3004, func() { done++ })
+	write(l1, 0x3004, func() { done++ })
 	eng.Run()
 	if len(l2.writes) != 2 {
 		t.Fatalf("store hit did not write through: %v", l2.writes)
@@ -245,7 +354,7 @@ func TestL1StalledStoresAdmittedFIFO(t *testing.T) {
 	for i := 0; i < stores; i++ {
 		i := i
 		blocks[i] = mem.Addr(0x7000 + i*64)
-		l1.Write(blocks[i], func() { accepted = append(accepted, i) })
+		write(l1, blocks[i], func() { accepted = append(accepted, i) })
 	}
 	if l1.RetryEvents.Value() == 0 {
 		t.Fatal("fixture broken: no store ever stalled on a full write buffer")
@@ -319,9 +428,9 @@ func TestL1StalledStoreQueueFootprintBounded(t *testing.T) {
 func TestL1MergedMissLatencyAccounting(t *testing.T) {
 	eng, l2, l1 := newL1UnderTest(t)
 	var t1, t2 sim.Cycle
-	l1.Read(0x8000, func() { t1 = eng.Now() })
-	eng.RunUntil(5)                            // let 5 cycles pass before the secondary miss
-	l1.Read(0x8008, func() { t2 = eng.Now() }) // same 64-byte block: merges
+	read(l1, 0x8000, func() { t1 = eng.Now() })
+	eng.RunUntil(5)                             // let 5 cycles pass before the secondary miss
+	read(l1, 0x8008, func() { t2 = eng.Now() }) // same 64-byte block: merges
 	eng.Run()
 
 	if len(l2.reads) != 1 {
@@ -351,7 +460,7 @@ func TestL1MSHRFullRetries(t *testing.T) {
 	l1.SetLowerLevel(l2)
 	completions := 0
 	for i := 0; i < 6; i++ {
-		l1.Read(mem.Addr(0x9000+i*64), func() { completions++ })
+		read(l1, mem.Addr(0x9000+i*64), func() { completions++ })
 	}
 	eng.Run()
 	if completions != 6 {

@@ -1,8 +1,9 @@
 package core
 
-// Allocation guards for the data plane: the steady-state L1 load-hit and
-// load-miss→bus→L2-fill paths must not allocate under any technique,
-// including the decay hooks and the global tick, NewSystem must stay
+// Allocation guards for the data plane: the steady-state L1 load-hit,
+// load-miss→bus→L2-fill and store→write-buffer→L2 paths must not allocate
+// under any technique (decay hooks, global tick and stalled stores
+// included), NewSystem must stay
 // within its host-byte budget per simulated L2 line, and rebuilding a used
 // System for the next job must reuse its storage.  These tests are the
 // CI tripwire behind the pooled MSHR records, the pre-bound bus
@@ -134,6 +135,39 @@ func TestSteadyStateLoadMissAllocationFree(t *testing.T) {
 	})
 }
 
+// storeBurst exceeds the L1's 8 write-buffer slots, so every burst stalls
+// its tail stores until drains free slots.
+const storeBurst = 12
+
+func TestSteadyStateStoreAllocationFree(t *testing.T) {
+	forEachKind(t, func(t *testing.T, spec decay.Spec) {
+		eng, l1, l2 := newLoadPathRig(t, spec)
+		l1.Read(0x40, nil) // one block in the L1, so the burst mixes hits and misses
+		eng.RunUntil(eng.Now() + drainCycles)
+		burst := func() {
+			for i := 0; i < storeBurst; i++ {
+				l1.Write(mem.Addr(0x40+i*64), nil)
+			}
+			eng.RunUntil(eng.Now() + drainCycles)
+		}
+		for j := 0; j < warmOps; j++ {
+			burst()
+		}
+		writes := l2.Writes.Value()
+		if allocs := testing.AllocsPerRun(200, burst); allocs != 0 {
+			t.Errorf("steady-state store burst allocates %.1f objects/op, want 0", allocs)
+		}
+		if l1.StoreHits.Value() == 0 || l1.StoreMisses.Value() == 0 || l1.RetryEvents.Value() == 0 {
+			t.Fatalf("fixture broken: store hits %d, misses %d, stalls %d",
+				l1.StoreHits.Value(), l1.StoreMisses.Value(), l1.RetryEvents.Value())
+		}
+		if l2.Writes.Value() == writes || l1.WriteBuffer().Len() != 0 {
+			t.Fatalf("fixture broken: %d L2 writes, %d stores left buffered",
+				l2.Writes.Value()-writes, l1.WriteBuffer().Len())
+		}
+	})
+}
+
 // newSystemBytesPerLine is the host-memory budget of NewSystem per simulated
 // L2 line.  A 4-core 8 MB always-on system has 131 072 8-way L2 lines, each
 // holding a 3-byte cache.Line and an 8-byte tag, plus 2 bytes of per-set
@@ -206,4 +240,50 @@ func TestRebuildBytes(t *testing.T) {
 			rebuild, 100*rebuildBytesFrac, fresh)
 	}
 	t.Logf("new build %d bytes, rebuild %d bytes (%.2f%%)", fresh, rebuild, 100*float64(rebuild)/float64(fresh))
+}
+
+// rebuildRunBytes is the heap budget of one job on a reused System: Rebuild
+// of a used 4-core 8 MB decay:64K System plus its Run at workload scale
+// 0.02.  Every array, pool and queue the run touches is kept by Rebuild, so
+// what remains is per-job: the workload streams, the thermal model, the
+// callbacks Init binds and the Result.  Measured with Go 1.24 on
+// linux/amd64: 9 320 bytes in 158 allocations, the same at scale 0.05.
+// Under the race detector, after the package's other tests, it read
+// 10 376 bytes.  When each L1's stalled-store queue and each bank's decay
+// due list still regrew per job, the same job allocated 15 912 bytes
+// (18 984 at scale 0.05), and the due list alone 14 408.
+const rebuildRunBytes = 12 << 10
+
+// TestRebuildBytesWithRun runs a job on a System rebuilt from one that has
+// already run the same job twice, and checks that Rebuild and Run together
+// allocate at most rebuildRunBytes: the stalled-store queues, the decay due
+// lists and the rest of the per-run storage regrow nothing.
+func TestRebuildBytesWithRun(t *testing.T) {
+	cfg := config.Default().WithTotalL2MB(8).WithTechnique(decay.Spec{Kind: decay.KindDecay, DecayCycles: 64 * 1024})
+	cfg.WorkloadScale = 0.02
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := func() {
+		if err := s.Rebuild(cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	job()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	job()
+	runtime.ReadMemStats(&after)
+	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	if bytes > rebuildRunBytes {
+		t.Errorf("Rebuild+Run of a used System allocates %d bytes, budget %d", bytes, rebuildRunBytes)
+	}
+	t.Logf("Rebuild+Run of a used System: %d bytes in %d allocations", bytes, mallocs)
 }

@@ -9,12 +9,14 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
 
 	"cmpleak/internal/config"
 	"cmpleak/internal/decay"
+	"cmpleak/internal/power"
 	"cmpleak/internal/sim"
 )
 
@@ -181,6 +183,65 @@ func TestRelationStrictInclusionOffDecay(t *testing.T) {
 			strict.StrictInclusion = true
 			if d := firstDifference(t, runRelation(t, c.config(spec)), runRelation(t, c.config(strict)), nil); d != "" {
 				t.Errorf("%v: %s with and without StrictInclusion differ in %s", c, spec.Name(), d)
+			}
+		}
+	}
+}
+
+// TestRelationL2LeakageAffineInLineCycles is R5: with thermal feedback off
+// every bank leaks at its starting temperature, so the run's L2 leakage
+// energy is a·on + b·off over the banks' powered and gated line-cycles,
+// with a and b the energy of one powered and one gated line-cycle as
+// package power prices them for the technique's overheads.  The
+// simulator's part is only the line-cycle counts.
+func TestRelationL2LeakageAffineInLineCycles(t *testing.T) {
+	const relTol = 1e-9 // float summation over sample intervals, no more
+	cells := append(slices.Clone(goldenCells),
+		relationCell{"FMM", 4, 0.1, 1}, relationCell{"mpeg2dec", 4, 0.1, 1})
+	techs := []decay.Spec{
+		config.Baseline(),
+		{Kind: decay.KindProtocol},
+		{Kind: decay.KindDecay, DecayCycles: 8 << 10},
+		{Kind: decay.KindAdaptive, DecayCycles: 8 << 10},
+	}
+	for _, c := range cells {
+		for _, tech := range techs {
+			cfg := c.config(tech)
+			cfg.ThermalFeedback = false
+			s, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Run()
+			if err != nil {
+				t.Fatalf("%v %s: %v", c, tech.Name(), err)
+			}
+			var on, off uint64
+			for _, l2 := range s.Controllers() {
+				arr := l2.Array()
+				bankOn := arr.OnCycles(res.Cycles)
+				on += bankOn
+				off += uint64(arr.Config().NumLines())*uint64(res.Cycles) - bankOn
+			}
+			p := cfg.Power
+			scale := p.Leakage.Scale(cfg.Thermal.InitialC)
+			area, counter := 0.0, 0.0
+			if tech.Gates() {
+				area = p.GatedVddAreaOverhead
+			}
+			if tech.Decays() {
+				counter = p.DecayCounterLeakFraction
+			}
+			bank := s.Controllers()[0].Array().Config()
+			perOn := power.CacheLeakageEnergy(p, bank, 1, 0, scale, area, counter)
+			perOff := power.CacheLeakageEnergy(p, bank, 0, 1, scale, area, counter)
+			want := perOn*float64(on) + perOff*float64(off)
+			if got := res.Energy.L2Leakage; math.Abs(got-want) > relTol*want {
+				t.Errorf("%v %s: Energy.L2Leakage %g J, want %g J from %d powered and %d gated line-cycles",
+					c, tech.Name(), got, want, on, off)
+			}
+			if tech.Gates() && c.scale >= 0.1 && off == 0 {
+				t.Errorf("%v %s: no line-cycle was gated; the relation is vacuous in b", c, tech.Name())
 			}
 		}
 	}

@@ -6,6 +6,17 @@
 // without blocking (weak consistency through the write buffer).  The model
 // is deliberately simple — the quantity the paper needs from the cores is
 // the IPC degradation caused by extra L2 misses, which this captures.
+//
+// An L1 hit and a store the write buffer takes at once complete a fixed
+// latency after issue, and their completion only lowers the core's count
+// of outstanding requests.  The L1 returns such a completion as a sim.Mark
+// instead of scheduling an event for it.  The core keeps the marks in
+// issue order and counts one as completed once the engine says it has
+// passed, which it asks only when an outstanding-request limit would
+// otherwise stall the core.  When the core does stall, or its stream ends,
+// the completions still ahead become events at their marks, so the core
+// resumes or finishes at exactly the event it would if every completion
+// were an event.
 package cpu
 
 import (
@@ -19,10 +30,14 @@ import (
 )
 
 // MemoryPort is the interface the core uses to talk to its private L1 data
-// cache; it is implemented by coherence.L1Controller.
+// cache; it is implemented by coherence.L1Controller.  Read and Write
+// either return a completion mark and true, in which case the access
+// completes at the mark and done is never called, or return false and call
+// done when the access completes.  The marks one method returns must come
+// in schedule order (a fixed latency after issue does this).
 type MemoryPort interface {
-	Read(a mem.Addr, done func())
-	Write(a mem.Addr, done func())
+	Read(a mem.Addr, done func()) (sim.Mark, bool)
+	Write(a mem.Addr, done func()) (sim.Mark, bool)
 }
 
 // Config holds the core parameters (Alpha 21264-like defaults).
@@ -53,6 +68,50 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// markRing is a FIFO of completion marks in schedule order.  Its length is
+// a power of two no smaller than the outstanding-request limit, which
+// bounds the marks held, so head and tail run free and index through a
+// mask.
+type markRing struct {
+	buf        []sim.Mark
+	mask       uint
+	head, tail uint
+}
+
+// init sizes r for up to limit marks, reusing its buffer when it is large
+// enough.
+func (r *markRing) init(limit int) {
+	n := 1 << bits.Len(uint(limit-1))
+	buf := r.buf
+	if cap(buf) < n {
+		buf = make([]sim.Mark, n)
+	}
+	*r = markRing{buf: buf[:n], mask: uint(n - 1)}
+}
+
+func (r *markRing) push(m sim.Mark) {
+	r.buf[r.tail&r.mask] = m
+	r.tail++
+}
+
+// retire drops the marks that have passed and returns how many.
+func (r *markRing) retire(eng *sim.Engine) int {
+	n := 0
+	for r.head != r.tail && eng.Passed(r.buf[r.head&r.mask]) {
+		r.head++
+		n++
+	}
+	return n
+}
+
+// schedule turns every mark still held into an event running fn at it.
+// The caller retires the passed marks first.
+func (r *markRing) schedule(eng *sim.Engine, fn sim.ArgFunc) {
+	for ; r.head != r.tail; r.head++ {
+		eng.ScheduleArgAtMark(r.buf[r.head&r.mask], fn, nil)
+	}
+}
+
 // batchEntries sizes the per-core trace buffer: large enough to amortise
 // the one NextBatch interface call per refill down to noise, small enough
 // (6 KB) that the buffer stays hot in the L1 cache between refills.
@@ -73,8 +132,11 @@ type Core struct {
 	bufPos int
 	bufLen int
 
+	// The outstanding counts include the completions held as marks.
 	outstandingLoads  int
 	outstandingStores int
+	loadMarks         markRing
+	storeMarks        markRing
 	blockedOnLoads    bool
 	blockedOnStores   bool
 	started           bool
@@ -83,13 +145,16 @@ type Core struct {
 	onDone            func(id int)
 
 	// Pre-bound callbacks: the execution chain is strictly sequential, so a
-	// single pending entry slot and four funcs bound at construction replace
+	// single pending entry slot and the funcs bound at construction replace
 	// the per-instruction closures on the hot path (zero allocations per
-	// scheduled event).
+	// scheduled event).  The mark funcs are the done funcs as events placed
+	// at a held completion mark.
 	advanceFn      sim.EventFunc
 	issuePendingFn sim.EventFunc
 	loadDoneFn     func()
 	storeDoneFn    func()
+	loadMarkFn     sim.ArgFunc
+	storeMarkFn    sim.ArgFunc
 	pending        workload.Entry
 
 	// issueShift is log2(IssueWidth) when the width is a power of two
@@ -124,8 +189,9 @@ func New(id int, eng *sim.Engine, cfg Config, l1 MemoryPort, stream workload.Str
 }
 
 // Init makes c in place the core New would build, not started and with
-// zero statistics, keeping its batch buffer; cfg must validate and l1 and
-// stream must be non-nil.  The OnDone callback is cleared.
+// zero statistics, keeping its batch buffer and mark rings; cfg must
+// validate and l1 and stream must be non-nil.  The OnDone callback is
+// cleared.
 func (c *Core) Init(id int, eng *sim.Engine, cfg Config, l1 MemoryPort, stream workload.Stream) {
 	buf := c.buf
 	if cap(buf) < batchEntries {
@@ -133,9 +199,13 @@ func (c *Core) Init(id int, eng *sim.Engine, cfg Config, l1 MemoryPort, stream w
 	}
 	*c = Core{
 		id: id, eng: eng, cfg: cfg, l1: l1,
-		stream: stream,
-		buf:    buf[:batchEntries],
+		stream:     stream,
+		buf:        buf[:batchEntries],
+		loadMarks:  c.loadMarks,
+		storeMarks: c.storeMarks,
 	}
+	c.loadMarks.init(cfg.MaxOutstandingLoads)
+	c.storeMarks.init(cfg.MaxOutstandingStores)
 	if w := uint(cfg.IssueWidth); w&(w-1) == 0 {
 		c.issuePow2 = true
 		c.issueShift = uint(bits.TrailingZeros(w))
@@ -152,6 +222,8 @@ func (c *Core) Init(id int, eng *sim.Engine, cfg Config, l1 MemoryPort, stream w
 		c.resumeIfBlocked()
 		c.maybeFinish()
 	}
+	c.loadMarkFn = func(any) { c.loadDoneFn() }
+	c.storeMarkFn = func(any) { c.storeDoneFn() }
 }
 
 // ID returns the core index.
@@ -207,21 +279,32 @@ func (c *Core) computeDelay(instrs int) sim.Cycle {
 // (rescheduled) or a structural limit (resumed from a completion
 // callback), refilling the buffer — the only stream interface call — when
 // it runs dry.  Instruction accounting stays per entry so the counter is
-// exact at every cycle the power sampler reads it.
+// exact at every cycle the power sampler reads it.  A limit check that
+// would stall first retires the passed completion marks of its kind; a
+// stall that remains turns the kind's other marks into events, one of
+// which resumes the core.
 func (c *Core) advance() {
 	if c.streamDone {
 		return
 	}
 	for {
 		if c.outstandingLoads >= c.cfg.MaxOutstandingLoads {
-			c.blockedOnLoads = true
-			c.lastStallAt = c.eng.Now()
-			return
+			c.outstandingLoads -= c.loadMarks.retire(c.eng)
+			if c.outstandingLoads >= c.cfg.MaxOutstandingLoads {
+				c.blockedOnLoads = true
+				c.lastStallAt = c.eng.Now()
+				c.loadMarks.schedule(c.eng, c.loadMarkFn)
+				return
+			}
 		}
 		if c.outstandingStores >= c.cfg.MaxOutstandingStores {
-			c.blockedOnStores = true
-			c.lastStallAt = c.eng.Now()
-			return
+			c.outstandingStores -= c.storeMarks.retire(c.eng)
+			if c.outstandingStores >= c.cfg.MaxOutstandingStores {
+				c.blockedOnStores = true
+				c.lastStallAt = c.eng.Now()
+				c.storeMarks.schedule(c.eng, c.storeMarkFn)
+				return
+			}
 		}
 		if c.bufPos >= c.bufLen {
 			c.bufLen = c.stream.NextBatch(c.buf)
@@ -254,18 +337,24 @@ func (c *Core) advance() {
 
 // issuePending sends the memory operation of the pending entry to the L1
 // and continues the execution chain.  Only one entry is ever pending: the
-// chain does not advance past a memory entry until this runs.
+// chain does not advance past a memory entry until this runs.  A completion
+// the L1 returns as a mark joins its kind's ring; the limit check that let
+// this entry issue leaves the ring room for it.
 func (c *Core) issuePending() {
 	e := c.pending
 	switch e.Op {
 	case workload.Load:
 		c.LoadsIssued.Inc()
 		c.outstandingLoads++
-		c.l1.Read(e.Addr, c.loadDoneFn)
+		if m, ok := c.l1.Read(e.Addr, c.loadDoneFn); ok {
+			c.loadMarks.push(m)
+		}
 	case workload.Store:
 		c.StoresIssued.Inc()
 		c.outstandingStores++
-		c.l1.Write(e.Addr, c.storeDoneFn)
+		if m, ok := c.l1.Write(e.Addr, c.storeDoneFn); ok {
+			c.storeMarks.push(m)
+		}
 	}
 	c.advance()
 }
@@ -288,9 +377,14 @@ func (c *Core) resumeIfBlocked() {
 }
 
 // finish is reached when the stream is exhausted; completion is declared
-// once outstanding requests drain.
+// once outstanding requests drain, so every completion still held as a mark
+// becomes an event.
 func (c *Core) finish() {
 	c.streamDone = true
+	c.outstandingLoads -= c.loadMarks.retire(c.eng)
+	c.outstandingStores -= c.storeMarks.retire(c.eng)
+	c.loadMarks.schedule(c.eng, c.loadMarkFn)
+	c.storeMarks.schedule(c.eng, c.storeMarkFn)
 	c.maybeFinish()
 }
 

@@ -21,7 +21,7 @@ type fakeL1 struct {
 	failOnZeroReads bool
 }
 
-func (f *fakeL1) Read(a mem.Addr, done func()) {
+func (f *fakeL1) Read(a mem.Addr, done func()) (sim.Mark, bool) {
 	f.reads = append(f.reads, a)
 	f.inFlight++
 	if f.inFlight > f.maxInFlight {
@@ -31,11 +31,13 @@ func (f *fakeL1) Read(a mem.Addr, done func()) {
 		f.inFlight--
 		done()
 	})
+	return sim.Mark{}, false
 }
 
-func (f *fakeL1) Write(a mem.Addr, done func()) {
+func (f *fakeL1) Write(a mem.Addr, done func()) (sim.Mark, bool) {
 	f.writes = append(f.writes, a)
 	f.eng.Schedule(1, done)
+	return sim.Mark{}, false
 }
 
 // sliceStream replays a fixed slice of entries.

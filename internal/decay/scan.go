@@ -38,7 +38,6 @@ type tickScanner struct {
 	// turn off, even if armed.
 	skipModified bool
 	assoc        int
-	scratch      []int
 }
 
 // newTickScanner builds the tick for one controller and enables its bank's
@@ -48,13 +47,13 @@ func newTickScanner(ctrl Controller, skipModified bool) *tickScanner {
 	return &tickScanner{ctrl: ctrl, skipModified: skipModified, assoc: ctrl.Array().Assoc()}
 }
 
-// tick runs one global tick: the saturated lines are collected in index
-// order into a reused scratch buffer, filtered by coherence state, and then
-// turned off in that order.  A line its request leaves valid, powered and
-// armed is requested again next tick.
+// tick runs one global tick: the saturated lines come in index order in
+// the bank's due list, are filtered by coherence state in place, and are
+// then turned off in that order.  A line its request leaves valid, powered
+// and armed is requested again next tick.
 func (s *tickScanner) tick() {
 	arr := s.ctrl.Array()
-	due := arr.DecayTick(s.scratch[:0])
+	due := arr.DecayTick()
 	n := 0
 	for _, idx := range due {
 		// The turn-off signal may only start from a stationary state
@@ -65,7 +64,6 @@ func (s *tickScanner) tick() {
 			n++
 		}
 	}
-	s.scratch = due
 	for _, idx := range due[:n] {
 		s.ctrl.RequestTurnOff(idx/s.assoc, idx%s.assoc)
 		arr.KeepSaturated(idx)

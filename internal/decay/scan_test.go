@@ -256,7 +256,7 @@ func residentBank(spec Spec) (*mockController, *tickScanner) {
 	return m, sc
 }
 
-// A steady-state tick must not allocate: the scratch buffer is reused and
+// A steady-state tick must not allocate: the bank's due list is reused and
 // the bookkeeping is allocated once, at Start.
 func TestTickScanAllocationFree(t *testing.T) {
 	m, sc := residentBank(Spec{Kind: KindDecay, DecayCycles: 1000})

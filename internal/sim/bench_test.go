@@ -114,6 +114,29 @@ func BenchmarkScheduleArgStep(b *testing.B) {
 	}
 }
 
+// BenchmarkScheduleAtMark measures the path of a core that stalls on an
+// L1 hit completion held as a mark: the mark is taken, a later event lands
+// in the same cycle, and the completion is then placed ahead of it in its
+// bucket (an ordered insert) before both run.
+func BenchmarkScheduleAtMark(b *testing.B) {
+	e := NewEngine()
+	var sink int
+	fn := func() { sink++ }
+	afn := ArgFunc(func(any) { sink++ })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := e.MarkAt(2)
+		e.Schedule(2, fn)
+		e.ScheduleArgAtMark(m, afn, nil)
+		e.Step()
+		e.Step()
+	}
+	if sink != 2*b.N {
+		b.Fatalf("ran %d events, want %d", sink, 2*b.N)
+	}
+}
+
 // --- dense same-cycle bursts: snoop storms and MSHR wakeups --------------
 
 // BenchmarkSameCycleBurst schedules 64 events on one cycle and drains them,
@@ -318,9 +341,9 @@ func BenchmarkDrainFarHeavy(b *testing.B) { benchDrain(b, 4, 4*wheelSize) }
 // --- 0 allocs/op guards (`make test-allocs`) ------------------------------
 
 // TestDrainLoopAllocationFree guards the bucket-drain run loop: a mixed
-// near/zero/far schedule of pre-bound argument events, plain functions and a
-// recurring tick must drain with zero allocations once the node pool and the
-// far heap are warm.
+// near/zero/far schedule of pre-bound argument events, plain functions,
+// events placed at marks and a recurring tick must drain with zero
+// allocations once the node pool and the far heap are warm.
 func TestDrainLoopAllocationFree(t *testing.T) {
 	e := NewEngine()
 	var fired int
@@ -334,8 +357,10 @@ func TestDrainLoopAllocationFree(t *testing.T) {
 	arg := any(1) // boxed once, as call sites pass pooled pointers
 	round := func() {
 		for i := Cycle(0); i < 8; i++ {
+			m := e.MarkAt(i & 3)
 			e.ScheduleArg(i&3, afn, arg)
 			e.Schedule(i&3, fn)
+			e.ScheduleArgAtMark(m, afn, arg)
 		}
 		e.ScheduleArg(3*wheelSize, afn, arg) // far insert + later migration
 		e.RunUntil(e.Now() + 4*wheelSize)
@@ -349,7 +374,7 @@ func TestDrainLoopAllocationFree(t *testing.T) {
 	}
 }
 
-// TestMonomorphicDispatchAllocationFree guards the engine's single
+// TestMonomorphicDispatchAllocationFree guards the engine's argument
 // dispatch path in isolation: every event is a pre-bound ArgFunc with its
 // argument, and a self-feeding chain of them must run allocation-free
 // through Run, including the Halt that ends each burst.

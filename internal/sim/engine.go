@@ -17,11 +17,18 @@
 //     sits on the per-access path;
 //   - event nodes are pooled on an intrusive free list, so steady-state
 //     scheduling performs no allocations;
-//   - there is one event kind: a callback taking an argument (ArgFunc) plus
-//     that argument, so a node is 48 bytes and dispatch tests no kind tag.
-//     A plain EventFunc rides in the argument slot of a package-level
-//     trampoline (one extra call), and a Recurring is an argument event
-//     that reschedules itself after its callback returns.
+//   - a node is 48 bytes and holds either a callback taking an argument
+//     (ArgFunc) plus that argument, or, with a nil ArgFunc, a plain
+//     EventFunc in the argument slot; dispatch tests the ArgFunc for nil and
+//     calls the one it holds directly.  A Recurring is an argument event
+//     that reschedules itself after its callback returns;
+//   - every scheduled event takes a stamp from one counter shared by near
+//     and far inserts, so FIFO order within a cycle is stamp order.  A Mark
+//     (cycle, stamp) names one position in that order before any event sits
+//     there: a component can take a Mark for a completion instead of
+//     scheduling it, ask Passed whether the completion would already have
+//     run, and place a real event exactly there (ScheduleArgAtMark) only if
+//     someone must see it run.
 //
 // The run loop is bucket-drain rather than per-event: each iteration
 // locates the next non-empty cycle once (one occupancy-bitmap scan plus
@@ -66,22 +73,27 @@ type EventFunc func()
 // the any without allocating).
 type ArgFunc func(arg any)
 
-// callEventFunc is the ArgFunc behind Schedule/ScheduleAt: a plain
-// EventFunc rides in the argument slot (a func value is pointer-shaped, so
-// boxing it allocates nothing), which keeps one event kind for every
-// callback.
-func callEventFunc(arg any) { arg.(EventFunc)() }
-
 // event is one scheduled callback.  Nodes are pooled on an intrusive free
 // list owned by the engine and linked through next while queued in a wheel
-// bucket.  Every event is an ArgFunc with its argument: plain functions and
-// recurring events are expressed through it, so dispatch has no kind tag.
+// bucket.  An event is an ArgFunc with its argument or, when fn is nil, a
+// plain EventFunc held in arg (a func value is pointer-shaped, so boxing it
+// allocates nothing); recurring events are argument events.
 type event struct {
 	when Cycle
-	seq  uint64 // far-heap tie-break: FIFO among far events at the same cycle
+	seq  uint64 // the event's stamp: its place among the events of its cycle
 	next *event
 	fn   ArgFunc
 	arg  any
+}
+
+// Mark names one position in the engine's schedule: the cycle an event
+// runs at and its stamp there.  MarkAt hands one out for an event that is
+// not scheduled (yet); Passed and ScheduleArgAtMark compare and place
+// against it exactly as if the event had been scheduled when the mark was
+// taken.
+type Mark struct {
+	When Cycle
+	Seq  uint64
 }
 
 const (
@@ -145,9 +157,13 @@ const (
 // this workload and required for determinism.
 type Engine struct {
 	now Cycle
-	// seq tie-breaks far-heap events; it is assigned at insertion time so
-	// heap order follows schedule order within a cycle.
+	// seq is the last stamp handed out, to a scheduled event or a mark, so
+	// stamp order is schedule order.
 	seq uint64
+	// cur is the stamp of the event being dispatched (or last dispatched)
+	// in cycle now, and 0 before the first dispatch in the cycle: the events
+	// of cycle now stamped below it have run.
+	cur uint64
 
 	// buckets and occ are fixed-size arrays (not slices) so indexing with a
 	// wheelMask-ed value needs no bounds check in the drain loop.
@@ -244,7 +260,8 @@ func (e *Engine) release(ev *event) {
 
 // wheelInsert appends ev to its horizon bucket.  The caller guarantees
 // ev.when-e.now < wheelSize, so each non-empty bucket holds events of
-// exactly one cycle and append order is FIFO order.
+// exactly one cycle, and that ev's stamp is above every stamp in the bucket,
+// so append order is stamp order.
 func (e *Engine) wheelInsert(ev *event) {
 	idx := int(ev.when) & wheelMask
 	b := &e.buckets[idx]
@@ -259,15 +276,20 @@ func (e *Engine) wheelInsert(ev *event) {
 	e.wheelCount++
 }
 
-// insert routes ev to the wheel or the far heap.
+// insert stamps ev and routes it to the wheel or the far heap.
 func (e *Engine) insert(ev *event) {
+	e.seq++
+	ev.seq = e.seq
 	if ev.when-e.now < wheelSize {
 		e.wheelInsert(ev)
 		return
 	}
+	e.farInsert(ev)
+}
+
+// farInsert pushes ev, stamped, onto the far heap.
+func (e *Engine) farInsert(ev *event) {
 	e.FarEvents++
-	e.seq++
-	ev.seq = e.seq
 	heap.Push(&e.far, ev)
 	if ev.when < e.farNext {
 		e.farNext = ev.when
@@ -276,8 +298,9 @@ func (e *Engine) insert(ev *event) {
 
 // migrateFar moves every far event that entered the near horizon into the
 // wheel and refreshes the cached deadline.  Popping the heap in (when, seq)
-// order lands one cycle's events in their bucket in schedule order, ahead
-// of any events scheduled directly once the cycle is within the horizon.
+// order lands one cycle's events in their bucket in stamp order, ahead of
+// any events scheduled directly once the cycle is within the horizon (those
+// are stamped later).
 func (e *Engine) migrateFar() {
 	for len(e.far) > 0 && e.far[0].when-e.now < wheelSize {
 		e.wheelInsert(heap.Pop(&e.far).(*event))
@@ -295,6 +318,7 @@ func (e *Engine) migrateFar() {
 // next pending cycle), so the unsigned subtraction cannot wrap.
 func (e *Engine) advanceTo(t Cycle) {
 	e.now = t
+	e.cur = 0
 	if e.farNext-t < wheelSize {
 		e.migrateFar()
 	}
@@ -324,13 +348,18 @@ func (e *Engine) scanFrom(start int) int {
 // horizon cycles in increasing order.
 func (e *Engine) nextTime() (Cycle, bool) {
 	if e.wheelCount > 0 {
-		idx := e.scanFrom(int(e.now) & wheelMask)
-		return e.buckets[idx].head.when, true
+		return e.wheelCycle(e.scanFrom(int(e.now) & wheelMask)), true
 	}
 	if len(e.far) > 0 {
 		return e.far[0].when, true
 	}
 	return 0, false
+}
+
+// wheelCycle returns the cycle bucket idx holds: the one horizon cycle
+// congruent to idx, read from the index instead of the bucket's head node.
+func (e *Engine) wheelCycle(idx int) Cycle {
+	return e.now + Cycle((idx-int(e.now))&wheelMask)
 }
 
 // Schedule registers fn to run delay cycles from now.  A delay of zero runs
@@ -346,7 +375,11 @@ func (e *Engine) ScheduleAt(when Cycle, fn EventFunc) {
 	if fn == nil {
 		panic("sim: ScheduleAt called with nil EventFunc")
 	}
-	e.ScheduleArgAt(when, callEventFunc, fn)
+	e.checkFuture(when)
+	ev := e.alloc()
+	ev.when = when
+	ev.arg = fn
+	e.insert(ev)
 }
 
 // ScheduleArg registers fn to run delay cycles from now with the given
@@ -375,6 +408,59 @@ func (e *Engine) checkFuture(when Cycle) {
 	}
 }
 
+// MarkAt returns the mark of an event scheduled now, delay cycles ahead,
+// without scheduling one: it takes the stamp such an event would take, so
+// the mark sits after everything scheduled so far and before everything
+// scheduled later.
+func (e *Engine) MarkAt(delay Cycle) Mark {
+	e.seq++
+	return Mark{When: e.now + delay, Seq: e.seq}
+}
+
+// Passed reports whether an event at mark m would already have run by the
+// event being dispatched: its cycle is behind the clock, or it is this
+// cycle's and stamped before the dispatching event.
+func (e *Engine) Passed(m Mark) bool {
+	return m.When < e.now || m.When == e.now && m.Seq < e.cur
+}
+
+// ScheduleArgAtMark registers fn to run with arg exactly at mark m, which
+// must come from MarkAt and not have passed: in m's cycle, after the events
+// stamped before m and before those stamped after it, as if it had been
+// scheduled when m was taken.  A mark in the current cycle is placed into
+// the bucket being drained.
+func (e *Engine) ScheduleArgAtMark(m Mark, fn ArgFunc, arg any) {
+	if fn == nil {
+		panic("sim: ScheduleArgAtMark called with nil ArgFunc")
+	}
+	if e.Passed(m) || m.Seq > e.seq {
+		panic(fmt.Sprintf("sim: mark (%d, %d) has passed or was never taken (now=%d)", m.When, m.Seq, e.now))
+	}
+	ev := e.alloc()
+	ev.when, ev.seq = m.When, m.Seq
+	ev.fn = fn
+	ev.arg = arg
+	if m.When-e.now >= wheelSize {
+		e.farInsert(ev)
+		return
+	}
+	// Walk to the first event stamped after m.  Far events of this cycle
+	// migrated before anything was scheduled into its bucket, so the
+	// bucket is in stamp order and a later stamp usually sits at the tail.
+	b := &e.buckets[int(m.When)&wheelMask]
+	if b.tail == nil || b.tail.seq < m.Seq {
+		e.wheelInsert(ev)
+		return
+	}
+	p := &b.head
+	for (*p).seq < m.Seq {
+		p = &(*p).next
+	}
+	ev.next = *p
+	*p = ev
+	e.wheelCount++
+}
+
 // Halt asks the running drain loop to stop after the currently dispatching
 // callback returns, leaving every remaining event queued.  Calling it
 // outside a run loop makes the next Run/RunUntil/RunLimit return
@@ -392,7 +478,7 @@ func (e *Engine) Step() bool {
 	var idx int
 	if e.wheelCount > 0 {
 		idx = e.scanFrom(int(e.now) & wheelMask)
-		if t := e.buckets[idx].head.when; t > e.now {
+		if t := e.wheelCycle(idx); t > e.now {
 			e.advanceTo(t)
 		}
 	} else if len(e.far) > 0 {
@@ -419,8 +505,13 @@ func (e *Engine) Step() bool {
 	// The node returns to the pool before the callback runs, so a callback
 	// that schedules reuses it immediately.
 	fn, arg := ev.fn, ev.arg
+	e.cur = ev.seq
 	e.release(ev)
-	fn(arg)
+	if fn != nil {
+		fn(arg)
+	} else {
+		arg.(EventFunc)()
+	}
 	return true
 }
 
@@ -445,7 +536,7 @@ func (e *Engine) RunLimit(limit Cycle) RunStatus {
 		// events, so the bitmap scan wins whenever the wheel is occupied.
 		var t Cycle
 		if e.wheelCount > 0 {
-			t = e.buckets[e.scanFrom(int(e.now)&wheelMask)].head.when
+			t = e.wheelCycle(e.scanFrom(int(e.now) & wheelMask))
 		} else if len(e.far) > 0 {
 			t = e.far[0].when
 		} else {
@@ -478,8 +569,13 @@ func (e *Engine) RunLimit(limit Cycle) RunStatus {
 			// Dispatch written out rather than called: a helper with an
 			// indirect call exceeds the inlining budget.
 			fn, arg := ev.fn, ev.arg
+			e.cur = ev.seq
 			e.release(ev)
-			fn(arg)
+			if fn != nil {
+				fn(arg)
+			} else {
+				arg.(EventFunc)()
+			}
 			if e.halted {
 				e.halted = false
 				return RunHalted

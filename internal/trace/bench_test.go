@@ -9,6 +9,7 @@ package trace_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"cmpleak/internal/trace"
@@ -99,7 +100,9 @@ func BenchmarkTraceWrite(b *testing.B) {
 
 // BenchmarkCapture measures recording a 4-core WATER-NS trace through
 // Capture, live generation on one goroutine per stream included, into an
-// in-memory writer; one op is one entry.
+// in-memory writer; one op is one entry.  allocs/capture and B/capture
+// report the allocations of one whole recording, which allocs/op rounds
+// away.
 func BenchmarkCapture(b *testing.B) {
 	gen, err := workload.ByName("WATER-NS", 0.05)
 	if err != nil {
@@ -108,8 +111,11 @@ func BenchmarkCapture(b *testing.B) {
 	var buf bytes.Buffer
 	b.ReportAllocs()
 	b.ResetTimer()
-	done := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	done, captures := 0, 0
 	for done < b.N {
+		captures++
 		buf.Reset()
 		w, err := trace.NewWriter(&buf, trace.Header{Cores: 4, LineBytes: 64}, trace.WriterOptions{})
 		if err != nil {
@@ -126,4 +132,7 @@ func BenchmarkCapture(b *testing.B) {
 			done += int(n)
 		}
 	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(captures), "allocs/capture")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(captures), "B/capture")
 }

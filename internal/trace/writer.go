@@ -27,13 +27,16 @@ type WriterOptions struct {
 // Writer streams a trace file: entries are appended per core, buffered into
 // fixed-size chunks, and framed out as each chunk fills.  Nothing is
 // retained beyond one pending chunk per core, so recording is O(cores) in
-// memory regardless of trace length.
+// memory regardless of trace length.  Each core's pending chunk is
+// allocated once at its full size, and chunks are encoded and framed in
+// buffers the writer keeps, so a flush allocates nothing.
 type Writer struct {
 	w      io.Writer
 	hdr    Header
 	opts   WriterOptions
 	pend   [][]workload.Entry // per-core pending entries of the open chunk
 	encBuf []byte             // reused chunk encode buffer
+	hdrBuf [chunkHeaderLen]byte
 	err    error
 	closed bool
 }
@@ -92,6 +95,9 @@ func (tw *Writer) AppendBatch(core int, entries []workload.Entry) error {
 		if e.Op > workload.Store {
 			return tw.fail(fmt.Errorf("trace: unknown op kind %d", e.Op))
 		}
+	}
+	if cap(tw.pend[core]) < tw.opts.ChunkEntries {
+		tw.pend[core] = make([]workload.Entry, 0, tw.opts.ChunkEntries)
 	}
 	for len(entries) > 0 {
 		room := tw.opts.ChunkEntries - len(tw.pend[core])
@@ -154,7 +160,7 @@ func (tw *Writer) flushCore(core int) error {
 	}
 	tw.encBuf = enc
 	tw.pend[core] = tw.pend[core][:0]
-	hdr := appendChunkHeader(make([]byte, 0, chunkHeaderLen), chunkHeader{
+	hdr := appendChunkHeader(tw.hdrBuf[:0], chunkHeader{
 		core:      uint32(core),
 		entries:   uint32(len(entries)),
 		encLen:    uint32(len(enc)),
